@@ -14,8 +14,8 @@ are single-shot wall-clock on whatever machine CI / the developer runs them
 on — they are for *trajectory*, not absolute claims.
 
 Figures whose result objects expose ``bench_payload()`` (e.g. Figure 9B's
-measured-vs-modelled provenance) additionally record that payload under the
-snapshot's ``figures`` key.
+measured speed-ups and core count) additionally record that payload under
+the snapshot's ``figures`` key.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ def _figures(scale: str) -> dict:
         run_mrs_convergence,
         run_overhead_table,
         run_parallel_convergence,
-        run_payload_transport_experiment,
         run_scalability_experiment,
         run_speedup_experiment,
         run_streaming_ingest_experiment,
@@ -107,7 +106,6 @@ def _figures(scale: str) -> dict:
         "crash_recovery": lambda: run_crash_recovery_experiment(scale),
         "fig10a_mrs": lambda: run_mrs_convergence(scale),
         "streaming_ingest": lambda: run_streaming_ingest_experiment(scale),
-        "payload_transport": lambda: run_payload_transport_experiment(scale),
     }
 
 

@@ -6,8 +6,8 @@ to a common objective target.
 
 Part 2 — parallelism (Section 3.3): train the same model with the pure-UDA
 (model-averaging) scheme and the three shared-memory schemes and print the
-final objective after a fixed number of epochs, plus the modelled per-epoch
-speed-ups of Figure 9(B).
+final objective after a fixed number of epochs.  (The measured per-epoch
+speed-ups of Figure 9(B): ``repro.experiments.run_speedup_experiment``.)
 
 Run with:  python examples/ordering_and_parallelism.py
 """
@@ -18,7 +18,6 @@ from repro.core import (
     IGDConfig,
     PureUDAParallelism,
     SharedMemoryParallelism,
-    modeled_speedup,
     train,
 )
 from repro.data import load_classification_table, make_sparse_classification
@@ -78,12 +77,6 @@ def parallelism_study() -> None:
                              seed=0),
         )
         print(f"  shared memory [{scheme:>6}]: final objective {result.final_objective:.1f}")
-
-    print("\n  Modelled per-epoch speed-up at 8 workers (Figure 9B):")
-    for scheme in ("nolock", "aig", "pure_uda", "lock"):
-        speedup = modeled_speedup(1.0, scheme, workers, model_passing_cost=5.0,
-                                  model_parameters=3000)
-        print(f"    {scheme:>8}: {speedup:.2f}x")
 
 
 if __name__ == "__main__":

@@ -21,9 +21,8 @@ Both backends consume the same cached chunk plane as the serial executor
 over per-segment cached batches, and the shared-memory epoch slices one cached
 decoded-example list across its workers.  The *convergence* behaviour (what
 Figure 9A measures) depends only on the update schedule and is reproduced
-faithfully; the *wall-clock speed-up* (Figure 9B) is reproduced with the
-analytic cost model in :func:`modeled_speedup`, calibrated by the measured
-serial per-epoch time.
+faithfully; the *wall-clock speed-up* (Figure 9B) is measured on the forked
+process backend (:mod:`repro.db.process_backend`).
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ __all__ = [
     "PureUDAParallelism",
     "SharedMemoryArena",
     "SharedMemoryParallelism",
-    "modeled_epoch_seconds",
-    "modeled_speedup",
     "partition_round_robin",
     "run_shared_memory_epoch",
 ]
@@ -75,65 +72,3 @@ class PureUDAParallelism:
 
 ParallelismSpec = "PureUDAParallelism | SharedMemoryParallelism | None"
 
-
-# ---------------------------------------------------------------------------
-# Analytic speed-up model (Figure 9B)
-# ---------------------------------------------------------------------------
-def modeled_epoch_seconds(
-    serial_seconds: float,
-    scheme: str,
-    workers: int,
-    *,
-    model_passing_cost: float = 0.0,
-    model_parameters: int = 1,
-) -> float:
-    """Wall-clock model of one parallel epoch, calibrated by the serial time.
-
-    * ``lock``     — every update serialises on the model lock, so the gradient
-      work cannot overlap: no speed-up (plus a small lock-handling overhead).
-    * ``aig``      — near-linear scaling with a per-worker penalty for the
-      per-component atomic operations.
-    * ``nolock``   — near-linear scaling with a tiny cache-coherence penalty.
-    * ``pure_uda`` — linear scaling of the scan, plus a per-segment model
-      serialisation/merge cost proportional to the model size (this is what
-      makes the pure UDA slow on engines with expensive model passing).
-    """
-    if serial_seconds < 0:
-        raise ValueError("serial_seconds must be non-negative")
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if workers == 1:
-        return serial_seconds
-
-    if scheme == "lock":
-        return serial_seconds * (1.0 + 0.02 * (workers - 1))
-    if scheme == "aig":
-        return serial_seconds / workers * (1.0 + 0.10 * (workers - 1) / workers) \
-            + 0.01 * serial_seconds
-    if scheme == "nolock":
-        return serial_seconds / workers * (1.0 + 0.03 * (workers - 1) / workers)
-    if scheme == "pure_uda":
-        merge_cost = model_passing_cost * workers * max(model_parameters, 1) * 1e-7
-        return serial_seconds / workers * (1.0 + 0.05) + merge_cost + 0.05 * serial_seconds / workers * (workers - 1) ** 0.5
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def modeled_speedup(
-    serial_seconds: float,
-    scheme: str,
-    workers: int,
-    *,
-    model_passing_cost: float = 0.0,
-    model_parameters: int = 1,
-) -> float:
-    """Speed-up of the per-epoch gradient computation over the serial run."""
-    parallel_seconds = modeled_epoch_seconds(
-        serial_seconds,
-        scheme,
-        workers,
-        model_passing_cost=model_passing_cost,
-        model_parameters=model_parameters,
-    )
-    if parallel_seconds <= 0:
-        return float(workers)
-    return serial_seconds / parallel_seconds

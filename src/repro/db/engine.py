@@ -83,7 +83,6 @@ class Database:
         path: "str | Path | None" = None,
         durability: "DurabilityPolicy | str | None" = None,
         crashes: "Sequence | None" = None,
-        payload_transport: "str | None" = None,
     ):
         if isinstance(personality, str):
             try:
@@ -103,22 +102,6 @@ class Database:
         #: read REPRO_FAULT at pool creation).
         self.recovery_policy = recovery
         self.fault_plans = faults
-        #: Payload transport for engine-created pools: ``auto`` (pages where
-        #: possible), ``pages``, ``pickle``, or None → REPRO_PAYLOAD_TRANSPORT
-        #: at pool creation.  Validated eagerly, like the specs below.
-        if payload_transport is None:
-            from .process_backend import resolve_payload_transport
-
-            resolve_payload_transport()
-        else:
-            from .process_backend import PAYLOAD_TRANSPORTS
-
-            if payload_transport not in PAYLOAD_TRANSPORTS:
-                raise ExecutionError(
-                    f"unknown payload transport {payload_transport!r}; "
-                    f"expected one of {PAYLOAD_TRANSPORTS}"
-                )
-        self.payload_transport = payload_transport
         # Fail loudly on malformed env specs *at construction* instead of
         # deep inside the first pool build or training epoch: validate
         # REPRO_RECOVERY_* and REPRO_FAULT eagerly whenever the engine would
@@ -156,7 +139,6 @@ class Database:
             rng=self.rng,
             **executor_kwargs,
         )
-        self.executor.on_degradation = self.record_recovery_event
 
         # ------------------------------------------------------- durability
         #: Saved TrainingState objects by name.  In-memory for every engine;
@@ -400,7 +382,6 @@ class Database:
                 policy=self.recovery_policy,
                 faults=self.fault_plans,
                 on_event=self.record_recovery_event,
-                transport=self.payload_transport,
             )
             self._process_pools[workers] = pool
         return pool
@@ -465,22 +446,32 @@ class Database:
     ) -> Any:
         """Run a UDA over a table directly (bypassing SQL), honouring the
         engine's per-tuple cost model and an optional explicit row order.
-        ``execution`` selects per-tuple vs chunked columnar aggregation;
-        ``backend="process"`` fans a mergeable aggregate out over the
-        engine's persistent worker-process pool (``process_workers`` sizes
-        it, defaulting to one worker per core) — see
-        :meth:`Executor.run_aggregate`."""
+        ``execution`` selects per-tuple vs chunked columnar aggregation (see
+        :meth:`Executor.run_aggregate`).  ``backend="process"`` compiles the
+        call to a ``generic`` :class:`~repro.db.pass_plan.PassPlan` and runs
+        it on :class:`~repro.db.pass_plan.ProcessBackend` — the engine's
+        persistent supervised worker pool, ``process_workers`` wide
+        (default: one worker per core)."""
+        if backend not in ("in_process", "process"):
+            raise ExecutionError(f"unknown execution backend {backend!r}")
         table = self.table(table_name)
-        pool = None
-        if backend == "process":
-            from .process_backend import default_process_workers
+        if backend == "in_process":
+            return self.executor.run_aggregate(
+                table, aggregate, argument, where=where, row_order=row_order,
+                execution=execution,
+            )
+        from .pass_plan import ProcessBackend, compile_pass
+        from .process_backend import default_process_workers
 
-            pool = self.process_pool(process_workers or default_process_workers())
-        return self.executor.run_aggregate(
-            table, aggregate, argument, where=where, row_order=row_order,
-            execution=execution, backend=backend, process_pool=pool,
-            process_workers=process_workers,
+        instance = (
+            self.aggregates.create(aggregate) if isinstance(aggregate, str) else aggregate
         )
+        plan = compile_pass(
+            "generic", table, lambda: instance, argument=argument, where=where,
+            row_order=row_order, execution=execution,
+            workers=process_workers or default_process_workers(),
+        )
+        return ProcessBackend(self).run(plan)
 
     # ------------------------------------------------------------------ misc
     def table_names(self) -> list[str]:

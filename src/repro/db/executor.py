@@ -21,15 +21,10 @@ import numpy as np
 from .aggregates import AggregateRegistry, UserDefinedAggregate, merge_partial_states
 from .chunk_plan import ChunkPlan
 from .errors import ExecutionError
-from .expressions import Expression, FunctionCall, Star
+from .expressions import ColumnRef, Expression, FunctionCall, Star
 from .parser import OrderBy, SelectItem, SelectStatement
 from .table import DEFAULT_CHUNK_SIZE, Table
 from .types import Row, Schema
-
-#: Sentinel returned by the chunked fast path when it cannot serve a request
-#: (non-batchable aggregate/task/table) and per-tuple execution must run.
-_CHUNKS_UNSUPPORTED = object()
-
 
 @dataclass
 class QueryResult:
@@ -109,10 +104,6 @@ class Executor:
         #: must be serialised across the engine's function-call boundary; the
         #: charge is scaled by the aggregate's ``state_passing_units``.
         self.model_passing_overhead = model_passing_overhead
-        #: Optional sink for DegradationEvent records emitted when a
-        #: process-backed pass falls back in-process (the owning Database
-        #: points this at its recovery log).
-        self.on_degradation: Callable | None = None
         self.rng = rng or np.random.default_rng()
 
     # ---------------------------------------------------------------- SELECT
@@ -267,42 +258,112 @@ class Executor:
         *,
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
+        execution: str = "auto",
     ) -> ChunkPlan | None:
-        """Resolve the backend-neutral chunk plan for one aggregate pass.
+        """Resolve the chunk plan for one aggregate pass, or None for per-item.
 
-        ``where`` is served by a selection vector cached once per (table,
-        version, predicate); ``row_order`` by a vectorized gather over the
-        cached batches — neither forces per-tuple execution any more.
+        This is the engine's one chunk-or-per-tuple decision: ``"per_tuple"``
+        never chunks; ``"auto"`` chunks when the aggregate, task and column
+        types can batch and silently runs per item otherwise; ``"chunked"``
+        raises instead of degrading.  ``where`` is served by a selection
+        vector cached once per (table, version, predicate); ``row_order`` by
+        a vectorized gather over the cached batches.
         """
-        return ChunkPlan.resolve(
-            table,
-            instance.chunk_decoder,
-            self.example_cache,
-            self.chunk_size,
-            where=where,
-            row_order=row_order,
-            functions=self.functions,
-            dtype=self.compute_dtype,
+        if execution == "per_tuple":
+            return None
+        plan = None
+        if instance.supports_chunks:
+            plan = ChunkPlan.resolve(
+                table,
+                instance.chunk_decoder,
+                self.example_cache,
+                self.chunk_size,
+                where=where,
+                row_order=row_order,
+                functions=self.functions,
+                dtype=self.compute_dtype,
+            )
+        if plan is None and execution == "chunked":
+            raise ExecutionError(
+                f"aggregate {type(instance).__name__} cannot run chunked over "
+                f"table {table.name!r} (unsupported aggregate, task or column types)"
+            )
+        return plan
+
+    def _partition_chunks(
+        self,
+        table: Table,
+        instance: UserDefinedAggregate,
+        *,
+        where: Expression | None,
+        row_order: Sequence[int] | None,
+        execution: str,
+    ) -> ChunkPlan | None:
+        """Partition strategy of a multi-worker mergeable pass.
+
+        Returns the plan whose *whole chunks* are dealt round-robin to the
+        workers — only scalar reductions that declare ``chunk_partitionable``
+        qualify, and only unfiltered and unordered — or None, in which case
+        the pass partitions its visit ordinals.  Task-backed ordinal passes
+        replay cache-decoded examples, which is the chunk plane and so no
+        degradation under ``"chunked"``; raw-row passes are.
+        """
+        whole_chunks = (
+            instance.chunk_partitionable and where is None and row_order is None
         )
+        if not whole_chunks and instance.chunk_decoder is not None:
+            return None
+        return self.chunk_plan(table, instance, execution=execution)
 
-    def consume_chunk_plan(
-        self, table: Table, instance: UserDefinedAggregate, plan: ChunkPlan
+    def run_state(
+        self,
+        table: Table,
+        instance: UserDefinedAggregate,
+        argument: Expression | str | None = None,
+        *,
+        where: Expression | None = None,
+        row_order: Sequence[int] | None = None,
+        execution: str = "per_tuple",
     ) -> Any:
-        """initialize + transition_chunk over a plan, returning the raw state.
+        """initialize + transitions over one table pass; the raw state.
 
-        The single chunk-consumption loop shared by the serial path and the
-        segmented backend: per-tuple engine overhead (tuple formation, UDA
-        call, model passing) is charged once per chunk — the function-call
-        boundary is crossed per batch, which is the entire reason vectorized
-        execution wins — and the pass counts as one logical scan even when
-        served from the cache.
+        The single consumption loop behind :meth:`run_aggregate` and the
+        segmented engine's per-segment passes.  On the chunk plane the
+        per-tuple engine overhead (tuple formation, UDA call, model passing)
+        is charged once per chunk — the function-call boundary is crossed per
+        batch, which is the entire reason vectorized execution wins.  Either
+        way the pass counts as one logical scan, even when served from the
+        cache or by ``row_at`` random access: shuffle-always/MRS-style
+        ordered passes read every tuple and must show up in the scan counts
+        the overhead/scalability experiments report.
         """
-        table.scan_count += 1
+        plan = self.chunk_plan(
+            table, instance, where=where, row_order=row_order, execution=execution
+        )
         state = instance.initialize()
         overhead_sink = 0.0
-        for batch in plan:
-            overhead_sink += self._charge_overhead(instance.state_passing_units)
-            state = instance.transition_chunk(state, batch)
+        if plan is not None:
+            table.scan_count += 1
+            for batch in plan:
+                overhead_sink += self._charge_overhead(instance.state_passing_units)
+                state = instance.transition_chunk(state, batch)
+        else:
+            if isinstance(argument, str):
+                argument = ColumnRef(argument)
+            if row_order is None:
+                rows: Iterable[Row] = table.scan()
+            else:
+                table.scan_count += 1
+                rows = (table.row_at(i) for i in row_order)
+            for row in rows:
+                if where is not None and not bool(where.evaluate(row, self.functions)):
+                    continue
+                overhead_sink += self._charge_overhead(instance.state_passing_units)
+                if instance.wants_row or argument is None:
+                    value: Any = row
+                else:
+                    value = argument.evaluate(row, self.functions)
+                state = instance.transition(state, value)
         if overhead_sink < 0:  # pragma: no cover - keeps the sink live
             raise ExecutionError("overhead accumulator underflow")
         return state
@@ -312,18 +373,15 @@ class Executor:
         table: Table,
         instance: UserDefinedAggregate,
         workers: int,
+        plan: ChunkPlan,
     ) -> Any:
         """Serial reference for a chunk-partitioned scalar pass.
 
         Runs the same partition contract as the process backend — worker ``w``
         consumes cached chunks ``w::width`` in ascending order, partial states
         merge left-to-right — sequentially in this process, so a process run
-        of the same plan is bit-for-bit this result.  Returns the sentinel
-        ``_CHUNKS_UNSUPPORTED`` when no chunk plan resolves.
+        of the same plan is bit-for-bit this result.
         """
-        plan = self.chunk_plan(table, instance)
-        if plan is None:
-            return _CHUNKS_UNSUPPORTED
         batches = plan.batches
         width = max(1, min(workers, len(batches)) if batches else 1)
         table.scan_count += 1
@@ -381,20 +439,6 @@ class Executor:
             states.append(state)
         return merge_partial_states(instance, states)
 
-    def _run_aggregate_chunked(
-        self,
-        table: Table,
-        instance: UserDefinedAggregate,
-        *,
-        where: Expression | None = None,
-        row_order: Sequence[int] | None = None,
-    ) -> Any:
-        """Batch-at-a-time aggregation over cached columnar example batches."""
-        plan = self.chunk_plan(table, instance, where=where, row_order=row_order)
-        if plan is None:
-            return _CHUNKS_UNSUPPORTED
-        return instance.terminate(self.consume_chunk_plan(table, instance, plan))
-
     def run_aggregate(
         self,
         table: Table,
@@ -404,9 +448,6 @@ class Executor:
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
         execution: str = "per_tuple",
-        backend: str = "in_process",
-        process_pool=None,
-        process_workers: int | None = None,
     ) -> Any:
         """Run a single aggregate over a table without going through SQL.
 
@@ -418,129 +459,21 @@ class Executor:
         paper's tuple-at-a-time UDA protocol), ``"chunked"`` (batch-at-a-time
         over cached columnar examples; raises if the aggregate/table cannot
         chunk), or ``"auto"`` (chunked when possible, silent per-tuple
-        fallback).  WHERE filters ride the chunk plane through a selection
-        vector cached once per (table, version, predicate); explicit row
-        orders through a vectorized gather over the cached batches — both
-        produce bit-for-bit the per-tuple models.
-
-        ``backend`` selects who performs the pass: ``"in_process"`` (the
-        default) runs in this process; ``"process"`` fans a mergeable,
-        task-backed aggregate out over a :class:`ProcessWorkerPool` of real
-        OS workers (round-robin ordinal partitions, deterministic
-        left-to-right merge — bit-for-bit a segmented run with as many
-        segments as pool workers).  ``process_pool`` supplies the pool; if
-        omitted an ephemeral pool of one worker per core is used for the call.
+        fallback) — see :meth:`chunk_plan`.  Both planes produce bit-for-bit
+        the same models.  The pass runs in this process; worker pools are
+        reached by compiling a :class:`~repro.db.pass_plan.PassPlan`.
         """
         if execution not in ("per_tuple", "chunked", "auto"):
             raise ExecutionError(f"unknown execution mode {execution!r}")
-        if backend not in ("in_process", "process"):
-            raise ExecutionError(f"unknown execution backend {backend!r}")
         instance = (
             self.aggregates.create(aggregate) if isinstance(aggregate, str) else aggregate
         )
-        if isinstance(argument, str):
-            from .expressions import ColumnRef
-
-            argument = ColumnRef(argument)
-        if backend == "process":
-            if execution == "per_tuple":
-                raise ExecutionError(
-                    "the process backend ships cache-decoded examples and "
-                    "cannot replay the per-tuple engine protocol; pass "
-                    "execution='auto' or 'chunked' with backend='process'"
-                )
-            from .process_backend import (
-                ProcessWorkerPool,
-                default_process_workers,
-                run_process_aggregate,
+        return instance.terminate(
+            self.run_state(
+                table, instance, argument,
+                where=where, row_order=row_order, execution=execution,
             )
-
-            from .errors import WorkerDiedError
-
-            try:
-                if process_pool is not None:
-                    # Retry recoverable worker deaths: a supervised pool has
-                    # already respawned the casualties and replayed payloads,
-                    # so re-running the (deterministic, mergeable) pass is
-                    # both safe and bit-for-bit.  Non-recoverable errors fall
-                    # through to the in-process ladder below.
-                    while True:
-                        try:
-                            return run_process_aggregate(
-                                self, table, instance, pool=process_pool,
-                                where=where, row_order=row_order,
-                                workers=process_workers, argument=argument,
-                                execution=execution,
-                            )
-                        except WorkerDiedError as error:
-                            if not error.recoverable:
-                                raise
-                else:
-                    with ProcessWorkerPool(default_process_workers()) as pool:
-                        return run_process_aggregate(
-                            self, table, instance, pool=pool,
-                            where=where, row_order=row_order,
-                            workers=process_workers, argument=argument,
-                            execution=execution,
-                        )
-            except WorkerDiedError as error:
-                # Degrade to the in-process path rather than failing the
-                # query: the pass is mergeable and deterministic, so the
-                # serial result is the same value the pool would have
-                # produced.  Structured event instead of an exception.
-                if self.on_degradation is not None:
-                    from .supervisor import DegradationEvent
-
-                    self.on_degradation(
-                        DegradationEvent(
-                            plan_kind="aggregate",
-                            from_backend="process",
-                            to_backend="in_process",
-                            reason=str(error),
-                        )
-                    )
-                return self.run_aggregate(
-                    table, instance, argument, where=where, row_order=row_order,
-                    execution=execution, backend="in_process",
-                )
-        if execution != "per_tuple":
-            if instance.supports_chunks:
-                outcome = self._run_aggregate_chunked(
-                    table, instance, where=where, row_order=row_order
-                )
-                if outcome is not _CHUNKS_UNSUPPORTED:
-                    return outcome
-            if execution == "chunked":
-                raise ExecutionError(
-                    f"aggregate {type(instance).__name__} cannot run chunked over "
-                    f"table {table.name!r} (unsupported aggregate, task or column types)"
-                )
-        argument_expression: Expression | None = argument
-
-        state = instance.initialize()
-        overhead_sink = 0.0
-        if row_order is None:
-            row_iter: Iterable[Row] = table.scan()
-        else:
-            # One logical scan per ordered pass: row_at random access does not
-            # touch the statistics itself, but shuffle-always/MRS-style ordered
-            # passes read every tuple and must show up in the scan counts the
-            # overhead/scalability experiments report.
-            table.scan_count += 1
-            row_iter = (table.row_at(i) for i in row_order)
-        for row in row_iter:
-            if where is not None and not bool(where.evaluate(row, self.functions)):
-                continue
-            overhead_sink += self._charge_overhead(instance.state_passing_units)
-            if instance.wants_row or argument_expression is None:
-                value: Any = row
-            else:
-                value = argument_expression.evaluate(row, self.functions)
-            state = instance.transition(state, value)
-        result = instance.terminate(state)
-        if overhead_sink < 0:  # pragma: no cover - keeps the sink live
-            raise ExecutionError("overhead accumulator underflow")
-        return result
+        )
 
 
 def _default_name(item: SelectItem, index: int) -> str:
@@ -549,8 +482,6 @@ def _default_name(item: SelectItem, index: int) -> str:
         return item.aggregate_name
     if isinstance(expression, FunctionCall):
         return expression.name.lower()
-    from .expressions import ColumnRef
-
     if isinstance(expression, ColumnRef):
         return expression.name
     return f"column{index}"

@@ -4,11 +4,10 @@ A :class:`SegmentedDatabase` wraps a catalog of tables that are round-robin
 partitioned across ``num_segments`` segments.  Aggregates that provide a
 ``merge`` function are executed independently on every segment and the partial
 states are merged before ``terminate`` — exactly the "pure UDA" parallelism of
-Section 3.3.  The per-segment work is performed sequentially in this process
-(the reproduction is single-process Python), but the engine records the
-per-segment tuple counts and charges the personality's model-passing cost per
-segment so the experiment harness can report both measured per-epoch times and
-modelled parallel speed-ups.
+Section 3.3.  The per-segment work runs sequentially in this process or, with
+``backend="process"``, one OS worker per segment; either way the engine
+records the per-segment tuple counts and charges the personality's
+model-passing cost per segment.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .aggregates import UserDefinedAggregate
-from .chunk_plan import ChunkPlan
+from .aggregates import UserDefinedAggregate, merge_partial_states
 from .engine import DBMS_B, Database, EnginePersonality
 from .errors import ExecutionError, UnknownTableError
 from .expressions import Expression
@@ -60,7 +58,6 @@ class SegmentedDatabase:
         path: "object | None" = None,
         durability: "object | None" = None,
         crashes: "Sequence | None" = None,
-        payload_transport: "str | None" = None,
     ):
         self.master = Database(
             personality,
@@ -70,7 +67,6 @@ class SegmentedDatabase:
             path=path,
             durability=durability,
             crashes=crashes,
-            payload_transport=payload_transport,
         )
         if num_segments is not None and num_segments <= 0:
             raise ExecutionError("num_segments must be positive")
@@ -254,16 +250,6 @@ class SegmentedDatabase:
             raise ExecutionError(f"unknown execution backend {backend!r}")
         segments = self.segments_of(table_name)
         probe = aggregate_factory()
-        if backend == "process" and probe.supports_merge and self.num_segments > 1:
-            if execution == "per_tuple":
-                raise ExecutionError(
-                    "the process backend ships cache-decoded examples and "
-                    "cannot replay the per-tuple engine protocol; use the "
-                    "in-process backend for per-tuple runs"
-                )
-            return self._run_parallel_aggregate_process(
-                segments, aggregate_factory, where, segment_row_orders
-            )
         if not probe.supports_merge or self.num_segments == 1:
             # The single-segment layout matches the master copy row for row,
             # so its visit order applies directly; multi-segment orders are
@@ -288,44 +274,50 @@ class SegmentedDatabase:
                 merges=0,
             )
 
-        partial_states: list[Any] = []
-        instances: list[UserDefinedAggregate] = []
-        per_segment_tuples: list[int] = []
-        for index, segment in enumerate(segments):
-            instance = aggregate_factory()
-            order = None
-            if segment_row_orders is not None:
-                order = segment_row_orders[index]
-            state = self._run_segment(instance, segment, argument, where, order, execution)
-            instances.append(instance)
-            partial_states.append(state)
-            per_segment_tuples.append(len(segment))
-
-        merged = partial_states[0]
-        merges = 0
-        for state in partial_states[1:]:
-            merged = instances[0].merge(merged, state)
-            merges += 1
-        value = instances[0].terminate(merged)
+        orders = (
+            segment_row_orders if segment_row_orders is not None else [None] * len(segments)
+        )
+        if backend == "process":
+            if execution == "per_tuple":
+                raise ExecutionError(
+                    "the process backend ships cache-decoded examples and "
+                    "cannot replay the per-tuple engine protocol; use the "
+                    "in-process backend for per-tuple runs"
+                )
+            partial_states = self._segment_states_process(
+                segments, aggregate_factory, where, orders
+            )
+        else:
+            # Each segment keeps its own example-cache entries — keyed by the
+            # segment table's (name, version, task) exactly like the master
+            # table's — in the master executor's shared cache, so partitioned
+            # epochs decode each segment once per redistribution.
+            partial_states = [
+                self.master.executor.run_state(
+                    segment, aggregate_factory(), argument,
+                    where=where, row_order=order, execution=execution,
+                )
+                for segment, order in zip(segments, orders)
+            ]
         return ParallelAggregateResult(
-            value=value,
-            per_segment_tuples=per_segment_tuples,
+            value=merge_partial_states(probe, partial_states),
+            per_segment_tuples=[len(segment) for segment in segments],
             num_segments=len(segments),
-            merges=merges,
+            merges=len(partial_states) - 1,
         )
 
-    def _run_parallel_aggregate_process(
+    def _segment_states_process(
         self,
         segments: list[Table],
         aggregate_factory: Callable[[], UserDefinedAggregate],
         where: Expression | None,
-        segment_row_orders: Sequence[Sequence[int]] | None,
-    ) -> ParallelAggregateResult:
+        orders: Sequence[Sequence[int] | None],
+    ) -> list:
         """Segment passes on real OS workers: one worker per segment.
 
-        Each worker receives its segment's cache-decoded examples (pickled
+        Each worker receives its segment's cache-decoded examples (shipped
         once per table version) and runs the plain ``initialize``/
-        ``transition`` protocol over them; the parent merges the partial
+        ``transition`` protocol over them; the caller merges the partial
         states left-to-right exactly like the in-process path, so the result
         is bit-for-bit identical for a fixed seed and segment count.
         """
@@ -334,90 +326,16 @@ class SegmentedDatabase:
 
         executor = self.master.executor
         pool = self.master.process_pool(len(segments))
-        instances: list[UserDefinedAggregate] = []
         parts = []
-        per_segment_tuples: list[int] = []
-        for index, segment in enumerate(segments):
+        for segment, order in zip(segments, orders):
             instance = aggregate_factory()
-            order = segment_row_orders[index] if segment_row_orders is not None else None
             ordinals = resolve_ordinals(
                 segment, executor.example_cache, executor.functions, where, order
             )
             segment.scan_count += 1
             executor._charge_overhead(instance.state_passing_units)
-            instances.append(instance)
             parts.append((segment, instance, ordinals))
-            per_segment_tuples.append(len(segment))
-        partial_states = run_partitioned_uda(pool, parts, executor.example_cache)
-
-        merged = partial_states[0]
-        merges = 0
-        for state in partial_states[1:]:
-            merged = instances[0].merge(merged, state)
-            merges += 1
-        value = instances[0].terminate(merged)
-        return ParallelAggregateResult(
-            value=value,
-            per_segment_tuples=per_segment_tuples,
-            num_segments=len(segments),
-            merges=merges,
-        )
-
-    def _run_segment(
-        self,
-        instance: UserDefinedAggregate,
-        segment: Table,
-        argument: Expression | str | None,
-        where: Expression | None,
-        row_order: Sequence[int] | None,
-        execution: str = "auto",
-    ) -> Any:
-        """Run initialize+transition over one segment, returning the raw state.
-
-        On the chunked path the segment keeps its own example cache entries —
-        keyed by the segment table's (name, version, task) exactly like the
-        master table's — in the master executor's shared :class:`ExampleCache`,
-        so partitioned epochs decode each segment once per redistribution
-        instead of once per tuple per epoch.
-        """
-        executor = self.master.executor
-        if execution != "per_tuple":
-            if instance.supports_chunks:
-                plan = executor.chunk_plan(
-                    segment, instance, where=where, row_order=row_order
-                )
-                if plan is not None:
-                    return executor.consume_chunk_plan(segment, instance, plan)
-            if execution == "chunked":
-                raise ExecutionError(
-                    f"aggregate {type(instance).__name__} cannot run chunked over "
-                    f"segment {segment.name!r} (unsupported aggregate, task or column types)"
-                )
-        argument_expression: Expression | None
-        if isinstance(argument, str):
-            from .expressions import ColumnRef
-
-            argument_expression = ColumnRef(argument)
-        else:
-            argument_expression = argument
-
-        state = instance.initialize()
-        if row_order is None:
-            rows = segment.scan()
-        else:
-            # Ordered per-tuple passes count one logical scan, like scan().
-            segment.scan_count += 1
-            rows = (segment.row_at(i) for i in row_order)
-        for row in rows:
-            if where is not None and not bool(where.evaluate(row, executor.functions)):
-                continue
-            executor._charge_overhead(instance.state_passing_units)
-            if instance.wants_row or argument_expression is None:
-                value: Any = row
-            else:
-                value = argument_expression.evaluate(row, executor.functions)
-            state = instance.transition(state, value)
-        return state
+        return run_partitioned_uda(pool, parts, executor.example_cache)
 
     # ------------------------------------------------------------------ misc
     def close_process_pools(self) -> None:

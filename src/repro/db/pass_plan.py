@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import ExecutionError, WorkerDiedError
+from .expressions import ColumnRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.model import Model
@@ -153,7 +154,7 @@ def compile_pass(
     table: "Table",
     factory: "Callable[[], UserDefinedAggregate] | None",
     *,
-    argument: "Expression | None" = None,
+    argument: "Expression | str | None" = None,
     where: "Expression | None" = None,
     row_order: "Sequence[int] | None" = None,
     execution: str = "auto",
@@ -165,8 +166,11 @@ def compile_pass(
 
     Probes one aggregate instance from ``factory`` for its merge contract
     (``supports_merge``, ``chunk_partitionable``); the probe is cheap — the
-    factories build configuration-only objects.
+    factories build configuration-only objects.  A column-name ``argument``
+    compiles to its column reference.
     """
+    if isinstance(argument, str):
+        argument = ColumnRef(argument)
     if kind not in PASS_KINDS:
         raise ExecutionError(f"unknown pass kind {kind!r}; expected one of {PASS_KINDS}")
     if execution not in ("per_tuple", "chunked", "auto"):
@@ -222,6 +226,59 @@ def _pass_compute_dtype(executor: Any, plan: PassPlan):
         executor.compute_dtype = previous
 
 
+def _retry_then_degrade(
+    engine: "Database",
+    plan: PassPlan,
+    attempt: Callable[[], Any],
+    *,
+    from_backend: str,
+    ladder: "Sequence[tuple[str, Callable[[], Any]]]",
+    reset: "Callable[[], None] | None" = None,
+) -> Any:
+    """The one retry-then-degrade policy of process-backed plans.
+
+    The engine's pools are supervised, so worker death or a blown reply
+    deadline surfaces as a *recoverable*
+    :class:`~repro.db.errors.WorkerDiedError` after the pool respawned the
+    casualties: ``attempt`` is simply re-run (after ``reset`` undid whatever
+    the aborted attempt mutated).  Once the respawn budget is exhausted
+    (``recoverable=False``) the pass walks ``ladder`` — ``(backend name,
+    runner)`` rungs, taking the next rung when one refuses the plan with an
+    :class:`ExecutionError` — emitting one structured
+    :class:`~repro.db.supervisor.DegradationEvent` per rung instead of
+    raising.  The engine's sticky ``process_degraded`` flag routes every
+    later plan of the run down the ladder immediately rather than rebuilding
+    (and re-losing) a pool each epoch.
+    """
+    from .supervisor import DegradationEvent
+
+    reason = "process backend degraded earlier in this run"
+    while not engine.process_degraded:
+        try:
+            return attempt()
+        except WorkerDiedError as error:
+            if reset is not None:
+                reset()
+            if not error.recoverable:
+                engine.mark_process_degraded()
+                reason = str(error)
+    for rung, (to_backend, runner) in enumerate(ladder):
+        engine.record_recovery_event(
+            DegradationEvent(
+                plan_kind=plan.kind,
+                from_backend=from_backend,
+                to_backend=to_backend,
+                reason=reason,
+            )
+        )
+        try:
+            return runner()
+        except ExecutionError as error:
+            if rung == len(ladder) - 1:
+                raise
+            from_backend, reason = to_backend, str(error)
+
+
 # ---------------------------------------------------------------------------
 # The backend protocol and its four implementations
 # ---------------------------------------------------------------------------
@@ -275,29 +332,16 @@ class SerialBackend(ExecutionBackend):
             return model, _steps_taken(model, context.step_offset, len(plan.table))
         if plan.workers > 1 and plan.mergeable and plan.execution != "per_tuple":
             instance = plan.factory()
-            wants_chunks = (
-                getattr(instance, "chunk_partitionable", False)
-                and plan.where is None
-                and plan.row_order is None
+            chunks = executor._partition_chunks(
+                plan.table,
+                instance,
+                where=plan.where,
+                row_order=plan.row_order,
+                execution=plan.execution,
             )
-            if wants_chunks and instance.supports_chunks:
-                from .executor import _CHUNKS_UNSUPPORTED
-
-                outcome = executor.run_chunk_partitioned(
-                    plan.table, instance, plan.workers
-                )
-                if outcome is not _CHUNKS_UNSUPPORTED:
-                    return outcome
-            if plan.execution == "chunked" and (
-                wants_chunks or instance.chunk_decoder is None
-            ):
-                # Same contract as the single-pass executor and the process
-                # backend: an explicit "chunked" request errors instead of
-                # silently degrading to per-item transitions.
-                raise ExecutionError(
-                    f"aggregate {type(instance).__name__} cannot run chunked over "
-                    f"table {plan.table.name!r} (unsupported aggregate, task or "
-                    "column types)"
+            if chunks is not None:
+                return executor.run_chunk_partitioned(
+                    plan.table, instance, plan.workers, chunks
                 )
             return executor.run_row_partitioned(
                 plan.table,
@@ -370,39 +414,19 @@ class SegmentedBackend(ExecutionBackend):
         """Run the plan; process-backed segment runs retry and degrade.
 
         Pure-UDA segment passes are deterministic (shared-nothing partitions,
-        left-to-right merge), so after a supervised pool respawns its
-        casualties the pass simply re-runs bit-for-bit; once the respawn
-        budget is exhausted, the run degrades to the in-process segmented
-        engine — the same partitions on one core — with a DegradationEvent.
+        left-to-right merge), so a retried pass re-runs bit-for-bit, and the
+        one degradation rung is the in-process segmented engine — the same
+        partitions on one core.
         """
         if not self.process:
             return self._run(plan, "in_process")
-        engine = _engine_of(self.database)
-        if getattr(engine, "process_degraded", False):
-            return self._degrade(
-                plan, reason="process backend degraded earlier in this run"
-            )
-        while True:
-            try:
-                return self._run(plan, "process")
-            except WorkerDiedError as error:
-                if error.recoverable:
-                    continue
-                engine.mark_process_degraded()
-                return self._degrade(plan, reason=str(error))
-
-    def _degrade(self, plan: PassPlan, *, reason: str) -> Any:
-        from .supervisor import DegradationEvent
-
-        _engine_of(self.database).record_recovery_event(
-            DegradationEvent(
-                plan_kind=plan.kind,
-                from_backend="segmented_process",
-                to_backend="segmented",
-                reason=reason,
-            )
+        return _retry_then_degrade(
+            _engine_of(self.database),
+            plan,
+            lambda: self._run(plan, "process"),
+            from_backend="segmented_process",
+            ladder=[("segmented", lambda: self._run(plan, "in_process"))],
         )
-        return self._run(plan, "in_process")
 
     def _run(self, plan: PassPlan, backend: str) -> Any:
         plan.check_version()
@@ -437,22 +461,14 @@ class ProcessBackend(ExecutionBackend):
     raw rows) and merges partials left-to-right — bit-for-bit the
     :class:`SerialBackend` reference of the same plan.
 
-    Self-healing: the engine's pools are supervised, so worker death or a
-    blown reply deadline surfaces as a *recoverable*
-    :class:`~repro.db.errors.WorkerDiedError` after the pool respawned the
-    casualties — this backend then retries the pass.  Retry semantics follow
+    Self-healing follows :func:`_retry_then_degrade`.  Retry semantics follow
     the plan's determinism contract: mergeable aggregate passes re-run
     bit-for-bit (nothing was mutated — the aborted partials were discarded),
     while racy shared-memory train epochs restore the model from a snapshot
     taken at epoch start, so a retried epoch never trains on the half-written
-    model the failed attempt raced on.  When the respawn budget is exhausted
-    (``recoverable=False``) the pass walks the degradation ladder — train
-    plans fall back to the cooperative shared-memory backend, then serial;
-    evaluation plans fall straight to serial — emitting a structured
-    :class:`~repro.db.supervisor.DegradationEvent` instead of raising, and
-    the engine's sticky ``process_degraded`` flag routes every later plan of
-    the run down the ladder immediately rather than rebuilding (and
-    re-losing) a pool each epoch.
+    model the failed attempt raced on.  Train plans degrade to the
+    cooperative shared-memory backend, then serial; evaluation plans fall
+    straight to serial.
     """
 
     name = "process"
@@ -467,30 +483,32 @@ class ProcessBackend(ExecutionBackend):
                 "the process backend serves passes from the cached chunk "
                 "plane and cannot replay the per-tuple engine protocol"
             )
-        if getattr(self.engine, "process_degraded", False):
-            return self._degrade(
-                plan, reason="process backend degraded earlier in this run"
-            )
+        engine = self.engine
+        ladder = [("serial", lambda: SerialBackend(engine).run(plan))]
         snapshot = None
         if plan.kind == "train":
+            ladder.insert(0, ("shared_memory", lambda: SharedMemoryBackend(engine).run(plan)))
             # Racy shared-memory epochs mutate the mmap'd model in place; a
             # retried epoch must start from the epoch-start model, not from
             # whatever the aborted attempt half-wrote.
             snapshot = plan.train.model.as_flat_vector()
-        while True:
-            try:
-                return self._execute(plan)
-            except WorkerDiedError as error:
-                # The aborted epoch's scratch segment is freed by the runner's
-                # finally, but sweep defensively: a retry re-allocates under
-                # the same logical name and must find it free.
-                self.engine.shared_memory.sweep_orphans()
-                if snapshot is not None:
-                    plan.train.model.load_flat_vector(snapshot)
-                if error.recoverable:
-                    continue  # the pool healed itself; re-run the pass
-                self.engine.mark_process_degraded()
-                return self._degrade(plan, reason=str(error))
+
+        def reset() -> None:
+            # The aborted epoch's scratch segment is freed by the runner's
+            # finally, but sweep defensively: a retry re-allocates under the
+            # same logical name and must find it free.
+            engine.shared_memory.sweep_orphans()
+            if snapshot is not None:
+                plan.train.model.load_flat_vector(snapshot)
+
+        return _retry_then_degrade(
+            engine,
+            plan,
+            lambda: self._execute(plan),
+            from_backend="process",
+            ladder=ladder,
+            reset=reset,
+        )
 
     def _execute(self, plan: PassPlan) -> Any:
         with _pass_compute_dtype(self.engine.executor, plan) as executor:
@@ -536,42 +554,6 @@ class ProcessBackend(ExecutionBackend):
             argument=plan.argument,
             execution=plan.execution,
         )
-
-    def _degrade(self, plan: PassPlan, *, reason: str) -> Any:
-        """Walk the ladder: train → shared_memory → serial; else → serial."""
-        from .supervisor import DegradationEvent
-
-        engine = self.engine
-        if plan.kind == "train":
-            engine.record_recovery_event(
-                DegradationEvent(
-                    plan_kind=plan.kind,
-                    from_backend="process",
-                    to_backend="shared_memory",
-                    reason=reason,
-                )
-            )
-            try:
-                return SharedMemoryBackend(engine).run(plan)
-            except ExecutionError as error:
-                engine.record_recovery_event(
-                    DegradationEvent(
-                        plan_kind=plan.kind,
-                        from_backend="shared_memory",
-                        to_backend="serial",
-                        reason=str(error),
-                    )
-                )
-                return SerialBackend(engine).run(plan)
-        engine.record_recovery_event(
-            DegradationEvent(
-                plan_kind=plan.kind,
-                from_backend="process",
-                to_backend="serial",
-                reason=reason,
-            )
-        )
-        return SerialBackend(engine).run(plan)
 
 
 # ---------------------------------------------------------------------------

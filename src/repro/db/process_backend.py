@@ -53,7 +53,7 @@ import numpy as np
 
 from .aggregates import merge_partial_states
 from .chunk_plan import resolve_ordinals, split_round_robin
-from .errors import EnvSpecError, ExecutionError, WorkerDiedError
+from .errors import ExecutionError, WorkerDiedError
 from .fault import FaultInjector, FaultPlan
 from .shared_memory import (
     ChunkPageSet,
@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.model import Model
     from ..tasks.base import ExampleCache
     from .aggregates import UserDefinedAggregate
+    from .chunk_plan import ChunkPlan
     from .executor import Executor
 
 
@@ -86,30 +87,8 @@ def default_process_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Payload transport: zero-copy chunk pages vs pickled bytes
+# Payload wire policy: zero-copy chunk pages, pickled bytes as the fallback
 # ---------------------------------------------------------------------------
-#: Transport modes.  ``auto`` (the default) publishes any payload containing
-#: dense numeric arrays as shared-memory chunk pages and pickles the rest;
-#: ``pages`` is the same policy spelled as an explicit request (useful to CI);
-#: ``pickle`` forces the PR-4 pickled-bytes transport everywhere.
-PAYLOAD_TRANSPORTS = ("auto", "pages", "pickle")
-
-
-def resolve_payload_transport(environ: "Mapping[str, str] | None" = None) -> str:
-    """Payload transport from ``REPRO_PAYLOAD_TRANSPORT`` (default ``auto``)."""
-    environ = os.environ if environ is None else environ
-    raw = environ.get("REPRO_PAYLOAD_TRANSPORT")
-    if raw is None or not raw.strip():
-        return "auto"
-    value = raw.strip().lower()
-    if value not in PAYLOAD_TRANSPORTS:
-        raise EnvSpecError(
-            f"REPRO_PAYLOAD_TRANSPORT={raw!r} is not a known transport; "
-            f"expected one of {PAYLOAD_TRANSPORTS}"
-        )
-    return value
-
-
 class _PagingPickler(pickle.Pickler):
     """Pickles a payload skeleton, lifting dense arrays out into a page list.
 
@@ -527,27 +506,16 @@ class ProcessWorkerPool:
         workers: int,
         *,
         faults: "tuple[FaultPlan, ...]" = (),
-        transport: "str | None" = None,
     ):
         if workers <= 0:
             raise ExecutionError("process pool needs at least one worker")
         self.workers = workers
         self._ctx = fork_context()
         self._faults = tuple(faults)
-        #: Payload transport: ``auto``/``pages`` page dense arrays through
-        #: ``/dev/shm``, ``pickle`` ships full pickled bytes (the PR-4 wire
-        #: format).  ``None`` reads ``REPRO_PAYLOAD_TRANSPORT``.
-        self.transport = resolve_payload_transport() if transport is None else transport
-        if self.transport not in PAYLOAD_TRANSPORTS:
-            raise ExecutionError(
-                f"unknown payload transport {self.transport!r}; "
-                f"expected one of {PAYLOAD_TRANSPORTS}"
-            )
         #: Transport accounting: bytes that crossed pipes per transport kind,
         #: bytes resident in published pages, publication (encode+copy)
         #: seconds, payload counts and ``/dev/shm``-exhaustion fallbacks.
         self.transport_stats: dict[str, Any] = {
-            "transport": self.transport,
             "page_payloads": 0,
             "pickle_payloads": 0,
             "page_fallbacks": 0,
@@ -677,34 +645,32 @@ class ProcessWorkerPool:
     def _encode_payload(self, payload: Any) -> "tuple[bytes, ChunkPageSet | None, str]":
         """Encode one payload for shipment: ``(wire_bytes, pages, kind)``.
 
-        Under ``auto``/``pages`` the payload's dense arrays are published
-        once into a shared-memory page block and the wire bytes carry only
-        the descriptor plus the pickled skeleton; payloads with no dense
-        arrays — and every payload when ``/dev/shm`` allocation fails —
-        degrade to plain pickled bytes (``kind == "pickle"``).
+        The wire policy: the payload's dense arrays are published once into
+        a shared-memory page block and the wire bytes carry only the
+        descriptor plus the pickled skeleton.  Payloads with no dense arrays
+        — and any payload whose ``/dev/shm`` allocation fails — ship as
+        plain pickled bytes (``kind == "pickle"``).
         """
         stats = self.transport_stats
         start = time.perf_counter()
-        if self.transport != "pickle":
-            buffer = io.BytesIO()
-            pickler = _PagingPickler(buffer)
-            pickler.dump(payload)
-            if pickler.arrays:
-                try:
-                    pages = ChunkPageSet.publish(pickler.arrays)
-                except OSError:
-                    # /dev/shm exhausted or unavailable: fall back to pickled
-                    # transport for this payload (first rung of the ladder).
-                    stats["page_fallbacks"] += 1
-                else:
-                    data = pickle.dumps(
-                        _PagedPayload(pages.descriptor, buffer.getvalue()),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    stats["page_payloads"] += 1
-                    stats["page_bytes"] += pages.nbytes
-                    stats["publish_seconds"] += time.perf_counter() - start
-                    return data, pages, "pages"
+        buffer = io.BytesIO()
+        pickler = _PagingPickler(buffer)
+        pickler.dump(payload)
+        if pickler.arrays:
+            try:
+                pages = ChunkPageSet.publish(pickler.arrays)
+            except OSError:
+                # /dev/shm exhausted or unavailable: pickle this payload.
+                stats["page_fallbacks"] += 1
+            else:
+                data = pickle.dumps(
+                    _PagedPayload(pages.descriptor, buffer.getvalue()),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+                stats["page_payloads"] += 1
+                stats["page_bytes"] += pages.nbytes
+                stats["publish_seconds"] += time.perf_counter() - start
+                return data, pages, "pages"
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         stats["pickle_payloads"] += 1
         stats["publish_seconds"] += time.perf_counter() - start
@@ -1019,7 +985,8 @@ def run_process_aggregate(
     below the pool size (a compiled :class:`~repro.db.pass_plan.PassPlan`
     carries the requested width).
 
-    Three partition strategies, chosen by the aggregate's contract:
+    Three partition strategies, chosen by the aggregate's contract
+    (:meth:`Executor._partition_chunks` decides whole chunks vs ordinals):
 
     * **chunk-partitioned** — scalar reductions that declare
       ``chunk_partitionable`` (loss, accuracy) ship the cached columnar chunk
@@ -1036,25 +1003,12 @@ def run_process_aggregate(
             f"aggregate {type(instance).__name__} does not support merge; "
             "the process backend requires an algebraic (mergeable) aggregate"
         )
-    wants_chunks = (
-        instance.chunk_partitionable and where is None and row_order is None
+    chunks = executor._partition_chunks(
+        table, instance, where=where, row_order=row_order, execution=execution
     )
-    if wants_chunks and instance.supports_chunks:
-        outcome = run_process_chunk_aggregate(
-            executor, table, instance, pool=pool, workers=workers
-        )
-        if outcome is not _NO_CHUNK_PLAN:
-            return outcome
-    if execution == "chunked" and (wants_chunks or instance.chunk_decoder is None):
-        # Match the serial contract: an explicit "chunked" request errors
-        # instead of silently degrading when the vectorized path is
-        # unavailable.  (Filtered/ordered scalar passes and order-sensitive
-        # task-backed aggregates are *served by the chunk plane* through
-        # cache-decoded examples and resolved ordinals, so they are not a
-        # degradation and run under "chunked" as before.)
-        raise ExecutionError(
-            f"aggregate {type(instance).__name__} cannot run chunked over "
-            f"table {table.name!r} (unsupported aggregate, task or column types)"
+    if chunks is not None:
+        return run_process_chunk_aggregate(
+            executor, table, instance, chunks, pool=pool, workers=workers
         )
     if instance.chunk_decoder is None:
         return run_process_generic_aggregate(
@@ -1076,10 +1030,6 @@ def run_process_aggregate(
     return merge_partial_states(instance, states)
 
 
-#: Sentinel: the chunk-partitioned path could not resolve a chunk plan.
-_NO_CHUNK_PLAN = object()
-
-
 def _effective_workers(pool: ProcessWorkerPool, workers: int | None, items: int) -> int:
     width = pool.workers if workers is None else min(workers, pool.workers)
     return max(1, min(width, items) if items else 1)
@@ -1089,6 +1039,7 @@ def run_process_chunk_aggregate(
     executor: "Executor",
     table: Table,
     instance: "UserDefinedAggregate",
+    plan: "ChunkPlan",
     *,
     pool: ProcessWorkerPool,
     workers: int | None = None,
@@ -1103,9 +1054,6 @@ def run_process_chunk_aggregate(
     reference runner (:meth:`Executor.run_chunk_partitioned`) on the same
     width.
     """
-    plan = executor.chunk_plan(table, instance)
-    if plan is None:
-        return _NO_CHUNK_PLAN
     batches = plan.batches
     width = _effective_workers(pool, workers, len(batches))
     compute_dtype = getattr(executor, "compute_dtype", "float64")

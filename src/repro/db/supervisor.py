@@ -14,8 +14,7 @@ without re-decoding or re-pickling anything.  The pass that was in flight is
 still lost — recovery restores the *pool*, not the partial states — so the
 supervisor raises :class:`~repro.db.errors.WorkerDiedError` with
 ``recoverable=True`` and the caller (the :class:`~repro.db.pass_plan`
-backends, the :class:`~repro.db.executor.Executor` process branch) re-runs
-the pass against the healed pool.  Retry semantics are the caller's job:
+backends) re-runs the pass against the healed pool.  Retry semantics are the caller's job:
 deterministic passes re-run bit-for-bit; racy shared-memory epochs snapshot
 the model first (see ``ProcessBackend``).
 
@@ -131,7 +130,7 @@ class RecoveryEvent:
 class DegradationEvent:
     """A pass was re-routed down the backend ladder instead of failing.
 
-    Emitted by the plan backends and the executor when the process backend is
+    Emitted by the plan backends when the process backend is
     unavailable (respawn budget exhausted): ``from_backend`` → ``to_backend``
     with the triggering error in ``reason``.  Structured rather than raised:
     degradation is an *observable* outcome of a completed run, not a failure.
@@ -167,7 +166,6 @@ class SupervisedWorkerPool(ProcessWorkerPool):
         policy: RecoveryPolicy | None = None,
         faults: "Sequence[FaultPlan] | None" = None,
         on_event: Callable[[RecoveryEvent], None] | None = None,
-        transport: "str | None" = None,
     ):
         self.policy = policy if policy is not None else RecoveryPolicy.from_env()
         self.on_event = on_event
@@ -177,7 +175,7 @@ class SupervisedWorkerPool(ProcessWorkerPool):
         #: Recovery rounds consumed so far (compared against max_respawns).
         self.respawns_used = 0
         plans = faults_from_env() if faults is None else tuple(faults)
-        super().__init__(workers, faults=plans, transport=transport)
+        super().__init__(workers, faults=plans)
 
     # ------------------------------------------------------------- messaging
     def _gather(self, workers: Sequence[int]) -> dict[int, Any]:

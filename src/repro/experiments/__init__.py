@@ -48,7 +48,6 @@ from .streaming import (
     StreamingRound,
     run_streaming_ingest_experiment,
 )
-from .transport import PayloadTransportResult, run_payload_transport_experiment
 
 __all__ = [
     "BenchmarkComparisonResult",
@@ -65,7 +64,6 @@ __all__ = [
     "OverheadRow",
     "OverheadTableResult",
     "ParallelConvergenceResult",
-    "PayloadTransportResult",
     "ScalabilityResult",
     "ScalabilityRow",
     "SpeedupResult",
@@ -90,7 +88,6 @@ __all__ = [
     "run_mrs_convergence",
     "run_overhead_table",
     "run_parallel_convergence",
-    "run_payload_transport_experiment",
     "run_scalability_experiment",
     "run_speedup_experiment",
     "run_streaming_ingest_experiment",

@@ -8,33 +8,28 @@ deterministic cooperative simulation — it is about *convergence*, and the
 simulated interleaving makes the traces reproducible.
 
 Figure 9(B): speed-up of the per-epoch gradient computation against the
-number of workers, on the scalability classification dataset.  With two or
-more cores available this is **measured** wall-clock: each scheme runs real
-epochs on the multi-process backend (:mod:`repro.db.process_backend` —
-worker processes racing on the mmap-shared model for lock/AIG/NoLock, real
-per-segment processes merged by model averaging for the pure UDA) and the
-speed-up is the ratio of measured per-epoch times.  On a single-core host the
-experiment falls back to the calibrated analytic model
-(:func:`repro.core.parallel.modeled_speedup`) and **labels the result as
-modelled** — one core cannot exhibit multicore scaling, measured or
-otherwise.  ``REPRO_FIG9B_MODE`` (``auto``/``measured``/``modeled``)
-overrides the choice.  Expected shape either way:
-NoLock >= AIG >> pure UDA > Lock (~1x).
+number of workers, on the scalability classification dataset.  This is
+**measured** wall-clock: each scheme runs real epochs on the multi-process
+backend (:mod:`repro.db.process_backend` — worker processes racing on the
+mmap-shared model for lock/AIG/NoLock, real per-segment processes merged by
+model averaging for the pure UDA) and the speed-up is the ratio of measured
+per-epoch times.  The result records how many cores the host offered: one
+core cannot exhibit multicore scaling, and the paper's shape
+(NoLock >= AIG >> pure UDA > Lock ~1x) needs an epoch that outweighs the
+pool's dispatch + merge cost.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.driver import IGDConfig, train
-from ..core.parallel import PureUDAParallelism, SharedMemoryParallelism, modeled_speedup
+from ..core.parallel import PureUDAParallelism, SharedMemoryParallelism
 from ..db.engine import DBMS_B, Database
 from ..db.parallel import SegmentedDatabase
-from ..db.process_backend import available_cores, resolve_payload_transport
+from ..db.process_backend import available_cores
 from ..data import (
     load_classification_table,
     load_sequences_table,
@@ -123,24 +118,20 @@ def run_parallel_convergence(
 # ---------------------------------------------------------------------------
 @dataclass
 class SpeedupResult:
-    """Figure 9(B): per-scheme speed-up per worker count.
+    """Figure 9(B): measured per-scheme speed-up per worker count.
 
-    ``mode`` records provenance: ``"measured"`` means real multi-process
-    wall-clock ratios from the process backend; ``"modeled"`` means the
-    labelled analytic fallback (single-core hosts).
+    Every number is a real multi-process wall-clock ratio from the process
+    backend; ``cores`` records how many CPUs the host offered.
     """
 
     serial_epoch_seconds: float
     worker_counts: list[int] = field(default_factory=list)
     speedups: dict[str, list[float]] = field(default_factory=dict)
-    mode: str = "modeled"
     cores: int = 1
     dataset: str = "classify_large"
-    #: Measured per-epoch seconds per scheme (measured mode only).
+    #: Measured per-epoch seconds per scheme.
     epoch_seconds: dict[str, list[float]] = field(default_factory=dict)
-    #: Payload transport the worker pools used ("auto"/"pages"/"pickle") and
-    #: the kernels' compute dtype — provenance for cross-snapshot comparisons.
-    transport: str = "auto"
+    #: The kernels' compute dtype — provenance for cross-snapshot comparisons.
     compute_dtype: str = "float64"
 
     def render(self) -> str:
@@ -150,17 +141,13 @@ class SpeedupResult:
             rows.append(
                 [workers] + [f"{self.speedups[s][i]:.2f}x" for s in self.speedups]
             )
-        if self.mode == "measured":
-            provenance = f"measured wall-clock, {self.cores} cores"
-        else:
-            provenance = f"MODELED analytic fallback, {self.cores} core(s)"
         return render_table(
             headers,
             rows,
             title=(
                 "Figure 9B (reproduction): per-epoch speed-up vs workers "
-                f"({provenance}; serial epoch = {self.serial_epoch_seconds:.3f}s "
-                f"on {self.dataset})"
+                f"(measured wall-clock, {self.cores} core(s); serial epoch = "
+                f"{self.serial_epoch_seconds:.3f}s on {self.dataset})"
             ),
         )
 
@@ -171,10 +158,8 @@ class SpeedupResult:
     def bench_payload(self) -> dict:
         """Provenance record for ``BENCH_<n>.json`` snapshots."""
         payload = {
-            "mode": self.mode,
             "cores": self.cores,
             "dataset": self.dataset,
-            "transport": self.transport,
             "compute_dtype": self.compute_dtype,
             "serial_epoch_seconds": round(self.serial_epoch_seconds, 4),
             "worker_counts": list(self.worker_counts),
@@ -213,28 +198,16 @@ def run_speedup_experiment(
     scale: ExperimentScale | str | None = None,
     *,
     max_workers: int = 8,
-    model_passing_cost: float = 5.0,
-    mode: str | None = None,
     epochs_per_point: int = 2,
     seed: int = 0,
 ) -> SpeedupResult:
     """Regenerate Figure 9(B) on the scalability classification dataset.
 
-    ``mode`` is ``"measured"`` (force the multi-process backend),
-    ``"modeled"`` (force the analytic model) or ``"auto"`` (the default:
-    measured when at least two cores are available, modelled otherwise);
-    the ``REPRO_FIG9B_MODE`` environment variable overrides the default.
-    The serial per-epoch gradient time is always measured on the substrate;
-    in measured mode each scheme then runs ``epochs_per_point`` timed epochs
-    per worker count on the process backend and reports wall-clock ratios.
+    The serial per-epoch gradient time is measured on the substrate; each
+    scheme then runs ``epochs_per_point`` timed epochs per worker count on
+    the process backend and reports wall-clock ratios.
     """
     scale = resolve_scale(scale)
-    mode = mode or os.environ.get("REPRO_FIG9B_MODE", "auto")
-    if mode not in ("auto", "measured", "modeled"):
-        raise ValueError(f"unknown Figure 9B mode {mode!r}")
-    cores = available_cores()
-    measured = mode == "measured" or (mode == "auto" and cores >= 2)
-
     dataset = make_scalability_classification(scale.scalability_examples, seed=7)
     task = LogisticRegressionTask(dataset.dimension)
     step_size = 0.05
@@ -256,31 +229,12 @@ def run_speedup_experiment(
     )
     serial_seconds = _best_epoch_seconds(serial_run.history)
 
-    model_parameters = task.initial_model().num_parameters
     result = SpeedupResult(
         serial_epoch_seconds=serial_seconds,
-        mode="measured" if measured else "modeled",
-        cores=cores,
+        cores=available_cores(),
         dataset=dataset.name,
-        transport=resolve_payload_transport(),
+        worker_counts=_measured_worker_counts(max_workers),
     )
-
-    if not measured:
-        result.worker_counts = list(range(1, max_workers + 1))
-        for scheme in SCHEMES:
-            result.speedups[scheme] = [
-                modeled_speedup(
-                    serial_seconds,
-                    scheme,
-                    workers,
-                    model_passing_cost=model_passing_cost,
-                    model_parameters=model_parameters,
-                )
-                for workers in result.worker_counts
-            ]
-        return result
-
-    result.worker_counts = _measured_worker_counts(max_workers)
     for scheme in SCHEMES:
         result.speedups[scheme] = []
         result.epoch_seconds[scheme] = []
@@ -343,8 +297,7 @@ class WholeLoopResult:
     #: pass (process-backed for the parallel modes — the same pass-plan
     #: machinery and worker pool the training loop uses).
     final_eval: dict[str, float] = field(default_factory=dict)
-    #: Worker-pool payload transport and kernel compute dtype provenance.
-    transport: str = "auto"
+    #: Kernel compute dtype provenance.
     compute_dtype: str = "float64"
 
     def speedup_vs_gradient_only(self) -> float:
@@ -382,7 +335,6 @@ class WholeLoopResult:
             "epochs": self.epochs,
             "scheme": self.scheme,
             "dataset": self.dataset,
-            "transport": self.transport,
             "compute_dtype": self.compute_dtype,
             "total_seconds": {k: round(v, 4) for k, v in self.total_seconds.items()},
             "steady_seconds": {k: round(v, 4) for k, v in self.steady_seconds.items()},
@@ -416,10 +368,7 @@ def run_whole_loop_experiment(
     )
     num_sequences = len(corpus.examples)
     step_size = {"kind": "epoch_decay", "alpha0": 0.2, "decay": 0.9}
-    result = WholeLoopResult(
-        workers=workers, cores=cores, epochs=epochs, scheme=scheme,
-        transport=resolve_payload_transport(),
-    )
+    result = WholeLoopResult(workers=workers, cores=cores, epochs=epochs, scheme=scheme)
 
     def build() -> Database:
         database = Database("postgres", seed=seed)

@@ -14,8 +14,6 @@ from repro.core import (
     ShuffleAlways,
     ShuffleOnce,
     make_ordering,
-    modeled_epoch_seconds,
-    modeled_speedup,
     ordering_names,
     partition_round_robin,
     run_clustered_no_shuffle,
@@ -370,39 +368,11 @@ class TestSharedMemoryEpoch:
 
 
 @pytest.mark.backends
-class TestSpeedupModel:
+class TestPartitioningContract:
     def test_partition_round_robin(self):
         partitions = partition_round_robin(10, 3)
         assert [len(p) for p in partitions] == [4, 3, 3]
         assert sorted(i for p in partitions for i in p) == list(range(10))
-
-    def test_single_worker_is_identity(self):
-        for scheme in ("lock", "aig", "nolock", "pure_uda"):
-            assert modeled_epoch_seconds(2.0, scheme, 1) == pytest.approx(2.0)
-
-    def test_nolock_and_aig_near_linear(self):
-        assert modeled_speedup(1.0, "nolock", 8) > 6.5
-        assert modeled_speedup(1.0, "aig", 8) > 5.0
-
-    def test_lock_gets_no_speedup(self):
-        assert modeled_speedup(1.0, "lock", 8) <= 1.0
-
-    def test_pure_uda_sublinear(self):
-        nolock = modeled_speedup(1.0, "nolock", 8)
-        pure = modeled_speedup(1.0, "pure_uda", 8, model_passing_cost=5.0, model_parameters=10000)
-        assert 1.0 < pure < nolock
-
-    def test_speedup_monotone_in_workers(self):
-        speedups = [modeled_speedup(1.0, "nolock", w) for w in range(1, 9)]
-        assert all(b >= a for a, b in zip(speedups, speedups[1:]))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            modeled_epoch_seconds(-1.0, "nolock", 4)
-        with pytest.raises(ValueError):
-            modeled_epoch_seconds(1.0, "nolock", 0)
-        with pytest.raises(ValueError):
-            modeled_epoch_seconds(1.0, "quantum", 4)
 
     def test_pure_uda_spec_dataclass(self):
         spec = PureUDAParallelism()

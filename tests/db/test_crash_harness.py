@@ -94,15 +94,11 @@ db.close()
 """
 
 
-def _run_child(
-    path, scheme: str, crash_spec: str | None, *, extra_env: dict | None = None
-) -> subprocess.CompletedProcess:
+def _run_child(path, scheme: str, crash_spec: str | None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": SRC_ROOT}
     env.pop("REPRO_CRASH", None)
     if crash_spec is not None:
         env["REPRO_CRASH"] = crash_spec
-    if extra_env:
-        env.update(extra_env)
     code = TRAIN_CHILD.format(
         examples=EXAMPLES,
         dimension=DIMENSION,
@@ -229,22 +225,6 @@ def test_sigkill_mid_epoch_resumes_bit_for_bit(tmp_path, scheme):
     assert "COMPLETED" not in completed.stdout
     _assert_pids_gone(_worker_pids(completed))
     _resume_and_check(tmp_path / "db", scheme, expect_state=True)
-    _assert_no_shm_leak(baseline)
-
-
-def test_sigkill_under_page_transport_leaves_no_shm_residue(tmp_path):
-    """SIGKILL a process-backed run with chunk pages forced: the resource
-    tracker reaps the published pages, recovery reaches the reference bits,
-    and ``/dev/shm`` returns to baseline."""
-    baseline = _shm_entries()
-    completed = _run_child(
-        tmp_path / "db", "process", "kill:epoch=2",
-        extra_env={"REPRO_PAYLOAD_TRANSPORT": "pages"},
-    )
-    assert completed.returncode == -9, completed.stderr
-    assert "COMPLETED" not in completed.stdout
-    _assert_pids_gone(_worker_pids(completed))
-    _resume_and_check(tmp_path / "db", "process", expect_state=True)
     _assert_no_shm_leak(baseline)
 
 

@@ -2,17 +2,17 @@
 
 The ISSUE-10 acceptance bars:
 
-* **transport is invisible to the arithmetic** — every deterministic scheme
-  (pure-UDA train, loss, accuracy, generic SQL aggregates, ``partial_fit``
-  extend chains including supervisor respawn replay) produces bit-for-bit
-  identical results whether payloads ship pickled or as ``/dev/shm`` chunk
-  pages;
+* **the wire form is invisible to the arithmetic** — every deterministic
+  scheme (pure-UDA train, loss, accuracy, generic SQL aggregates,
+  ``partial_fit`` extend chains including supervisor respawn replay)
+  produces bit-for-bit identical results whether payloads ship as
+  ``/dev/shm`` chunk pages or — publication failing — pickled;
 * **pages actually page** — dense payloads publish into named pages and the
   pool's transport stats show the pipe carrying descriptors, not arrays;
 * **no residue** — pages are unlinked by ``Database.close()`` and the atexit
   sweep; ``/dev/shm`` returns to baseline after every page-transport run;
-* **fallback ladder** — a failed publish (``/dev/shm`` exhaustion) degrades
-  that payload to pickled transport, counted, with identical results;
+* **fallback** — a failed publish (``/dev/shm`` exhaustion) degrades that
+  payload to pickled bytes, counted, with identical results;
 * **float32 compute mode** — opt-in, deterministic against itself, within an
   objective band of float64, and float64 stays the bit-for-bit default.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -43,9 +44,6 @@ from repro.db import (
     SerialBackend,
     compile_pass,
 )
-from repro.db import process_backend as pb
-from repro.db.errors import EnvSpecError
-from repro.db.process_backend import resolve_payload_transport
 from repro.db.shared_memory import (
     ChunkPageSet,
     attach_chunk_pages,
@@ -75,39 +73,26 @@ def _shm_entries() -> set[str]:
     return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
-# ---------------------------------------------------------------------------
-# Transport resolution & configuration plumbing
-# ---------------------------------------------------------------------------
-class TestTransportResolution:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAYLOAD_TRANSPORT", raising=False)
-        assert resolve_payload_transport() == "auto"
+@contextmanager
+def _wire(form: str):
+    """``"pages"`` is the engine as shipped; ``"fallback"`` makes every page
+    publication fail like an exhausted ``/dev/shm``, forcing pickled bytes."""
+    if form == "pages":
+        yield
+        return
 
-    @pytest.mark.parametrize("value", ["auto", "pages", "pickle"])
-    def test_env_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PAYLOAD_TRANSPORT", value)
-        assert resolve_payload_transport() == value
+    def refuse(cls, arrays):
+        raise OSError(28, "No space left on device")
 
-    def test_malformed_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAYLOAD_TRANSPORT", "zerocopy")
-        with pytest.raises(EnvSpecError, match="REPRO_PAYLOAD_TRANSPORT"):
-            resolve_payload_transport()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChunkPageSet, "publish", classmethod(refuse))
+        yield
 
-    def test_database_validates_eagerly(self):
-        with pytest.raises(ExecutionError, match="transport"):
-            Database("postgres", payload_transport="mmap")
 
-    def test_database_rejects_malformed_env_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAYLOAD_TRANSPORT", "zerocopy")
-        with pytest.raises(EnvSpecError):
-            Database("postgres")
-
-    def test_pool_transport_flows_from_database(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAYLOAD_TRANSPORT", raising=False)
-        with Database("postgres", seed=0, payload_transport="pickle") as database:
-            pool = database.process_pool(1)
-            assert pool.transport == "pickle"
-            assert pool.transport_stats["transport"] == "pickle"
+def _assert_fell_back(stats) -> None:
+    assert stats["page_fallbacks"] > 0
+    assert stats["page_payloads"] == 0
+    assert stats["pickle_payloads"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +144,13 @@ class TestChunkPageSet:
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit parity: pages vs pickled, every deterministic scheme
+# Bit-for-bit parity: pages vs the forced pickle fallback, every
+# deterministic scheme
 # ---------------------------------------------------------------------------
-class TestTransportParity:
-    def _train(self, dataset, task, transport, *, sparse):
-        database = SegmentedDatabase(3, "dbms_b", seed=0, payload_transport=transport)
-        load_classification_table(database, "pts", dataset.examples, sparse=sparse)
-        try:
+class TestFallbackParity:
+    def _train(self, dataset, task, form, *, sparse):
+        with _wire(form), SegmentedDatabase(3, "dbms_b", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=sparse)
             run = train(
                 task,
                 database,
@@ -178,20 +163,19 @@ class TestTransportParity:
                 ),
             )
             stats = dict(database.master.process_pool(3).transport_stats)
-        finally:
-            database.close()
         return run, stats
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_pure_uda_train_bit_for_bit(self, dense_workload, sparse_workload, sparse):
         dataset, task = sparse_workload if sparse else dense_workload
-        pickled, _ = self._train(dataset, task, "pickle", sparse=sparse)
         paged, stats = self._train(dataset, task, "pages", sparse=sparse)
+        pickled, fallback_stats = self._train(dataset, task, "fallback", sparse=sparse)
         assert np.array_equal(
             pickled.model.as_flat_vector(), paged.model.as_flat_vector()
         )
         assert pickled.objective_trace() == paged.objective_trace()
-        assert stats["page_payloads"] >= 1
+        assert stats["page_payloads"] >= 1 and stats["page_fallbacks"] == 0
+        _assert_fell_back(fallback_stats)
         if not sparse:
             # Dense payloads page wholesale; sparse dict-feature examples
             # have no arrays to lift and legitimately stay pickled.
@@ -199,44 +183,55 @@ class TestTransportParity:
             # The pipe carried descriptors + skeletons, not the arrays.
             assert stats["pages_bytes_shipped"] < stats["page_bytes"]
 
+    def test_pages_are_cheap_on_the_pipe(self):
+        """At a realistic width the pipe carries an order of magnitude fewer
+        bytes than the pages hold (the point of paging)."""
+        dataset = make_dense_classification(2000, 54, seed=3)
+        _, stats = self._train(
+            dataset, LogisticRegressionTask(dataset.dimension), "pages", sparse=False
+        )
+        assert stats["pages_bytes_shipped"] * 10 <= stats["page_bytes"]
+
     @pytest.mark.parametrize("kind", ["loss", "accuracy"])
     def test_scalar_aggregates_bit_for_bit(self, dense_workload, kind):
         dataset, task = dense_workload
         model = task.initial_model()
         make = LossAggregate if kind == "loss" else AccuracyAggregate
         values, stats = {}, {}
-        for transport in ("pickle", "pages"):
-            with Database("postgres", seed=0, payload_transport=transport) as database:
+        for form in ("pages", "fallback"):
+            with _wire(form), Database("postgres", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples)
                 database.executor.chunk_size = 16
-                values[transport] = database.run_aggregate(
+                serial = database.run_aggregate(
+                    "pts", make(task, model), execution="auto"
+                )
+                values[form] = database.run_aggregate(
                     "pts", make(task, model), execution="auto", backend="process",
                     process_workers=2,
                 )
-                stats[transport] = dict(database.process_pool(2).transport_stats)
-        assert values["pickle"] == values["pages"]  # exact, not approx
+                stats[form] = dict(database.process_pool(2).transport_stats)
+        assert values["fallback"] == values["pages"] == serial  # exact, not approx
         assert stats["pages"]["page_payloads"] >= 1
+        _assert_fell_back(stats["fallback"])
 
     def test_generic_sql_aggregate_matches(self, dense_workload):
         dataset, _ = dense_workload
         values = {}
-        for transport in ("pickle", "pages"):
-            with Database("postgres", seed=0, payload_transport=transport) as database:
+        for form in ("pages", "fallback"):
+            with _wire(form), Database("postgres", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples)
-                values[transport] = database.run_aggregate(
+                values[form] = database.run_aggregate(
                     "pts", "sum", "id", execution="auto", backend="process",
                     process_workers=2,
                 )
-        assert values["pickle"] == values["pages"]
+        assert values["fallback"] == values["pages"]
 
     def test_process_shmem_single_worker_bit_for_bit(self, dense_workload):
-        """workers=1 shmem epochs are deterministic: transports must agree."""
+        """workers=1 shmem epochs are deterministic: wire forms must agree."""
         dataset, task = dense_workload
         vectors = {}
-        for transport in ("pickle", "pages"):
-            with Database(
-                "postgres", seed=0, payload_transport=transport
-            ) as database:
+        for form in ("pages", "fallback"):
+            with _wire(form), Database("postgres", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples)
                 run = train(
                     task,
@@ -251,98 +246,71 @@ class TestTransportParity:
                         ),
                     ),
                 )
-                vectors[transport] = run.model.as_flat_vector()
-        assert np.array_equal(vectors["pickle"], vectors["pages"])
+                vectors[form] = run.model.as_flat_vector()
+        assert np.array_equal(vectors["fallback"], vectors["pages"])
 
 
 # ---------------------------------------------------------------------------
 # Extend chains: append deltas publish pages; respawn replays them
 # ---------------------------------------------------------------------------
 class TestExtendChainParity:
-    def _partial_fit(self, base, stream, task, transport, *, faults=()):
-        database = SegmentedDatabase(
-            2, "dbms_b", seed=0, payload_transport=transport,
-            recovery=FAST, faults=faults,
-        )
-        load_classification_table(database, "pts", base.examples)
-        config = IGDConfig(
-            max_epochs=2, ordering="shuffle_once", seed=0,
-            parallelism=PureUDAParallelism(backend="process"),
-        )
-        runner = BismarckRunner(database, task, config)
-        try:
-            trained = runner.train("pts")
-            start = len(base.examples)
-            half = len(stream.examples) // 2
-            for lo, hi in ((0, half), (half, len(stream.examples))):
-                database.insert(
-                    "pts",
-                    [
-                        (start + i, ex.features, ex.label)
-                        for i, ex in enumerate(stream.examples[lo:hi], start=lo)
-                    ],
-                )
-            refreshed = runner.partial_fit(
-                "pts",
-                initial_model=trained.model,
-                since_version=trained.table_version,
-                full_pass_every=2,
+    def _partial_fit(self, base, stream, task, form, *, faults=()):
+        with _wire(form):
+            database = SegmentedDatabase(
+                2, "dbms_b", seed=0, recovery=FAST, faults=faults
             )
-            events = database.master.recovery_events()
-        finally:
-            database.close()
+            load_classification_table(database, "pts", base.examples)
+            config = IGDConfig(
+                max_epochs=2, ordering="shuffle_once", seed=0,
+                parallelism=PureUDAParallelism(backend="process"),
+            )
+            runner = BismarckRunner(database, task, config)
+            try:
+                trained = runner.train("pts")
+                start = len(base.examples)
+                half = len(stream.examples) // 2
+                for lo, hi in ((0, half), (half, len(stream.examples))):
+                    database.insert(
+                        "pts",
+                        [
+                            (start + i, ex.features, ex.label)
+                            for i, ex in enumerate(stream.examples[lo:hi], start=lo)
+                        ],
+                    )
+                refreshed = runner.partial_fit(
+                    "pts",
+                    initial_model=trained.model,
+                    since_version=trained.table_version,
+                    full_pass_every=2,
+                )
+                events = database.master.recovery_events()
+                stats = dict(database.master.process_pool(2).transport_stats)
+            finally:
+                database.close()
         assert multiprocessing.active_children() == []
-        return refreshed.model.as_flat_vector(), events
+        return refreshed.model.as_flat_vector(), events, stats
 
     def test_extend_chain_bit_for_bit(self, dense_workload):
         dataset, task = dense_workload
         stream = make_dense_classification(32, DIMENSION, seed=10)
-        pickled, _ = self._partial_fit(dataset, stream, task, "pickle")
-        paged, _ = self._partial_fit(dataset, stream, task, "pages")
+        paged, _, _ = self._partial_fit(dataset, stream, task, "pages")
+        pickled, _, stats = self._partial_fit(dataset, stream, task, "fallback")
         assert np.array_equal(pickled, paged)
+        _assert_fell_back(stats)
 
-    def test_respawn_replays_paged_chain_bit_for_bit(self, dense_workload):
-        """A worker killed mid-chain is replayed base + deltas as pages."""
+    @pytest.mark.parametrize("form", ["pages", "fallback"])
+    def test_respawn_replays_chain_bit_for_bit(self, dense_workload, form):
+        """A worker killed mid-chain is replayed base + deltas as shipped."""
         dataset, task = dense_workload
         stream = make_dense_classification(32, DIMENSION, seed=10)
-        clean, _ = self._partial_fit(dataset, stream, task, "pages")
-        faulted, events = self._partial_fit(
-            dataset, stream, task, "pages",
+        clean, _, _ = self._partial_fit(dataset, stream, task, "pages")
+        faulted, events, _ = self._partial_fit(
+            dataset, stream, task, form,
             faults=(FaultPlan("kill", worker=1, epoch=3),),
         )
         assert np.array_equal(clean, faulted)
         replayed = [e for e in events if getattr(e, "payloads_replayed", 0)]
         assert replayed, "the kill never triggered a payload replay"
-
-
-# ---------------------------------------------------------------------------
-# Fallback ladder: publish failure degrades that payload to pickling
-# ---------------------------------------------------------------------------
-class TestPublishFallback:
-    def test_oserror_falls_back_to_pickle(self, dense_workload, monkeypatch):
-        dataset, task = dense_workload
-
-        class ExhaustedPages:
-            @classmethod
-            def publish(cls, arrays):
-                raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(pb, "ChunkPageSet", ExhaustedPages)
-        model = task.initial_model()
-        with Database("postgres", seed=0, payload_transport="pages") as database:
-            load_classification_table(database, "pts", dataset.examples)
-            serial = database.run_aggregate(
-                "pts", LossAggregate(task, model), execution="auto"
-            )
-            value = database.run_aggregate(
-                "pts", LossAggregate(task, model), execution="auto",
-                backend="process", process_workers=2,
-            )
-            stats = database.process_pool(2).transport_stats
-            assert value == serial
-            assert stats["page_fallbacks"] >= 1
-            assert stats["page_payloads"] == 0
-            assert stats["pickle_payloads"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +320,7 @@ class TestZeroResidue:
     def test_close_frees_pages(self, dense_workload):
         dataset, task = dense_workload
         baseline = _shm_entries()
-        database = SegmentedDatabase(2, "dbms_b", seed=0, payload_transport="pages")
+        database = SegmentedDatabase(2, "dbms_b", seed=0)
         load_classification_table(database, "pts", dataset.examples)
         train(
             task,
@@ -374,7 +342,7 @@ class TestZeroResidue:
         dataset, task = dense_workload
         model = task.initial_model()
         baseline = _shm_entries()
-        with Database("postgres", seed=0, payload_transport="pages") as database:
+        with Database("postgres", seed=0) as database:
             load_classification_table(database, "pts", dataset.examples)
             database.run_aggregate(
                 "pts", LossAggregate(task, model), execution="auto",
@@ -476,7 +444,7 @@ class TestFloat32ComputeMode:
     def test_float32_loss_serial_process_bit_for_bit(self, dense_workload):
         """Both backends consume the same cached float32 chunks: exact match."""
         dataset, task = dense_workload
-        with Database("postgres", seed=0, payload_transport="pages") as database:
+        with Database("postgres", seed=0) as database:
             load_classification_table(database, "pts", dataset.examples)
             database.executor.chunk_size = 16
             # A nonzero model: with w = 0 every margin is 0 and the loss is

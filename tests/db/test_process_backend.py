@@ -28,6 +28,7 @@ from repro.data import (
     make_sparse_classification,
 )
 from repro.db import Database, ExecutionError, ProcessWorkerPool, SegmentedDatabase
+from repro.db.process_backend import run_process_aggregate
 from repro.tasks.crf import ConditionalRandomFieldTask
 from repro.tasks.logistic_regression import LogisticRegressionTask
 
@@ -95,6 +96,19 @@ class TestPureUDAProcessParity:
             vectors.append(run.model.as_flat_vector())
         assert np.array_equal(vectors[0], vectors[1])
 
+    @pytest.mark.parametrize("backend", ["in_process", "process"])
+    def test_merge_count_is_segments_minus_one(self, lr_workload, backend):
+        """Both backends merge through merge_partial_states: n - 1 merges."""
+        dataset, task = lr_workload
+        with SegmentedDatabase(3, "dbms_b", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            outcome = database.run_parallel_aggregate(
+                "pts", lambda: IGDAggregate(task, 0.1), backend=backend
+            )
+        assert outcome.num_segments == 3
+        assert outcome.merges == 2
+        assert outcome.total_tuples == len(dataset.examples)
+
     def test_process_backend_refuses_per_tuple(self, lr_workload):
         dataset, task = lr_workload
         database = SegmentedDatabase(2, "dbms_b", seed=0)
@@ -117,9 +131,9 @@ class TestExecutorProcessBackend:
         model = task.initial_model()
         serial = database.run_aggregate("pts", LossAggregate(task, model), execution="auto")
         with ProcessWorkerPool(3) as pool:
-            parallel = database.executor.run_aggregate(
-                database.table("pts"), LossAggregate(task, model),
-                execution="auto", backend="process", process_pool=pool,
+            parallel = run_process_aggregate(
+                database.executor, database.table("pts"), LossAggregate(task, model),
+                pool=pool, execution="auto",
             )
         assert parallel == pytest.approx(serial, rel=1e-12)
 
@@ -133,9 +147,9 @@ class TestExecutorProcessBackend:
         aggregate = lambda: IGDAggregate(task, 0.1)  # noqa: E731
         reference = segmented.run_parallel_aggregate("pts", aggregate).value
         with ProcessWorkerPool(4) as pool:
-            model = database.executor.run_aggregate(
-                database.table("pts"), aggregate(),
-                execution="auto", backend="process", process_pool=pool,
+            model = run_process_aggregate(
+                database.executor, database.table("pts"), aggregate(),
+                pool=pool, execution="auto",
             )
         assert np.array_equal(
             model.as_flat_vector(), reference.as_flat_vector()
@@ -157,9 +171,9 @@ class TestExecutorProcessBackend:
         # One worker: the process partition is the full serial visit order,
         # so the filtered + permuted pass must be bit-for-bit the serial one.
         with ProcessWorkerPool(1) as pool:
-            model_process = database.executor.run_aggregate(
-                table, IGDAggregate(task, 0.1), where=predicate, row_order=order,
-                execution="auto", backend="process", process_pool=pool,
+            model_process = run_process_aggregate(
+                database.executor, table, IGDAggregate(task, 0.1), pool=pool,
+                where=predicate, row_order=order, execution="auto",
             )
         assert np.array_equal(
             model_serial.as_flat_vector(), model_process.as_flat_vector()
@@ -171,11 +185,11 @@ class TestExecutorProcessBackend:
         database = Database("postgres", seed=0)
         load_classification_table(database, "pts", dataset.examples, sparse=True)
         model = task.initial_model()
-        with ProcessWorkerPool(2) as pool:
+        with database:
             with pytest.raises(ExecutionError, match="per-tuple"):
-                database.executor.run_aggregate(
-                    database.table("pts"), LossAggregate(task, model),
-                    execution="per_tuple", backend="process", process_pool=pool,
+                database.run_aggregate(
+                    "pts", LossAggregate(task, model),
+                    execution="per_tuple", backend="process", process_workers=2,
                 )
 
     def test_non_mergeable_aggregate_raises(self, lr_workload):
@@ -187,9 +201,9 @@ class TestExecutorProcessBackend:
         counter = FunctionalAggregate(initialize=int, transition=lambda s, v: s + 1)
         with ProcessWorkerPool(2) as pool:
             with pytest.raises(ExecutionError):
-                database.executor.run_aggregate(
-                    database.table("pts"), counter,
-                    execution="auto", backend="process", process_pool=pool,
+                run_process_aggregate(
+                    database.executor, database.table("pts"), counter,
+                    pool=pool, execution="auto",
                 )
 
 
@@ -341,14 +355,9 @@ class TestMeasuredSpeedupSmoke:
         """The measured Figure 9B path must function even on one core."""
         from repro.experiments.parallelism import run_speedup_experiment
 
-        result = run_speedup_experiment(
-            "small", mode="measured", max_workers=2, epochs_per_point=1
-        )
-        assert result.mode == "measured"
+        result = run_speedup_experiment("small", max_workers=2, epochs_per_point=1)
         assert result.worker_counts == [1, 2]
         for scheme in ("pure_uda", "lock", "aig", "nolock"):
             assert len(result.speedups[scheme]) == 2
             assert all(value > 0 for value in result.speedups[scheme])
-        payload = result.bench_payload()
-        assert payload["mode"] == "measured"
-        assert payload["cores"] >= 1
+        assert result.bench_payload()["cores"] >= 1

@@ -17,6 +17,7 @@ The contract under test (the ISSUE-6 acceptance bar):
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -327,21 +328,48 @@ class TestSupervisedRecovery:
             assert not database.process_degraded
         assert multiprocessing.active_children() == []
 
-    def test_executor_process_branch_degrades_in_place(self, workload):
-        """Database.run_aggregate(backend='process') survives budget exhaustion."""
+    def test_run_aggregate_process_shares_the_plan_ladder(self, workload):
+        """Database.run_aggregate(backend='process') *is* ProcessBackend on the
+        equivalent generic plan: same value, same DegradationEvent, same
+        sticky flag on budget exhaustion."""
         dataset, _task = workload
         faults = (FaultPlan("kill", worker=1, epoch=0),)
         policy = RecoveryPolicy(timeout=30.0, max_respawns=0, backoff=0.0)
-        with make_database(dataset, faults=faults, policy=policy) as database:
-            plain = database.run_aggregate("pts", "sum", "id")
-            value = database.run_aggregate(
+
+        def degraded(run):
+            with make_database(dataset, faults=faults, policy=policy) as database:
+                value = run(database)
+                (event,) = [
+                    e for e in database.recovery_events()
+                    if isinstance(e, DegradationEvent)
+                ]
+                assert database.process_degraded
+            # The reason quotes the casualty's exit code, which races the reap.
+            assert "exhausted" in event.reason
+            return value, dataclasses.replace(event, reason="")
+
+        convenience = degraded(
+            lambda database: database.run_aggregate(
                 "pts", "sum", "id", execution="auto", backend="process",
                 process_workers=2,
             )
-            assert value == plain
-            assert any(
-                isinstance(e, DegradationEvent) for e in database.recovery_events()
+        )
+        planned = degraded(
+            lambda database: ProcessBackend(database).run(
+                compile_pass(
+                    "generic", database.table("pts"),
+                    lambda: database.aggregates.create("sum"),
+                    argument=ColumnRef("id"), workers=2,
+                )
             )
+        )
+        assert convenience == planned
+        value, event = convenience
+        with make_database(dataset) as database:
+            assert value == database.run_aggregate("pts", "sum", "id")
+        assert event == DegradationEvent(
+            plan_kind="generic", from_backend="process", to_backend="serial"
+        )
         assert multiprocessing.active_children() == []
 
 

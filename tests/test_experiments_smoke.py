@@ -3,6 +3,8 @@ tiny scale and produces the qualitative shape the paper reports."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.experiments import (
@@ -18,7 +20,6 @@ from repro.experiments import (
     run_mrs_convergence,
     run_overhead_table,
     run_parallel_convergence,
-    run_payload_transport_experiment,
     run_speedup_experiment,
     time_callable,
     tolerance_target,
@@ -141,13 +142,18 @@ class TestParallelismFigure9:
         assert result.final_objective("aig") == pytest.approx(lock, rel=0.25)
         assert result.final_objective("nolock") == pytest.approx(lock, rel=0.25)
 
-    def test_speedup_ordering(self):
+    def test_speedup_reports_what_it_measured(self):
+        """Structure and provenance only: wall-clock ordering is the bench
+        gate's business, not tier-1's."""
         result = run_speedup_experiment(TINY, max_workers=8)
-        assert result.speedup("nolock", 8) > result.speedup("pure_uda", 8)
-        assert result.speedup("pure_uda", 8) > result.speedup("lock", 8)
-        assert result.speedup("lock", 8) <= 1.1
-        assert result.speedup("nolock", 8) > 6.0
-        assert "Figure 9B" in result.render()
+        assert result.worker_counts == [1, 2, 4, 8]
+        assert set(result.speedups) == {"pure_uda", "lock", "aig", "nolock"}
+        for series in result.speedups.values():
+            assert len(series) == 4
+            assert all(math.isfinite(value) and value > 0 for value in series)
+        assert result.cores >= 1
+        rendered = result.render()
+        assert "Figure 9B" in rendered and "measured" in rendered
 
 
 class TestMRSFigure10:
@@ -164,16 +170,3 @@ class TestCRFFigure7B:
         assert result.bismarck_objectives[-1] <= result.baseline_objectives[0]
         assert result.bismarck_final_accuracy > 0.5
         assert "Figure 7B" in result.render()
-
-
-class TestPayloadTransportFigure:
-    @pytest.mark.backends
-    def test_pages_ship_order_of_magnitude_fewer_bytes(self):
-        result = run_payload_transport_experiment(TINY, epochs=1)
-        assert result.models_match, "transport changed the arithmetic"
-        assert result.bytes_ratio >= 10.0
-        assert result.stats["pages"]["page_payloads"] >= 1
-        assert result.stats["pages"]["page_fallbacks"] == 0
-        payload = result.bench_payload()
-        assert payload["pages_bytes_shipped"] < payload["pickle_bytes_shipped"]
-        assert "Payload transport" in result.render()

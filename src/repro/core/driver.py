@@ -107,8 +107,8 @@ class IGDConfig:
         if schedule.max_batch_size(self.max_epochs) > 1:
             if self.execution == "per_tuple":
                 raise ValueError("mini-batch IGD (batch_size > 1) requires the chunked path")
-            if self.parallelism is not None:
-                raise ValueError("mini-batch IGD is only implemented for serial execution")
+            if isinstance(self.parallelism, SharedMemoryParallelism):
+                raise ValueError("mini-batch IGD runs serial or pure-UDA, not shared-memory")
             # "auto" would silently fall back to per-tuple on an unbatchable
             # workload and then die mid-epoch; mini-batch runs must instead
             # fail fast at the aggregation entry point.

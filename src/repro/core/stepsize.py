@@ -21,16 +21,15 @@ class StepSizeSchedule:
     def step_size(self, step_index: int, epoch: int) -> float:
         raise NotImplementedError
 
-    def step_sizes(self, start_index: int, count: int, epoch: int) -> np.ndarray:
-        """Step sizes for ``count`` consecutive steps starting at ``start_index``.
+    def step_sizes(self, start_index: int, count: int, epoch: int, stride: int = 1) -> np.ndarray:
+        """Step sizes for ``count`` steps ``start_index, start_index + stride, ...``.
 
         The default materialises per-step calls so the array is bit-identical
         to the per-tuple sequence; constant-per-epoch schedules override this
-        with a single fill.
+        with a single fill.  A pool worker's share of an epoch is a stride.
         """
-        return np.array(
-            [self.step_size(start_index + i, epoch) for i in range(count)], dtype=np.float64
-        )
+        steps = range(start_index, start_index + count * stride, stride)
+        return np.array([self.step_size(k, epoch) for k in steps], dtype=np.float64)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -49,7 +48,7 @@ class ConstantStepSize(StepSizeSchedule):
     def step_size(self, step_index: int, epoch: int) -> float:
         return self.alpha
 
-    def step_sizes(self, start_index: int, count: int, epoch: int) -> np.ndarray:
+    def step_sizes(self, start_index: int, count: int, epoch: int, stride: int = 1) -> np.ndarray:
         return np.full(count, self.alpha)
 
     def describe(self) -> str:
@@ -121,7 +120,7 @@ class EpochDecayStepSize(StepSizeSchedule):
     def step_size(self, step_index: int, epoch: int) -> float:
         return self.alpha0 * self.decay ** epoch
 
-    def step_sizes(self, start_index: int, count: int, epoch: int) -> np.ndarray:
+    def step_sizes(self, start_index: int, count: int, epoch: int, stride: int = 1) -> np.ndarray:
         return np.full(count, self.alpha0 * self.decay ** epoch)
 
     def describe(self) -> str:

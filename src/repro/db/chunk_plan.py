@@ -69,15 +69,15 @@ def resolve_ordinals(
     functions: Mapping[str, Callable] | None,
     where: "Expression | None",
     row_order: Sequence[int] | None,
-) -> np.ndarray | None:
-    """Example ordinals for one pass; ``None`` means every row in heap order.
+) -> "np.ndarray | range":
+    """Example ordinals for one pass; a ``range`` is every row in heap order.
 
     Mirrors :meth:`ChunkPlan.resolve`: the visit order is walked first and
     rows failing the WHERE predicate are dropped, using the cached
     per-version selection vector.
     """
     if where is None and row_order is None:
-        return None
+        return range(len(table))
     mask = cache.selection_for(table, where, functions) if where is not None else None
     if mask is not None:
         if row_order is not None:
@@ -143,6 +143,36 @@ def gather_batches(
         inverse[order] = np.arange(order.shape[0], dtype=order.dtype)
         gathered.append(type(first).concat(parts).take(inverse))
     return gathered
+
+
+def extend_chunk_list(batches: list, base_rows: int, new_batches: list, chunk_size: int) -> list:
+    """The first ``base_rows`` rows of ``batches`` plus ``new_batches``, re-chunked.
+
+    The chunk plane's one append kernel: the cache runs it on the decoded
+    delta rows and pool workers on the shipped ones, so both hold the same
+    list.  Full chunks are kept as-is; the partial tail chunk (float values
+    reused bit-for-bit) joins the new rows and is sliced back into globally
+    ``chunk_size``-aligned blocks, the alignment :func:`gather_batches` needs.
+    Rows past ``base_rows`` are dropped first: re-applying is idempotent.
+    """
+    full_chunks, tail_rows = divmod(base_rows, chunk_size)
+    extended = list(batches[:full_chunks])
+    parts = list(new_batches)
+    if tail_rows:
+        old_tail = batches[full_chunks]
+        if len(old_tail) > tail_rows:
+            old_tail = old_tail.take(np.arange(tail_rows, dtype=np.intp))
+        parts.insert(0, old_tail)
+    if not parts:
+        return extended
+    merged = type(parts[0]).concat(parts)
+    if len(merged) <= chunk_size:
+        extended.append(merged)
+    else:
+        for start in range(0, len(merged), chunk_size):
+            stop = min(start + chunk_size, len(merged))
+            extended.append(merged.take(np.arange(start, stop, dtype=np.intp)))
+    return extended
 
 
 class ChunkPlan:

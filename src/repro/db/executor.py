@@ -286,7 +286,8 @@ class Executor:
         if plan is None and execution == "chunked":
             raise ExecutionError(
                 f"aggregate {type(instance).__name__} cannot run chunked over "
-                f"table {table.name!r} (unsupported aggregate, task or column types)"
+                f"table {table.name!r} (unsupported aggregate, column types or "
+                f"task {getattr(instance.chunk_decoder, 'name', None)!r})"
             )
         return plan
 
@@ -305,8 +306,8 @@ class Executor:
         workers — only scalar reductions that declare ``chunk_partitionable``
         qualify, and only unfiltered and unordered — or None, in which case
         the pass partitions its visit ordinals.  Task-backed ordinal passes
-        replay cache-decoded examples, which is the chunk plane and so no
-        degradation under ``"chunked"``; raw-row passes are.
+        gather each partition from the cached chunk list, which is the chunk
+        plane and so no degradation under ``"chunked"``; raw-row passes are.
         """
         whole_chunks = (
             instance.chunk_partitionable and where is None and row_order is None
@@ -407,35 +408,40 @@ class Executor:
         """Serial reference for a row-partitioned mergeable pass.
 
         The visit ordinals (WHERE + row order composed exactly like the chunk
-        plane) split round-robin by position; each partition replays
-        per-example transitions over the cache-decoded examples (task-backed
-        aggregates) or per-row transitions over the heap (generic aggregates),
-        and the partials merge left-to-right.  This is the in-process
-        counterpart of the process backend's example/row partitioning: same
-        partitions, same float operations, same merge order — bit-for-bit.
+        plane) split round-robin by position; each partition folds
+        ``transition_chunk`` over its ordinals of the cached chunk list, or —
+        unbatchable pairs, generic aggregates — replays per-item transitions
+        over the cache-decoded examples or the heap rows, and the partials
+        merge left-to-right.  This is the in-process counterpart of the
+        process backend's example/row partitioning: same partitions, same
+        kernels, same merge order — bit-for-bit.
         """
-        from .chunk_plan import resolve_ordinals, split_round_robin
+        from .chunk_plan import gather_batches, resolve_ordinals, split_round_robin
 
         decoder = instance.chunk_decoder
         ordinals = resolve_ordinals(table, self.example_cache, self.functions, where, row_order)
-        if ordinals is None:
-            ordinals = np.arange(len(table), dtype=np.intp)
-        width = max(1, min(workers, ordinals.shape[0]) if ordinals.shape[0] else 1)
-        if decoder is not None:
-            items: Sequence[Any] = self.example_cache.examples_for(table, decoder)
-        else:
-            items = table.to_rows()
+        width = max(1, min(workers, len(ordinals)))
+        chunks = None if decoder is None else self.chunk_plan(table, instance, execution="auto")
+        if chunks is None:
+            items: Sequence[Any] = (
+                table.to_rows() if decoder is None
+                else self.example_cache.examples_for(table, decoder)
+            )
         table.scan_count += 1
         wants_row = instance.wants_row or argument is None
         states = []
         for part in split_round_robin(ordinals, width):
             self._charge_overhead(instance.state_passing_units)
             state = instance.initialize()
-            for ordinal in part:
-                item = items[int(ordinal)]
-                if decoder is None and not wants_row:
-                    item = argument.evaluate(item, self.functions)
-                state = instance.transition(state, item)
+            if chunks is not None:
+                for batch in gather_batches(chunks.batches, part, self.chunk_size):
+                    state = instance.transition_chunk(state, batch)
+            else:
+                for ordinal in part:
+                    item = items[int(ordinal)]
+                    if decoder is None and not wants_row:
+                        item = argument.evaluate(item, self.functions)
+                    state = instance.transition(state, item)
             states.append(state)
         return merge_partial_states(instance, states)
 

@@ -280,9 +280,9 @@ class SegmentedDatabase:
         if backend == "process":
             if execution == "per_tuple":
                 raise ExecutionError(
-                    "the process backend ships cache-decoded examples and "
-                    "cannot replay the per-tuple engine protocol; use the "
-                    "in-process backend for per-tuple runs"
+                    "the process backend serves passes from the cached chunk "
+                    "plane and cannot replay the per-tuple engine protocol; "
+                    "use the in-process backend for per-tuple runs"
                 )
             partial_states = self._segment_states_process(
                 segments, aggregate_factory, where, orders
@@ -315,11 +315,11 @@ class SegmentedDatabase:
     ) -> list:
         """Segment passes on real OS workers: one worker per segment.
 
-        Each worker receives its segment's cache-decoded examples (shipped
-        once per table version) and runs the plain ``initialize``/
-        ``transition`` protocol over them; the caller merges the partial
-        states left-to-right exactly like the in-process path, so the result
-        is bit-for-bit identical for a fixed seed and segment count.
+        Each worker holds its segment's cached chunk list (shipped once,
+        then appended rows only) and folds ``transition_chunk`` over the
+        segment's visit order of it, as :meth:`Executor.run_state` does in
+        process; the caller merges the partial states left-to-right, so the
+        result is bit-for-bit identical for a fixed seed and segment count.
         """
         from .chunk_plan import resolve_ordinals
         from .process_backend import run_partitioned_uda
@@ -335,7 +335,7 @@ class SegmentedDatabase:
             segment.scan_count += 1
             executor._charge_overhead(instance.state_passing_units)
             parts.append((segment, instance, ordinals))
-        return run_partitioned_uda(pool, parts, executor.example_cache)
+        return run_partitioned_uda(pool, parts, executor)
 
     # ------------------------------------------------------------------ misc
     def close_process_pools(self) -> None:

@@ -31,7 +31,8 @@ Merge contract (what makes plans backend-portable):
   chunks are dealt round-robin to workers and consumed vectorized;
 * order-sensitive aggregates (IGD) partition by **example ordinal** —
   round-robin over the composed WHERE + row-order visit sequence, the same
-  layout the segmented engine gives shared-nothing segments;
+  layout the segmented engine gives shared-nothing segments — and each
+  partition gathers its ordinals from the cached chunk list;
 * aggregates without a decoding task partition by **raw row** and ship the
   picklable argument expression (plus any scalar UDFs it references).
 """
@@ -534,12 +535,11 @@ class ProcessBackend(ExecutionBackend):
                 spec=context.spec,
                 pool=self.engine.process_pool(context.spec.workers),
                 arena=self.engine.shared_memory,
-                cache=executor.example_cache,
+                executor=executor,
                 epoch=context.epoch,
                 step_offset=context.step_offset,
                 proximal=context.proximal,
                 row_order=plan.row_order,
-                charge_per_worker=executor._charge_overhead,
             )
         from .process_backend import run_process_aggregate
 

@@ -13,24 +13,27 @@ Architecture:
   processes connected by pipes.  Workers are long-lived so per-epoch cost is
   one small message per worker, not a process spawn; the publication lock is
   created *before* the fork so every worker inherits the same OS semaphore.
-* **Pickled-once chunk payloads** — the decoded example list for a (table,
-  version) is resolved through the shared
-  :class:`~repro.tasks.base.ExampleCache` (the chunk plane's decode-once
-  contract), pickled once, and shipped to each worker, which caches it by
-  key.  Subsequent epochs send only ordinal arrays — a logical shuffle never
-  re-ships a single example.
-* **Round-robin range assignment** —
-  :func:`~repro.db.chunk_plan.partition_round_robin` is the partitioning
-  contract shared with the in-process backends, which is what makes the
-  pure-UDA process path *bit-for-bit identical* to the in-process segmented
-  engine: same partitions, same per-example float operations, same
-  left-to-right merge.
+* **One payload per (table, decoder): the cached chunk list** — the
+  columnar batches the shared :class:`~repro.tasks.base.ExampleCache` decoded
+  are published once (dense arrays as ``/dev/shm`` pages) and kept resident
+  by key.  Gradient, loss and accuracy passes all read that one payload;
+  epochs send only ordinals (a ``range`` for heap order), so a logical
+  shuffle never re-ships a row, and appends ship the appended rows only.
+* **Worker-side gather, one kernel** — a worker gathers its ordinals from
+  the resident batches (:func:`~repro.db.chunk_plan.gather_batches`; skipped
+  for the identity range, kept while the same ordinals keep arriving) and
+  folds ``transition_chunk`` / ``igd_chunk`` over the result.  Partitions are
+  :func:`~repro.db.chunk_plan.split_round_robin` over visit positions, the
+  contract shared with the in-process backends — which makes the pure-UDA
+  process path *bit-for-bit identical* to the in-process segmented engine:
+  same partitions, same chunk kernels, same left-to-right merge.
 * **Shared-memory epochs** — each worker attaches to the model segment's OS
-  name and publishes per-staleness-batch deltas: racy in-place adds
-  (``nolock`` — true Hogwild on the mmap'd pages), a brief critical section
-  per published delta (``aig`` — modelling batched per-component atomics),
-  or the whole read-compute-write cycle under the lock (``lock``, which is
-  why the Lock scheme measures ~1x in Figure 9B).
+  name.  ``nolock`` binds the model onto the mmap'd pages and runs
+  ``igd_chunk`` straight on them (true Hogwild: unsynchronised
+  read-modify-write); ``lock`` runs each window's read-compute-write cycle
+  on the pages under the lock (which is why it measures ~1x in Figure 9B);
+  ``aig`` steps a private snapshot and publishes the window's delta in a
+  brief critical section (modelling batched per-component atomics).
 
 Determinism contract: pure-UDA runs are deterministic and bit-for-bit equal
 to the in-process backends for a fixed seed and worker count; the
@@ -52,7 +55,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .aggregates import merge_partial_states
-from .chunk_plan import resolve_ordinals, split_round_robin
+from .chunk_plan import (
+    extend_chunk_list,
+    gather_batches,
+    resolve_ordinals,
+    split_round_robin,
+)
 from .errors import ExecutionError, WorkerDiedError
 from .fault import FaultInjector, FaultPlan
 from .shared_memory import (
@@ -67,7 +75,6 @@ from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.model import Model
-    from ..tasks.base import ExampleCache
     from .aggregates import UserDefinedAggregate
     from .chunk_plan import ChunkPlan
     from .executor import Executor
@@ -94,10 +101,10 @@ class _PagingPickler(pickle.Pickler):
 
     Every non-object-dtype ndarray in the object graph is replaced by a
     persistent-id stub (its index in :attr:`arrays`); everything else — CRF
-    metadata, task objects, Python lists, labels wrapped in examples —
-    pickles as usual.  Walking the graph through the pickler itself means
-    any payload shape (``ExampleBatch`` chunk lists, ``(examples, task)``
-    tuples, raw ``Row`` blocks) pages its arrays with no per-type code.
+    metadata, Python lists, decoded examples — pickles as usual.  Walking
+    the graph through the pickler itself means any payload shape (chunk
+    lists of any batch type, raw ``Row`` blocks) pages its arrays with no
+    per-type code.
     """
 
     def __init__(self, buffer: io.BytesIO):
@@ -190,107 +197,118 @@ def _decode_payload(data: bytes, handles: list) -> Any:
 # ---------------------------------------------------------------------------
 # Worker entrypoint
 # ---------------------------------------------------------------------------
-def _flat_view_model(template: "Model") -> "tuple[Model, np.ndarray]":
-    """A model whose components are views into one flat buffer.
+def _model_over(template: "Model", flat: np.ndarray) -> "Model":
+    """A model whose components are views into ``flat``.
 
-    ``flat`` and the model alias the same memory, laid out exactly like
-    :meth:`Model.as_flat_vector` (sorted component names, ravelled), so
-    reading a snapshot is one ``copyto`` and publishing a delta is one
-    subtraction — no per-batch concatenate/reload round-trips in the hot
-    worker loop.
+    Laid out like :meth:`Model.as_flat_vector` (sorted component names,
+    ravelled): over a private buffer a snapshot is one ``copyto`` and a delta
+    one subtraction; over the attached model segment every kernel update
+    lands on the shared pages themselves.
     """
     from ..core.model import Model
 
-    flat = np.zeros(template.num_parameters)
     components = {}
     offset = 0
     for name in sorted(template.component_names()):
         array = template[name]
         components[name] = flat[offset:offset + array.size].reshape(array.shape)
         offset += array.size
-    return Model(components), flat
+    return Model(components)
+
+
+def _gather_slot(key: tuple) -> tuple:
+    """Where the kept ``(ordinals, gathered)`` pair of ``key`` lives in ``payloads``."""
+    return ("gathered", key)
+
+
+def _gathered_batches(payloads: dict, key: tuple, ordinals: Any) -> list:
+    """The resident chunk list of ``key`` resolved to ``ordinals``, re-chunked.
+
+    The identity range is the resident list itself.  Any other order is
+    gathered once and kept beside the payload (``shuffle_once`` and
+    partial-fit full passes send equal ordinals every epoch); a new order
+    replaces the kept pair, and ``load``/``extend``/``drop`` discard it.
+    """
+    batches = payloads[key]
+    if isinstance(ordinals, range) and ordinals == range(sum(len(b) for b in batches)):
+        return batches
+    kept = payloads.get(_gather_slot(key))
+    if kept is None or not np.array_equal(kept[0], ordinals):
+        gathered = gather_batches(batches, ordinals, chunk_size_of(key))
+        kept = payloads[_gather_slot(key)] = (ordinals, gathered)
+    return kept[1]
 
 
 def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
     """One worker's share of a shared-memory epoch against the mmap'd model."""
-    from ..core.proximal import IdentityProximal
-
-    examples, task = payloads[params["key"]]
+    task = params["task"]
     schedule = params["schedule"]
     proximal = params["proximal"]
-    apply_proximal = not isinstance(proximal, IdentityProximal)
-    epoch = params["epoch"]
-    step_offset = params["step_offset"]
-    staleness = params["staleness"]
     scheme = params["scheme"]
-    global_ordinals = params["global_ordinals"]
-    example_ordinals = params["example_ordinals"]
-    model, flat = _flat_view_model(params["model_template"])
+    staleness = params["staleness"]
+    gathered = _gathered_batches(payloads, params["key"], params["example_ordinals"])
+    # Logical positions worker, worker + w, ...: that stride of the schedule.
+    positions = params["global_ordinals"]
+    alphas = schedule.step_sizes(
+        params["step_offset"] + positions.start, len(positions), params["epoch"], positions.step
+    )
 
     shm, shared = attach_shared_array(params["os_name"], params["shape"])
+    live = _model_over(params["model_template"], shared)
+    if scheme == "aig":
+        flat = np.empty_like(shared)
+        scratch = _model_over(params["model_template"], flat)
     steps = 0
     try:
-        for start in range(0, global_ordinals.shape[0], staleness):
-            batch_g = global_ordinals[start:start + staleness]
-            batch_e = example_ordinals[start:start + staleness]
-            if scheme == "lock":
-                # The Lock scheme serialises the whole read-compute-write
-                # cycle on the model lock: gradient work cannot overlap,
-                # which is exactly why it measures ~1x.
-                with lock:
-                    np.copyto(flat, shared)
-                    for g, e in zip(batch_g, batch_e):
-                        alpha = schedule.step_size(step_offset + int(g), epoch)
-                        task.gradient_step(model, examples[int(e)], alpha)
-                        if apply_proximal:
-                            proximal.apply(model, alpha)
-                    np.copyto(shared, flat)
-            else:
-                snapshot = shared.copy()
-                np.copyto(flat, snapshot)
-                for g, e in zip(batch_g, batch_e):
-                    alpha = schedule.step_size(step_offset + int(g), epoch)
-                    task.gradient_step(model, examples[int(e)], alpha)
-                    if apply_proximal:
-                        proximal.apply(model, alpha)
-                delta = flat - snapshot
-                nonzero = np.nonzero(delta)[0]
-                if scheme == "aig":
-                    # Batched per-component atomics: the publication — and
-                    # only the publication — runs in a brief critical
-                    # section, so gradient computation still overlaps.
+        for batch in gathered:
+            rows = len(batch)
+            if scheme == "nolock":
+                # Hogwild: unsynchronised kernel on the shared pages; the race
+                # itself is the staleness.
+                task.igd_chunk(live, batch, alphas[steps:steps + rows], proximal)
+                steps += rows
+                continue
+            for start in range(0, rows, staleness):
+                window = batch.take(np.arange(start, min(start + staleness, rows)))
+                window_alphas = alphas[steps:steps + len(window)]
+                if scheme == "lock":
+                    # Read-compute-write under the lock: no overlap, hence ~1x.
+                    with lock:
+                        task.igd_chunk(live, window, window_alphas, proximal)
+                else:  # aig
+                    snapshot = shared.copy()
+                    np.copyto(flat, snapshot)
+                    task.igd_chunk(scratch, window, window_alphas, proximal)
+                    delta = flat - snapshot
+                    nonzero = np.nonzero(delta)[0]
+                    # Batched per-component atomics: only the publication
+                    # is a critical section; gradient work still overlaps.
                     with lock:
                         shared[nonzero] += delta[nonzero]
-                else:  # nolock — genuinely racy Hogwild read-modify-write
-                    shared[nonzero] += delta[nonzero]
-            steps += len(batch_g)
+                steps += len(window)
     finally:
-        del shared
-        shm.close()
+        # Every view onto the segment must be gone before the mapping closes
+        # (a raising kernel's frame may still hold one: the close is deferred).
+        del live, shared
+        _release_page_handles([shm])
     return steps
 
 
 def _run_uda_state(payloads: dict, msg: tuple) -> Any:
-    """initialize + transition over this worker's assigned example ordinals."""
+    """initialize + transition_chunk over this worker's assigned ordinals."""
     _, key, instance, ordinals = msg
-    examples, _task = payloads[key]
+    gathered = _gathered_batches(payloads, key, ordinals)
     state = instance.initialize()
-    transition = instance.transition
-    if ordinals is None:
-        for example in examples:
-            state = transition(state, example)
-    else:
-        for ordinal in ordinals:
-            state = transition(state, examples[int(ordinal)])
+    for batch in gathered:
+        state = instance.transition_chunk(state, batch)
     return state
 
 
 def _run_chunk_uda_state(payloads: dict, msg: tuple) -> Any:
     """initialize + transition_chunk over this worker's assigned chunk ids.
 
-    The payload is the table's cached columnar chunk list (shipped pickled
-    once per table version); the message carries only chunk ordinals, so a
-    per-epoch loss/accuracy pass costs one small message per worker.
+    The payload is the table's resident chunk list; the message carries only
+    chunk ordinals, so a loss/accuracy pass costs one small message per worker.
     """
     _, key, instance, chunk_ids = msg
     batches = payloads[key]
@@ -326,26 +344,22 @@ def _apply_extend(payloads: dict, key: tuple, mode: str, delta: Any) -> None:
     Every mode carries the *start* position the delta applies at, so a replay
     (after a retried shipment) truncates back to the base before re-extending
     — applying a chain of deltas in ascending version order is idempotent.
+    A gather kept for the key is discarded: it holds the pre-append rows.
 
-    * ``examples_extend`` — payload is ``(examples, task)``; new decoded
-      examples append to the examples list.
     * ``list_extend`` — payload is a plain list (raw row blocks); new items
       append.
-    * ``batches_tail`` — payload is a columnar chunk list; the tail from
-      ``start`` (the first chunk the append touched) is replaced with the
-      re-chunked tail.
+    * ``batches_tail`` — payload is a columnar chunk list; the shipped new
+      rows join the resident tail chunk through the cache's own kernel
+      (:func:`~repro.db.chunk_plan.extend_chunk_list`).
     """
     start, items = delta
     resident = payloads[key]
-    if mode == "examples_extend":
-        target = resident[0]
-        del target[start:]
-        target.extend(items)
-    elif mode == "list_extend":
+    payloads.pop(_gather_slot(key), None)
+    if mode == "list_extend":
         del resident[start:]
         resident.extend(items)
     elif mode == "batches_tail":
-        resident[start:] = items
+        resident[:] = extend_chunk_list(resident, start, items, chunk_size_of(key))
     else:
         raise ExecutionError(f"unknown payload extend mode {mode!r}")
 
@@ -387,6 +401,7 @@ def _worker_main(
             elif op == "load":
                 old_handles = page_handles.pop(msg[1], None)
                 payloads.pop(msg[1], None)
+                payloads.pop(_gather_slot(msg[1]), None)
                 handles: list = []
                 payloads[msg[1]] = _decode_payload(msg[2], handles)
                 if handles:
@@ -403,6 +418,7 @@ def _worker_main(
                 conn.send(("ok", None))
             elif op == "drop":
                 payloads.pop(msg[1], None)
+                payloads.pop(_gather_slot(msg[1]), None)
                 _release_page_handles(page_handles.pop(msg[1], None))
                 conn.send(("ok", None))
             elif op == "uda_state":
@@ -707,8 +723,8 @@ class ProcessWorkerPool:
     ) -> None:
         """Ship a payload to the given workers unless they already hold it.
 
-        The payload is built and pickled **once** per key, then sent to every
-        missing worker — this is the "pickled-once chunk payload" contract:
+        The payload is built and encoded **once** per key, then sent to every
+        missing worker — this is the "published-once chunk payload" contract:
         a table decode crosses the process boundary exactly once, and later
         epochs address it by key.  ``pin`` keeps any id()-keyed object in the
         key alive for the pool's lifetime.
@@ -875,11 +891,6 @@ class ProcessWorkerPool:
 # table's id() is part of the key (and the table is pinned) so a
 # dropped-and-recreated table of the same name can never alias a stale
 # resident payload.
-def payload_key(table: Table, decoder: Any) -> tuple:
-    """Worker-side payload key for one (table, decoding task) pair."""
-    return ("examples", table.name, id(table), id(decoder))
-
-
 def batches_payload_key(
     table: Table, decoder: Any, chunk_size: int, dtype: str = "float64"
 ) -> tuple:
@@ -887,30 +898,46 @@ def batches_payload_key(
     return ("batches", table.name, id(table), id(decoder), chunk_size, dtype)
 
 
+def chunk_size_of(key: tuple) -> int:
+    """The chunk size in a :func:`batches_payload_key`; workers gather and extend by it."""
+    if key[0] != "batches":
+        raise ExecutionError(f"payload {key!r} is not a chunk list")
+    return key[4]
+
+
 def rows_payload_key(table: Table) -> tuple:
     """Worker-side payload key for one table's raw row block."""
     return ("rows", table.name, id(table))
 
 
-def examples_delta_builder(
-    table: Table, decoder: Any, cache: "ExampleCache"
-) -> Callable[[int], "tuple[str, Any] | None"]:
-    """Delta builder for decoded-example payloads (``examples_extend``).
+def _ship_batches(
+    pool: "ProcessWorkerPool", workers: Iterable[int], executor: "Executor",
+    table: Table, instance: "UserDefinedAggregate",
+) -> tuple:
+    """Make ``table``'s cached chunk list resident on ``workers``; returns its key.
 
-    Resolves the (already extended) example list through the shared chunk
-    plane and ships only the rows past the worker's resident version.
+    The chunk plane resolves the list only when something crosses the pipe —
+    a full shipment, or after an append the appended rows alone — and a
+    (task, table) pair it cannot batch raises as ``execution="chunked"`` does.
     """
+    decoder = instance.chunk_decoder
+    key = batches_payload_key(table, decoder, executor.chunk_size, executor.compute_dtype)
+
+    def batches() -> list:
+        return executor.chunk_plan(table, instance, execution="chunked").batches
 
     def extend(from_version: int) -> "tuple[str, Any] | None":
         delta = table.classify_delta(from_version)
         if not delta.is_append:
             return None
-        examples = cache.examples_for(table, decoder)
-        if len(examples) != delta.base_rows + delta.rows_added:
-            return None
-        return ("examples_extend", (delta.base_rows, examples[delta.base_rows:]))
+        appended = np.arange(delta.base_rows, len(table), dtype=np.intp)
+        new_rows = gather_batches(batches(), appended, executor.chunk_size)
+        return ("batches_tail", (delta.base_rows, new_rows))
 
-    return extend
+    pool.ensure_loaded(
+        workers, key, batches, pin=(table, decoder), version=table.version, extend=extend
+    )
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -918,48 +945,33 @@ def examples_delta_builder(
 # ---------------------------------------------------------------------------
 def run_partitioned_uda(
     pool: ProcessWorkerPool,
-    parts: "Sequence[tuple[Table, UserDefinedAggregate, np.ndarray | None]]",
-    cache: "ExampleCache",
+    parts: "Sequence[tuple[Table, UserDefinedAggregate, Sequence[int]]]",
+    executor: "Executor",
 ) -> list:
     """Run one UDA instance per (table, ordinals) part, one part per worker.
 
-    Returns the raw per-part states in part order (the caller merges).  Each
-    part's decoded examples are resolved through the shared example cache and
-    shipped pickled-once; the per-part computation is the plain per-tuple
-    ``initialize``/``transition`` protocol, which the parity suite pins as
-    bit-for-bit identical to the in-process chunked kernels.
+    Returns the raw per-part states in part order (the caller merges).  The
+    worker folds ``transition_chunk`` over the part's ordinals (a ``range``
+    for heap order, never ``None``) of the table's resident chunk list: the
+    kernels and chunk boundaries of an in-process chunked pass over the same
+    rows, so the states are bit-for-bit equal.
     """
     if len(parts) > pool.workers:
         raise ExecutionError(
             f"{len(parts)} partitions need at least as many pool workers "
             f"(pool has {pool.workers})"
         )
-    # Group workers by payload key so each payload is built and pickled once
-    # per key, no matter how many workers share it (every partition of one
-    # table shares one key; segmented runs have one key per segment).
+    # One shipment per table, no matter how many workers share it (every
+    # partition of one table shares its payload; segments have one each).
+    sharers: dict[int, list[int]] = {}
+    for worker, (table, _, _) in enumerate(parts):
+        sharers.setdefault(id(table), []).append(worker)
     messages: dict[int, tuple] = {}
-    workers_by_key: dict[tuple, list[int]] = {}
-    builders: dict[tuple, tuple] = {}
-    for worker, (table, instance, ordinals) in enumerate(parts):
-        decoder = instance.chunk_decoder
-        if decoder is None:
-            raise ExecutionError(
-                f"aggregate {type(instance).__name__} exposes no decoding task; "
-                "the process backend ships task-decoded examples"
-            )
-        key = payload_key(table, decoder)
-        workers_by_key.setdefault(key, []).append(worker)
-        builders[key] = (table, decoder)
-        messages[worker] = ("uda_state", key, instance, ordinals)
-    for key, workers in workers_by_key.items():
-        table, decoder = builders[key]
-        pool.ensure_loaded(
-            workers, key,
-            lambda table=table, decoder=decoder: (cache.examples_for(table, decoder), decoder),
-            pin=(table, decoder),
-            version=table.version,
-            extend=examples_delta_builder(table, decoder, cache),
-        )
+    for workers in sharers.values():
+        table, instance, _ = parts[workers[0]]
+        key = _ship_batches(pool, workers, executor, table, instance)
+        for worker in workers:
+            messages[worker] = ("uda_state", key, *parts[worker][1:])
     states = pool.run(messages)
     return [states[worker] for worker in sorted(states)]
 
@@ -989,11 +1001,11 @@ def run_process_aggregate(
     (:meth:`Executor._partition_chunks` decides whole chunks vs ordinals):
 
     * **chunk-partitioned** — scalar reductions that declare
-      ``chunk_partitionable`` (loss, accuracy) ship the cached columnar chunk
-      list once per table version and fan whole chunks out to workers, so the
-      per-worker kernel stays vectorized;
+      ``chunk_partitionable`` (loss, accuracy) keep the cached columnar chunk
+      list resident and fan whole chunks out to workers;
     * **example-partitioned** — order-sensitive task-backed aggregates (IGD)
-      ship cache-decoded examples and replay per-example transitions;
+      read the same resident list: each worker gathers its visit ordinals
+      from it and runs ``transition_chunk`` over the result;
     * **generic rows** — aggregates without a decoding task (built-in SQL
       aggregates) ship the raw row block plus the picklable argument
       expression and any scalar UDFs it references.
@@ -1016,18 +1028,14 @@ def run_process_aggregate(
             where=where, row_order=row_order, workers=workers, argument=argument,
         )
     ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
-    if ordinals is None:
-        ordinals = np.arange(len(table), dtype=np.intp)
-    width = _effective_workers(pool, workers, ordinals.shape[0])
+    width = _effective_workers(pool, workers, len(ordinals))
     # One logical scan of the table's data, exactly like the serial paths.
     table.scan_count += 1
     parts = []
-    for part in split_round_robin(ordinals, width):
-        # partition_round_robin assignment: ordinal position i -> worker i % w.
+    for part in split_round_robin(ordinals, width):  # position i -> worker i % width
         executor._charge_overhead(instance.state_passing_units)
         parts.append((table, instance, part))
-    states = run_partitioned_uda(pool, parts, executor.example_cache)
-    return merge_partial_states(instance, states)
+    return merge_partial_states(instance, run_partitioned_uda(pool, parts, executor))
 
 
 def _effective_workers(pool: ProcessWorkerPool, workers: int | None, items: int) -> int:
@@ -1046,9 +1054,9 @@ def run_process_chunk_aggregate(
 ) -> Any:
     """Chunk-partitioned scalar pass: whole cached chunks fan out to workers.
 
-    The cached columnar chunk list is shipped pickled-once per table version
-    (a separate payload from the decoded example list the gradient pass
-    ships); per-epoch messages carry chunk ordinals only.  Worker ``w`` runs
+    The cached columnar chunk list is shipped once per table version (the
+    same resident payload the gradient passes gather from); per-epoch
+    messages carry chunk ordinals only.  Worker ``w`` runs
     ``transition_chunk`` over chunks ``w::width`` in ascending order and the
     parent merges the scalar partials left-to-right — bit-for-bit the serial
     reference runner (:meth:`Executor.run_chunk_partitioned`) on the same
@@ -1056,27 +1064,7 @@ def run_process_chunk_aggregate(
     """
     batches = plan.batches
     width = _effective_workers(pool, workers, len(batches))
-    compute_dtype = getattr(executor, "compute_dtype", "float64")
-    key = batches_payload_key(
-        table, instance.chunk_decoder, executor.chunk_size, compute_dtype
-    )
-    chunk_size = executor.chunk_size
-
-    def extend_batches(from_version: int) -> "tuple[str, Any] | None":
-        delta = table.classify_delta(from_version)
-        if not delta.is_append:
-            return None
-        # The first chunk the append touched: the resident partial tail (if
-        # any) plus every chunk after it are replaced with the re-chunked
-        # tail of the extended plan.
-        start = delta.base_rows // chunk_size
-        return ("batches_tail", (start, batches[start:]))
-
-    pool.ensure_loaded(
-        range(width), key, lambda: batches,
-        pin=(table, instance.chunk_decoder),
-        version=table.version, extend=extend_batches,
-    )
+    key = _ship_batches(pool, range(width), executor, table, instance)
     table.scan_count += 1
     messages: dict[int, tuple] = {}
     for worker in range(width):
@@ -1110,9 +1098,7 @@ def run_process_generic_aggregate(
     (:meth:`Executor.run_row_partitioned`).
     """
     ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
-    if ordinals is None:
-        ordinals = np.arange(len(table), dtype=np.intp)
-    width = _effective_workers(pool, workers, ordinals.shape[0])
+    width = _effective_workers(pool, workers, len(ordinals))
     functions: dict[str, Callable] = {}
     if argument is not None:
         for name in sorted(argument.referenced_functions()):
@@ -1157,88 +1143,72 @@ def run_process_shared_memory_epoch(
     spec: SharedMemoryParallelism,
     pool: ProcessWorkerPool,
     arena: SharedMemoryArena,
-    cache: "ExampleCache",
+    executor: "Executor",
     epoch: int = 0,
     step_offset: int = 0,
     proximal=None,
     row_order: Sequence[int] | None = None,
     segment_name: str = "bismarck_model",
-    charge_per_worker: Callable[[], Any] | None = None,
 ) -> "tuple[Model, int]":
     """One epoch of shared-memory IGD on real OS worker processes.
 
     The model lives in an arena segment (an mmap'd ``/dev/shm`` block); each
     worker attaches to it by OS name and races per the scheme: ``nolock``
-    publishes genuinely unsynchronised deltas (Hogwild), ``aig`` publishes
-    under a brief critical section (batched per-component atomics), ``lock``
-    holds the lock across the whole read-compute-write cycle.  Examples come
-    from the shared chunk-plane cache, shipped to the pool pickled-once per
-    table version; a logical ``row_order`` re-partitions the permuted ordinal
-    sequence with the same round-robin contract as the cooperative runner.
+    runs the task's ``igd_chunk`` kernel straight on the shared pages
+    (Hogwild), ``aig`` publishes each window's delta under a brief critical
+    section (batched per-component atomics), ``lock`` holds the lock across
+    the whole read-compute-write cycle.  Each worker gathers its share of
+    the table's resident chunk list (the loss pass's payload); a logical
+    ``row_order`` re-partitions the permuted ordinal sequence with the same
+    round-robin contract as the cooperative runner.
 
     Results are **not** deterministic — real races are the entire point — so
     callers pin convergence with objective-band assertions, never equality.
     """
     from ..core.proximal import IdentityProximal
     from ..core.stepsize import make_schedule
+    from ..core.uda import IGDAggregate
 
     schedule = make_schedule(step_size)
     proximal = proximal if proximal is not None else task.proximal or IdentityProximal()
 
-    examples = cache.examples_for(table, task)
     table.scan_count += 1
-    num_examples = len(examples)
-    if num_examples == 0:
-        return model, 0
-
-    staleness = spec.effective_staleness()
-    order = None
-    if row_order is not None:
-        order = np.asarray(row_order, dtype=np.intp)
     # The logical sequence is the order list itself (which may visit only a
     # subset of rows — partial_fit's delta epochs do); without one it is the
     # whole table.  Round-robin partitioning runs over logical positions,
     # matching the cooperative in-process runner.
-    total_positions = len(order) if order is not None else num_examples
+    order = range(len(table)) if row_order is None else np.asarray(row_order, dtype=np.intp)
+    total_positions = len(order)
     if total_positions == 0:
         return model, 0
     workers = min(spec.workers, total_positions, pool.workers)
+    key = _ship_batches(pool, range(workers), executor, table, IGDAggregate(task, schedule))
 
-    key = payload_key(table, task)
-    pool.ensure_loaded(
-        range(workers), key, lambda: (examples, task), pin=(table, task),
-        version=table.version, extend=examples_delta_builder(table, task, cache),
-    )
-
-    if arena.exists(segment_name):
-        arena.free(segment_name)
+    arena.free(segment_name)
     segment = arena.allocate_from(segment_name, model.as_flat_vector())
     try:
         messages: dict[int, tuple] = {}
         for worker in range(workers):
-            global_ordinals = np.arange(worker, total_positions, workers, dtype=np.intp)
-            example_ordinals = order[global_ordinals] if order is not None else global_ordinals
-            if charge_per_worker is not None:
-                charge_per_worker()
+            executor._charge_overhead()
             messages[worker] = (
                 "shmem_epoch",
                 {
                     "key": key,
+                    "task": task,
                     "os_name": segment.os_name,
                     "shape": segment.shape,
                     "scheme": spec.scheme,
-                    "global_ordinals": global_ordinals,
-                    "example_ordinals": example_ordinals,
+                    "global_ordinals": range(worker, total_positions, workers),
+                    "example_ordinals": order[worker::workers],
                     "schedule": schedule,
                     "proximal": proximal,
                     "epoch": epoch,
                     "step_offset": step_offset,
-                    "staleness": staleness,
+                    "staleness": spec.effective_staleness(),
                     "model_template": model.zeros_like(),
                 },
             )
-        results = pool.run(messages)
-        steps_taken = int(sum(results.values()))
+        steps_taken = int(sum(pool.run(messages).values()))
         model.load_flat_vector(segment.array)
     finally:
         arena.free(segment_name)

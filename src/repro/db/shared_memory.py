@@ -443,7 +443,9 @@ class SharedMemoryParallelism:
     workers: int = 8
     #: How many examples a worker processes against one stale snapshot before
     #: publishing its delta.  None picks the scheme default (1 for lock/aig,
-    #: ``workers`` for nolock, approximating Hogwild staleness).
+    #: ``workers`` for nolock, approximating Hogwild staleness).  The window
+    #: applies to the simulated backend and to process ``lock``/``aig``; process
+    #: ``nolock`` steps the live pages, where the real race is the staleness.
     staleness: int | None = None
     #: ``"simulated"`` (default) interleaves the workers cooperatively in one
     #: process — deterministic, used by the convergence experiments.

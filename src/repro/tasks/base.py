@@ -472,14 +472,13 @@ class ExampleCache:
     ) -> "list[ExampleBatch] | None":
         """Extend a cached chunk list with decoded delta rows, or ``None``.
 
-        Keeps every full cached chunk as-is, then rebuilds the tail by
-        concatenating the cached partial chunk (already decoded — its float
-        values are reused bit-for-bit) with the newly decoded rows and
-        slicing the result back into globally ``chunk_size``-aligned blocks,
-        which is the alignment contract ``gather_batches`` depends on.
-        Returns ``None`` when the delta rows fail to decode or decode to an
-        incompatible batch kind; the caller falls back to a full rebuild.
+        Decodes the appended rows into one batch and hands it to
+        :func:`~repro.db.chunk_plan.extend_chunk_list`, which keeps every
+        full cached chunk and re-chunks the tail.  Returns ``None`` when the
+        delta rows fail to decode or decode to an incompatible batch kind;
+        the caller falls back to a full rebuild.
         """
+        from ..db.chunk_plan import extend_chunk_list
         from ..db.table import TableChunk
 
         base_rows = delta.base_rows
@@ -498,24 +497,12 @@ class ExampleCache:
         new_batch = task.batch_from_chunk(new_chunk)
         if new_batch is None:
             return None
-        full_chunks, tail_rows = divmod(base_rows, chunk_size)
-        extended = list(cached[:full_chunks])
-        if tail_rows:
-            old_tail = cached[full_chunks]
-            if getattr(old_tail, "kind", None) != getattr(new_batch, "kind", None):
-                return None
-            merged = type(old_tail).concat([old_tail, new_batch])
-        else:
-            merged = new_batch
-        merged_len = len(merged)
-        if merged_len <= chunk_size:
-            extended.append(merged)
-        else:
-            for start in range(0, merged_len, chunk_size):
-                stop = min(start + chunk_size, merged_len)
-                extended.append(merged.take(np.arange(start, stop, dtype=np.intp)))
+        if base_rows % chunk_size and getattr(cached[-1], "kind", None) != getattr(
+            new_batch, "kind", None
+        ):
+            return None
         self.decoded_rows += delta.rows_added
-        return extended
+        return extend_chunk_list(cached, base_rows, [new_batch], chunk_size)
 
     def examples_for(self, table: "Table", task: "Task") -> list:
         """Cached decoded examples (``task.example_from_row`` over the heap).

@@ -218,9 +218,15 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
 
     def _forward_backward(
         self, model: Model, example: SequenceExample, scores: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """Return (alpha, beta, log_Z, scores) in log space."""
-        transition = model["transition"]
+    ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+        """Return (alpha, beta, log_Z, scores, transition) in log space.
+
+        The transition weights are read **once**, into the returned copy,
+        and :meth:`_apply_gradient` takes its marginals from that copy too: a
+        model on shared pages moves under a racing worker, and the forward
+        pass, backward pass and pairwise marginals must all see one model.
+        """
+        transition = model["transition"].copy()
         if scores is None:
             scores = self._token_scores(model, example)
         length = len(example)
@@ -246,7 +252,7 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
                 np.exp(combined - maximum[:, None]).sum(axis=1)
             )
         log_z = float(_log_sum_exp(alpha[length - 1]))
-        return alpha, beta, log_z, scores
+        return alpha, beta, log_z, scores, transition
 
     # -------------------------------------------------------------- interface
     def loss(self, model: Model, example: SequenceExample) -> float:
@@ -256,8 +262,7 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
     def _loss_with_scores(
         self, model: Model, example: SequenceExample, token_scores: np.ndarray | None
     ) -> float:
-        _, _, log_z, scores = self._forward_backward(model, example, scores=token_scores)
-        transition = model["transition"]
+        _, _, log_z, scores, transition = self._forward_backward(model, example, token_scores)
         labels = np.asarray(example.labels, dtype=np.intp)
         gold_score = float(scores[np.arange(len(labels)), labels].sum())
         if labels.size > 1:
@@ -278,7 +283,7 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
         model: Model,
         example: SequenceExample,
         alpha: float,
-        forward_backward: tuple[np.ndarray, np.ndarray, float, np.ndarray],
+        forward_backward: tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray],
         flat: np.ndarray | None = None,
         offsets: np.ndarray | None = None,
     ) -> None:
@@ -291,7 +296,7 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
         """
         emission = model["emission"]
         transition = model["transition"]
-        alphas, betas, log_z, scores = forward_backward
+        alphas, betas, log_z, scores, scored_transition = forward_backward
         length = len(example)
         if flat is None:
             flat, offsets = _flatten_features(example)
@@ -316,7 +321,7 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
         if length > 1:
             pairwise_log = (
                 alphas[:-1, :, None]
-                + transition[None, :, :]
+                + scored_transition[None, :, :]
                 + scores[1:, None, :]
                 + betas[1:, None, :]
                 - log_z

@@ -55,6 +55,18 @@ class TestStepSizes:
         assert schedule.step_size(5, 0) == schedule.step_size(900, 0) == pytest.approx(0.1)
         assert schedule.step_size(0, 2) == pytest.approx(0.025)
 
+    @pytest.mark.parametrize("schedule", [
+        ConstantStepSize(0.3),
+        DiminishingStepSize(alpha0=1.0, power=0.7),
+        GeometricStepSize(alpha0=1.0, rho=0.999),
+        EpochDecayStepSize(alpha0=0.1, decay=0.5),
+    ], ids=lambda s: type(s).__name__)
+    def test_strided_step_sizes_are_the_per_step_values(self, schedule):
+        # A pool worker's share of an interleaved epoch: positions 1, 4, 7, ...
+        strided = schedule.step_sizes(11, 5, 2, stride=3)
+        assert strided.tolist() == [schedule.step_size(11 + 3 * i, 2) for i in range(5)]
+        assert np.array_equal(schedule.step_sizes(11, 13, 2)[::3], strided)
+
     def test_make_schedule_from_float_dict_and_passthrough(self):
         assert isinstance(make_schedule(0.1), ConstantStepSize)
         schedule = make_schedule({"kind": "epoch_decay", "alpha0": 0.2, "decay": 0.9})

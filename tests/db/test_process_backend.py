@@ -13,24 +13,55 @@ Determinism contract under test (the ISSUE-4 acceptance bar):
 
 from __future__ import annotations
 
+import itertools
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.driver import IGDConfig, train
+from repro.core.driver import BismarckRunner, IGDConfig, train
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
 from repro.core.uda import IGDAggregate, LossAggregate
 from repro.data import (
     load_classification_table,
+    load_ratings_table,
     load_sequences_table,
+    make_dense_classification,
+    make_ratings,
     make_sequences,
     make_sparse_classification,
 )
-from repro.db import Database, ExecutionError, ProcessWorkerPool, SegmentedDatabase
-from repro.db.process_backend import run_process_aggregate
+from repro.data.sequences import encode_sequence_for_storage
+from repro.db import (
+    ColumnType,
+    Database,
+    ExecutionError,
+    FaultPlan,
+    ProcessBackend,
+    ProcessWorkerPool,
+    Schema,
+    SegmentedDatabase,
+    SerialBackend,
+    Table,
+    WorkerDiedError,
+    compile_pass,
+)
+from repro.db import process_backend
+from repro.db.expressions import BinaryOp, ColumnRef, Literal
+from repro.db.process_backend import (
+    _apply_extend,
+    _gather_slot,
+    _run_uda_state,
+    _worker_main,
+    batches_payload_key,
+    run_process_aggregate,
+)
+from repro.db.supervisor import RecoveryPolicy
 from repro.tasks.crf import ConditionalRandomFieldTask
 from repro.tasks.logistic_regression import LogisticRegressionTask
+from repro.tasks.matrix_factorization import LowRankMatrixFactorizationTask
+from repro.tasks.svm import SVMTask
 
 pytestmark = pytest.mark.backends
 
@@ -208,8 +239,9 @@ class TestExecutorProcessBackend:
 
 
 class TestSharedMemoryProcessSchemes:
+    @pytest.mark.parametrize("workers", [1, 2, 4])  # 4: more workers than CI cores
     @pytest.mark.parametrize("scheme", ["nolock", "aig", "lock"])
-    def test_scheme_converges_within_band(self, scheme, lr_workload):
+    def test_scheme_converges_within_band(self, scheme, workers, lr_workload):
         """Racy schemes: statistical (objective-band) assertions only."""
         dataset, task = lr_workload
         serial_db = Database("postgres", seed=0)
@@ -227,19 +259,61 @@ class TestSharedMemoryProcessSchemes:
             config=IGDConfig(
                 max_epochs=4,
                 ordering="shuffle_once",
-                parallelism=SharedMemoryParallelism(scheme=scheme, workers=2, backend="process"),
+                parallelism=SharedMemoryParallelism(
+                    scheme=scheme, workers=workers, backend="process"
+                ),
                 seed=0,
             ),
         )
         database.close_process_pools()
-        assert run.parallelism_name == f"shared_memory[{scheme}x2]+process"
+        assert run.parallelism_name == f"shared_memory[{scheme}x{workers}]+process"
         # The run must genuinely train (objective drops) and land in a band
         # around the serial optimum despite the racy update schedule.
         assert run.objective_trace()[-1] < run.objective_trace()[0]
         assert run.final_objective < serial.objective_trace()[0]
         assert run.final_objective <= serial.final_objective * 1.5
-        # Epoch step accounting: every example contributed one step per epoch.
-        assert run.history[-1].gradient_steps == 4 * len(dataset.examples)
+        # Epoch step accounting: steps returned == rows visited, every epoch.
+        assert [record.gradient_steps for record in run.history] == [
+            (epoch + 1) * len(dataset.examples) for epoch in range(4)
+        ]
+        if workers == 1:
+            # One worker on the live pages is the serial kernel, step for step.
+            assert np.array_equal(
+                run.model.as_flat_vector(), serial.model.as_flat_vector()
+            )
+
+    def test_retried_nolock_epoch_starts_from_the_epoch_start_model(self, lr_workload):
+        """``REPRO_FAULT=kill:worker=1:epoch=0`` on live pages: worker 0 has
+        already stepped the shared model when the epoch aborts; the retry must
+        not train on top of that."""
+        dataset, task = lr_workload
+        before = _shm_entries()
+
+        def one_epoch(faults=()):
+            database = Database(
+                "postgres", seed=0, faults=faults,
+                recovery=RecoveryPolicy(timeout=30.0, max_respawns=3, backoff=0.0),
+            )
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            with database:
+                return train(
+                    task, database, "pts",
+                    config=IGDConfig(
+                        max_epochs=1, ordering="shuffle_once", seed=0,
+                        parallelism=SharedMemoryParallelism(
+                            scheme="nolock", workers=2, backend="process"
+                        ),
+                    ),
+                )
+
+        clean = one_epoch()
+        retried = one_epoch(faults=(FaultPlan("kill", worker=1, epoch=0),))
+        assert [event.kind for event in retried.recovery_events] == ["death"]
+        assert retried.history[0].gradient_steps == len(dataset.examples)
+        # One epoch from the epoch-start model, not one and a half: the same
+        # objective band as the undisturbed epoch.
+        assert retried.final_objective == pytest.approx(clean.final_objective, rel=0.1)
+        assert _shm_entries() <= before
 
     def test_logical_shuffle_ships_payload_once(self, lr_workload):
         """shuffle_always re-orders epochs without re-shipping examples."""
@@ -259,13 +333,13 @@ class TestSharedMemoryProcessSchemes:
         )
         pool = database.process_pool(2)
         # Three epochs with three distinct logical permutations ship exactly
-        # two payloads per worker: the decoded example list for the gradient
-        # epochs and the columnar chunk list for the (now pool-backed) loss
-        # passes — each pickled once per (table, version), never re-shipped.
-        kinds = sorted({key[0] for (_worker, key) in pool._loaded})
-        assert kinds == ["batches", "examples"]
-        assert len({key for (_worker, key) in pool._loaded}) == 2
-        assert len(pool._loaded) <= 4
+        # one payload per worker: the columnar chunk list, which the gradient
+        # epochs gather from and the pool-backed loss passes scan — published
+        # once per (table, version), never re-shipped.
+        assert {key[0] for (_worker, key) in pool._loaded} == {"batches"}
+        assert len({key for (_worker, key) in pool._loaded}) == 1
+        assert len(pool._loaded) == 2
+        assert pool.transport_stats["page_payloads"] == 1
         database.close_process_pools()
         assert run.epochs_run == 3
 
@@ -283,6 +357,403 @@ class TestSharedMemoryProcessSchemes:
                     seed=0,
                 ),
             )
+
+
+# ---------------------------------------------------------------------------
+# Worker gather cache: correct under load / extend / drop
+# ---------------------------------------------------------------------------
+class TestWorkerGatherCache:
+    """The kept ``(ordinals, gathered)`` pair, driven without a pool."""
+
+    @staticmethod
+    def _resident(dataset, rows):
+        """(database, task, key, payloads) with ``rows`` examples resident."""
+        database = Database("postgres", seed=0)
+        database.executor.chunk_size = 16
+        load_classification_table(database, "pts", dataset.examples[:rows], sparse=True)
+        task = LogisticRegressionTask(dataset.dimension)
+        table = database.table("pts")
+        batches = database.executor.example_cache.batches_for(table, task, 16)
+        key = batches_payload_key(table, task, 16)
+        return database, task, key, {key: list(batches)}
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+
+        def counting(batches, ordinals, chunk_size):
+            calls.append(len(ordinals))
+            return real(batches, ordinals, chunk_size)
+
+        real = process_backend.gather_batches
+        monkeypatch.setattr(process_backend, "gather_batches", counting)
+        return calls
+
+    def test_equal_order_gathers_once_a_new_order_again(self, lr_workload, gathers):
+        dataset, _ = lr_workload
+        database, task, key, payloads = self._resident(dataset, 90)
+        order = np.random.default_rng(1).permutation(90)
+        run = lambda ordinals: _run_uda_state(  # noqa: E731
+            payloads, ("uda_state", key, IGDAggregate(task, 0.1), ordinals)
+        ).model.as_flat_vector()
+        first = run(order)
+        second = run(order.copy())  # equal, not identical: what the pipe delivers
+        assert gathers == [90]
+        assert np.array_equal(first, second)
+        serial = database.run_aggregate(
+            "pts", IGDAggregate(task, 0.1), row_order=order, execution="chunked"
+        )
+        assert np.array_equal(first, serial.as_flat_vector())
+        run(np.random.default_rng(2).permutation(90))
+        assert gathers == [90, 90]
+        assert len([k for k in payloads if k == _gather_slot(key)]) == 1
+
+    def test_identity_range_is_the_resident_list(self, lr_workload, gathers):
+        dataset, _ = lr_workload
+        database, task, key, payloads = self._resident(dataset, 90)
+        state = _run_uda_state(
+            payloads, ("uda_state", key, IGDAggregate(task, 0.1), range(90))
+        )
+        assert gathers == [] and _gather_slot(key) not in payloads
+        serial = database.run_aggregate("pts", IGDAggregate(task, 0.1), execution="chunked")
+        assert np.array_equal(state.model.as_flat_vector(), serial.as_flat_vector())
+
+    def test_batches_tail_extend_discards_the_kept_gather(self, lr_workload, gathers):
+        dataset, _ = lr_workload
+        database, task, key, payloads = self._resident(dataset, 70)
+        order = np.random.default_rng(3).permutation(70)
+        _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), order))
+        assert _gather_slot(key) in payloads
+        # Append 20 rows; ship them the way _ship_batches does.
+        database.insert(
+            "pts", [(70 + i, ex.features, ex.label) for i, ex in enumerate(dataset.examples[70:])]
+        )
+        table = database.table("pts")
+        extended = database.executor.example_cache.batches_for(table, task, 16)
+        appended = process_backend.gather_batches(extended, np.arange(70, 90), 16)
+        gathers.clear()
+        _apply_extend(payloads, key, "batches_tail", (70, appended))
+        assert _gather_slot(key) not in payloads
+        assert [len(b) for b in payloads[key]] == [len(b) for b in extended]
+        # Replaying the same delta (a retried shipment) is idempotent.
+        _apply_extend(payloads, key, "batches_tail", (70, appended))
+        assert [len(b) for b in payloads[key]] == [len(b) for b in extended]
+        wider = np.random.default_rng(4).permutation(90)
+        state = _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), wider))
+        assert gathers == [90]  # the new rows were gathered, not served stale
+        serial = database.run_aggregate(
+            "pts", IGDAggregate(task, 0.1), row_order=wider, execution="chunked"
+        )
+        assert np.array_equal(state.model.as_flat_vector(), serial.as_flat_vector())
+
+    def test_load_and_drop_leave_no_gathered_copy_reachable(self, lr_workload, monkeypatch):
+        """Drive the real worker loop over a scripted pipe, in this process."""
+        dataset, _ = lr_workload
+        _, task, key, payloads = self._resident(dataset, 90)
+        import pickle
+
+        gathered_refs = []
+        real = process_backend.gather_batches
+
+        def tracking(batches, ordinals, chunk_size):
+            result = real(batches, ordinals, chunk_size)
+            gathered_refs.extend(weakref.ref(batch.y) for batch in result)
+            return result
+
+        monkeypatch.setattr(process_backend, "gather_batches", tracking)
+        payload = pickle.dumps(payloads[key])
+        order = np.random.default_rng(5).permutation(90)
+        compute = ("uda_state", key, IGDAggregate(task, 0.1), order)
+
+        class Pipe:
+            def __init__(self, script):
+                self.script, self.replies, self.alive_at = list(script), [], []
+
+            def poll(self, _timeout):
+                return True
+
+            def recv(self):
+                return self.script.pop(0)
+
+            def send(self, reply):
+                self.replies.append(reply[0])
+                self.alive_at.append(sum(ref() is not None for ref in gathered_refs))
+
+        pipe = Pipe([
+            ("load", key, payload), compute, ("load", key, payload),
+            compute, ("drop", key), ("stop",),
+        ])
+        _worker_main(pipe, lock=None)
+        assert pipe.replies == ["ok"] * 6
+        after_first_load, after_gather, after_reload, after_regather, after_drop, _ = pipe.alive_at
+        assert after_first_load == 0 and after_gather > 0
+        assert after_reload == 0  # a re-load discards the kept gather
+        assert after_regather > 0 and after_drop == 0
+
+    def test_partial_fit_over_a_real_pool_matches_in_process(self, lr_workload):
+        """insert + partial_fit: process pure-UDA == in-process; nolock in band."""
+        dataset, _ = lr_workload
+        task = LogisticRegressionTask(dataset.dimension)
+        base, extra = dataset.examples[:70], dataset.examples[70:]
+        extra_rows = [(70 + i, ex.features, ex.label) for i, ex in enumerate(extra)]
+
+        def refreshed(make_db, spec):
+            database = make_db()
+            load_classification_table(database, "pts", base, sparse=True)
+            runner = BismarckRunner(
+                database, task,
+                IGDConfig(max_epochs=3, ordering="shuffle_once", seed=0, parallelism=spec),
+            )
+            with database:
+                trained = runner.train("pts")
+                database.insert("pts", extra_rows)
+                return runner.partial_fit(
+                    "pts", initial_model=trained.model,
+                    since_version=trained.table_version, full_pass_every=2,
+                )
+
+        segmented = lambda: SegmentedDatabase(2, "dbms_b", seed=0)  # noqa: E731
+        in_process = refreshed(segmented, PureUDAParallelism())
+        process = refreshed(segmented, PureUDAParallelism(backend="process"))
+        assert np.array_equal(
+            in_process.model.as_flat_vector(), process.model.as_flat_vector()
+        )
+        plain = lambda: Database("postgres", seed=0)  # noqa: E731
+        simulated = refreshed(plain, SharedMemoryParallelism(scheme="nolock", workers=2))
+        racy = refreshed(
+            plain, SharedMemoryParallelism(scheme="nolock", workers=2, backend="process")
+        )
+        assert racy.final_objective == pytest.approx(simulated.final_objective, rel=0.25)
+        assert racy.history[-1].gradient_steps == simulated.history[-1].gradient_steps
+
+
+# ---------------------------------------------------------------------------
+# Generated parity matrix: the worker chunk path vs its in-process references
+# ---------------------------------------------------------------------------
+def _classification(dataset, sparse, make_task):
+    return {
+        "examples": dataset.examples,
+        "load": lambda db, examples: load_classification_table(db, "t", examples, sparse=sparse),
+        "rows": lambda start, examples: [
+            (start + i, ex.features, ex.label) for i, ex in enumerate(examples)
+        ],
+        "task": lambda: make_task(dataset.dimension),
+        "column": "id",
+    }
+
+
+def _matrix_workloads():
+    ratings = make_ratings(12, 10, 72, rank=3, seed=3)
+    corpus = make_sequences(36, num_labels=3, seed=5)
+    return {
+        "dense_lr": _classification(
+            make_dense_classification(72, 6, seed=1), False, LogisticRegressionTask
+        ),
+        "sparse_lr": _classification(
+            make_sparse_classification(72, 40, nonzeros_per_example=5, seed=2),
+            True, LogisticRegressionTask,
+        ),
+        "svm": _classification(make_dense_classification(72, 6, seed=4), False, SVMTask),
+        "lmf": {
+            "examples": ratings.examples,
+            "load": lambda db, examples: load_ratings_table(db, "t", examples),
+            "rows": lambda start, examples: [(ex.row, ex.col, ex.value) for ex in examples],
+            "task": lambda: LowRankMatrixFactorizationTask(12, 10, rank=3),
+            "column": "row_id",
+        },
+        "crf": {  # DecodedExampleBatch / SequenceBatch chunks
+            "examples": corpus.examples,
+            "load": lambda db, examples: load_sequences_table(db, "t", examples),
+            "rows": lambda start, examples: [
+                (start + i, *encode_sequence_for_storage(ex)) for i, ex in enumerate(examples)
+            ],
+            "task": lambda: ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels),
+            "column": "id",
+        },
+    }
+
+
+MATRIX_WORKLOADS = _matrix_workloads()
+MATRIX = list(itertools.product(sorted(MATRIX_WORKLOADS), ("fresh", "appended")))
+ORDERS = ("heap", "shuffled", "where+shuffled")
+DTYPES = ("float64", "float32")
+
+
+def _retrying(call):
+    """``run_parallel_aggregate`` is below the plan ladder: under the chaos
+    job's ``REPRO_FAULT`` retry a recoverable worker death the way it would."""
+    for _ in range(4):
+        try:
+            return call()
+        except WorkerDiedError as error:
+            if not error.recoverable:
+                raise
+    return call()
+
+
+class TestWorkerChunkPathParityMatrix:
+    """{task} x {order} x {append history} x {compute dtype}, bit-for-bit."""
+
+    @staticmethod
+    def _populate(database, workload, history, warm):
+        """Load the table fresh, or as 2/3 of it + a warm pass + two appends."""
+        examples = workload["examples"]
+        engine = database.master if isinstance(database, SegmentedDatabase) else database
+        engine.executor.chunk_size = 8
+        if history == "fresh":
+            workload["load"](database, examples)
+            return
+        cut, step = len(examples) * 2 // 3, len(examples) // 6
+        workload["load"](database, examples[:cut])
+        warm()  # payloads resident before the appends: the deltas must ship
+        for start in (cut, cut + step):
+            stop = len(examples) if start == cut + step else start + step
+            database.insert("t", workload["rows"](start, examples[start:stop]))
+
+    @staticmethod
+    def _predicate(workload, order):
+        if not order.startswith("where"):
+            return None
+        column = workload["column"]
+        bound = 6 if column == "row_id" else len(workload["examples"]) * 3 // 4
+        return BinaryOp("<", ColumnRef(column), Literal(bound))
+
+    @pytest.mark.parametrize("name,history", MATRIX)
+    def test_process_pure_uda_equals_in_process_segmented(self, name, history):
+        workload = MATRIX_WORKLOADS[name]
+        task = workload["task"]()
+        factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
+        models = {}
+        for backend in ("in_process", "process"):
+            with SegmentedDatabase(3, "dbms_b", seed=0) as database:
+                executor = database.master.executor
+
+                def run(dtype, **kw):
+                    executor.compute_dtype = dtype
+                    return _retrying(lambda: database.run_parallel_aggregate(
+                        "t", factory, backend=backend, **kw
+                    )).value.as_flat_vector()
+
+                self._populate(
+                    database, workload, history, warm=lambda: [run(d) for d in DTYPES]
+                )
+                rng = np.random.default_rng(9)
+                shuffles = [rng.permutation(len(s)) for s in database.segments_of("t")]
+                for dtype, order in itertools.product(DTYPES, ORDERS):
+                    pass_ = dict(
+                        where=self._predicate(workload, order),
+                        segment_row_orders=None if order == "heap" else shuffles,
+                    )
+                    models[backend, dtype, order] = run(dtype, **pass_)
+                    # shuffle_once: the same order again is served from the
+                    # worker's kept gather and must not change the model.
+                    assert np.array_equal(models[backend, dtype, order], run(dtype, **pass_))
+        for case in itertools.product(DTYPES, ORDERS):
+            assert np.array_equal(
+                models[("in_process", *case)], models[("process", *case)]
+            ), case
+
+    @pytest.mark.parametrize("name,history", MATRIX)
+    def test_process_ordinal_plans_equal_the_serial_backend(self, name, history):
+        workload = MATRIX_WORKLOADS[name]
+        task = workload["task"]()
+        with Database("postgres", seed=0) as database:
+
+            def plans(order, dtype):
+                table = database.table("t")
+                shuffle = (
+                    None if order == "heap"
+                    else np.random.default_rng(7).permutation(len(table))
+                )
+                common = dict(
+                    where=self._predicate(workload, order), row_order=shuffle,
+                    workers=3, compute_dtype=dtype,
+                )
+                model = task.initial_model()
+                return (
+                    compile_pass("generic", table, lambda: IGDAggregate(task, 0.05), **common),
+                    compile_pass("loss", table, lambda: LossAggregate(task, model), **common),
+                )
+
+            self._populate(
+                database, workload, history,
+                warm=lambda: [
+                    ProcessBackend(database).run(plan)
+                    for dtype in DTYPES for plan in plans("shuffled", dtype)
+                ],
+            )
+            for dtype, order in itertools.product(DTYPES, ORDERS):
+                gradient, loss = plans(order, dtype)
+                serial = SerialBackend(database).run(gradient)
+                process = ProcessBackend(database).run(gradient)
+                assert np.array_equal(
+                    serial.as_flat_vector(), process.as_flat_vector()
+                ), (dtype, order)
+                assert ProcessBackend(database).run(loss) == SerialBackend(database).run(loss)
+
+    def test_minibatch_igd_runs_on_the_pool_and_equals_in_process(self, lr_workload):
+        """Per-example ``transition`` refused ``batch_size > 1``; chunks do not."""
+        dataset, task = lr_workload
+        vectors = []
+        for backend in ("in_process", "process"):
+            with SegmentedDatabase(3, "dbms_b", seed=0) as database:
+                load_classification_table(database, "pts", dataset.examples, sparse=True)
+                run = train(
+                    task, database, "pts",
+                    config=IGDConfig(
+                        max_epochs=3, ordering="shuffle_once", batch_size=8, seed=0,
+                        parallelism=PureUDAParallelism(backend=backend),
+                    ),
+                )
+                vectors.append(run.model.as_flat_vector())
+                # ceil(30 / 8) = 4 mini-batch steps per 30-row segment and epoch.
+                assert run.history[-1].gradient_steps == 3 * 3 * 4
+        assert np.array_equal(vectors[0], vectors[1])
+
+
+class TestUnbatchablePairs:
+    def test_process_backends_fail_by_name_in_process_trains_per_tuple(self):
+        """Dense arrays mixed with sparse mappings: ``make_example_batch``
+        rejects the column, the per-tuple kernels take every row."""
+        dataset = make_dense_classification(40, 5, seed=8)
+        schema = Schema.of(
+            ("id", ColumnType.INTEGER), ("vec", ColumnType.ANY), ("label", ColumnType.FLOAT)
+        )
+        rows = [
+            (i, ex.features if i % 2 else dict(enumerate(ex.features.tolist())), ex.label)
+            for i, ex in enumerate(dataset.examples)
+        ]
+        task = LogisticRegressionTask(5)
+
+        def run(make_db, spec):
+            table = Table("mixed", schema)
+            table.insert_many(rows)
+            with make_db() as database:
+                if isinstance(database, SegmentedDatabase):
+                    database.load_table(table)
+                else:
+                    database.register_table(table)
+                return train(
+                    task, database, "mixed",
+                    config=IGDConfig(max_epochs=2, seed=0, parallelism=spec),
+                )
+
+        plain = lambda: Database("postgres", seed=0)  # noqa: E731
+        segmented = lambda: SegmentedDatabase(2, "dbms_b", seed=0)  # noqa: E731
+        for make_db, spec in (
+            (plain, SharedMemoryParallelism(scheme="nolock", workers=2, backend="process")),
+            (segmented, PureUDAParallelism(backend="process")),
+        ):
+            with pytest.raises(
+                ExecutionError, match=r"cannot run chunked over table 'mixed.*logistic_regression"
+            ):
+                run(make_db, spec)
+        serial = run(plain, None)
+        simulated = run(plain, SharedMemoryParallelism(scheme="nolock", workers=2))
+        in_process = run(segmented, PureUDAParallelism())
+        for result in (serial, simulated, in_process):
+            assert result.epochs_run == 2
+            assert result.objective_trace()[-1] < result.objective_trace()[0]
 
 
 class TestLifecycle:
@@ -344,7 +815,7 @@ class TestLifecycle:
             run_process_shared_memory_epoch(
                 database.table("pts"), task, task.initial_model(), 0.1,
                 spec=spec, pool=pool, arena=database.shared_memory,
-                cache=database.executor.example_cache,
+                executor=database.executor,
             )
         assert database.shared_memory.names() == []
         database.close_process_pools()

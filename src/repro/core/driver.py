@@ -77,9 +77,10 @@ class IGDConfig:
     #: vectorized path.  Irrelevant for serial and in-process parallel runs,
     #: whose evaluation is serial either way.
     parallel_evaluation: bool = True
-    #: Save a :class:`~repro.db.checkpoint.TrainingState` (and, on a durable
-    #: engine, a whole-database checkpoint) every N completed epochs.  0
-    #: disables epoch checkpointing.  A run resumed from the saved state
+    #: Save a :class:`~repro.db.checkpoint.TrainingState` every N completed
+    #: epochs — one WAL record on a durable engine; whole-catalog snapshots
+    #: are the engine's business, amortised against log volume.  0 disables
+    #: epoch checkpointing.  A run resumed from the saved state
     #: (``train(..., resume_from=state)``) continues bit-for-bit for
     #: deterministic schemes.
     checkpoint_every: int = 0
@@ -289,8 +290,8 @@ class BismarckRunner:
             )
             step_offset += steps
             # Mid-epoch crash hazard: the gradient pass ran, nothing below
-            # (objective, history, checkpoint) has.  Recovery must fall back
-            # to the previous epoch's checkpoint.
+            # (objective, history, saved state) has.  Recovery must fall back
+            # to the state the previous epoch logged.
             self._crash_point(engine, "epoch")
 
             objective = float("nan")
@@ -496,7 +497,7 @@ class BismarckRunner:
         step_offset: int,
         history: list,
     ) -> None:
-        """Save a TrainingState (and a durable checkpoint) at epoch boundaries.
+        """Hand the engine a TrainingState at epoch boundaries.
 
         The RNG and the ordering policy are *deep-copied* mid-stream: shuffle
         policies cache lazily drawn permutations, and both the cache and the
@@ -508,11 +509,8 @@ class BismarckRunner:
             return
         if (epoch + 1) % config.checkpoint_every != 0:
             return
-        if not hasattr(engine, "checkpoint"):
-            return
-        name = (config.checkpoint_name or table_name).lower()
         state = TrainingState(
-            name=name,
+            name=(config.checkpoint_name or table_name).lower(),
             task=self.task.describe(),
             table_name=table_name.lower(),
             table_version=table.version,
@@ -523,7 +521,7 @@ class BismarckRunner:
             rng=copy.deepcopy(rng),
             ordering=copy.deepcopy(ordering),
         )
-        engine.checkpoint(training={name: state})
+        engine.save_training_state(state)
 
     def _engine(self) -> Database:
         if isinstance(self.database, SegmentedDatabase):

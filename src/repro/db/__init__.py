@@ -60,7 +60,7 @@ from .fault import (
     parse_crash_spec,
     parse_fault_spec,
 )
-from .wal import DurabilityPolicy, WriteAheadLog, iter_wal_records, repair_wal_directory
+from .wal import DurabilityPolicy, WriteAheadLog, read_wal
 from .chunk_plan import ChunkPlan, partition_round_robin, resolve_ordinals, split_round_robin
 from .executor import QueryResult
 from .parallel import ParallelAggregateResult, SegmentedDatabase
@@ -169,12 +169,11 @@ __all__ = [
     "crashes_from_env",
     "default_process_workers",
     "faults_from_env",
-    "iter_wal_records",
     "parse_crash_spec",
     "parse_fault_spec",
     "partition_round_robin",
     "recover_database",
-    "repair_wal_directory",
+    "read_wal",
     "run_process_shared_memory_epoch",
     "run_shared_memory_epoch",
 ]

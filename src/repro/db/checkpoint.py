@@ -1,27 +1,32 @@
-"""Atomic checkpoints of tables + training state, and crash recovery.
+"""Atomic snapshots of the catalog, and crash recovery.
 
-A checkpoint is one self-contained snapshot of a database: every catalog
-table (rows, schema, version counter **and version ledger** — so
-``partial_fit`` watermarks keep classifying correctly across a crash), the
-engine's saved :class:`TrainingState` objects, and the WAL position the
-snapshot covers through.
+A snapshot is one self-contained image of a database: every catalog table
+(rows, schema, version counter **and version ledger** — so ``partial_fit``
+watermarks keep classifying correctly across a crash), the engine's saved
+:class:`TrainingState` objects, and the WAL position it covers through.  It
+compacts the log; it is not what makes an epoch durable — a saved
+``TrainingState`` is a WAL record, and ``Database.save_training_state``
+holds the rule for when a snapshot follows one.
 
 Atomicity is rename-based: the snapshot is fully written and fsync'd to a
 ``*.tmp`` file, then ``os.replace``'d into its generation-numbered final
 name.  A crash before the rename leaves only a stale temp file (ignored and
 swept on the next open); a crash after it leaves a complete new generation.
-There is no state in which a half-written checkpoint can be mistaken for a
+There is no state in which a half-written snapshot can be mistaken for a
 whole one — the payload is CRC-framed, and recovery scans generations newest
-to oldest, falling back past any snapshot that does not validate.
+to oldest, falling back past any snapshot that does not validate.  The log
+an older generation needs is pruned only once that generation is retired.
 
 Recovery (:func:`recover_database`, run by ``Database.open``):
 
-1. truncate the WAL's torn tail (:func:`~repro.db.wal.repair_wal_directory`);
-2. load the newest *valid* checkpoint; restore tables and training states;
-3. replay WAL records past the checkpoint's ``(segment, offset)`` — table
-   mutations re-apply with their original :class:`~repro.db.table.LedgerEntry`
-   (exact version numbers, ledger reconstructed, no re-logging), DDL records
-   re-create/drop tables;
+1. load the newest *valid* snapshot; restore tables and training states;
+2. sweep the WAL segments no retained generation needs (a crash between a
+   snapshot's rename and its prune leaves them behind);
+3. read the log from the snapshot's ``(segment, offset)`` on in one pass
+   (:func:`~repro.db.wal.read_wal`) and replay it — table mutations re-apply
+   with their original :class:`~repro.db.table.LedgerEntry` (exact version
+   numbers, ledger reconstructed, no re-logging), DDL records re-create/drop
+   tables, ``training`` records save or clear a :class:`TrainingState`;
 4. the engine then reopens the WAL for append and re-attaches its mutation
    observers.
 
@@ -41,7 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from .table import Table
-from .wal import RECORD_HEADER, iter_wal_records, repair_wal_directory
+from .wal import RECORD_HEADER, numbered_files, prune_segments, read_wal
 
 #: Checkpoint file framing: magic + format version, then ``<II`` (length,
 #: CRC-32) and the pickled payload.
@@ -90,13 +95,7 @@ class CheckpointManager:
         return self.directory / f"checkpoint-{generation:06d}.ckpt"
 
     def generations(self) -> list[int]:
-        found = []
-        for path in self.directory.glob("checkpoint-*.ckpt"):
-            try:
-                found.append(int(path.stem.split("-", 1)[1]))
-            except (IndexError, ValueError):
-                continue
-        return sorted(found)
+        return [number for number, _ in numbered_files(self.directory, "checkpoint-*.ckpt")]
 
     def write(self, payload: dict) -> Path:
         """Atomically persist one snapshot; returns the final path."""
@@ -179,7 +178,7 @@ def recover_database(database, directory: Path) -> RecoveryReport:
     """
     directory = Path(directory)
     report = RecoveryReport()
-    report.torn_bytes_discarded = repair_wal_directory(directory)
+    states = database._training_states
 
     loaded = database.checkpoints.load_latest()
     position = None
@@ -189,15 +188,21 @@ def recover_database(database, directory: Path) -> RecoveryReport:
         for key, image in payload.get("tables", {}).items():
             database.tables[key] = Table.from_image(image)
             report.tables_restored += 1
-        database._training_states.update(payload.get("training", {}))
+        states.update(payload.get("training", {}))
         position = payload.get("wal_position")
         if position is None:
-            # Checkpoint-only durability (mode "off"): the snapshot is the
+            # Snapshot-only durability (mode "off"): the snapshot is the
             # whole truth; any WAL files predate it or belong to another mode.
-            report.training_states = tuple(sorted(database._training_states))
+            report.training_states = tuple(sorted(states))
             return report
+        database._snapshot_segment = position[0]
+        database._snapshot_bytes = database.checkpoints._path(generation).stat().st_size
+        # Should this generation rot, the one before it is the fallback: the
+        # log is kept from *its* position, which this snapshot recorded.
+        prune_segments(directory, payload.get("wal_keep_from", position[0]))
 
-    for record in iter_wal_records(directory, after=position):
+    records, report.torn_bytes_discarded = read_wal(directory, after=position)
+    for record in records:
         kind = record.get("type")
         if kind == "create":
             table = Table.from_image(record["image"])
@@ -211,6 +216,11 @@ def recover_database(database, directory: Path) -> RecoveryReport:
                 table.apply_logged_mutation(
                     record["entry"], record["rows"], record.get("clustered_on")
                 )
+        elif kind == "training":
+            if record["state"] is None:
+                states.pop(record["name"], None)
+            else:
+                states[record["name"]] = record["state"]
         report.records_replayed += 1
-    report.training_states = tuple(sorted(database._training_states))
+    report.training_states = tuple(sorted(states))
     return report

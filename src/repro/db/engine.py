@@ -34,7 +34,7 @@ from .parser import (
 from .shared_memory import SharedMemoryArena
 from .table import LedgerEntry, Table
 from .types import Column, ColumnType, Schema
-from .wal import DurabilityPolicy, WriteAheadLog
+from .wal import DurabilityPolicy, WriteAheadLog, prune_segments
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,12 @@ class Database:
 
         # ------------------------------------------------------- durability
         #: Saved TrainingState objects by name.  In-memory for every engine;
-        #: persisted in each checkpoint when the engine is durable.
+        #: logged (and carried by each snapshot) when the engine is durable.
         self._training_states: dict[str, TrainingState] = {}
+        #: What the snapshot rule needs of the newest snapshot: the segment
+        #: its WAL position opens and its file size (none yet: -1 and 0).
+        self._snapshot_segment = -1
+        self._snapshot_bytes = 0
         self.durability = DurabilityPolicy.resolve(durability)
         self.path = Path(path) if path is not None else None
         self.wal: "WriteAheadLog | None" = None
@@ -174,8 +178,8 @@ class Database:
         """Open (creating or recovering) a durable database directory.
 
         A fresh directory starts empty with a live WAL; an existing one is
-        recovered — latest valid checkpoint, WAL replayed past it, training
-        states restored — before the instance is returned.  See
+        recovered — latest valid snapshot, WAL replayed past it (tables and
+        training states alike) — before the instance is returned.  See
         :attr:`recovery_report` for what happened.
         """
         return cls(personality, path=path, **kwargs)
@@ -185,9 +189,14 @@ class Database:
         """True when this engine persists to a directory."""
         return self.path is not None
 
+    @property
+    def _logging(self) -> bool:
+        """True while changes go through a live write-ahead log."""
+        return self.wal is not None and not self.wal.closed
+
     def _on_table_mutation(self, table: Table, entry: LedgerEntry) -> None:
         """WAL observer: append one mutation record (rows + ledger entry)."""
-        if self.wal is None or self.wal.closed:
+        if not self._logging:
             return
         if entry.kind == "append":
             rows = table.tail_values(entry.rows_after - entry.rows_added)
@@ -207,7 +216,7 @@ class Database:
         """Log a table's creation and start observing its mutations."""
         if self.path is None:
             return
-        if self.wal is not None and not self.wal.closed:
+        if self._logging:
             self.wal.append({"type": "create", "image": table.to_image()})
         table.add_observer(self._on_table_mutation)
 
@@ -215,36 +224,62 @@ class Database:
         if self.path is None:
             return
         table.remove_observer(self._on_table_mutation)
-        if log_drop and self.wal is not None and not self.wal.closed:
+        if log_drop and self._logging:
             self.wal.append({"type": "drop", "name": table.name.lower()})
 
-    def checkpoint(self, *, training: "dict[str, TrainingState] | None" = None):
-        """Snapshot the catalog + training states; rotate and prune the WAL.
+    def checkpoint(self):
+        """Snapshot the catalog + training states, compacting the WAL.
 
-        ``training`` merges new/updated :class:`TrainingState` objects first.
-        On a non-durable engine the states are still retained in memory (so
-        same-process resume works) but nothing is written; returns the
-        checkpoint path, or None when not durable.
+        Rotate the log, record the fresh segment's start as the snapshot's
+        position, write the snapshot atomically, then prune the segments no
+        retained generation needs.  Returns the snapshot path (None when the
+        engine is not durable).
         """
-        if training:
-            for key, state in training.items():
-                self._training_states[key.lower()] = state
         if self.checkpoints is None:
             return None
-        position = self.wal.position() if self.wal is not None and not self.wal.closed else None
-        payload = {
-            "tables": {key: table.to_image() for key, table in self.tables.items()},
-            "training": dict(self._training_states),
-            "wal_position": position,
-        }
-        written = self.checkpoints.write(payload)
-        if self.wal is not None and not self.wal.closed:
-            # Everything up to `position` is now covered by the snapshot;
-            # rotate so recovery's replay boundary is a whole-segment edge,
-            # and drop segments older than the one the checkpoint points at.
+        position = keep_from = None
+        if self._logging:
             self.wal.rotate()
-            self.wal.prune(position[0])
+            position = self.wal.position()
+            # KEEP_GENERATIONS is 2, so the oldest retained one is the snapshot
+            # before this: the log stays replayable from its segment on.
+            keep_from = self._snapshot_segment if self._snapshot_segment >= 0 else position[0]
+        written = self.checkpoints.write(
+            {
+                "tables": {key: table.to_image() for key, table in self.tables.items()},
+                "training": dict(self._training_states),
+                "wal_position": position,
+                "wal_keep_from": keep_from,
+            }
+        )
+        if position is not None:
+            prune_segments(self.path, keep_from)
+            self._snapshot_segment = position[0]
+        self._snapshot_bytes = written.stat().st_size
         return written
+
+    def _log_training_state(self, name: str, state: "TrainingState | None") -> None:
+        """Make a saved (``None``: cleared) training state durable.
+
+        It is one WAL record, like any table mutation.  A snapshot follows
+        only once the log a reopen would replay has outgrown the snapshot it
+        starts from (0 bytes when there is none): snapshots are paid for by
+        log volume, not per epoch.  Without a WAL the snapshot is the write.
+        """
+        if self.checkpoints is None:
+            return
+        if not self._logging:
+            self.checkpoint()
+            return
+        self.wal.append({"type": "training", "name": name, "state": state})
+        if self.wal.bytes_since(self._snapshot_segment) > self._snapshot_bytes:
+            self.checkpoint()
+
+    def save_training_state(self, state: TrainingState) -> None:
+        """Retain ``state`` under its name; on a durable engine, log it."""
+        name = state.name.lower()
+        self._training_states[name] = state
+        self._log_training_state(name, state)
 
     def training_state(self, name: str) -> "TrainingState | None":
         """The saved training state under ``name`` (or None)."""
@@ -254,8 +289,9 @@ class Database:
         return sorted(self._training_states)
 
     def clear_training_state(self, name: str) -> None:
-        """Forget a saved training state (persisted at the next checkpoint)."""
+        """Forget a saved training state; on a durable engine, log that."""
         self._training_states.pop(name.lower(), None)
+        self._log_training_state(name.lower(), None)
 
     # ----------------------------------------------------------------- DDL/DML
     def create_table(

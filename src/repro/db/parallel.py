@@ -105,9 +105,9 @@ class SegmentedDatabase:
     def crash_injector(self):
         return self.master.crash_injector
 
-    def checkpoint(self, **kwargs):
-        """Checkpoint the master catalog (segments are derived state)."""
-        return self.master.checkpoint(**kwargs)
+    def checkpoint(self):
+        """Snapshot the master catalog (segments are derived state)."""
+        return self.master.checkpoint()
 
     def training_state(self, name: str):
         return self.master.training_state(name)

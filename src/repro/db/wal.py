@@ -1,41 +1,42 @@
 """Per-database write-ahead log with torn-write-safe framing.
 
-Every ledger-classified mutation an engine applies (``insert``,
-``insert_many``, rewrites such as ``shuffle``/``cluster_by``/``truncate``,
-plus DDL: table create/drop) is appended to the database's WAL *after* it is
-applied in memory and *before* control returns to the caller, so a process
-that dies at any instant can be reopened and replayed to the exact mutation
-boundary it last completed.
+Every durable change an engine makes is one record here: each
+ledger-classified table mutation (``insert``, ``insert_many``, rewrites such
+as ``shuffle``/``cluster_by``/``truncate``), DDL (table create/drop) and each
+saved or cleared :class:`~repro.db.checkpoint.TrainingState`.  A record is
+appended *after* the change is applied in memory and *before* control returns
+to the caller, so a process that dies at any instant can be reopened and
+replayed to the exact boundary it last completed.
 
 Physical layout — the database directory holds numbered **segments**::
 
     wal-000000.log          9-byte header, then records
     wal-000001.log          the active segment (highest index)
 
-Each checkpoint records the ``(segment, offset)`` the log had reached; after
-a successful checkpoint the log **rotates** to a fresh segment and segments
-older than the checkpointed one are pruned.  Recovery therefore replays: the
-checkpointed segment from the stored offset, then every later segment in
-full.  Rotation (rather than in-place truncation) is what makes the replay
-boundary unambiguous when the process dies *between* checkpoint rename and
-log reset.
+A snapshot starts by **rotating** the log to a fresh segment and records that
+segment's start as its ``(segment, offset)`` position: it covers whole
+segments only, and recovery opens nothing older.  Once the snapshot is in
+place, segments older than the *oldest retained* generation's position are
+pruned, so falling back past a corrupt newest generation still finds the log
+it needs.  A process that dies anywhere in that sequence leaves the previous
+generation plus every segment from its position on: still the whole truth.
 
 Record framing is torn-write-safe: a fixed ``<II`` header (payload length,
 CRC-32 of the payload) precedes each pickled payload.  A crash mid-append
 leaves a tail whose length or checksum cannot validate; :func:`scan_segment`
 stops at the first such record and reports the number of clean bytes, and
-:func:`repair_wal_directory` truncates the torn tail before the log is
-reopened for append.  Only the *last* segment can ever be torn — earlier
-segments were rotated away whole.
+:func:`read_wal` — recovery's single pass, which decodes each record once —
+truncates the torn tail before the log is reopened for append.  Only the
+*last* segment can ever be torn — earlier segments were rotated away whole.
 
 Fsync policy is per-database (``Database(durability=...)``):
 
-* ``"off"`` — no WAL at all; durability is checkpoint-granular.
+* ``"off"`` — no WAL at all; durability is snapshot-granular.
 * ``"buffered"`` (default) — every append is flushed to the OS page cache
   (``file.flush()``), so the record survives the *process* dying (SIGKILL,
   the crash-injection harness) but not the machine.
 * ``"fsync"`` — every append is also ``os.fsync``'d: machine-crash durable,
-  one disk round-trip per mutation.
+  one disk round-trip per record.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from .errors import EnvSpecError, ExecutionError
 
@@ -94,42 +95,53 @@ def _segment_path(directory: Path, index: int) -> Path:
     return directory / f"wal-{index:06d}.log"
 
 
-def segment_files(directory: Path) -> list[tuple[int, Path]]:
-    """``(index, path)`` of every WAL segment in the directory, ordered."""
+def numbered_files(directory: Path, pattern: str) -> list[tuple[int, Path]]:
+    """``(number, path)`` of the files matching ``<kind>-<number>.<ext>``, ordered."""
     found = []
-    for path in directory.glob("wal-*.log"):
+    for path in directory.glob(pattern):
         try:
-            index = int(path.stem.split("-", 1)[1])
+            found.append((int(path.stem.split("-", 1)[1]), path))
         except (IndexError, ValueError):
             continue
-        found.append((index, path))
     return sorted(found)
 
 
-def scan_segment(path: Path) -> tuple[list[tuple[int, Any]], int, int]:
+def segment_files(directory: Path) -> list[tuple[int, Path]]:
+    """``(index, path)`` of every WAL segment in the directory, ordered."""
+    return numbered_files(directory, "wal-*.log")
+
+
+def prune_segments(directory: Path, keep_from: int) -> None:
+    """Delete the segments with index < ``keep_from``."""
+    for index, path in segment_files(directory):
+        if index < keep_from:
+            path.unlink(missing_ok=True)
+
+
+def scan_segment(
+    path: Path, start: int = SEGMENT_HEADER_SIZE
+) -> tuple[list[tuple[int, Any]], int, int]:
     """Validate one segment; returns ``(records, clean_length, torn_bytes)``.
 
-    ``records`` is ``[(offset, payload), ...]`` for every record whose frame
-    validates, in order.  ``clean_length`` is the byte length of the valid
-    prefix (header + whole records); everything past it — a short header, a
-    short payload, or a CRC mismatch — is torn tail, reported as
-    ``torn_bytes``.  A segment whose file header is itself unreadable is
-    treated as entirely torn (``clean_length`` 0).
+    ``records`` is ``[(offset, payload), ...]`` for every record from byte
+    ``start`` on whose frame validates, in order.  ``clean_length`` is the
+    byte length of the valid prefix (header + whole records); everything past
+    it — a short header, a short payload, or a CRC mismatch — is torn tail,
+    reported as ``torn_bytes``.  A segment whose file header is itself
+    unreadable is treated as entirely torn (``clean_length`` 0).
     """
     data = path.read_bytes()
     if len(data) < SEGMENT_HEADER_SIZE or not data.startswith(SEGMENT_MAGIC):
         return [], 0, len(data)
+    view = memoryview(data)
     records: list[tuple[int, Any]] = []
-    offset = SEGMENT_HEADER_SIZE
-    while offset < len(data):
-        if offset + RECORD_HEADER.size > len(data):
-            break
+    offset = start
+    while offset + RECORD_HEADER.size <= len(data):
         length, checksum = RECORD_HEADER.unpack_from(data, offset)
-        start = offset + RECORD_HEADER.size
-        end = start + length
+        end = offset + RECORD_HEADER.size + length
         if end > len(data):
             break
-        payload_bytes = data[start:end]
+        payload_bytes = view[offset + RECORD_HEADER.size:end]
         if zlib.crc32(payload_bytes) != checksum:
             break
         records.append((offset, pickle.loads(payload_bytes)))
@@ -137,51 +149,37 @@ def scan_segment(path: Path) -> tuple[list[tuple[int, Any]], int, int]:
     return records, offset, len(data) - offset
 
 
-def repair_wal_directory(directory: Path) -> int:
-    """Truncate the torn tail of the last (active) segment.
-
-    A crash can only tear the segment that was being appended to; earlier
-    segments were rotated away whole.  Returns the number of torn bytes
-    discarded (0 when the log is clean or absent).
-    """
-    segments = segment_files(directory)
-    if not segments:
-        return 0
-    index, path = segments[-1]
-    _, clean_length, torn = scan_segment(path)
-    if torn:
-        with open(path, "r+b") as handle:
-            handle.truncate(clean_length)
-        if clean_length == 0:
-            # Even the segment header was torn (crash mid-rotate): rewrite it
-            # so the segment is a valid empty log again.
-            with open(path, "wb") as handle:
-                handle.write(SEGMENT_MAGIC + SEGMENT_HEADER.pack(index))
-                handle.flush()
-                os.fsync(handle.fileno())
-    return torn
-
-
-def iter_wal_records(
+def read_wal(
     directory: Path, after: "tuple[int, int] | None" = None
-) -> Iterator[Any]:
-    """Yield record payloads past a checkpoint position, in log order.
+) -> tuple[list[Any], int]:
+    """Recovery's one pass over the log: ``(payloads, torn_bytes)``.
 
-    ``after`` is the ``(segment, offset)`` a checkpoint recorded — records at
-    or past that offset in that segment, plus every later segment in full,
-    are yielded.  ``None`` replays the whole log (no checkpoint ever
-    happened).  Call :func:`repair_wal_directory` first; this iterator stops
-    at (rather than repairs) torn tails.
+    ``after`` is the ``(segment, offset)`` a snapshot recorded: records from
+    that offset on, plus every later segment in full, are decoded once and
+    returned in log order; older segments are not opened.  ``None`` reads the
+    whole log.  The torn tail of the last segment — a crash can only tear the
+    one being appended to — is truncated and its length returned.
     """
     start_segment, start_offset = after if after is not None else (-1, 0)
-    for index, path in segment_files(directory):
-        if index < start_segment:
-            continue
-        records, _, _ = scan_segment(path)
-        for offset, payload in records:
-            if index == start_segment and offset < start_offset:
-                continue
-            yield payload
+    segments = [found for found in segment_files(directory) if found[0] >= start_segment]
+    payloads: list[Any] = []
+    torn = 0
+    for index, path in segments:
+        records, clean_length, torn_here = scan_segment(
+            path, start_offset if index == start_segment else SEGMENT_HEADER_SIZE
+        )
+        payloads.extend(payload for _, payload in records)
+        if torn_here and index == segments[-1][0]:
+            torn = torn_here
+            with open(path, "r+b") as handle:
+                handle.truncate(clean_length)
+                if clean_length == 0:
+                    # Even the segment header was torn (crash mid-rotate):
+                    # rewrite it so the segment is a valid empty log again.
+                    handle.write(SEGMENT_MAGIC + SEGMENT_HEADER.pack(index))
+                    handle.flush()
+                    os.fsync(handle.fileno())
+    return payloads, torn
 
 
 class WriteAheadLog:
@@ -224,8 +222,13 @@ class WriteAheadLog:
 
     def position(self) -> tuple[int, int]:
         """Current end of log as ``(segment, offset)`` — the replay boundary
-        a checkpoint taken *now* should record."""
+        a snapshot taken *now* should record."""
         return (self._segment, self._offset)
+
+    def bytes_since(self, segment: int) -> int:
+        """Bytes a reopen replays from a snapshot positioned at ``segment``'s start."""
+        found = segment_files(self.directory)
+        return sum(path.stat().st_size for index, path in found if index >= segment)
 
     def append(self, record: Any) -> tuple[int, int]:
         """Frame, write and flush one record; returns its ``(segment, offset)``."""
@@ -250,22 +253,13 @@ class WriteAheadLog:
         return position
 
     def rotate(self) -> int:
-        """Switch appends to a fresh segment (called after a checkpoint)."""
+        """Switch appends to a fresh segment (the first step of a snapshot)."""
         if self.closed:
             raise ExecutionError("write-ahead log is closed")
         self._file.flush()
         self._file.close()
         self._start_segment(self._segment + 1)
         return self._segment
-
-    def prune(self, keep_from: int) -> int:
-        """Delete segments with index < ``keep_from``; returns how many."""
-        removed = 0
-        for index, path in segment_files(self.directory):
-            if index < keep_from:
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
 
     def flush(self) -> None:
         if not self.closed:

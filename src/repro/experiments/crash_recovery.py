@@ -5,7 +5,7 @@ engine death from run-fatal into a reopenable database; this experiment
 measures the price and proves the contract.  It trains a durable serial run
 as a child process SIGKILLed mid-epoch by the crash-injection harness
 (``REPRO_CRASH``), then reopens the database here, times the recovery pass
-(checkpoint restore + WAL replay + torn-tail repair), resumes from the
+(snapshot restore + WAL replay + torn-tail repair), resumes from the
 recovered :class:`~repro.db.checkpoint.TrainingState`, and checks the
 resumed model is bit-for-bit an uninterrupted run's.
 """
@@ -30,8 +30,8 @@ from ..tasks.logistic_regression import LogisticRegressionTask
 from .harness import ExperimentScale, resolve_scale
 from .reporting import render_table
 
-#: The child re-creates the exact same durable workload, trains with
-#: per-epoch checkpoints, and is SIGKILLed by its own crash injector.
+#: The child re-creates the exact same durable workload, logs its training
+#: state every epoch, and is SIGKILLed by its own crash injector.
 _CHILD_SOURCE = """
 import sys
 from repro.core.driver import BismarckRunner, IGDConfig
@@ -122,8 +122,8 @@ def run_crash_recovery_experiment(
     """SIGKILL a durable training run mid-epoch, reopen, resume, compare.
 
     The child process dies at the ``epoch`` crash point *before* that
-    epoch's checkpoint lands, so recovery restores the previous epoch's
-    snapshot and the resume re-runs ``crash_epoch .. epochs-1``.
+    epoch's training state is logged, so recovery restores the previous
+    epoch's and the resume re-runs ``crash_epoch .. epochs-1``.
     """
     scale = resolve_scale(scale)
     examples = min(scale.sparse_examples, 400)

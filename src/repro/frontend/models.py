@@ -36,7 +36,6 @@ def save_model(
     *,
     source_table: str | None = None,
     table_version: int | None = None,
-    checkpoint: bool = False,
 ) -> None:
     """Persist a model into ``model_name`` (+ ``model_name_meta``).
 
@@ -47,9 +46,7 @@ def save_model(
 
     Model tables are ordinary catalog tables, so on a durable engine their
     creation and rows flow through the WAL like any other DDL/DML — a crash
-    right after ``save_model`` returns loses nothing.  ``checkpoint=True``
-    additionally takes a whole-database checkpoint afterwards, folding the
-    fresh model (and any cleared training state) into the next snapshot.
+    right after ``save_model`` returns loses nothing.
     """
     catalog = _catalog(database)
     for table_name in (model_name, f"{model_name}_meta"):
@@ -72,8 +69,6 @@ def save_model(
         )
     if source_table is not None and table_version is not None and table_version >= 0:
         meta_table.insert((SOURCE_COMPONENT, f"{source_table.lower()}@{table_version}"))
-    if checkpoint and getattr(catalog, "durable", False):
-        catalog.checkpoint()
 
 
 def load_model(database, model_name: str) -> Model:

@@ -84,9 +84,9 @@ def _warm_start(database, task, table_name: str, model_name: str):
 def _train_and_persist(database, task, table_name: str, model_name: str, config: IGDConfig) -> str:
     catalog = _catalog(database)
     if getattr(catalog, "durable", False) and config.checkpoint_every <= 0:
-        # Durable engines get crash-safe training for free: checkpoint every
-        # epoch under the model's name, so an interrupted SQL train resumes
-        # instead of restarting.
+        # Durable engines get crash-safe training for free: log the training
+        # state every epoch under the model's name, so an interrupted SQL
+        # train resumes instead of restarting.
         config = replace(
             config, checkpoint_every=1, checkpoint_name=model_name.lower()
         )
@@ -121,12 +121,11 @@ def _train_and_persist(database, task, table_name: str, model_name: str, config:
         database, model_name, result.model,
         source_table=table_name, table_version=result.table_version,
     )
-    # Only after the model is durably persisted may the in-flight training
-    # state be forgotten: a crash between training and save_model must still
-    # resume.  The final checkpoint folds both into one snapshot.
+    # Only after the model is durably persisted (its tables went through the
+    # WAL) may the in-flight training state be forgotten: a crash between
+    # training and save_model must still resume.  The clearing is logged too,
+    # so a cleared state does not come back after a crash.
     catalog.clear_training_state(state_name)
-    if getattr(catalog, "durable", False):
-        catalog.checkpoint()
     return (
         f"model '{model_name}' {mode} with {task.name}: "
         f"epochs={result.epochs_run}, objective={result.final_objective:.6g}"

@@ -9,7 +9,7 @@ behind, and ``/dev/shm`` returns to its baseline.
 
 The CI ``crash`` job re-enters this file through
 :func:`test_ci_crash_matrix` with ``REPRO_CRASH_SPEC`` drawn from a kill
-matrix (``kill:epoch=…`` / ``kill:op=checkpoint`` / ``kill:op=wal_append``).
+matrix (``kill:epoch=…`` / ``kill:op=checkpoint`` / ``kill:op=wal_append[:at=K]``).
 """
 
 from __future__ import annotations
@@ -27,14 +27,16 @@ import repro
 from repro.core.driver import BismarckRunner, IGDConfig
 from repro.core.parallel import PureUDAParallelism
 from repro.data import load_classification_table, make_sparse_classification
-from repro.db import Database, SegmentedDatabase
+from repro.db import CheckpointManager, Database, SegmentedDatabase, read_wal
 
 SRC_ROOT = str(Path(repro.__file__).parents[1])
 
 # The workload both halves of every test rebuild identically: the child to
 # train it, the parent to compute the uninterrupted reference and to resume.
 EXAMPLES, DIMENSION, NONZEROS, DATA_SEED = 60, 12, 4, 11
-MAX_EPOCHS, SEGMENTS = 6, 2
+# Enough epochs for the log to outgrow the first snapshot well before the run
+# ends (~6 training records here), so a second snapshot exists to be killed in.
+MAX_EPOCHS, SEGMENTS = 12, 2
 
 
 def _dataset():
@@ -229,14 +231,38 @@ def test_sigkill_mid_epoch_resumes_bit_for_bit(tmp_path, scheme):
 
 
 def test_sigkill_mid_checkpoint_falls_back_to_previous_snapshot(tmp_path):
-    completed = _run_child(tmp_path / "db", "serial", "kill:op=checkpoint:at=1")
+    path = tmp_path / "db"
+    completed = _run_child(path, "serial", "kill:op=checkpoint:at=1")
+    assert completed.returncode == -9, completed.stderr
+    # The second snapshot died as a temp file, before its atomic rename.
+    assert sorted(entry.name for entry in path.glob("checkpoint-*")) == [
+        "checkpoint-000000.ckpt", "checkpoint-000001.tmp"
+    ]
+    snapshot = CheckpointManager(path).load(0)
+    logged = [
+        record["state"].next_epoch
+        for record in read_wal(path, after=snapshot["wal_position"])[0]
+        if record["type"] == "training"
+    ]
+    assert snapshot["training"]["pts"].next_epoch == 1 and logged
+
+    db = Database.open(path)
+    # A kill mid-snapshot costs nothing: generation 0 plus the log reach the
+    # last epoch that logged its state, not the epoch generation 0 was taken.
+    assert db.recovery_report.checkpoint_generation == 0
+    assert db.training_state("pts").next_epoch == logged[-1] > 1
+    db.close()
+    _resume_and_check(path, "serial", expect_state=True)
+
+
+def test_sigkill_mid_training_record_resumes_from_previous_epoch(tmp_path):
+    # Append 0 is the table's CREATE record and append 1 + e the training
+    # state of epoch e, so at=3 dies halfway through epoch 2's record.
+    completed = _run_child(tmp_path / "db", "serial", "kill:op=wal_append:at=3")
     assert completed.returncode == -9, completed.stderr
     db = Database.open(tmp_path / "db")
-    # The torn generation-1 snapshot never reached its atomic rename, so
-    # recovery lands on generation 0 (the epoch-0 checkpoint) + WAL replay.
-    assert db.recovery_report.checkpoint_generation == 0
-    state = db.training_state("pts")
-    assert state is not None and state.next_epoch == 1
+    assert db.recovery_report.torn_bytes_discarded > 0
+    assert db.training_state("pts").next_epoch == 2
     db.close()
     _resume_and_check(tmp_path / "db", "serial", expect_state=True)
 

@@ -18,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig
-from repro.data import load_classification_table, make_sparse_classification
+from repro.data import (
+    load_classification_table,
+    make_dense_classification,
+    make_sparse_classification,
+)
 from repro.db import (
     CheckpointManager,
     ColumnType,
@@ -30,6 +34,7 @@ from repro.db import (
     FaultPlan,
     RecoveryPolicy,
     SegmentedDatabase,
+    TrainingState,
     crashes_from_env,
     parse_crash_spec,
     parse_fault_spec,
@@ -38,8 +43,8 @@ from repro.db.wal import (
     RECORD_HEADER,
     SEGMENT_HEADER_SIZE,
     WriteAheadLog,
-    iter_wal_records,
-    repair_wal_directory,
+    prune_segments,
+    read_wal,
     scan_segment,
     segment_files,
 )
@@ -65,7 +70,7 @@ class TestWriteAheadLog:
         for record in records:
             wal.append(record)
         wal.close()
-        assert list(iter_wal_records(tmp_path)) == records
+        assert read_wal(tmp_path)[0] == records
 
     def test_position_tracks_segments_and_offsets(self, tmp_path):
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("buffered"))
@@ -78,7 +83,7 @@ class TestWriteAheadLog:
         wal.append({"n": 2})
         wal.close()
         # Replay after the boundary skips record 0 but crosses the rotation.
-        assert list(iter_wal_records(tmp_path, after=boundary)) == [{"n": 1}, {"n": 2}]
+        assert read_wal(tmp_path, after=boundary)[0] == [{"n": 1}, {"n": 2}]
 
     def test_torn_tail_is_truncated(self, tmp_path):
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("buffered"))
@@ -91,15 +96,15 @@ class TestWriteAheadLog:
         with open(path, "ab") as handle:
             handle.write(RECORD_HEADER.pack(len(payload), zlib.crc32(payload)))
             handle.write(payload[: len(payload) // 2])
-        discarded = repair_wal_directory(tmp_path)
+        records, discarded = read_wal(tmp_path)
         assert discarded == RECORD_HEADER.size + len(payload) // 2
-        assert list(iter_wal_records(tmp_path)) == [{"n": 0}, {"n": 1}]
+        assert records == [{"n": 0}, {"n": 1}]
         # Repair is idempotent and the log accepts appends afterwards.
-        assert repair_wal_directory(tmp_path) == 0
+        assert read_wal(tmp_path) == (records, 0)
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("buffered"))
         wal.append({"n": 2})
         wal.close()
-        assert list(iter_wal_records(tmp_path)) == [{"n": 0}, {"n": 1}, {"n": 2}]
+        assert read_wal(tmp_path)[0] == [{"n": 0}, {"n": 1}, {"n": 2}]
 
     def test_corrupt_checksum_stops_scan(self, tmp_path):
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("buffered"))
@@ -126,8 +131,8 @@ class TestWriteAheadLog:
         (_, _), (_, tail_path) = segment_files(tmp_path)
         with open(tail_path, "wb") as handle:
             handle.write(b"BW")  # crash mid-rotation: partial header
-        repair_wal_directory(tmp_path)
-        assert list(iter_wal_records(tmp_path)) == [{"n": 0}]
+        assert read_wal(tmp_path)[0] == [{"n": 0}]
+        assert read_wal(tmp_path) == ([{"n": 0}], 0)  # the torn header was rewritten
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("buffered"))
         assert wal.position()[0] == 1
         wal.close()
@@ -138,10 +143,10 @@ class TestWriteAheadLog:
         wal.rotate()
         wal.append({"n": 1})
         wal.rotate()
-        wal.prune(1)
+        prune_segments(tmp_path, 1)
         wal.close()
         assert [index for index, _ in segment_files(tmp_path)] == [1, 2]
-        assert list(iter_wal_records(tmp_path)) == [{"n": 1}]
+        assert read_wal(tmp_path)[0] == [{"n": 1}]
 
     def test_close_is_idempotent(self, tmp_path):
         wal = WriteAheadLog(tmp_path, DurabilityPolicy.resolve("fsync"))
@@ -234,6 +239,14 @@ class TestCheckpointManager:
 # ----------------------------------------------------------------- recovery
 
 
+def _state(name: str, *, next_epoch: int) -> TrainingState:
+    return TrainingState(
+        name=name, task="none", table_name="t", table_version=0,
+        model=None, next_epoch=next_epoch, step_offset=0,
+    )
+
+
+
 class TestDatabaseRecovery:
     def test_open_without_prior_state_is_empty(self, tmp_path):
         db = _open(tmp_path / "db")
@@ -316,6 +329,73 @@ class TestDatabaseRecovery:
         assert recovered.table("t").classify_delta(0).kind == "rewrite"
         recovered.close()
 
+    def test_corrupt_newest_generation_still_replays_to_the_present(self, tmp_path):
+        db = _open(tmp_path / "db")
+        table = db.create_table("t", [("x", ColumnType.INTEGER)])
+        table.insert_many([(i,) for i in range(5)])
+        db.checkpoint()
+        table.insert_many([(i,) for i in range(5, 10)])  # between the generations
+        db.checkpoint()
+        table.insert_many([(i,) for i in range(10, 15)])
+        db.save_training_state(_state("run", next_epoch=7))
+        assert db.checkpoints.generations() == [0, 1]
+        db.close()
+        newest = tmp_path / "db" / "checkpoint-000001.ckpt"
+        newest.write_bytes(newest.read_bytes()[:-1])
+
+        recovered = _open(tmp_path / "db")
+        # Generation 0 is stale, but the log was kept from *its* position on.
+        assert recovered.recovery_report.checkpoint_generation == 0
+        assert sorted(_rows(recovered, "t")) == [(i,) for i in range(15)]
+        assert recovered.training_state("run").next_epoch == 7
+        recovered.close()
+
+    def test_reopen_keeps_the_log_the_older_generation_needs(self, tmp_path):
+        db = _open(tmp_path / "db")
+        table = db.create_table("t", [("x", ColumnType.INTEGER)])
+        db.checkpoint()
+        table.insert((1,))
+        db.checkpoint()
+        table.insert((2,))
+        db.close()
+        _open(tmp_path / "db").close()  # a clean reopen sweeps nothing it may need
+        newest = tmp_path / "db" / "checkpoint-000001.ckpt"
+        newest.write_bytes(b"rot" + newest.read_bytes()[3:])
+
+        recovered = _open(tmp_path / "db")
+        assert recovered.recovery_report.checkpoint_generation == 0
+        assert sorted(_rows(recovered, "t")) == [(1,), (2,)]
+        recovered.close()
+
+    def test_open_sweeps_segments_no_generation_needs(self, tmp_path):
+        db = _open(tmp_path / "db")
+        table = db.create_table("t", [("x", ColumnType.INTEGER)])
+        for value in range(3):
+            table.insert((value,))
+            db.checkpoint()
+        db.close()
+        # As after a crash between a snapshot's rename and its prune.
+        stale = tmp_path / "db" / "wal-000000.log"
+        stale.write_bytes(b"left behind")
+
+        recovered = _open(tmp_path / "db")
+        assert not stale.exists()
+        assert [index for index, _ in segment_files(tmp_path / "db")] == [2, 3]
+        assert sorted(_rows(recovered, "t")) == [(0,), (1,), (2,)]
+        recovered.close()
+
+    def test_cleared_training_state_stays_cleared(self, tmp_path):
+        db = _open(tmp_path / "db")
+        db.save_training_state(_state("run", next_epoch=3))  # first save: snapshots
+        db.clear_training_state("run")  # one tombstone record, no snapshot
+        assert db.checkpoints.generations() == [0]
+        db.close()
+
+        recovered = _open(tmp_path / "db")
+        assert recovered.training_state("run") is None
+        assert recovered.recovery_report.training_states == ()
+        recovered.close()
+
     def test_durability_off_skips_wal(self, tmp_path):
         db = _open(tmp_path / "db", durability="off")
         table = db.create_table("t", [("x", ColumnType.INTEGER)])
@@ -326,6 +406,19 @@ class TestDatabaseRecovery:
         assert segment_files(tmp_path / "db") == []
 
         recovered = _open(tmp_path / "db", durability="off")
+        assert sorted(_rows(recovered, "t")) == [(1,)]
+        recovered.close()
+
+    def test_durability_off_snapshots_every_saved_state(self, tmp_path):
+        db = _open(tmp_path / "db", durability="off")
+        db.create_table("t", [("x", ColumnType.INTEGER)]).insert((1,))
+        db.save_training_state(_state("run", next_epoch=1))
+        db.save_training_state(_state("run", next_epoch=2))
+        assert db.checkpoints.generations() == [0, 1]
+        db.close()
+
+        recovered = _open(tmp_path / "db", durability="off")
+        assert recovered.training_state("run").next_epoch == 2
         assert sorted(_rows(recovered, "t")) == [(1,)]
         recovered.close()
 
@@ -423,6 +516,98 @@ class TestTrainingStateCheckpoints:
         np.testing.assert_array_equal(
             resumed.model.as_flat_vector(), reference.model.as_flat_vector()
         )
+        recovered.close()
+
+
+# ------------------------------------------------------------ snapshot rule
+
+
+def _record_sizes(db: Database) -> dict[str, list[int]]:
+    """Wrap ``db.wal.append`` to collect each record's framed size by type."""
+    sizes: dict[str, list[int]] = {}
+    append = db.wal.append
+
+    def counting(record):
+        segment, offset = append(record)
+        sizes.setdefault(record["type"], []).append(db.wal.position()[1] - offset)
+        return segment, offset
+
+    db.wal.append = counting
+    return sizes
+
+
+def _snapshot_sizes(db: Database) -> list[int]:
+    """Wrap ``db.checkpoints.write`` to collect each snapshot's file size."""
+    sizes: list[int] = []
+    write = db.checkpoints.write
+
+    def counting(payload):
+        path = write(payload)
+        sizes.append(path.stat().st_size)
+        return path
+
+    db.checkpoints.write = counting
+    return sizes
+
+
+class TestSnapshotRule:
+    """An epoch's durable write is its training state; snapshots are compaction."""
+
+    @pytest.mark.parametrize("rows", [150, 1500])
+    def test_an_epoch_appends_one_small_record_and_no_snapshot(self, tmp_path, rows):
+        dataset = make_dense_classification(rows, 54, seed=3)
+        db = _open(tmp_path / "db", durability="fsync")
+        load_classification_table(db, "pts", dataset.examples, sparse=False)
+        sizes, snapshots = _record_sizes(db), _snapshot_sizes(db)
+        config = _train_config(checkpoint_every=1, max_epochs=8, ordering="clustered")
+        result = BismarckRunner(db, LogisticRegressionTask(54), config).train("pts")
+        assert result.epochs_run == 8
+        assert len(sizes["training"]) == 8 and set(sizes) == {"training"}
+        # Only the first save of a fresh directory snapshots ...
+        assert len(snapshots) == 1
+        # ... and with no permutation to carry a record is O(model) bytes,
+        # whatever the row count (d = 54: the model is 432 of them).
+        assert max(sizes["training"]) < 4096
+        db.close()
+
+    def test_snapshots_follow_log_volume_not_epochs(self, tmp_path):
+        dataset = _sparse_dataset()
+        path = tmp_path / "db"
+        db = _open(path)
+        load_classification_table(db, "pts", dataset.examples, sparse=True)
+        sizes, snapshots = _record_sizes(db), _snapshot_sizes(db)
+        save = db.save_training_state
+        seen = 0
+
+        def checked_save(state):
+            nonlocal seen
+            save(state)
+            since = db.wal.bytes_since(db._snapshot_segment)
+            assert since <= db._snapshot_bytes + sizes["training"][-1]
+            if len(snapshots) > seen:
+                seen = len(snapshots)
+                oldest_retained = min(
+                    db.checkpoints.load(generation)["wal_position"][0]
+                    for generation in db.checkpoints.generations()
+                )
+                assert segment_files(path)[0][0] == oldest_retained
+                assert len(db.checkpoints.generations()) <= 2
+
+        db.save_training_state = checked_save
+        epochs = 60
+        config = _train_config(checkpoint_every=1, max_epochs=epochs, stopping=epochs)
+        BismarckRunner(
+            db, LogisticRegressionTask(dataset.dimension, mu=0.01), config
+        ).train("pts")
+        assert len(sizes["training"]) == epochs
+        # The log outgrew the snapshot several times over, and each snapshot
+        # after the first was paid for by at least its predecessor's bytes of log.
+        assert 3 <= len(snapshots) <= 1 + sum(sizes["training"]) // min(snapshots)
+        assert len(snapshots) < epochs // 2
+        db.close()
+
+        recovered = _open(path)
+        assert recovered.training_state("pts").next_epoch == epochs
         recovered.close()
 
 

@@ -86,22 +86,10 @@ class IGDConfig:
     checkpoint_every: int = 0
     #: Name the training state is saved under (defaults to the table name).
     checkpoint_name: str | None = None
-    #: Numeric dtype of the chunk plane's dense feature payloads.
-    #: ``"float64"`` (default) keeps every deterministic path bit-for-bit;
-    #: ``"float32"`` opts the vectorized kernels and shared-memory chunk
-    #: pages into half-width features — the model itself stays float64 and
-    #: numpy's upcasting rules mix the two, so results stay in the same
-    #: objective band but are *not* bit-equal to float64 runs.
-    compute_dtype: str = "float64"
 
     def __post_init__(self) -> None:
         if self.execution not in ("auto", "per_tuple", "chunked"):
             raise ValueError(f"unknown execution mode {self.execution!r}")
-        if self.compute_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"unknown compute dtype {self.compute_dtype!r}; "
-                "expected 'float64' or 'float32'"
-            )
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         schedule = make_batch_schedule(self.batch_size)
@@ -228,17 +216,8 @@ class BismarckRunner:
         (serial, pure-UDA process) resume bit-for-bit.
         """
         config = self.config
-        stopping = config.resolved_stopping()
-        schedule = make_schedule(config.step_size)
-        proximal = config.proximal if config.proximal is not None else self.task.proximal
-
-        table = self._master_table(table_name)
+        table = self._engine().table(table_name)
         total_start = time.perf_counter()
-        # Snapshot the engine's recovery log so the result reports exactly the
-        # incidents (respawns, degradations) absorbed by *this* run.
-        engine = self._engine()
-        recovery_mark = len(getattr(engine, "recovery_log", []))
-
         if resume_from is not None:
             rng = copy.deepcopy(resume_from.rng)
             ordering = (
@@ -250,15 +229,10 @@ class BismarckRunner:
             step_offset = resume_from.step_offset
             history = list(resume_from.history)
             start_epoch = resume_from.next_epoch
-            # The recovered master heap is authoritative; segments must be
-            # rebuilt/extended from it before the first resumed epoch.
-            self._maybe_redistribute(table_name, -1)
         else:
             rng = np.random.default_rng(config.seed)
             ordering = config.resolved_ordering()
-            version_before = table.version
             ordering.prepare(table, rng)
-            self._maybe_redistribute(table_name, version_before)
             model = (
                 initial_model.copy()
                 if initial_model is not None
@@ -268,65 +242,26 @@ class BismarckRunner:
             history = []
             start_epoch = 0
 
-        converged = False
-        # A resumed run whose restored history already satisfies the stopping
-        # rule (the crash happened after convergence but before persistence)
-        # must not run extra epochs.
-        done = bool(history) and config.compute_objective and stopping.should_stop(history)
-        if done:
-            converged = True
-
-        for epoch in range(start_epoch, config.max_epochs):
-            if done:
-                break
-            epoch_start = time.perf_counter()
-            version_before = table.version
+        def policy_orders(epoch: int) -> tuple:
             ordering.before_epoch(table, epoch, rng)
-            self._maybe_redistribute(table_name, version_before)
+            lengths = self._segment_lengths(table)
+            if lengths is None:
+                return ordering.epoch_row_order(len(table), epoch, rng), None
+            # Logical shuffles permute each shared-nothing segment in place
+            # (rows never migrate between segments, exactly like independent
+            # segment-local ORDER BY RANDOM() runs — the partition index keys
+            # each segment's own permutation).
+            orders = [
+                ordering.epoch_row_order(length, epoch, rng, partition=index)
+                for index, length in enumerate(lengths)
+            ]
+            return None, None if all(order is None for order in orders) else orders
 
-            model, steps = self._run_epoch(
-                table_name, table, model, schedule, proximal, epoch, step_offset,
-                ordering, rng,
-            )
-            step_offset += steps
-            # Mid-epoch crash hazard: the gradient pass ran, nothing below
-            # (objective, history, saved state) has.  Recovery must fall back
-            # to the state the previous epoch logged.
-            self._crash_point(engine, "epoch")
-
-            objective = float("nan")
-            if config.compute_objective:
-                objective = self._compute_objective(table_name, table, model, proximal)
-            history.append(
-                EpochRecord(
-                    epoch=epoch,
-                    objective=objective,
-                    elapsed_seconds=time.perf_counter() - epoch_start,
-                    gradient_steps=step_offset,
-                    model_norm=model.norm(),
-                )
-            )
-            self._maybe_checkpoint(
-                engine, table_name, table, model, rng, ordering, epoch, step_offset,
-                history,
-            )
-            if config.compute_objective and stopping.should_stop(history):
-                converged = True
-                break
-
-        return IGDResult(
-            model=model,
-            history=history,
-            total_seconds=time.perf_counter() - total_start,
-            converged=converged,
-            task_name=self.task.describe(),
-            ordering_name=ordering.describe(),
-            parallelism_name=self._parallelism_name(),
-            shuffle_seconds=ordering.shuffle_seconds,
-            table_version=table.version,
-            recovery_events=list(
-                getattr(engine, "recovery_log", [])[recovery_mark:]
-            ),
+        return self._run_epochs(
+            table_name, table, total_start, policy_orders,
+            range(start_epoch, config.max_epochs),
+            model=model, rng=rng, ordering=ordering,
+            step_offset=step_offset, history=history,
         )
 
     def partial_fit(
@@ -373,55 +308,110 @@ class BismarckRunner:
         config = self.config
         if resume_from is not None:
             return self.train(table_name, resume_from=resume_from)
-        table = self._master_table(table_name)
+        table = self._engine().table(table_name)
         delta = (
             table.classify_delta(since_version) if since_version is not None else None
         )
         if initial_model is None or delta is None or delta.kind == "rewrite":
             return self.train(table_name, initial_model=initial_model)
 
-        engine = self._engine()
-        recovery_mark = len(getattr(engine, "recovery_log", []))
         total_start = time.perf_counter()
-        model = initial_model.copy()
-        if delta.is_same:
-            return IGDResult(
-                model=model,
-                history=[],
-                total_seconds=time.perf_counter() - total_start,
-                converged=True,
-                task_name=self.task.describe(),
-                ordering_name="delta[0]",
-                parallelism_name=self._parallelism_name(),
-                table_version=table.version,
-            )
-
+        epochs = max_epochs if max_epochs is not None else config.max_epochs
         rng = np.random.default_rng(config.seed)
+
+        def delta_orders(epoch: int) -> tuple:
+            """Permuted visit orders over the delta rows, or the whole table.
+
+            Round-robin placement puts master row ``g`` in segment ``g % S``,
+            so a prefix of every segment holds old rows and the suffix holds
+            the delta.
+            """
+            full = full_pass_every > 0 and (epoch + 1) % full_pass_every == 0
+            start = 0 if full else delta.base_rows
+            lengths = self._segment_lengths(table)
+            if lengths is None:
+                return start + rng.permutation(len(table) - start), None
+            old = [len(range(index, start, len(lengths))) for index in range(len(lengths))]
+            return None, [
+                skip + rng.permutation(length - skip) for skip, length in zip(old, lengths)
+            ]
+
+        # Delta epochs checkpoint too (ordering=None: a resumed continuation
+        # run re-covers the whole table, which is safe — the bit-for-bit
+        # resume contract is train()'s).
+        return self._run_epochs(
+            table_name, table, total_start, delta_orders, range(epochs),
+            model=initial_model.copy(), rng=rng, ordering=None,
+            ordering_name=f"delta[{delta.rows_added}]",
+            # Nothing new arrived: the warm model stands as it is.
+            converged=delta.is_same,
+        )
+
+    # -------------------------------------------------------------- internals
+    def _segment_lengths(self, table: Table) -> list[int] | None:
+        """Row counts of the segments a pure-UDA epoch folds (segment ``i`` of
+        ``S`` is rows ``i::S``); None for the one-table backends."""
+        if not (
+            isinstance(self.config.parallelism, PureUDAParallelism)
+            and isinstance(self.database, SegmentedDatabase)
+        ):
+            return None
+        count = self.database.num_segments
+        return [len(range(index, len(table), count)) for index in range(count)]
+
+    def _run_epochs(
+        self,
+        table_name: str,
+        table: Table,
+        total_start: float,
+        orders_for,
+        epochs: range,
+        *,
+        model: Model,
+        rng: np.random.Generator,
+        ordering: OrderingPolicy | None,
+        step_offset: int = 0,
+        history: list | None = None,
+        ordering_name: str | None = None,
+        converged: bool = False,
+    ) -> IGDResult:
+        """The one epoch loop: gradient pass, objective, record, checkpoint, stop.
+
+        ``orders_for(epoch)`` is where :meth:`train` and :meth:`partial_fit`
+        differ: it returns the epoch's ``(row_order, segment_orders)`` pair,
+        from the ordering policy or over the appended rows.
+        """
+        config = self.config
+        engine = self._engine()
+        # The result reports exactly the incidents (respawns, degradations)
+        # absorbed by *this* run.
+        recovery_mark = len(engine.recovery_log)
         stopping = config.resolved_stopping()
         schedule = make_schedule(config.step_size)
         proximal = config.proximal if config.proximal is not None else self.task.proximal
-        if isinstance(self.database, SegmentedDatabase):
-            # Incremental on appends: extends the existing segment tables.
-            self.database.redistribute(table_name)
-
-        epochs = max_epochs if max_epochs is not None else config.max_epochs
-        base_rows = delta.base_rows
-        step_offset = 0
-        history: list[EpochRecord] = []
-        converged = False
-        for epoch in range(epochs):
+        history = [] if history is None else history
+        # A resumed run whose restored history already satisfies the stopping
+        # rule (the crash happened after convergence but before persistence)
+        # must not run extra epochs.
+        converged = converged or (
+            bool(history) and config.compute_objective and stopping.should_stop(history)
+        )
+        for epoch in epochs:
+            if converged:
+                break
             epoch_start = time.perf_counter()
-            full = full_pass_every > 0 and (epoch + 1) % full_pass_every == 0
-            orders = self._delta_orders(table_name, table, 0 if full else base_rows, rng)
             model, steps = self._run_epoch(
-                table_name, table, model, schedule, proximal, epoch, step_offset,
-                None, rng, explicit_orders=orders,
+                table, model, schedule, proximal, epoch, step_offset, orders_for(epoch)
             )
             step_offset += steps
+            # Mid-epoch crash hazard: the gradient pass ran, nothing below
+            # (objective, history, saved state) has.  Recovery must fall back
+            # to the state the previous epoch logged.
             self._crash_point(engine, "epoch")
+
             objective = float("nan")
             if config.compute_objective:
-                objective = self._compute_objective(table_name, table, model, proximal)
+                objective = self._compute_objective(table, model, proximal)
             history.append(
                 EpochRecord(
                     epoch=epoch,
@@ -431,16 +421,11 @@ class BismarckRunner:
                     model_norm=model.norm(),
                 )
             )
-            # Delta epochs checkpoint too (ordering=None: a resumed
-            # continuation run re-covers the whole table, which is safe —
-            # the bit-for-bit resume contract is train()'s).
             self._maybe_checkpoint(
-                engine, table_name, table, model, rng, None, epoch, step_offset,
+                engine, table_name, table, model, rng, ordering, epoch, step_offset,
                 history,
             )
-            if config.compute_objective and stopping.should_stop(history):
-                converged = True
-                break
+            converged = config.compute_objective and stopping.should_stop(history)
 
         return IGDResult(
             model=model,
@@ -448,37 +433,13 @@ class BismarckRunner:
             total_seconds=time.perf_counter() - total_start,
             converged=converged,
             task_name=self.task.describe(),
-            ordering_name=f"delta[{delta.rows_added}]",
+            ordering_name=ordering_name or ordering.describe(),
             parallelism_name=self._parallelism_name(),
+            shuffle_seconds=ordering.shuffle_seconds if ordering is not None else 0.0,
             table_version=table.version,
-            recovery_events=list(
-                getattr(engine, "recovery_log", [])[recovery_mark:]
-            ),
+            recovery_events=list(engine.recovery_log[recovery_mark:]),
         )
 
-    def _delta_orders(
-        self, table_name: str, table: Table, start: int, rng: np.random.Generator
-    ) -> tuple:
-        """Permuted visit orders over master rows ``[start, len)``.
-
-        Returns ``(row_order, segment_orders)`` shaped for the configured
-        backend.  For segmented pure-UDA runs the master-row window is mapped
-        onto each segment: round-robin placement puts master row ``g`` at
-        segment ``g % S``, so the first ``ceil_div``-style prefix of every
-        segment holds old rows and the suffix holds the delta.
-        """
-        spec = self.config.parallelism
-        if isinstance(spec, PureUDAParallelism) and isinstance(self.database, SegmentedDatabase):
-            segments = self.database.segments_of(table_name)
-            count = len(segments)
-            orders = []
-            for index, segment in enumerate(segments):
-                seg_start = start // count + (1 if index < start % count else 0)
-                orders.append(seg_start + rng.permutation(len(segment) - seg_start))
-            return None, orders
-        return start + rng.permutation(len(table) - start), None
-
-    # -------------------------------------------------------------- internals
     def _crash_point(self, engine, op: str) -> None:
         """Fire the engine's crash injector at a named hazard point."""
         injector = getattr(engine, "crash_injector", None)
@@ -528,21 +489,6 @@ class BismarckRunner:
             return self.database.master
         return self.database
 
-    def _master_table(self, table_name: str) -> Table:
-        return self._engine().table(table_name)
-
-    def _maybe_redistribute(self, table_name: str, version_before: int) -> None:
-        """Re-partition segments after the ordering policy touched the heap.
-
-        Keyed on the table's mutation counter, so *logical* shuffles — which
-        never rewrite the heap — keep the existing segment tables (and their
-        example-cache entries) alive across epochs.
-        """
-        if not isinstance(self.database, SegmentedDatabase):
-            return
-        if self.database.master.table(table_name).version != version_before:
-            self.database.redistribute(table_name)
-
     def _parallelism_name(self) -> str:
         spec = self.config.parallelism
         if spec is None:
@@ -554,26 +500,21 @@ class BismarckRunner:
 
     def _run_epoch(
         self,
-        table_name: str,
         table: Table,
         model: Model,
         schedule: StepSizeSchedule,
         proximal: ProximalOperator,
         epoch: int,
         step_offset: int,
-        ordering: OrderingPolicy | None,
-        rng: np.random.Generator,
-        *,
-        explicit_orders: tuple | None = None,
+        orders: tuple,
     ) -> tuple[Model, int]:
         """Compile this epoch's gradient pass to a PassPlan and execute it.
 
-        The former spec×backend ``if/elif`` ladder lives in
+        The spec×backend choice lives in
         :func:`repro.db.pass_plan.epoch_backend`; here we only gather the
-        epoch's ingredients (visit orders, aggregate factory, epoch context)
-        into one plan that any backend can run.  ``explicit_orders`` — a
-        ``(row_order, segment_orders)`` pair — bypasses the ordering policy
-        entirely; :meth:`partial_fit` uses it to visit only delta rows.
+        epoch's ingredients (aggregate factory, epoch context and
+        ``orders`` — the epoch's ``(row_order, segment_orders)`` pair) into
+        one plan that any backend can run.
         """
         spec = self.config.parallelism
         if (
@@ -595,24 +536,7 @@ class BismarckRunner:
             step_offset=step_offset,
             batch_size=batch_size,
         )
-        row_order = None
-        segment_orders: list | None = None
-        if explicit_orders is not None:
-            row_order, segment_orders = explicit_orders
-        elif isinstance(spec, PureUDAParallelism) and isinstance(self.database, SegmentedDatabase):
-            # Logical shuffles permute each shared-nothing segment in place
-            # (rows never migrate between segments, exactly like independent
-            # segment-local ORDER BY RANDOM() runs — the partition index keys
-            # each segment's own permutation), so per-segment example caches
-            # survive every re-shuffle.
-            segment_orders = [
-                ordering.epoch_row_order(len(segment), epoch, rng, partition=index)
-                for index, segment in enumerate(self.database.segments_of(table_name))
-            ]
-            if all(order is None for order in segment_orders):
-                segment_orders = None
-        else:
-            row_order = ordering.epoch_row_order(len(table), epoch, rng)
+        row_order, segment_orders = orders
         backend = epoch_backend(self.database, spec)
         plan = compile_pass(
             "train",
@@ -621,7 +545,6 @@ class BismarckRunner:
             row_order=row_order,
             execution=self.config.execution,
             workers=getattr(spec, "workers", 1) or 1,
-            compute_dtype=self.config.compute_dtype,
             train=TrainEpochContext(
                 task=self.task,
                 model=model,
@@ -637,12 +560,13 @@ class BismarckRunner:
         return backend.run(plan)
 
     def _compute_objective(
-        self, table_name: str, table: Table, model: Model, proximal: ProximalOperator
+        self, table: Table, model: Model, proximal: ProximalOperator
     ) -> float:
         # The loss pass rides the same execution path — and, for
-        # process-backed runs, the same worker pool — as training; the shared
-        # example cache is keyed on the table's version, so any shuffle or
-        # re-clustering between epochs busts it automatically.
+        # process-backed runs, the same worker pool and resident payload —
+        # as training; the shared example cache is keyed on the table's
+        # version, so any shuffle or re-clustering between epochs busts it
+        # automatically.
         spec = self.config.parallelism if self.config.parallel_evaluation else None
         backend, workers = evaluation_backend(self.database, spec)
         plan = compile_pass(
@@ -651,7 +575,6 @@ class BismarckRunner:
             lambda: LossAggregate(self.task, model),
             execution=self.config.execution,
             workers=workers,
-            compute_dtype=self.config.compute_dtype,
         )
         data_term = backend.run(plan)
         return float(data_term) + proximal.penalty(model)

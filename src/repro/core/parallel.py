@@ -18,11 +18,12 @@ Two mechanisms, both built from features every RDBMS offers:
 
 Both backends consume the same cached chunk plane as the serial executor
 (:mod:`repro.db.chunk_plan`): the segmented engine runs ``transition_chunk``
-over per-segment cached batches, and the shared-memory epoch slices one cached
-decoded-example list across its workers.  The *convergence* behaviour (what
-Figure 9A measures) depends only on the update schedule and is reproduced
-faithfully; the *wall-clock speed-up* (Figure 9B) is measured on the forked
-process backend (:mod:`repro.db.process_backend`).
+over each segment's ordinals of the one cached chunk list, and the
+shared-memory epoch slices one cached decoded-example list across its
+workers.  The *convergence* behaviour (what Figure 9A measures) depends only
+on the update schedule and is reproduced faithfully; the *wall-clock
+speed-up* (Figure 9B) is measured on the forked process backend
+(:mod:`repro.db.process_backend`).
 """
 
 from __future__ import annotations

@@ -108,9 +108,9 @@ def merge_partial_states(instance: UserDefinedAggregate, states: "list[Any]") ->
 
     This is *the* merge contract of the parallel pass backends: partials
     combine in partition-index order and only then ``terminate``.  Every
-    backend (serial reference runner, segmented engine, process pool) must
-    call this one helper so the association order — which fixes the exact
-    float result — can never drift between them.
+    partitioned pass reaches it through one call
+    (:func:`~repro.db.pass_plan.run_partitioned`), so the association order
+    — which fixes the exact float result — cannot drift between backends.
     """
     merged = states[0]
     for state in states[1:]:

@@ -1,33 +1,33 @@
 """Backend-neutral chunk planning for the cached columnar execution plane.
 
-Extracted from the serial executor so that every execution backend — the
-serial executor (:mod:`repro.db.executor`), the shared-memory epoch
-(:mod:`repro.db.shared_memory`) and the segmented pure-UDA engine
-(:mod:`repro.db.parallel`) — serves aggregates from the *same* cached decoded
-chunks instead of each owning its own row-decode loop.  A
-:class:`ChunkPlan` bundles the decisions every backend makes:
+Every execution backend — the serial executor (:mod:`repro.db.executor`), the
+shared-memory epoch (:mod:`repro.db.shared_memory`), the partitioned passes
+of :mod:`repro.db.pass_plan` and the pool workers — serves aggregates from
+the *same* cached decoded chunks: one chunk list per (table, decoder), which
+every filter, order and partition addresses by ordinal instead of copying.
+A :class:`ChunkPlan` bundles the decisions every backend makes:
 
 * **cache lookup** — batches are resolved through the shared
   :class:`~repro.tasks.base.ExampleCache`, keyed by (table name, table
   version, decoding task, chunk size) and bound to the exact
   :class:`~repro.db.table.Table` object, so any physical mutation invalidates
   the plan on the next resolve;
-* **selection** — WHERE predicates are evaluated once per (table, version)
-  into a cached boolean selection vector
-  (:meth:`~repro.tasks.base.ExampleCache.selection_for`) and applied as a
-  batch take/mask over the cached batches;
-* **permutation** — explicit ``row_order`` visit orders (logical
-  shuffle-once / shuffle-always, the MRS machinery) are served by
-  :func:`gather_batches`, a vectorized gather over the cached decoded plane,
-  instead of per-tuple ``row_at`` loops;
-* **chunk slicing** — the (possibly gathered) batches are the columnar chunk
-  sequence a serial or per-segment pass consumes; and
-* **per-worker range assignment** — :func:`partition_round_robin` (round-robin
-  over example ordinals, mirroring how a shared-nothing engine lays segments
-  out) gives parallel backends their zero-copy slices of the same cached
-  data: the shared-memory epoch partitions the cache's decoded example list
-  with it, and :meth:`ChunkPlan.worker_partitions` exposes the same
-  assignment over a resolved plan's batches.
+* **selection and permutation** — :func:`resolve_ordinals` composes a WHERE
+  predicate (evaluated once per (table, version) into a cached boolean
+  selection vector, :meth:`~repro.tasks.base.ExampleCache.selection_for`)
+  with an explicit ``row_order`` (logical shuffle-once / shuffle-always, the
+  MRS machinery, the parts of a partitioned pass) into visit ordinals;
+* **gather** — :func:`gather_batches` serves those ordinals by a vectorized
+  gather over the cached decoded plane, re-chunked into ``chunk_size`` blocks,
+  instead of per-tuple ``row_at`` loops; the gathers of pass-invariant
+  orders are kept in one bounded cache slot;
+* **append** — :func:`extend_chunk_list` joins decoded delta rows onto the
+  tail chunk, in the cache and in pool workers alike; and
+* **round-robin assignment** — :func:`split_round_robin` deals a visit
+  sequence to parts as strided views (position ``j`` → part ``j % width``,
+  how a shared-nothing engine lays segments out);
+  :func:`partition_round_robin` is its list form, which the cooperative
+  shared-memory epoch interleaves the cached example list with.
 """
 
 from __future__ import annotations
@@ -55,12 +55,22 @@ def split_round_robin(ordinals: np.ndarray, workers: int) -> list[np.ndarray]:
 
     Position ``i`` of the visit order goes to worker ``i % workers`` — the
     identical layout :func:`partition_round_robin` gives segments, expressed
-    as strided views so no per-item Python loop runs.  This is the partition
-    contract every pass backend shares: the serial reference runner and the
-    process workers consume exactly these partitions, which is what makes
-    their results bit-for-bit comparable.
+    as strided views so no per-item Python loop runs.  The arithmetic under
+    :func:`~repro.db.pass_plan.partition_pass`, the partition contract every
+    pass backend shares.
     """
     return [ordinals[worker::workers] for worker in range(workers)]
+
+
+def _visit_ordinals(
+    num_rows: int, row_order: Sequence[int] | None, mask: "np.ndarray | None"
+) -> np.ndarray:
+    """The visit order walked first, rows outside the selection mask dropped."""
+    if row_order is None:
+        return np.flatnonzero(mask)
+    order = np.asarray(row_order, dtype=np.intp)
+    order = np.where(order < 0, order + num_rows, order)
+    return order if mask is None else order[mask[order]]
 
 
 def resolve_ordinals(
@@ -72,21 +82,14 @@ def resolve_ordinals(
 ) -> "np.ndarray | range":
     """Example ordinals for one pass; a ``range`` is every row in heap order.
 
-    Mirrors :meth:`ChunkPlan.resolve`: the visit order is walked first and
-    rows failing the WHERE predicate are dropped, using the cached
-    per-version selection vector.
+    The visit order is walked first and rows failing the WHERE predicate are
+    dropped, using the cached per-version selection vector — exactly like the
+    per-tuple loop.
     """
     if where is None and row_order is None:
         return range(len(table))
     mask = cache.selection_for(table, where, functions) if where is not None else None
-    if mask is not None:
-        if row_order is not None:
-            order = np.asarray(row_order, dtype=np.intp)
-            order = np.where(order < 0, order + mask.shape[0], order)
-            return order[mask[order]]
-        return np.flatnonzero(mask)
-    order = np.asarray(row_order, dtype=np.intp)
-    return np.where(order < 0, order + len(table), order)
+    return _visit_ordinals(len(table), row_order, mask)
 
 
 def gather_batches(
@@ -197,7 +200,6 @@ class ChunkPlan:
         where: "Expression | None" = None,
         row_order: Sequence[int] | None = None,
         functions: Mapping[str, Callable] | None = None,
-        dtype: str = "float64",
     ) -> "ChunkPlan | None":
         """Resolve a plan through the cache; None when the pass cannot chunk.
 
@@ -213,39 +215,30 @@ class ChunkPlan:
         """
         if decoder is None:
             return None
-        batches = cache.batches_for(table, decoder, chunk_size, dtype=dtype)
+        batches = cache.batches_for(table, decoder, chunk_size)
         if batches is None:
             return None
         if where is None and row_order is None:
             return cls(table, decoder, batches, chunk_size)
+        # Gathered chunk lists share one bounded cache slot per (decoder,
+        # chunk size); the order/selection identity rides along and is
+        # checked on hit.  Pass-invariant inputs — a logical shuffle-once
+        # permutation, a constant WHERE mask, the parts of a partitioned
+        # pass — therefore gather once per table version instead of once per
+        # epoch, while fresh per-epoch orders (shuffle-always) push the
+        # previous epoch's gathers out.  Orders are treated as immutable:
+        # mutating a row_order sequence in place between passes is not
+        # supported.
         mask = cache.selection_for(table, where, functions) if where is not None else None
-        if mask is not None:
-            if row_order is not None:
-                order = np.asarray(row_order, dtype=np.intp)
-                order = np.where(order < 0, order + mask.shape[0], order)
-                ordinals = order[mask[order]]
-            else:
-                ordinals = np.flatnonzero(mask)
-        else:
-            ordinals = np.asarray(row_order, dtype=np.intp)
-        # Gathered chunk lists occupy one cache slot per (decoder, chunk
-        # size); the order/selection identity rides along and is checked on
-        # hit.  Pass-invariant inputs — a logical shuffle-once permutation, a
-        # constant WHERE mask — therefore gather once per table version
-        # instead of once per epoch, while fresh per-epoch orders
-        # (shuffle-always) *replace* the slot's previous occupant, so at most
-        # one dataset-sized gathered copy is retained at a time.  Orders are
-        # treated as immutable: mutating a row_order sequence in place
-        # between passes is not supported.
-        slot_key = ("gathered", id(decoder), chunk_size, dtype)
         identity = (
             None if row_order is None else id(row_order),
             None if mask is None else id(mask),
         )
-        pin = (decoder, row_order, mask)
         gathered = cache.gathered_for(
-            table, slot_key, identity, pin,
-            lambda: gather_batches(batches, ordinals, chunk_size),
+            table, ("gathered", id(decoder), chunk_size), identity, (decoder, row_order, mask),
+            lambda: gather_batches(
+                batches, _visit_ordinals(len(table), row_order, mask), chunk_size
+            ),
         )
         if gathered is None:
             return None

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .aggregates import AggregateRegistry, UserDefinedAggregate, merge_partial_states
+from .aggregates import AggregateRegistry, UserDefinedAggregate
 from .chunk_plan import ChunkPlan
 from .errors import ExecutionError
 from .expressions import ColumnRef, Expression, FunctionCall, Star
@@ -89,11 +89,6 @@ class Executor:
         self.chunk_size = chunk_size
         #: Bound on retained ExampleCache entries (LRU by last touch).
         self.cache_entries = cache_entries
-        #: Compute dtype of the chunk plane's dense feature payloads:
-        #: ``"float64"`` (bit-for-bit default) or ``"float32"`` (opt-in —
-        #: halves page bytes; the model stays float64).  Set per pass by the
-        #: plan backends from :attr:`~repro.db.pass_plan.PassPlan.compute_dtype`.
-        self.compute_dtype = "float64"
         self._example_cache = None  # built lazily (avoids a db<->tasks import cycle)
         #: Simulated fixed cost charged per tuple fed to an aggregate; the
         #: engine personalities use this to model per-engine differences
@@ -281,7 +276,6 @@ class Executor:
                 where=where,
                 row_order=row_order,
                 functions=self.functions,
-                dtype=self.compute_dtype,
             )
         if plan is None and execution == "chunked":
             raise ExecutionError(
@@ -290,31 +284,6 @@ class Executor:
                 f"task {getattr(instance.chunk_decoder, 'name', None)!r})"
             )
         return plan
-
-    def _partition_chunks(
-        self,
-        table: Table,
-        instance: UserDefinedAggregate,
-        *,
-        where: Expression | None,
-        row_order: Sequence[int] | None,
-        execution: str,
-    ) -> ChunkPlan | None:
-        """Partition strategy of a multi-worker mergeable pass.
-
-        Returns the plan whose *whole chunks* are dealt round-robin to the
-        workers — only scalar reductions that declare ``chunk_partitionable``
-        qualify, and only unfiltered and unordered — or None, in which case
-        the pass partitions its visit ordinals.  Task-backed ordinal passes
-        gather each partition from the cached chunk list, which is the chunk
-        plane and so no degradation under ``"chunked"``; raw-row passes are.
-        """
-        whole_chunks = (
-            instance.chunk_partitionable and where is None and row_order is None
-        )
-        if not whole_chunks and instance.chunk_decoder is not None:
-            return None
-        return self.chunk_plan(table, instance, execution=execution)
 
     def run_state(
         self,
@@ -328,8 +297,9 @@ class Executor:
     ) -> Any:
         """initialize + transitions over one table pass; the raw state.
 
-        The single consumption loop behind :meth:`run_aggregate` and the
-        segmented engine's per-segment passes.  On the chunk plane the
+        The single consumption loop behind :meth:`run_aggregate` and every
+        in-process part of a partitioned pass
+        (:func:`~repro.db.pass_plan.run_partitioned`).  On the chunk plane the
         per-tuple engine overhead (tuple formation, UDA call, model passing)
         is charged once per chunk — the function-call boundary is crossed per
         batch, which is the entire reason vectorized execution wins.  Either
@@ -368,82 +338,6 @@ class Executor:
         if overhead_sink < 0:  # pragma: no cover - keeps the sink live
             raise ExecutionError("overhead accumulator underflow")
         return state
-
-    def run_chunk_partitioned(
-        self,
-        table: Table,
-        instance: UserDefinedAggregate,
-        workers: int,
-        plan: ChunkPlan,
-    ) -> Any:
-        """Serial reference for a chunk-partitioned scalar pass.
-
-        Runs the same partition contract as the process backend — worker ``w``
-        consumes cached chunks ``w::width`` in ascending order, partial states
-        merge left-to-right — sequentially in this process, so a process run
-        of the same plan is bit-for-bit this result.
-        """
-        batches = plan.batches
-        width = max(1, min(workers, len(batches)) if batches else 1)
-        table.scan_count += 1
-        states = []
-        for worker in range(width):
-            self._charge_overhead(instance.state_passing_units)
-            state = instance.initialize()
-            for chunk_id in range(worker, len(batches), width):
-                state = instance.transition_chunk(state, batches[chunk_id])
-            states.append(state)
-        return merge_partial_states(instance, states)
-
-    def run_row_partitioned(
-        self,
-        table: Table,
-        instance: UserDefinedAggregate,
-        workers: int,
-        *,
-        where: Expression | None = None,
-        row_order: Sequence[int] | None = None,
-        argument: Expression | None = None,
-    ) -> Any:
-        """Serial reference for a row-partitioned mergeable pass.
-
-        The visit ordinals (WHERE + row order composed exactly like the chunk
-        plane) split round-robin by position; each partition folds
-        ``transition_chunk`` over its ordinals of the cached chunk list, or —
-        unbatchable pairs, generic aggregates — replays per-item transitions
-        over the cache-decoded examples or the heap rows, and the partials
-        merge left-to-right.  This is the in-process counterpart of the
-        process backend's example/row partitioning: same partitions, same
-        kernels, same merge order — bit-for-bit.
-        """
-        from .chunk_plan import gather_batches, resolve_ordinals, split_round_robin
-
-        decoder = instance.chunk_decoder
-        ordinals = resolve_ordinals(table, self.example_cache, self.functions, where, row_order)
-        width = max(1, min(workers, len(ordinals)))
-        chunks = None if decoder is None else self.chunk_plan(table, instance, execution="auto")
-        if chunks is None:
-            items: Sequence[Any] = (
-                table.to_rows() if decoder is None
-                else self.example_cache.examples_for(table, decoder)
-            )
-        table.scan_count += 1
-        wants_row = instance.wants_row or argument is None
-        states = []
-        for part in split_round_robin(ordinals, width):
-            self._charge_overhead(instance.state_passing_units)
-            state = instance.initialize()
-            if chunks is not None:
-                for batch in gather_batches(chunks.batches, part, self.chunk_size):
-                    state = instance.transition_chunk(state, batch)
-            else:
-                for ordinal in part:
-                    item = items[int(ordinal)]
-                    if decoder is None and not wants_row:
-                        item = argument.evaluate(item, self.functions)
-                    state = instance.transition(state, item)
-            states.append(state)
-        return merge_partial_states(instance, states)
 
     def run_aggregate(
         self,

@@ -1,13 +1,17 @@
 """Segmented (shared-nothing) parallel engine, modelled on the paper's "DBMS B".
 
-A :class:`SegmentedDatabase` wraps a catalog of tables that are round-robin
-partitioned across ``num_segments`` segments.  Aggregates that provide a
-``merge`` function are executed independently on every segment and the partial
-states are merged before ``terminate`` — exactly the "pure UDA" parallelism of
-Section 3.3.  The per-segment work runs sequentially in this process or, with
-``backend="process"``, one OS worker per segment; either way the engine
-records the per-segment tuple counts and charges the personality's
-model-passing cost per segment.
+A :class:`SegmentedDatabase` is a facade: one master :class:`Database`, a
+segment count and a personality.  It holds no table of its own — segment
+``i`` of ``S`` is the rows ``i::S`` of the master table, named as visit
+ordinals over the master's one cached chunk list
+(:func:`~repro.db.pass_plan.partition_pass`), so loading, inserting,
+shuffling and recovering touch the master only.  Aggregates that provide a
+``merge`` function fold every segment independently and merge the partial
+states before ``terminate`` — exactly the "pure UDA" parallelism of Section
+3.3.  The segments fold sequentially in this process or, with
+``backend="process"``, one OS worker each; either way the engine records the
+per-segment tuple counts and charges the personality's model-passing cost
+per segment.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .aggregates import UserDefinedAggregate, merge_partial_states
+from .aggregates import UserDefinedAggregate
 from .engine import DBMS_B, Database, EnginePersonality
-from .errors import ExecutionError, UnknownTableError
-from .expressions import Expression
+from .errors import ExecutionError
+from .expressions import ColumnRef, Expression
+from .pass_plan import run_partitioned
 from .table import Table
 from .types import ColumnType, Schema
 
@@ -45,7 +50,7 @@ class ParallelAggregateResult:
 
 
 class SegmentedDatabase:
-    """A shared-nothing parallel database with round-robin partitioned tables."""
+    """A shared-nothing parallel database: a master engine read as segments."""
 
     def __init__(
         self,
@@ -70,21 +75,10 @@ class SegmentedDatabase:
         )
         if num_segments is not None and num_segments <= 0:
             raise ExecutionError("num_segments must be positive")
-        segments = num_segments if num_segments is not None else self.master.personality.default_segments
-        self.num_segments = segments
-        self._segment_tables: dict[str, list[Table]] = {}
-        #: Master-table version each segment set currently reflects, so
-        #: :meth:`redistribute` can classify the delta since the last sync and
-        #: extend segments in place on append-only mutations.
-        self._segment_versions: dict[str, int] = {}
-        # Durability only lives on the master: segment tables are derived
-        # state, reconstructible from the master heap, so crash recovery
-        # restores the master catalog and this loop re-partitions it —
-        # per-segment table identity (names, round-robin placement) is a pure
-        # function of the master, hence preserved across the crash.
-        for key, table in self.master.tables.items():
-            self._segment_tables[key] = table.partition(self.num_segments)
-            self._segment_versions[key] = table.version
+        self.num_segments = (
+            num_segments if num_segments is not None
+            else self.master.personality.default_segments
+        )
 
     @classmethod
     def open(
@@ -106,7 +100,7 @@ class SegmentedDatabase:
         return self.master.crash_injector
 
     def checkpoint(self):
-        """Snapshot the master catalog (segments are derived state)."""
+        """Snapshot the master catalog."""
         return self.master.checkpoint()
 
     def training_state(self, name: str):
@@ -123,72 +117,26 @@ class SegmentedDatabase:
     def create_table(
         self, name: str, columns: Sequence[tuple[str, ColumnType | str]] | Schema
     ) -> Table:
-        table = self.master.create_table(name, columns)
-        self._segment_tables[name.lower()] = table.partition(self.num_segments)
-        self._segment_versions[name.lower()] = table.version
-        return table
+        return self.master.create_table(name, columns)
 
     def load_table(self, table: Table, *, replace: bool = False) -> None:
-        """Register an already-populated table and distribute it to segments."""
+        """Register an already-populated table on the master."""
         self.master.register_table(table, replace=replace)
-        self._segment_tables[table.name.lower()] = table.partition(self.num_segments)
-        self._segment_versions[table.name.lower()] = table.version
 
     def insert(self, table_name: str, rows) -> int:
-        """Insert rows on the master and extend (or rebuild) the segments.
-
-        Appends route through the incremental path in :meth:`redistribute`:
-        the existing segment tables are extended in place, so their example
-        caches and any resident worker payloads survive the insert.
-        """
-        count = self.master.insert(table_name, rows)
-        self.redistribute(table_name)
-        return count
+        return self.master.insert(table_name, rows)
 
     def table(self, name: str) -> Table:
         return self.master.table(name)
 
     def segments_of(self, name: str) -> list[Table]:
-        try:
-            return self._segment_tables[name.lower()]
-        except KeyError:
-            raise UnknownTableError(name) from None
+        # Segments are ordinals, not tables; bench/workloads.py sums over this.
+        self.master.table(name)
+        return []
 
     def redistribute(self, name: str) -> None:
-        """Bring the segment tables back in sync with the master copy.
-
-        Consults the master's version ledger: when every mutation since the
-        last sync appended rows at the tail, the new rows are round-robin
-        *appended* to the existing segment tables — row ``g`` goes to segment
-        ``g % num_segments``, exactly where a full re-partition would put it,
-        so incremental extension and rebuild produce identical segments while
-        extension keeps the segment ``Table`` objects (and everything keyed on
-        them: example-cache entries, resident worker payloads) alive.
-        Physical rewrites fall back to a full re-partition.
-        """
-        table = self.master.table(name)
-        key = name.lower()
-        segments = self._segment_tables.get(key)
-        synced = self._segment_versions.get(key)
-        if segments is not None and synced is not None:
-            delta = table.classify_delta(synced)
-            if delta.is_same:
-                return
-            if delta.is_append:
-                self._extend_segments(segments, table, delta.base_rows)
-                self._segment_versions[key] = table.version
-                return
-        self._segment_tables[key] = table.partition(self.num_segments)
-        self._segment_versions[key] = table.version
-
-    def _extend_segments(self, segments: list[Table], table: Table, base_rows: int) -> None:
-        """Append the master rows ``[base_rows, len)`` to their home segments."""
-        buckets: list[list[tuple]] = [[] for _ in segments]
-        for offset, values in enumerate(table.tail_values(base_rows)):
-            buckets[(base_rows + offset) % len(segments)].append(values)
-        for segment, rows in zip(segments, buckets):
-            if rows:
-                segment.insert_many(rows)
+        # Nothing to bring in sync; bench/hooks.py still wraps the name.
+        self.master.table(name)
 
     # ------------------------------------------------------------ registration
     def register_aggregate(self, name: str, factory: Callable[[], UserDefinedAggregate]) -> None:
@@ -216,126 +164,74 @@ class SegmentedDatabase:
         """Run a UDA independently on every segment and merge the results.
 
         ``segment_row_orders`` optionally gives an explicit visit order per
-        segment (used by the logical ordering policies).  The aggregate must
-        support ``merge``; otherwise the call degrades to a single-segment run
-        on the master copy, mirroring how an RDBMS falls back to serial
-        aggregation for non-algebraic aggregates.  The fallback honours
-        ``segment_row_orders`` only when there is exactly one segment (whose
-        layout matches the master row for row); with several segments the
-        per-segment orders cannot be replayed serially and the call raises
-        rather than silently training in stored heap order.
+        segment, as positions within the segment (used by the logical
+        ordering policies).  The aggregate must support ``merge``; otherwise
+        the call degrades to a single-segment run on the master copy,
+        mirroring how an RDBMS falls back to serial aggregation for
+        non-algebraic aggregates.  The fallback honours ``segment_row_orders``
+        only when there is exactly one segment (which is the master row for
+        row); with several segments the per-segment orders cannot be replayed
+        serially and the call raises rather than silently training in stored
+        heap order.
 
         ``execution`` selects the per-segment code path, with the same
         contract as :meth:`Executor.run_aggregate`: ``"auto"`` (the default)
-        serves each segment from its own cached columnar chunks whenever the
-        aggregate and task support it, falling back to per-tuple; ``"per_tuple"``
-        forces the paper's tuple-at-a-time protocol; ``"chunked"`` raises if
-        any segment cannot chunk.  Unlike the serial
+        serves each segment from the master's cached columnar chunks whenever
+        the aggregate and task support it, falling back to per-tuple;
+        ``"per_tuple"`` forces the paper's tuple-at-a-time protocol;
+        ``"chunked"`` raises if the pass cannot chunk.  Unlike the serial
         :meth:`Executor.run_aggregate` — whose ``"per_tuple"`` default is kept
         as the paper's reference protocol — this entry point defaults to the
         chunk plane; callers measuring per-tuple engine overhead (Tables 2-3)
         must pass ``execution="per_tuple"`` explicitly.
 
-        ``backend`` selects who runs the per-segment work: ``"in_process"``
-        (the default) performs the segment passes sequentially in this
-        process; ``"process"`` runs each segment in its own OS worker from
-        the master engine's persistent pool.  The partitioning, per-example
-        float operations and left-to-right merge are identical, so for a
-        fixed seed and segment count the two backends produce **bit-for-bit
-        the same model** — the pure-UDA determinism contract.
+        ``backend`` selects who folds a segment: ``"in_process"`` (the
+        default) folds them sequentially in this process; ``"process"`` folds
+        each in its own OS worker from the master engine's persistent pool.
+        Both are :func:`~repro.db.pass_plan.run_partitioned` at width
+        ``num_segments``, so for a fixed seed and segment count they produce
+        **bit-for-bit the same model** — the pure-UDA determinism contract.
         """
         if execution not in ("per_tuple", "chunked", "auto"):
             raise ExecutionError(f"unknown execution mode {execution!r}")
         if backend not in ("in_process", "process"):
             raise ExecutionError(f"unknown execution backend {backend!r}")
-        segments = self.segments_of(table_name)
-        probe = aggregate_factory()
-        if not probe.supports_merge or self.num_segments == 1:
-            # The single-segment layout matches the master copy row for row,
-            # so its visit order applies directly; multi-segment orders are
-            # segment-local and cannot be replayed on the master fallback, so
-            # refusing beats silently training in stored heap order.
+        table = self.master.table(table_name)
+        instance = aggregate_factory()
+        if isinstance(argument, str):
+            argument = ColumnRef(argument)
+        if not instance.supports_merge or self.num_segments == 1:
             order = None
             if segment_row_orders is not None:
                 if self.num_segments > 1:
                     raise ExecutionError(
-                        f"aggregate {type(probe).__name__} does not support merge; "
+                        f"aggregate {type(instance).__name__} does not support merge; "
                         "the serial fallback cannot honour per-segment row orders"
                     )
                 order = segment_row_orders[0]
             value = self.master.executor.run_aggregate(
-                self.master.table(table_name), probe, argument,
-                where=where, row_order=order, execution=execution,
+                table, instance, argument, where=where, row_order=order, execution=execution,
             )
             return ParallelAggregateResult(
-                value=value,
-                per_segment_tuples=[len(self.master.table(table_name))],
-                num_segments=1,
-                merges=0,
+                value=value, per_segment_tuples=[len(table)], num_segments=1, merges=0,
             )
-
-        orders = (
-            segment_row_orders if segment_row_orders is not None else [None] * len(segments)
+        if backend == "process" and execution == "per_tuple":
+            raise ExecutionError(
+                "the process backend serves passes from the cached chunk "
+                "plane and cannot replay the per-tuple engine protocol; "
+                "use the in-process backend for per-tuple runs"
+            )
+        value, partition = run_partitioned(
+            self.master, table, instance, argument=argument, where=where,
+            execution=execution, workers=self.num_segments,
+            part_orders=segment_row_orders, on_pool=backend == "process",
         )
-        if backend == "process":
-            if execution == "per_tuple":
-                raise ExecutionError(
-                    "the process backend serves passes from the cached chunk "
-                    "plane and cannot replay the per-tuple engine protocol; "
-                    "use the in-process backend for per-tuple runs"
-                )
-            partial_states = self._segment_states_process(
-                segments, aggregate_factory, where, orders
-            )
-        else:
-            # Each segment keeps its own example-cache entries — keyed by the
-            # segment table's (name, version, task) exactly like the master
-            # table's — in the master executor's shared cache, so partitioned
-            # epochs decode each segment once per redistribution.
-            partial_states = [
-                self.master.executor.run_state(
-                    segment, aggregate_factory(), argument,
-                    where=where, row_order=order, execution=execution,
-                )
-                for segment, order in zip(segments, orders)
-            ]
         return ParallelAggregateResult(
-            value=merge_partial_states(probe, partial_states),
-            per_segment_tuples=[len(segment) for segment in segments],
-            num_segments=len(segments),
-            merges=len(partial_states) - 1,
+            value=value,
+            per_segment_tuples=partition.part_rows(),
+            num_segments=len(partition.parts),
+            merges=len(partition.parts) - 1,
         )
-
-    def _segment_states_process(
-        self,
-        segments: list[Table],
-        aggregate_factory: Callable[[], UserDefinedAggregate],
-        where: Expression | None,
-        orders: Sequence[Sequence[int] | None],
-    ) -> list:
-        """Segment passes on real OS workers: one worker per segment.
-
-        Each worker holds its segment's cached chunk list (shipped once,
-        then appended rows only) and folds ``transition_chunk`` over the
-        segment's visit order of it, as :meth:`Executor.run_state` does in
-        process; the caller merges the partial states left-to-right, so the
-        result is bit-for-bit identical for a fixed seed and segment count.
-        """
-        from .chunk_plan import resolve_ordinals
-        from .process_backend import run_partitioned_uda
-
-        executor = self.master.executor
-        pool = self.master.process_pool(len(segments))
-        parts = []
-        for segment, order in zip(segments, orders):
-            instance = aggregate_factory()
-            ordinals = resolve_ordinals(
-                segment, executor.example_cache, executor.functions, where, order
-            )
-            segment.scan_count += 1
-            executor._charge_overhead(instance.state_passing_units)
-            parts.append((segment, instance, ordinals))
-        return run_partitioned_uda(pool, parts, executor)
 
     # ------------------------------------------------------------------ misc
     def close_process_pools(self) -> None:
@@ -353,10 +249,8 @@ class SegmentedDatabase:
         self.close()
 
     def shuffle_table(self, name: str, *, seed: int | None = None) -> None:
-        """Shuffle the master copy and redistribute segments."""
-        rng = np.random.default_rng(seed)
-        self.master.table(name).shuffle(rng)
-        self.redistribute(name)
+        """Physically shuffle the master copy (segments follow by arithmetic)."""
+        self.master.table(name).shuffle(np.random.default_rng(seed))
 
     def __repr__(self) -> str:
         return (

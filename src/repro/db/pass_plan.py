@@ -20,29 +20,29 @@ spec×backend ``if/elif`` ladder collapses into ``compile_pass(...)`` +
 same plans — a ``backend="process"`` run parallelises the *whole* training
 loop, not just the gradient pass.
 
-Merge contract (what makes plans backend-portable):
-
-* a plan is **mergeable** when its aggregate provides ``merge``; partial
-  states always merge **left-to-right in partition order** and only then
-  ``terminate`` — every backend implements exactly this order, which is what
-  makes a process run bit-for-bit its serial counterpart;
-* **chunk-partitioned** plans additionally require the aggregate to declare
-  ``chunk_partitionable`` (scalar reductions: loss, accuracy): whole cached
-  chunks are dealt round-robin to workers and consumed vectorized;
-* order-sensitive aggregates (IGD) partition by **example ordinal** —
-  round-robin over the composed WHERE + row-order visit sequence, the same
-  layout the segmented engine gives shared-nothing segments — and each
-  partition gathers its ordinals from the cached chunk list;
-* aggregates without a decoding task partition by **raw row** and ship the
-  picklable argument expression (plus any scalar UDFs it references).
+What makes plans backend-portable is one partition → fold → merge path
+(:func:`partition_pass`, :func:`run_partitioned`): a multi-part pass is split
+by index arithmetic over the table's one cached chunk list — whole chunk ids
+for unfiltered ``chunk_partitionable`` reductions (loss, accuracy), visit
+ordinals for task-backed aggregates (IGD), raw-row ordinals for aggregates
+without a decoding task — each part is folded in this process or on a pool
+worker, and the partial states of a **mergeable** aggregate merge
+**left-to-right in part order** and only then ``terminate``.  The serial
+reference, the segmented engine (in process and on the pool) and the process
+backend differ only in who folds a part, which is what makes a process run
+bit-for-bit its serial counterpart.  The partition contract itself is stated
+once, on :func:`partition_pass`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
+import numpy as np
+
+from .aggregates import merge_partial_states
+from .chunk_plan import resolve_ordinals, split_round_robin
 from .errors import ExecutionError, WorkerDiedError
 from .expressions import ColumnRef
 
@@ -52,7 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.stepsize import StepSizeSchedule
     from ..tasks.base import Task
     from .aggregates import UserDefinedAggregate
+    from .chunk_plan import ChunkPlan
     from .engine import Database
+    from .executor import Executor
     from .expressions import Expression
     from .parallel import SegmentedDatabase
     from .table import Table
@@ -78,8 +80,9 @@ class TrainEpochContext:
     step_offset: int = 0
     spec: Any = None
     batch_size: int = 1
-    #: Per-segment visit orders for the segmented (pure-UDA) backend; the
-    #: plan-level ``row_order`` covers the single-table backends.
+    #: Per-segment visit orders (positions within segment ``i``, the rows
+    #: ``i::S``) for the segmented (pure-UDA) backend; the plan-level
+    #: ``row_order`` covers the single-table backends.
     segment_row_orders: "Sequence[Sequence[int] | None] | None" = None
 
 
@@ -109,10 +112,6 @@ class PassPlan:
     #: True when the aggregate declared ``chunk_partitionable`` (scalar
     #: reduction) — parallel backends deal whole cached chunks to workers.
     chunk_partitionable: bool = False
-    #: Compute dtype of the chunk plane for this pass: ``"float64"`` (the
-    #: bit-for-bit default) or ``"float32"`` (opt-in, halves chunk bytes).
-    #: Backends install it on the executor for the duration of the pass.
-    compute_dtype: str = "float64"
     train: TrainEpochContext | None = None
 
     def revalidate(self) -> "PassPlan":
@@ -141,10 +140,6 @@ class PassPlan:
             "automatically but physical rewrites require recompiling the pass"
         )
 
-    def check_version(self) -> None:
-        """Backend entry point: revalidate, absorbing append-only deltas."""
-        self.revalidate()
-
     def describe(self) -> str:
         width = f"x{self.workers}" if self.workers > 1 else ""
         return f"{self.kind}({self.table.name}@v{self.version}){width}"
@@ -160,7 +155,6 @@ def compile_pass(
     row_order: "Sequence[int] | None" = None,
     execution: str = "auto",
     workers: int = 1,
-    compute_dtype: str = "float64",
     train: TrainEpochContext | None = None,
 ) -> PassPlan:
     """Compile one pass to a backend-neutral plan.
@@ -178,10 +172,6 @@ def compile_pass(
         raise ExecutionError(f"unknown execution mode {execution!r}")
     if workers <= 0:
         raise ExecutionError("pass workers must be positive")
-    if compute_dtype not in ("float64", "float32"):
-        raise ExecutionError(
-            f"unknown compute dtype {compute_dtype!r}; expected 'float64' or 'float32'"
-        )
     if kind == "train" and train is None:
         raise ExecutionError("train passes require a TrainEpochContext")
     mergeable = True
@@ -205,26 +195,151 @@ def compile_pass(
         workers=workers,
         mergeable=mergeable,
         chunk_partitionable=chunk_partitionable,
-        compute_dtype=compute_dtype,
         train=train,
     )
 
 
-@contextmanager
-def _pass_compute_dtype(executor: Any, plan: PassPlan):
-    """Install the plan's compute dtype on the executor for one pass.
+class PassPartition(NamedTuple):
+    """How one multi-part pass is split: what a part holds, and the parts."""
 
-    The executor attribute is what the chunk-plan resolution (and through it
-    the cache and the process backend's payload keys) reads; restoring it on
-    exit keeps a float32 pass from leaking its dtype into unrelated passes
-    on the same engine.
+    #: ``"chunks"`` (ids into the cached chunk list), ``"examples"`` (visit
+    #: ordinals of a task-decoded table) or ``"rows"`` (raw-row ordinals).
+    kind: str
+    parts: list
+    #: The cached chunk list the ``"chunks"`` ids index; None otherwise.
+    chunks: "ChunkPlan | None" = None
+
+    def part_rows(self) -> list[int]:
+        """Rows each part visits."""
+        if self.chunks is None:
+            return [len(part) for part in self.parts]
+        batches = self.chunks.batches
+        return [sum(len(batches[chunk_id]) for chunk_id in part) for part in self.parts]
+
+
+def partition_pass(
+    executor: "Executor",
+    table: "Table",
+    instance: "UserDefinedAggregate",
+    *,
+    where: "Expression | None" = None,
+    row_order: "Sequence[int] | None" = None,
+    execution: str = "auto",
+    workers: int = 1,
+    part_orders: "Sequence[Sequence[int] | None] | None" = None,
+) -> PassPartition:
+    """The partition contract of every multi-part pass, stated once.
+
+    A partition is index arithmetic over the table's one cached chunk list —
+    no part owns a copy of any row.  The width is ``min(workers, items)``
+    (at least 1) and item ``j`` goes to part ``j % width``:
+
+    * an unfiltered, unordered pass of a ``chunk_partitionable`` aggregate
+      (loss, accuracy) deals **whole chunk ids**, so a part folds cached
+      chunks as they are;
+    * every other pass deals the positions of its visit sequence (the row
+      order, else heap order) — **visit ordinals** a task-backed aggregate
+      gathers from the chunk list, **raw-row ordinals** for an aggregate
+      without a decoding task.  In heap order part ``i`` is rows
+      ``i::width``: segment ``i`` of a shared-nothing layout;
+    * ``part_orders`` then permutes each part by a part-local order (the
+      segment-local shuffles and delta suffixes of a pure-UDA epoch), and
+      WHERE drops rows inside each part through the cached selection vector
+      — placement never depends on the predicate.
     """
-    previous = getattr(executor, "compute_dtype", "float64")
-    executor.compute_dtype = plan.compute_dtype
-    try:
-        yield executor
-    finally:
-        executor.compute_dtype = previous
+    decoder = instance.chunk_decoder
+    whole_chunks = (
+        instance.chunk_partitionable
+        and where is None and row_order is None and part_orders is None
+    )
+    if whole_chunks or decoder is None:
+        # Raw rows are off the chunk plane: this raises under "chunked".
+        chunks = executor.chunk_plan(table, instance, execution=execution)
+        if chunks is not None:
+            width = max(1, min(workers, len(chunks)))
+            ids = [np.arange(part, len(chunks), width, dtype=np.intp) for part in range(width)]
+            return PassPartition("chunks", ids, chunks)
+    cache, functions = executor.example_cache, executor.functions
+    mask = cache.selection_for(table, where, functions) if where is not None else None
+    orders = None if part_orders is None else list(part_orders)
+
+    def deal() -> list:
+        visit = resolve_ordinals(table, cache, functions, None, row_order)
+        parts = split_round_robin(visit, max(1, min(workers, len(visit))))
+        if orders is not None:
+            if len(orders) < len(parts):
+                raise ExecutionError(
+                    f"{len(parts)} parts need one order each, got {len(orders)}"
+                )
+            parts = [
+                part if order is None else np.asarray(part)[np.asarray(order, dtype=np.intp)]
+                for part, order in zip(parts, orders)
+            ]
+        if mask is not None:
+            parts = [np.asarray(part)[mask[part]] for part in parts]
+        return parts
+
+    # The same inputs name the same parts: kept (like any gather) so that an
+    # in-process fold of a pass-invariant part finds its gathered chunks.
+    identity = (workers, id(row_order), id(mask), tuple(map(id, orders or ())))
+    parts = cache.gathered_for(table, ("parts",), identity, (row_order, mask, orders), deal)
+    return PassPartition("rows" if decoder is None else "examples", parts)
+
+
+def run_partitioned(
+    engine: "Database",
+    table: "Table",
+    instance: "UserDefinedAggregate",
+    *,
+    argument: "Expression | None" = None,
+    where: "Expression | None" = None,
+    row_order: "Sequence[int] | None" = None,
+    execution: str = "auto",
+    workers: int = 1,
+    part_orders: "Sequence[Sequence[int] | None] | None" = None,
+    on_pool: bool = False,
+) -> "tuple[Any, PassPartition]":
+    """Partition → fold → merge: the one path of every multi-part pass.
+
+    Splits the pass with :func:`partition_pass`, charges the state-passing
+    cost once per part, folds each part — in this process through
+    :meth:`Executor.run_state` (whole chunks directly), or with ``on_pool``
+    one part per worker of the engine's ``workers``-wide pool — counts one
+    logical scan, and merges the partial states left-to-right.  The backends
+    differ only in who folds a part, and a part folds over the same chunk
+    blocks with the same kernels wherever it runs, so for a fixed width every
+    backend returns bit-for-bit the same value.
+    """
+    executor = engine.executor
+    partition = partition_pass(
+        executor, table, instance, where=where, row_order=row_order,
+        execution=execution, workers=workers, part_orders=part_orders,
+    )
+    kind, parts, chunks = partition
+    scans = table.scan_count
+    for _ in parts:
+        executor._charge_overhead(instance.state_passing_units)
+    if on_pool:
+        from .process_backend import fold_on_pool
+
+        states = fold_on_pool(
+            engine.process_pool(workers), executor, table, instance, kind, parts, argument
+        )
+    elif kind == "chunks":
+        states = []
+        for part in parts:
+            state = instance.initialize()
+            for chunk_id in part:
+                state = instance.transition_chunk(state, chunks.batches[chunk_id])
+            states.append(state)
+    else:
+        states = [
+            executor.run_state(table, instance, argument, row_order=part, execution=execution)
+            for part in parts
+        ]
+    # The parts together read each visited row once: one logical scan.
+    table.scan_count = scans + 1
+    return merge_partial_states(instance, states), partition
 
 
 def _retry_then_degrade(
@@ -305,9 +420,8 @@ class SerialBackend(ExecutionBackend):
     """Runs plans in this process on the engine's executor.
 
     Multi-partition mergeable plans run the *reference partitioned pass* —
-    the identical partition layout, per-item operations and left-to-right
-    merge the process backend uses — sequentially, which is what gives every
-    parallel backend an in-process bit-for-bit counterpart.
+    :func:`run_partitioned` folding every part in this process — which is
+    what gives every parallel backend an in-process bit-for-bit counterpart.
     """
 
     name = "serial"
@@ -316,11 +430,8 @@ class SerialBackend(ExecutionBackend):
         self.engine = engine
 
     def run(self, plan: PassPlan) -> Any:
-        plan.check_version()
-        with _pass_compute_dtype(self.engine.executor, plan) as executor:
-            return self._run(executor, plan)
-
-    def _run(self, executor: Any, plan: PassPlan) -> Any:
+        plan.revalidate()
+        executor = self.engine.executor
         if plan.kind == "train":
             context = plan.train
             model = executor.run_aggregate(
@@ -332,26 +443,7 @@ class SerialBackend(ExecutionBackend):
             )
             return model, _steps_taken(model, context.step_offset, len(plan.table))
         if plan.workers > 1 and plan.mergeable and plan.execution != "per_tuple":
-            instance = plan.factory()
-            chunks = executor._partition_chunks(
-                plan.table,
-                instance,
-                where=plan.where,
-                row_order=plan.row_order,
-                execution=plan.execution,
-            )
-            if chunks is not None:
-                return executor.run_chunk_partitioned(
-                    plan.table, instance, plan.workers, chunks
-                )
-            return executor.run_row_partitioned(
-                plan.table,
-                instance,
-                plan.workers,
-                where=plan.where,
-                row_order=plan.row_order,
-                argument=plan.argument,
-            )
+            return _run_plan_partitioned(self.engine, plan, on_pool=False)
         return executor.run_aggregate(
             plan.table,
             plan.factory(),
@@ -373,7 +465,7 @@ class SharedMemoryBackend(ExecutionBackend):
     def run(self, plan: PassPlan) -> Any:
         from .shared_memory import run_shared_memory_epoch
 
-        plan.check_version()
+        plan.revalidate()
         if plan.kind != "train":
             raise ExecutionError(
                 "the shared-memory epoch backend only executes train plans; "
@@ -401,8 +493,8 @@ class SharedMemoryBackend(ExecutionBackend):
 class SegmentedBackend(ExecutionBackend):
     """Shared-nothing segments merged by the aggregate's ``merge`` function.
 
-    ``process=True`` runs each segment in its own OS worker (bit-for-bit the
-    in-process result — same partitions, same merge order).
+    ``process=True`` folds each segment in its own OS worker (bit-for-bit the
+    in-process result — :func:`run_partitioned` either way).
     """
 
     name = "segmented"
@@ -430,37 +522,30 @@ class SegmentedBackend(ExecutionBackend):
         )
 
     def _run(self, plan: PassPlan, backend: str) -> Any:
-        plan.check_version()
-        if plan.kind == "train":
-            context = plan.train
-            outcome = self.database.run_parallel_aggregate(
-                plan.table.name,
-                plan.factory,
-                segment_row_orders=context.segment_row_orders,
-                execution=plan.execution,
-                backend=backend,
-            )
-            model: "Model" = outcome.value
-            return model, _steps_taken(model, context.step_offset, len(plan.table))
+        plan.revalidate()
+        context = plan.train
         outcome = self.database.run_parallel_aggregate(
             plan.table.name,
             plan.factory,
             plan.argument,
             where=plan.where,
+            segment_row_orders=None if context is None else context.segment_row_orders,
             execution=plan.execution,
             backend=backend,
         )
-        return outcome.value
+        if context is None:
+            return outcome.value
+        model: "Model" = outcome.value
+        return model, _steps_taken(model, context.step_offset, len(plan.table))
 
 
 class ProcessBackend(ExecutionBackend):
     """Runs plans on the engine's persistent forked worker pool.
 
     Train plans with a shared-memory spec race real OS workers on the
-    mmap-shared model; every other plan fans out over the pool with the
-    partition strategy the plan's merge contract picks (chunks, examples or
-    raw rows) and merges partials left-to-right — bit-for-bit the
-    :class:`SerialBackend` reference of the same plan.
+    mmap-shared model; every other plan is :func:`run_partitioned` with one
+    part per pool worker — bit-for-bit the :class:`SerialBackend` reference
+    of the same plan.
 
     Self-healing follows :func:`_retry_then_degrade`.  Retry semantics follow
     the plan's determinism contract: mergeable aggregate passes re-run
@@ -478,7 +563,7 @@ class ProcessBackend(ExecutionBackend):
         self.engine = engine
 
     def run(self, plan: PassPlan) -> Any:
-        plan.check_version()
+        plan.revalidate()
         if plan.execution == "per_tuple":
             raise ExecutionError(
                 "the process backend serves passes from the cached chunk "
@@ -512,10 +597,6 @@ class ProcessBackend(ExecutionBackend):
         )
 
     def _execute(self, plan: PassPlan) -> Any:
-        with _pass_compute_dtype(self.engine.executor, plan) as executor:
-            return self._execute_with(executor, plan)
-
-    def _execute_with(self, executor: Any, plan: PassPlan) -> Any:
         if plan.kind == "train":
             from .process_backend import run_process_shared_memory_epoch
             from .shared_memory import SharedMemoryParallelism
@@ -535,25 +616,27 @@ class ProcessBackend(ExecutionBackend):
                 spec=context.spec,
                 pool=self.engine.process_pool(context.spec.workers),
                 arena=self.engine.shared_memory,
-                executor=executor,
+                executor=self.engine.executor,
                 epoch=context.epoch,
                 step_offset=context.step_offset,
                 proximal=context.proximal,
                 row_order=plan.row_order,
             )
-        from .process_backend import run_process_aggregate
+        if not plan.mergeable:
+            raise ExecutionError(
+                f"aggregate {type(plan.factory()).__name__} does not support merge; "
+                "the process backend requires an algebraic (mergeable) aggregate"
+            )
+        return _run_plan_partitioned(self.engine, plan, on_pool=True)
 
-        return run_process_aggregate(
-            executor,
-            plan.table,
-            plan.factory(),
-            pool=self.engine.process_pool(plan.workers),
-            where=plan.where,
-            row_order=plan.row_order,
-            workers=plan.workers,
-            argument=plan.argument,
-            execution=plan.execution,
-        )
+
+def _run_plan_partitioned(engine: "Database", plan: PassPlan, *, on_pool: bool) -> Any:
+    value, _ = run_partitioned(
+        engine, plan.table, plan.factory(), argument=plan.argument, where=plan.where,
+        row_order=plan.row_order, execution=plan.execution, workers=plan.workers,
+        on_pool=on_pool,
+    )
+    return value
 
 
 # ---------------------------------------------------------------------------

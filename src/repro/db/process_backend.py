@@ -16,17 +16,20 @@ Architecture:
 * **One payload per (table, decoder): the cached chunk list** — the
   columnar batches the shared :class:`~repro.tasks.base.ExampleCache` decoded
   are published once (dense arrays as ``/dev/shm`` pages) and kept resident
-  by key.  Gradient, loss and accuracy passes all read that one payload;
-  epochs send only ordinals (a ``range`` for heap order), so a logical
-  shuffle never re-ships a row, and appends ship the appended rows only.
+  by key.  Gradient, loss and accuracy passes all read that one payload —
+  pure-UDA segments included, which are ordinals over the master table's
+  list, not tables of their own; epochs send only ordinals (a ``range`` for
+  heap order), so a logical shuffle never re-ships a row, and appends ship
+  the appended rows only.
 * **Worker-side gather, one kernel** — a worker gathers its ordinals from
   the resident batches (:func:`~repro.db.chunk_plan.gather_batches`; skipped
   for the identity range, kept while the same ordinals keep arriving) and
-  folds ``transition_chunk`` / ``igd_chunk`` over the result.  Partitions are
-  :func:`~repro.db.chunk_plan.split_round_robin` over visit positions, the
-  contract shared with the in-process backends — which makes the pure-UDA
-  process path *bit-for-bit identical* to the in-process segmented engine:
-  same partitions, same chunk kernels, same left-to-right merge.
+  folds ``transition_chunk`` / ``igd_chunk`` over the result.  Which ordinals
+  a worker gets is decided in one place
+  (:func:`~repro.db.pass_plan.partition_pass`), and :func:`fold_on_pool` is
+  only the pool half of :func:`~repro.db.pass_plan.run_partitioned` — which
+  makes a pooled pass *bit-for-bit identical* to the same pass folded in
+  process: same parts, same chunk kernels, same left-to-right merge.
 * **Shared-memory epochs** — each worker attaches to the model segment's OS
   name.  ``nolock`` binds the model onto the mmap'd pages and runs
   ``igd_chunk`` straight on them (true Hogwild: unsynchronised
@@ -54,13 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggregates import merge_partial_states
-from .chunk_plan import (
-    extend_chunk_list,
-    gather_batches,
-    resolve_ordinals,
-    split_round_robin,
-)
+from .chunk_plan import extend_chunk_list, gather_batches
 from .errors import ExecutionError, WorkerDiedError
 from .fault import FaultInjector, FaultPlan
 from .shared_memory import (
@@ -76,7 +73,6 @@ from .table import Table
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.model import Model
     from .aggregates import UserDefinedAggregate
-    from .chunk_plan import ChunkPlan
     from .executor import Executor
 
 
@@ -891,11 +887,9 @@ class ProcessWorkerPool:
 # table's id() is part of the key (and the table is pinned) so a
 # dropped-and-recreated table of the same name can never alias a stale
 # resident payload.
-def batches_payload_key(
-    table: Table, decoder: Any, chunk_size: int, dtype: str = "float64"
-) -> tuple:
+def batches_payload_key(table: Table, decoder: Any, chunk_size: int) -> tuple:
     """Worker-side payload key for one table's cached columnar chunk list."""
-    return ("batches", table.name, id(table), id(decoder), chunk_size, dtype)
+    return ("batches", table.name, id(table), id(decoder), chunk_size)
 
 
 def chunk_size_of(key: tuple) -> int:
@@ -921,7 +915,7 @@ def _ship_batches(
     (task, table) pair it cannot batch raises as ``execution="chunked"`` does.
     """
     decoder = instance.chunk_decoder
-    key = batches_payload_key(table, decoder, executor.chunk_size, executor.compute_dtype)
+    key = batches_payload_key(table, decoder, executor.chunk_size)
 
     def batches() -> list:
         return executor.chunk_plan(table, instance, execution="chunked").batches
@@ -940,173 +934,15 @@ def _ship_batches(
     return key
 
 
-# ---------------------------------------------------------------------------
-# Partitioned mergeable UDA (pure-UDA parallelism / Executor backend)
-# ---------------------------------------------------------------------------
-def run_partitioned_uda(
-    pool: ProcessWorkerPool,
-    parts: "Sequence[tuple[Table, UserDefinedAggregate, Sequence[int]]]",
-    executor: "Executor",
-) -> list:
-    """Run one UDA instance per (table, ordinals) part, one part per worker.
+def _ship_rows(pool: "ProcessWorkerPool", workers: Iterable[int], table: Table) -> tuple:
+    """Make ``table``'s raw row block resident on ``workers``; returns its key.
 
-    Returns the raw per-part states in part order (the caller merges).  The
-    worker folds ``transition_chunk`` over the part's ordinals (a ``range``
-    for heap order, never ``None``) of the table's resident chunk list: the
-    kernels and chunk boundaries of an in-process chunked pass over the same
-    rows, so the states are bit-for-bit equal.
+    Generic (non-task) aggregates fold raw rows; like the chunk list the block
+    ships once per table and appends ship the appended rows only.
     """
-    if len(parts) > pool.workers:
-        raise ExecutionError(
-            f"{len(parts)} partitions need at least as many pool workers "
-            f"(pool has {pool.workers})"
-        )
-    # One shipment per table, no matter how many workers share it (every
-    # partition of one table shares its payload; segments have one each).
-    sharers: dict[int, list[int]] = {}
-    for worker, (table, _, _) in enumerate(parts):
-        sharers.setdefault(id(table), []).append(worker)
-    messages: dict[int, tuple] = {}
-    for workers in sharers.values():
-        table, instance, _ = parts[workers[0]]
-        key = _ship_batches(pool, workers, executor, table, instance)
-        for worker in workers:
-            messages[worker] = ("uda_state", key, *parts[worker][1:])
-    states = pool.run(messages)
-    return [states[worker] for worker in sorted(states)]
-
-
-def run_process_aggregate(
-    executor: "Executor",
-    table: Table,
-    instance: "UserDefinedAggregate",
-    *,
-    pool: ProcessWorkerPool,
-    where=None,
-    row_order: Sequence[int] | None = None,
-    workers: int | None = None,
-    argument=None,
-    execution: str = "auto",
-) -> Any:
-    """Run one mergeable aggregate over round-robin partitions of a table.
-
-    The partition contract is :func:`partition_round_robin` over the visit
-    ordinals — the same layout the segmented engine uses — so the result is
-    bit-for-bit identical to a :class:`~repro.db.parallel.SegmentedDatabase`
-    run with ``num_segments == pool.workers``.  ``workers`` caps the fan-out
-    below the pool size (a compiled :class:`~repro.db.pass_plan.PassPlan`
-    carries the requested width).
-
-    Three partition strategies, chosen by the aggregate's contract
-    (:meth:`Executor._partition_chunks` decides whole chunks vs ordinals):
-
-    * **chunk-partitioned** — scalar reductions that declare
-      ``chunk_partitionable`` (loss, accuracy) keep the cached columnar chunk
-      list resident and fan whole chunks out to workers;
-    * **example-partitioned** — order-sensitive task-backed aggregates (IGD)
-      read the same resident list: each worker gathers its visit ordinals
-      from it and runs ``transition_chunk`` over the result;
-    * **generic rows** — aggregates without a decoding task (built-in SQL
-      aggregates) ship the raw row block plus the picklable argument
-      expression and any scalar UDFs it references.
-    """
-    if not instance.supports_merge:
-        raise ExecutionError(
-            f"aggregate {type(instance).__name__} does not support merge; "
-            "the process backend requires an algebraic (mergeable) aggregate"
-        )
-    chunks = executor._partition_chunks(
-        table, instance, where=where, row_order=row_order, execution=execution
-    )
-    if chunks is not None:
-        return run_process_chunk_aggregate(
-            executor, table, instance, chunks, pool=pool, workers=workers
-        )
-    if instance.chunk_decoder is None:
-        return run_process_generic_aggregate(
-            executor, table, instance, pool=pool,
-            where=where, row_order=row_order, workers=workers, argument=argument,
-        )
-    ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
-    width = _effective_workers(pool, workers, len(ordinals))
-    # One logical scan of the table's data, exactly like the serial paths.
-    table.scan_count += 1
-    parts = []
-    for part in split_round_robin(ordinals, width):  # position i -> worker i % width
-        executor._charge_overhead(instance.state_passing_units)
-        parts.append((table, instance, part))
-    return merge_partial_states(instance, run_partitioned_uda(pool, parts, executor))
-
-
-def _effective_workers(pool: ProcessWorkerPool, workers: int | None, items: int) -> int:
-    width = pool.workers if workers is None else min(workers, pool.workers)
-    return max(1, min(width, items) if items else 1)
-
-
-def run_process_chunk_aggregate(
-    executor: "Executor",
-    table: Table,
-    instance: "UserDefinedAggregate",
-    plan: "ChunkPlan",
-    *,
-    pool: ProcessWorkerPool,
-    workers: int | None = None,
-) -> Any:
-    """Chunk-partitioned scalar pass: whole cached chunks fan out to workers.
-
-    The cached columnar chunk list is shipped once per table version (the
-    same resident payload the gradient passes gather from); per-epoch
-    messages carry chunk ordinals only.  Worker ``w`` runs
-    ``transition_chunk`` over chunks ``w::width`` in ascending order and the
-    parent merges the scalar partials left-to-right — bit-for-bit the serial
-    reference runner (:meth:`Executor.run_chunk_partitioned`) on the same
-    width.
-    """
-    batches = plan.batches
-    width = _effective_workers(pool, workers, len(batches))
-    key = _ship_batches(pool, range(width), executor, table, instance)
-    table.scan_count += 1
-    messages: dict[int, tuple] = {}
-    for worker in range(width):
-        executor._charge_overhead(instance.state_passing_units)
-        messages[worker] = (
-            "chunk_uda", key, instance, np.arange(worker, len(batches), width, dtype=np.intp)
-        )
-    states = pool.run(messages)
-    return merge_partial_states(instance, [states[worker] for worker in sorted(states)])
-
-
-def run_process_generic_aggregate(
-    executor: "Executor",
-    table: Table,
-    instance: "UserDefinedAggregate",
-    *,
-    pool: ProcessWorkerPool,
-    where=None,
-    row_order: Sequence[int] | None = None,
-    workers: int | None = None,
-    argument=None,
-) -> Any:
-    """Generic (non-task) mergeable aggregate over raw row blocks.
-
-    The table's rows are shipped pickled-once per table version; WHERE is
-    resolved parent-side through the cached selection vector, so workers
-    receive plain visit-ordinal arrays plus the argument expression and the
-    scalar UDFs it references (which must be picklable — module-level
-    functions, not lambdas).  Merge is deterministic left-to-right, so for a
-    fixed width the result is bit-for-bit the serial reference runner
-    (:meth:`Executor.run_row_partitioned`).
-    """
-    ordinals = resolve_ordinals(table, executor.example_cache, executor.functions, where, row_order)
-    width = _effective_workers(pool, workers, len(ordinals))
-    functions: dict[str, Callable] = {}
-    if argument is not None:
-        for name in sorted(argument.referenced_functions()):
-            if name in executor.functions:
-                functions[name] = executor.functions[name]
     key = rows_payload_key(table)
 
-    def extend_rows(from_version: int) -> "tuple[str, Any] | None":
+    def extend(from_version: int) -> "tuple[str, Any] | None":
         delta = table.classify_delta(from_version)
         if not delta.is_append:
             return None
@@ -1119,16 +955,59 @@ def run_process_generic_aggregate(
         return ("list_extend", (delta.base_rows, new_rows))
 
     pool.ensure_loaded(
-        range(width), key, table.to_rows, pin=table,
-        version=table.version, extend=extend_rows,
+        workers, key, table.to_rows, pin=table, version=table.version, extend=extend
     )
-    table.scan_count += 1
-    messages: dict[int, tuple] = {}
-    for worker, part in enumerate(split_round_robin(ordinals, width)):
-        executor._charge_overhead(instance.state_passing_units)
-        messages[worker] = ("generic_uda", key, instance, argument, part, functions)
+    return key
+
+
+# ---------------------------------------------------------------------------
+# Folding the parts of a partitioned pass on the pool
+# ---------------------------------------------------------------------------
+def fold_on_pool(
+    pool: ProcessWorkerPool,
+    executor: "Executor",
+    table: Table,
+    instance: "UserDefinedAggregate",
+    kind: str,
+    parts: Sequence,
+    argument=None,
+) -> list:
+    """Fold part ``i`` of a partitioned pass on worker ``i``; states in part order.
+
+    The pool half of :func:`~repro.db.pass_plan.run_partitioned`, which has
+    already partitioned, counted and charged the pass and merges what this
+    returns.  Every part reads the table's one resident payload — the cached
+    chunk list for ``"chunks"`` (whole chunk ids) and ``"examples"`` (visit
+    ordinals the worker gathers), the raw row block for ``"rows"`` — so the
+    message carries ordinals only, plus for raw rows the argument expression
+    and the scalar UDFs it references (picklable: module-level functions,
+    not lambdas).  Workers run the same kernels over the same chunk blocks as
+    an in-process fold of the part, so the states are bit-for-bit equal.
+    """
+    if len(parts) > pool.workers:
+        raise ExecutionError(
+            f"{len(parts)} partitions need at least as many pool workers "
+            f"(pool has {pool.workers})"
+        )
+    workers = range(len(parts))
+    if kind == "rows":
+        key = _ship_rows(pool, workers, table)
+        names = sorted(argument.referenced_functions()) if argument is not None else ()
+        functions = {
+            name: executor.functions[name] for name in names if name in executor.functions
+        }
+        messages = {
+            worker: ("generic_uda", key, instance, argument, part, functions)
+            for worker, part in enumerate(parts)
+        }
+    else:
+        key = _ship_batches(pool, workers, executor, table, instance)
+        op = "chunk_uda" if kind == "chunks" else "uda_state"
+        messages = {
+            worker: (op, key, instance, part) for worker, part in enumerate(parts)
+        }
     states = pool.run(messages)
-    return merge_partial_states(instance, [states[worker] for worker in sorted(states)])
+    return [states[worker] for worker in sorted(states)]
 
 
 # ---------------------------------------------------------------------------

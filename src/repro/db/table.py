@@ -507,29 +507,6 @@ class Table:
         if len(self._ledger) > self.ledger_capacity:
             del self._ledger[: len(self._ledger) - self.ledger_capacity]
 
-    # ------------------------------------------------------------ partitioning
-    def partition(self, num_segments: int) -> list["Table"]:
-        """Round-robin partition into ``num_segments`` segment tables.
-
-        Mirrors how a shared-nothing parallel database (the paper's "DBMS B")
-        distributes a heap across segments.
-        """
-        if num_segments <= 0:
-            raise SchemaError("num_segments must be positive")
-        segments = [
-            Table(f"{self.name}__seg{i}", self.schema, page_size=self.page_size)
-            for i in range(num_segments)
-        ]
-        for ordinal, values in enumerate(
-            values for page in self._pages for values in page
-        ):
-            segment = segments[ordinal % num_segments]
-            if not segment._pages or len(segment._pages[-1]) >= segment.page_size:
-                segment._pages.append([])
-            segment._pages[-1].append(values)
-            segment._num_rows += 1
-        return segments
-
     def __repr__(self) -> str:
         return (
             f"Table(name={self.name!r}, rows={self._num_rows}, "

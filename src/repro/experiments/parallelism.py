@@ -131,8 +131,6 @@ class SpeedupResult:
     dataset: str = "classify_large"
     #: Measured per-epoch seconds per scheme.
     epoch_seconds: dict[str, list[float]] = field(default_factory=dict)
-    #: The kernels' compute dtype — provenance for cross-snapshot comparisons.
-    compute_dtype: str = "float64"
 
     def render(self) -> str:
         headers = ["Workers"] + list(self.speedups)
@@ -160,7 +158,6 @@ class SpeedupResult:
         payload = {
             "cores": self.cores,
             "dataset": self.dataset,
-            "compute_dtype": self.compute_dtype,
             "serial_epoch_seconds": round(self.serial_epoch_seconds, 4),
             "worker_counts": list(self.worker_counts),
             "speedups": {
@@ -297,8 +294,6 @@ class WholeLoopResult:
     #: pass (process-backed for the parallel modes — the same pass-plan
     #: machinery and worker pool the training loop uses).
     final_eval: dict[str, float] = field(default_factory=dict)
-    #: Kernel compute dtype provenance.
-    compute_dtype: str = "float64"
 
     def speedup_vs_gradient_only(self) -> float:
         """Steady-state whole-loop speed-up over the gradient-only shape."""
@@ -335,7 +330,6 @@ class WholeLoopResult:
             "epochs": self.epochs,
             "scheme": self.scheme,
             "dataset": self.dataset,
-            "compute_dtype": self.compute_dtype,
             "total_seconds": {k: round(v, 4) for k, v in self.total_seconds.items()},
             "steady_seconds": {k: round(v, 4) for k, v in self.steady_seconds.items()},
             "speedup_vs_gradient_only": round(self.speedup_vs_gradient_only(), 3),

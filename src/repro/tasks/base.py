@@ -228,33 +228,6 @@ class ExampleBatch:
             dimension=first.dimension,
         )
 
-    def astype(self, dtype) -> "ExampleBatch":
-        """The same rows with the feature payload cast to ``dtype``.
-
-        Only the dense feature arrays (``X`` for dense, ``data`` for sparse)
-        are cast — labels and CSR structure arrays are *shared* with the
-        source batch, and the batch is returned as-is when the features
-        already have the requested dtype.  This is the float32 compute mode's
-        entry point: the model stays float64, and numpy's upcasting rules
-        make every kernel (``decision_values``, ``row_dot``, ...) mix float32
-        features with float64 weights without further changes.
-        """
-        dtype = np.dtype(dtype)
-        if self.kind == "dense":
-            if self.X.dtype == dtype:
-                return self
-            return ExampleBatch("dense", X=self.X.astype(dtype), y=self.y, dimension=self.dimension)
-        if self.data.dtype == dtype:
-            return self
-        return ExampleBatch(
-            "sparse",
-            indptr=self.indptr,
-            indices=self.indices,
-            data=self.data.astype(dtype),
-            y=self.y,
-            dimension=self.dimension,
-        )
-
     def __repr__(self) -> str:
         return f"ExampleBatch(kind={self.kind!r}, rows={self.length}, dim={self.dimension})"
 
@@ -390,20 +363,11 @@ class ExampleCache:
         return delta
 
     def batches_for(
-        self, table: "Table", task: "Task", chunk_size: int, dtype: str = "float64"
+        self, table: "Table", task: "Task", chunk_size: int
     ) -> "list[ExampleBatch] | None":
-        """Cached batches for ``table`` decoded by ``task``; None if unbatchable.
-
-        ``dtype`` selects the compute dtype of the chunk plane: ``"float64"``
-        (the default) returns the decode-once cached batches; any other value
-        is served as a *derived cast* of the float64 entry — one decode per
-        table version, one cheap vectorized cast per (version, dtype) — so
-        opting into float32 never doubles decode work.
-        """
+        """Cached batches for ``table`` decoded by ``task``; None if unbatchable."""
         if not getattr(task, "supports_batches", False):
             return None
-        if dtype != "float64":
-            return self._cast_batches_for(table, task, chunk_size, dtype)
         key = (table.name, id(task), chunk_size)
         version = table.version
         entry = self._entries.get(key)
@@ -432,35 +396,6 @@ class ExampleCache:
             self.decoded_rows += len(table)
         self._store(key, entry, table, version, batches, task)
         return batches
-
-    def _cast_batches_for(
-        self, table: "Table", task: "Task", chunk_size: int, dtype: str
-    ) -> "list[ExampleBatch] | None":
-        """A cached dtype-cast view of the float64 chunk list (or ``None``).
-
-        Keyed beside the float64 entry with the dtype appended; stale casts
-        (table mutated) are simply re-cast from the — possibly incrementally
-        extended — float64 batches, never re-decoded.  Batch types without a
-        cast kernel (:class:`DecodedExampleBatch`) pass through uncast.
-        """
-        key = (table.name, id(task), chunk_size, dtype)
-        version = table.version
-        entry = self._entries.get(key)
-        if entry is not None and entry.valid_for(table, version):
-            self.hits += 1
-            self._touch(key)
-            return entry.payload
-        base = self.batches_for(table, task, chunk_size)
-        if base is None:
-            cast = None
-        else:
-            target = np.dtype(dtype)
-            cast = [
-                batch.astype(target) if hasattr(batch, "astype") else batch
-                for batch in base
-            ]
-        self._store(key, entry, table, version, cast, task)
-        return cast
 
     def _extend_batches(
         self,
@@ -576,30 +511,33 @@ class ExampleCache:
     def gathered_for(
         self, table: "Table", slot_key: tuple, identity: tuple, pin: Any, build
     ) -> Any:
-        """Single-slot variant of :meth:`derived_for` for gathered chunk lists.
+        """Bounded-slot variant of :meth:`derived_for` for per-order artefacts.
 
-        The cache key is the *slot* (table, decoder, chunk size) only; the
-        order/selection ``identity`` is stored with the payload and checked on
-        hit.  A new identity **replaces** the previous occupant instead of
-        accumulating beside it, so per-epoch orders (logical shuffle-always)
-        hold exactly one dataset-sized gathered copy at a time rather than
-        filling the cache with dead single-use entries.
+        The cache key is the *slot* (table, decoder, chunk size) only; each
+        kept artefact — a gathered chunk list, the parts of a partitioned
+        pass — rides with the order/selection ``identity`` it was built for
+        (and its ``pin``), checked on hit.  A slot keeps as many artefacts as
+        fit in one table's worth of rows, oldest dropped first: the S parts
+        of one partitioned pass live side by side, while fresh per-epoch
+        orders (logical shuffle-always) push the previous epoch's out instead
+        of filling the cache with dead dataset-sized copies.
         """
         full_key = (table.name, "derived") + tuple(slot_key)
         version = table.version
         entry = self._entries.get(full_key)
-        if (
-            entry is not None
-            and entry.valid_for(table, version)
-            and entry.payload[0] == identity
-        ):
-            self.derived_hits += 1
-            self._touch(full_key)
-            return entry.payload[1]
+        kept = entry.payload if entry is not None and entry.valid_for(table, version) else []
+        for known, _, _, payload in kept:
+            if known == identity:
+                self.derived_hits += 1
+                self._touch(full_key)
+                return payload
         self.derived_misses += 1
-        payload = (identity, build())
-        self._store(full_key, entry, table, version, payload, pin)
-        return payload[1]
+        payload = build()
+        kept = kept + [(identity, pin, sum(map(len, payload or ())), payload)]
+        while len(kept) > 1 and sum(rows for _, _, rows, _ in kept) > len(table):
+            kept.pop(0)
+        self._store(full_key, entry, table, version, kept, None)
+        return payload
 
     def selection_for(
         self, table: "Table", predicate: Any, functions: Mapping[str, Any] | None = None

@@ -672,7 +672,7 @@ class TestBackendChunkParity:
         assert np.array_equal(per_tuple.value["w"], chunked.value["w"])
         assert per_tuple.num_segments == chunked.num_segments == 4
 
-    def test_segmented_chunked_uses_per_segment_cache(self):
+    def test_segmented_chunked_decodes_the_master_once(self):
         data = make_dense_classification(64, 5, seed=8)
         database = SegmentedDatabase(4, "dbms_b", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
@@ -680,10 +680,10 @@ class TestBackendChunkParity:
         cache = database.master.executor.example_cache
         factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
         database.run_parallel_aggregate("points", factory, execution="chunked")
-        misses_after_first = cache.misses
-        assert misses_after_first == 4  # one decode per segment
+        # The four segments are ordinals over the master's one chunk list.
+        assert cache.misses == 1 and cache.decoded_rows == 64
         database.run_parallel_aggregate("points", factory, execution="chunked")
-        assert cache.misses == misses_after_first  # second epoch served cached
+        assert cache.misses == 1 and cache.decoded_rows == 64  # second epoch served cached
         assert cache.hits >= 4
 
     def test_segmented_chunked_where_matches_per_tuple(self):
@@ -710,6 +710,11 @@ class TestBackendChunkParity:
 # Selection vectors and permutations: WHERE / row_order on the chunk plane
 # ---------------------------------------------------------------------------
 EXECUTIONS = ("per_tuple", "chunked", "auto")
+
+
+def _segment_lengths(rows, count):
+    """Rows per segment: segment ``i`` of ``count`` is master rows ``i::count``."""
+    return [len(range(index, rows, count)) for index in range(count)]
 
 
 def _label_predicate():
@@ -854,10 +859,7 @@ class TestSelectionPermutationParity:
         for execution in ("per_tuple", "chunked"):
             database = SegmentedDatabase(3, "dbms_b", seed=0)
             load_classification_table(database, "points", data.examples, sparse=False)
-            orders = [
-                rng.permutation(len(segment))
-                for segment in database.segments_of("points")
-            ]
+            orders = [rng.permutation(length) for length in _segment_lengths(60, 3)]
             rng = np.random.default_rng(8)  # same orders for both executions
             task = LogisticRegressionTask(data.dimension)
             factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
@@ -951,23 +953,24 @@ class TestOrderedScanAccounting:
         factory = lambda: FunctionalAggregate(  # noqa: E731 - no merge support
             initialize=lambda: 0, transition=lambda state, row: state + 1, wants_row=True
         )
-        orders = [list(range(len(s))) for s in database.segments_of("points")]
+        orders = [list(range(length)) for length in _segment_lengths(24, 3)]
         with pytest.raises(ExecutionError):
             database.run_parallel_aggregate("points", factory, segment_row_orders=orders)
 
-    def test_segmented_ordered_pass_counts_one_scan_per_segment(self):
+    def test_segmented_ordered_pass_counts_one_scan(self):
+        """The segments together read each master row once: one logical scan."""
         data = make_dense_classification(30, 4, seed=23)
         database = SegmentedDatabase(3, "dbms_b", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
-        segments = database.segments_of("points")
-        orders = [list(range(len(segment)))[::-1] for segment in segments]
-        before = [segment.scan_count for segment in segments]
+        table = database.table("points")
+        orders = [list(range(length))[::-1] for length in _segment_lengths(30, 3)]
+        before = table.scan_count
         task = LogisticRegressionTask(data.dimension)
         factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
         database.run_parallel_aggregate(
             "points", factory, segment_row_orders=orders, execution="per_tuple"
         )
-        assert [segment.scan_count for segment in segments] == [b + 1 for b in before]
+        assert table.scan_count == before + 1
 
 
 @pytest.mark.backends
@@ -1060,9 +1063,9 @@ class TestLogicalOrderingCachePlane:
             results["per_tuple"].model["w"], results["auto"].model["w"]
         )
         cache = database.master.executor.example_cache
-        # one decode per segment plus one for the master loss pass — never
-        # repeated, because logical shuffles leave segment tables untouched
-        assert cache.misses == database.num_segments + 1
+        # one decode, shared by every segment's gradient pass and the loss
+        # pass — never repeated, because logical shuffles leave the heap alone
+        assert cache.misses == 1
 
 
 @pytest.mark.backends

@@ -32,6 +32,7 @@ from repro.db import (
     EnvSpecError,
     ExecutionError,
     FaultPlan,
+    FunctionalAggregate,
     RecoveryPolicy,
     SegmentedDatabase,
     TrainingState,
@@ -761,22 +762,23 @@ class TestDurabilityFaultInterplay:
         assert sorted(_rows(recovered.master, "pts")) == master_rows
         recovered.close()
 
-    def test_segmented_recovery_preserves_segment_identity(self, tmp_path):
+    def test_segmented_recovery_folds_the_same_segments(self, tmp_path):
+        """Segment placement is arithmetic over the recovered master heap."""
+        first = lambda: FunctionalAggregate(  # noqa: E731 - what segment 0 saw
+            initialize=list, transition=lambda seen, value: seen + [value],
+            merge=lambda seen, _other: seen,
+        )
         db = SegmentedDatabase.open(tmp_path / "db", num_segments=3)
-        table = db.create_table("t", [("x", ColumnType.INTEGER)])
+        db.create_table("t", [("x", ColumnType.INTEGER)])
         db.insert("t", [(i,) for i in range(10)])
-        original_segments = [
-            [row.values for row in segment.scan()] for segment in db.segments_of("t")
-        ]
-        original_names = [segment.name for segment in db.segments_of("t")]
+        original = db.run_parallel_aggregate("t", first, "x")
+        assert original.value == [0, 3, 6, 9]
         db.close()
 
         recovered = SegmentedDatabase.open(tmp_path / "db", num_segments=3)
-        segments = recovered.segments_of("t")
-        assert [segment.name for segment in segments] == original_names
-        assert [
-            [row.values for row in segment.scan()] for segment in segments
-        ] == original_segments
+        outcome = recovered.run_parallel_aggregate("t", first, "x")
+        assert outcome.value == original.value
+        assert outcome.per_segment_tuples == original.per_segment_tuples == [4, 3, 3]
         recovered.close()
 
 

@@ -1,4 +1,4 @@
-"""Zero-copy shared-memory chunk pages + float32 compute mode.
+"""Zero-copy shared-memory chunk pages.
 
 The ISSUE-10 acceptance bars:
 
@@ -12,9 +12,7 @@ The ISSUE-10 acceptance bars:
 * **no residue** — pages are unlinked by ``Database.close()`` and the atexit
   sweep; ``/dev/shm`` returns to baseline after every page-transport run;
 * **fallback** — a failed publish (``/dev/shm`` exhaustion) degrades that
-  payload to pickled bytes, counted, with identical results;
-* **float32 compute mode** — opt-in, deterministic against itself, within an
-  objective band of float64, and float64 stays the bit-for-bit default.
+  payload to pickled bytes, counted, with identical results.
 """
 
 from __future__ import annotations
@@ -34,16 +32,7 @@ from repro.data import (
     make_dense_classification,
     make_sparse_classification,
 )
-from repro.db import (
-    Database,
-    ExecutionError,
-    FaultPlan,
-    ProcessBackend,
-    ProcessWorkerPool,
-    SegmentedDatabase,
-    SerialBackend,
-    compile_pass,
-)
+from repro.db import Database, FaultPlan, SegmentedDatabase
 from repro.db.shared_memory import (
     ChunkPageSet,
     attach_chunk_pages,
@@ -360,130 +349,3 @@ class TestZeroResidue:
             # live page population does not grow run-over-run.
             assert len(after_rebuild) <= len(during)
         assert _shm_entries() - baseline == set()
-
-
-# ---------------------------------------------------------------------------
-# float32 compute mode
-# ---------------------------------------------------------------------------
-class TestFloat32ComputeMode:
-    def test_config_rejects_unknown_dtype(self):
-        with pytest.raises(ValueError, match="compute dtype"):
-            IGDConfig(compute_dtype="float16")
-
-    def test_compile_pass_rejects_unknown_dtype(self, dense_workload):
-        dataset, task = dense_workload
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            with pytest.raises(ExecutionError, match="compute dtype"):
-                compile_pass(
-                    "loss", database.table("pts"),
-                    lambda: LossAggregate(task, task.initial_model()),
-                    compute_dtype="bfloat16",
-                )
-
-    def _serial_run(self, dataset, task, dtype):
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            run = train(
-                task,
-                database,
-                "pts",
-                config=IGDConfig(
-                    max_epochs=3, ordering="shuffle_once", seed=0,
-                    compute_dtype=dtype,
-                ),
-            )
-        return run
-
-    def test_float32_deterministic_and_in_band(self, dense_workload):
-        dataset, task = dense_workload
-        f64 = self._serial_run(dataset, task, "float64")
-        f32_a = self._serial_run(dataset, task, "float32")
-        f32_b = self._serial_run(dataset, task, "float32")
-        # float32 vs float32: exact.
-        assert np.array_equal(
-            f32_a.model.as_flat_vector(), f32_b.model.as_flat_vector()
-        )
-        assert f32_a.objective_trace() == f32_b.objective_trace()
-        # float32 vs float64: same optimum to a loose band, not bit-equal.
-        assert f32_a.final_objective == pytest.approx(f64.final_objective, rel=1e-3)
-        assert not np.array_equal(
-            f32_a.model.as_flat_vector(), f64.model.as_flat_vector()
-        )
-
-    def test_float64_default_unchanged(self, dense_workload):
-        """Omitting compute_dtype is bit-for-bit the explicit float64 run."""
-        dataset, task = dense_workload
-        explicit = self._serial_run(dataset, task, "float64")
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            default = train(
-                task, database, "pts",
-                config=IGDConfig(max_epochs=3, ordering="shuffle_once", seed=0),
-            )
-        assert np.array_equal(
-            explicit.model.as_flat_vector(), default.model.as_flat_vector()
-        )
-
-    def test_float32_cache_entries_are_casts(self, dense_workload):
-        dataset, task = dense_workload
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            cache = database.executor.example_cache
-            table = database.table("pts")
-            base = cache.batches_for(table, task, 32)
-            cast = cache.batches_for(table, task, 32, dtype="float32")
-            assert base[0].X.dtype == np.float64
-            assert cast[0].X.dtype == np.float32
-            np.testing.assert_allclose(
-                cast[0].X, base[0].X.astype(np.float32), rtol=0
-            )
-            # y is shared, not copied: the cast touches features only.
-            assert cast[0].y is base[0].y
-
-    def test_float32_loss_serial_process_bit_for_bit(self, dense_workload):
-        """Both backends consume the same cached float32 chunks: exact match."""
-        dataset, task = dense_workload
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            database.executor.chunk_size = 16
-            # A nonzero model: with w = 0 every margin is 0 and the loss is
-            # dtype-blind, which would make this test vacuous.
-            model = train(
-                task, database, "pts",
-                config=IGDConfig(max_epochs=1, ordering="shuffle_once", seed=0),
-            ).model
-            plan = compile_pass(
-                "loss", database.table("pts"),
-                lambda: LossAggregate(task, model),
-                execution="auto", workers=2, compute_dtype="float32",
-            )
-            serial = SerialBackend(database).run(plan)
-            parallel = ProcessBackend(database).run(plan)
-            assert serial == parallel
-            # And the float32 pass really computed in float32.
-            f64 = SerialBackend(database).run(
-                compile_pass(
-                    "loss", database.table("pts"),
-                    lambda: LossAggregate(task, model),
-                    execution="auto",
-                )
-            )
-            assert serial != f64
-
-    def test_pass_scoped_dtype_restores(self, dense_workload):
-        """A float32 pass must not leak its dtype into later passes."""
-        dataset, task = dense_workload
-        model = task.initial_model()
-        with Database("postgres", seed=0) as database:
-            load_classification_table(database, "pts", dataset.examples)
-            executor = database.executor
-            assert executor.compute_dtype == "float64"
-            SerialBackend(database).run(
-                compile_pass(
-                    "loss", database.table("pts"),
-                    lambda: LossAggregate(task, model),
-                    execution="auto", compute_dtype="float32",
-                )
-            )
-            assert executor.compute_dtype == "float64"

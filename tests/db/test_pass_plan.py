@@ -145,7 +145,7 @@ class TestRevalidate:
             assert plan.version == table.version > compiled_version
             assert plan.num_rows == len(table) == compiled_rows + 3
             # Idempotent once refreshed.
-            plan.check_version()
+            plan.revalidate()
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize(
@@ -181,7 +181,7 @@ class TestRevalidate:
             table.shuffle(np.random.default_rng(0))
             table.insert((901, {1: 1.0}, -1.0))
             with pytest.raises(ExecutionError, match="rewritten by 'shuffle'"):
-                plan.check_version()
+                plan.revalidate()
 
 
 class TestProcessLossAccuracyParity:

@@ -21,8 +21,10 @@ import numpy as np
 import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig, train
+from repro.core.ordering import ShuffleAlways, make_ordering
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
-from repro.core.uda import IGDAggregate, LossAggregate
+from repro.core.stepsize import make_schedule
+from repro.core.uda import AccuracyAggregate, IGDAggregate, LossAggregate
 from repro.data import (
     load_classification_table,
     load_ratings_table,
@@ -41,13 +43,15 @@ from repro.db import (
     ProcessBackend,
     ProcessWorkerPool,
     Schema,
+    SegmentedBackend,
     SegmentedDatabase,
     SerialBackend,
     Table,
-    WorkerDiedError,
+    TrainEpochContext,
     compile_pass,
 )
-from repro.db import process_backend
+from repro.db import chunk_plan, process_backend
+from repro.db.aggregates import SumAggregate, merge_partial_states
 from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.process_backend import (
     _apply_extend,
@@ -55,7 +59,6 @@ from repro.db.process_backend import (
     _run_uda_state,
     _worker_main,
     batches_payload_key,
-    run_process_aggregate,
 )
 from repro.db.supervisor import RecoveryPolicy
 from repro.tasks.crf import ConditionalRandomFieldTask
@@ -131,7 +134,8 @@ class TestPureUDAProcessParity:
     def test_merge_count_is_segments_minus_one(self, lr_workload, backend):
         """Both backends merge through merge_partial_states: n - 1 merges."""
         dataset, task = lr_workload
-        with SegmentedDatabase(3, "dbms_b", seed=0) as database:
+        # Fault-free: the direct call sits below SegmentedBackend's retry ladder.
+        with SegmentedDatabase(3, "dbms_b", seed=0, faults=()) as database:
             load_classification_table(database, "pts", dataset.examples, sparse=True)
             outcome = database.run_parallel_aggregate(
                 "pts", lambda: IGDAggregate(task, 0.1), backend=backend
@@ -154,58 +158,52 @@ class TestPureUDAProcessParity:
         database.close_process_pools()
 
 
-class TestExecutorProcessBackend:
+class TestProcessBackendPlans:
     def test_loss_aggregate_matches_serial(self, lr_workload):
         dataset, task = lr_workload
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
         model = task.initial_model()
-        serial = database.run_aggregate("pts", LossAggregate(task, model), execution="auto")
-        with ProcessWorkerPool(3) as pool:
-            parallel = run_process_aggregate(
-                database.executor, database.table("pts"), LossAggregate(task, model),
-                pool=pool, execution="auto",
+        with Database("postgres", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            serial = database.run_aggregate("pts", LossAggregate(task, model), execution="auto")
+            plan = compile_pass(
+                "loss", database.table("pts"), lambda: LossAggregate(task, model), workers=3
             )
+            parallel = ProcessBackend(database).run(plan)
         assert parallel == pytest.approx(serial, rel=1e-12)
 
     def test_igd_matches_segmented_bit_for_bit(self, lr_workload):
-        """Executor process partitions == a segmented run with equal segments."""
+        """Process partitions == a segmented run with equal segments."""
         dataset, task = lr_workload
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
-        segmented = SegmentedDatabase(4, "dbms_b", seed=0)
-        load_classification_table(segmented, "pts", dataset.examples, sparse=True)
         aggregate = lambda: IGDAggregate(task, 0.1)  # noqa: E731
-        reference = segmented.run_parallel_aggregate("pts", aggregate).value
-        with ProcessWorkerPool(4) as pool:
-            model = run_process_aggregate(
-                database.executor, database.table("pts"), aggregate(),
-                pool=pool, execution="auto",
-            )
+        with SegmentedDatabase(4, "dbms_b", seed=0) as segmented:
+            load_classification_table(segmented, "pts", dataset.examples, sparse=True)
+            reference = segmented.run_parallel_aggregate("pts", aggregate).value
+        with Database("postgres", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            plan = compile_pass("generic", database.table("pts"), aggregate, workers=4)
+            model = ProcessBackend(database).run(plan)
         assert np.array_equal(
             model.as_flat_vector(), reference.as_flat_vector()
         )
 
     def test_row_order_and_where_compose(self, lr_workload):
-        from repro.db.expressions import BinaryOp, ColumnRef, Literal
-
         dataset, task = lr_workload
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
-        table = database.table("pts")
-        predicate = BinaryOp("<", ColumnRef("id"), Literal(60))
-        order = np.random.default_rng(3).permutation(len(table))
-        model_serial = database.run_aggregate(
-            "pts", IGDAggregate(task, 0.1), where=predicate, row_order=order,
-            execution="auto",
-        )
-        # One worker: the process partition is the full serial visit order,
-        # so the filtered + permuted pass must be bit-for-bit the serial one.
-        with ProcessWorkerPool(1) as pool:
-            model_process = run_process_aggregate(
-                database.executor, table, IGDAggregate(task, 0.1), pool=pool,
-                where=predicate, row_order=order, execution="auto",
+        with Database("postgres", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            table = database.table("pts")
+            predicate = BinaryOp("<", ColumnRef("id"), Literal(60))
+            order = np.random.default_rng(3).permutation(len(table))
+            model_serial = database.run_aggregate(
+                "pts", IGDAggregate(task, 0.1), where=predicate, row_order=order,
+                execution="auto",
             )
+            # One worker: the process partition is the full serial visit order,
+            # so the filtered + permuted pass must be bit-for-bit the serial one.
+            plan = compile_pass(
+                "generic", table, lambda: IGDAggregate(task, 0.1),
+                where=predicate, row_order=order, workers=1,
+            )
+            model_process = ProcessBackend(database).run(plan)
         assert np.array_equal(
             model_serial.as_flat_vector(), model_process.as_flat_vector()
         )
@@ -227,15 +225,12 @@ class TestExecutorProcessBackend:
         from repro.db import FunctionalAggregate
 
         dataset, task = lr_workload
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
         counter = FunctionalAggregate(initialize=int, transition=lambda s, v: s + 1)
-        with ProcessWorkerPool(2) as pool:
-            with pytest.raises(ExecutionError):
-                run_process_aggregate(
-                    database.executor, database.table("pts"), counter,
-                    pool=pool, execution="auto",
-                )
+        with Database("postgres", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            plan = compile_pass("generic", database.table("pts"), lambda: counter, workers=2)
+            with pytest.raises(ExecutionError, match="does not support merge"):
+                ProcessBackend(database).run(plan)
 
 
 class TestSharedMemoryProcessSchemes:
@@ -575,48 +570,39 @@ def _matrix_workloads():
 
 MATRIX_WORKLOADS = _matrix_workloads()
 MATRIX = list(itertools.product(sorted(MATRIX_WORKLOADS), ("fresh", "appended")))
-ORDERS = ("heap", "shuffled", "where+shuffled")
-DTYPES = ("float64", "float32")
+ORDERS = ("heap", "where", "shuffled", "where+shuffled")
+DISPATCH = ("in_process", "process")
 
 
-def _retrying(call):
-    """``run_parallel_aggregate`` is below the plan ladder: under the chaos
-    job's ``REPRO_FAULT`` retry a recoverable worker death the way it would."""
-    for _ in range(4):
-        try:
-            return call()
-        except WorkerDiedError as error:
-            if not error.recoverable:
-                raise
-    return call()
+def _engine(database):
+    return database.master if isinstance(database, SegmentedDatabase) else database
+
+
+def _populate(database, workload, history, warm):
+    """Load the table fresh, or as 2/3 of it + a warm pass + two appends."""
+    examples = workload["examples"]
+    _engine(database).executor.chunk_size = 8
+    if history == "fresh":
+        workload["load"](database, examples)
+        return
+    cut, step = len(examples) * 2 // 3, len(examples) // 6
+    workload["load"](database, examples[:cut])
+    warm()  # payloads resident before the appends: the deltas must ship
+    for start in (cut, cut + step):
+        stop = len(examples) if start == cut + step else start + step
+        database.insert("t", workload["rows"](start, examples[start:stop]))
+
+
+def _predicate(workload, order):
+    if not order.startswith("where"):
+        return None
+    column = workload["column"]
+    bound = 6 if column == "row_id" else len(workload["examples"]) * 3 // 4
+    return BinaryOp("<", ColumnRef(column), Literal(bound))
 
 
 class TestWorkerChunkPathParityMatrix:
-    """{task} x {order} x {append history} x {compute dtype}, bit-for-bit."""
-
-    @staticmethod
-    def _populate(database, workload, history, warm):
-        """Load the table fresh, or as 2/3 of it + a warm pass + two appends."""
-        examples = workload["examples"]
-        engine = database.master if isinstance(database, SegmentedDatabase) else database
-        engine.executor.chunk_size = 8
-        if history == "fresh":
-            workload["load"](database, examples)
-            return
-        cut, step = len(examples) * 2 // 3, len(examples) // 6
-        workload["load"](database, examples[:cut])
-        warm()  # payloads resident before the appends: the deltas must ship
-        for start in (cut, cut + step):
-            stop = len(examples) if start == cut + step else start + step
-            database.insert("t", workload["rows"](start, examples[start:stop]))
-
-    @staticmethod
-    def _predicate(workload, order):
-        if not order.startswith("where"):
-            return None
-        column = workload["column"]
-        bound = 6 if column == "row_id" else len(workload["examples"]) * 3 // 4
-        return BinaryOp("<", ColumnRef(column), Literal(bound))
+    """{task} x {order} x {append history} x {dispatch}, bit-for-bit."""
 
     @pytest.mark.parametrize("name,history", MATRIX)
     def test_process_pure_uda_equals_in_process_segmented(self, name, history):
@@ -624,34 +610,33 @@ class TestWorkerChunkPathParityMatrix:
         task = workload["task"]()
         factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
         models = {}
-        for backend in ("in_process", "process"):
+        for backend in DISPATCH:
             with SegmentedDatabase(3, "dbms_b", seed=0) as database:
-                executor = database.master.executor
-
-                def run(dtype, **kw):
-                    executor.compute_dtype = dtype
-                    return _retrying(lambda: database.run_parallel_aggregate(
-                        "t", factory, backend=backend, **kw
-                    )).value.as_flat_vector()
-
-                self._populate(
-                    database, workload, history, warm=lambda: [run(d) for d in DTYPES]
+                plan = lambda **kw: compile_pass(  # noqa: E731
+                    "train", database.table("t"), factory, where=kw.get("where"),
+                    train=TrainEpochContext(
+                        task=task, model=None, schedule=None, proximal=None,
+                        segment_row_orders=kw.get("segment_row_orders"),
+                    ),
                 )
+                run = lambda **kw: SegmentedBackend(  # noqa: E731
+                    database, process=backend == "process"
+                ).run(plan(**kw))[0].as_flat_vector()
+                _populate(database, workload, history, warm=run)
                 rng = np.random.default_rng(9)
-                shuffles = [rng.permutation(len(s)) for s in database.segments_of("t")]
-                for dtype, order in itertools.product(DTYPES, ORDERS):
+                rows = len(database.table("t"))
+                shuffles = [rng.permutation(len(range(i, rows, 3))) for i in range(3)]
+                for order in ORDERS:
                     pass_ = dict(
-                        where=self._predicate(workload, order),
-                        segment_row_orders=None if order == "heap" else shuffles,
+                        where=_predicate(workload, order),
+                        segment_row_orders=shuffles if order.endswith("shuffled") else None,
                     )
-                    models[backend, dtype, order] = run(dtype, **pass_)
+                    models[backend, order] = run(**pass_)
                     # shuffle_once: the same order again is served from the
-                    # worker's kept gather and must not change the model.
-                    assert np.array_equal(models[backend, dtype, order], run(dtype, **pass_))
-        for case in itertools.product(DTYPES, ORDERS):
-            assert np.array_equal(
-                models[("in_process", *case)], models[("process", *case)]
-            ), case
+                    # kept gather and must not change the model.
+                    assert np.array_equal(models[backend, order], run(**pass_))
+        for order in ORDERS:
+            assert np.array_equal(models["in_process", order], models["process", order]), order
 
     @pytest.mark.parametrize("name,history", MATRIX)
     def test_process_ordinal_plans_equal_the_serial_backend(self, name, history):
@@ -659,43 +644,35 @@ class TestWorkerChunkPathParityMatrix:
         task = workload["task"]()
         with Database("postgres", seed=0) as database:
 
-            def plans(order, dtype):
+            def plans(order):
                 table = database.table("t")
                 shuffle = (
-                    None if order == "heap"
-                    else np.random.default_rng(7).permutation(len(table))
+                    np.random.default_rng(7).permutation(len(table))
+                    if order.endswith("shuffled") else None
                 )
-                common = dict(
-                    where=self._predicate(workload, order), row_order=shuffle,
-                    workers=3, compute_dtype=dtype,
-                )
+                common = dict(where=_predicate(workload, order), row_order=shuffle, workers=3)
                 model = task.initial_model()
                 return (
                     compile_pass("generic", table, lambda: IGDAggregate(task, 0.05), **common),
                     compile_pass("loss", table, lambda: LossAggregate(task, model), **common),
                 )
 
-            self._populate(
+            _populate(
                 database, workload, history,
-                warm=lambda: [
-                    ProcessBackend(database).run(plan)
-                    for dtype in DTYPES for plan in plans("shuffled", dtype)
-                ],
+                warm=lambda: [ProcessBackend(database).run(plan) for plan in plans("shuffled")],
             )
-            for dtype, order in itertools.product(DTYPES, ORDERS):
-                gradient, loss = plans(order, dtype)
+            for order in ORDERS:
+                gradient, loss = plans(order)
                 serial = SerialBackend(database).run(gradient)
                 process = ProcessBackend(database).run(gradient)
-                assert np.array_equal(
-                    serial.as_flat_vector(), process.as_flat_vector()
-                ), (dtype, order)
+                assert np.array_equal(serial.as_flat_vector(), process.as_flat_vector()), order
                 assert ProcessBackend(database).run(loss) == SerialBackend(database).run(loss)
 
     def test_minibatch_igd_runs_on_the_pool_and_equals_in_process(self, lr_workload):
         """Per-example ``transition`` refused ``batch_size > 1``; chunks do not."""
         dataset, task = lr_workload
         vectors = []
-        for backend in ("in_process", "process"):
+        for backend in DISPATCH:
             with SegmentedDatabase(3, "dbms_b", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples, sparse=True)
                 run = train(
@@ -709,6 +686,246 @@ class TestWorkerChunkPathParityMatrix:
                 # ceil(30 / 8) = 4 mini-batch steps per 30-row segment and epoch.
                 assert run.history[-1].gradient_steps == 3 * 3 * 4
         assert np.array_equal(vectors[0], vectors[1])
+
+
+# ---------------------------------------------------------------------------
+# Physical-reference differential matrix: a segment is a slice of ordinals
+# ---------------------------------------------------------------------------
+def _physical_segments(master, count):
+    """Rows ``i::count`` loaded as ``count`` tables of their own — the second
+    copy ``SegmentedDatabase`` used to keep, rebuilt here as a test reference."""
+    rows = list(master.scan_values())
+    segments = [Table(f"{master.name}__seg{i}", master.schema) for i in range(count)]
+    for index, segment in enumerate(segments):
+        segment.insert_many(rows[index::count])
+    return segments
+
+
+STEP, EPOCHS, SEED = 0.05, 2, 3
+PHYSICAL_DATA = {
+    "dense": _classification(
+        make_dense_classification(45, 5, seed=6), False, LogisticRegressionTask
+    ),
+    "sparse": _classification(
+        make_sparse_classification(45, 30, nonzeros_per_example=4, seed=7),
+        True, LogisticRegressionTask,
+    ),
+}
+#: (segments, rows used): the last entry has more segments than rows.
+PHYSICAL_WIDTHS = {"S1": (1, 45), "S2": (2, 45), "S3": (3, 45), "S>rows": (5, 4)}
+PHYSICAL_ORDERINGS = {
+    "clustered": lambda: "clustered",
+    "shuffle_once": lambda: "shuffle_once",
+    "shuffle_always": lambda: "shuffle_always",
+    "physical": lambda: ShuffleAlways(mode="physical"),
+}
+
+
+def _physical_reference(workload, examples, appended, segments, ordering):
+    """train() [+ insert + partial_fit()] over physical slices: every epoch
+    folds ``run_state`` over each segment table with its segment-local order
+    and merges — the semantics the ordinal partition must reproduce."""
+    task = workload["task"]()
+    schedule = make_schedule(STEP)
+    with Database("postgres", seed=0) as reference:
+        reference.executor.chunk_size = 8
+        workload["load"](reference, examples)
+        master = reference.table("t")
+
+        def epoch_pass(epoch, model, offset, orders_of):
+            slices = _physical_segments(master, segments)
+            instance = IGDAggregate(
+                task, schedule, initial_model=model, epoch=epoch, step_offset=offset
+            )
+            states = [
+                reference.executor.run_state(
+                    segment, instance, row_order=order, execution="auto"
+                )
+                for segment, order in zip(slices, orders_of(slices))
+            ]
+            merged = merge_partial_states(instance, states)
+            return merged, merged.metadata["gradient_steps"]
+
+        rng = np.random.default_rng(SEED)
+        policy = make_ordering(ordering)
+        policy.prepare(master, rng)
+        model, offset = task.initial_model(rng), 0
+        for epoch in range(EPOCHS):
+            policy.before_epoch(master, epoch, rng)
+            model, offset = epoch_pass(epoch, model, offset, lambda slices: [
+                policy.epoch_row_order(len(segment), epoch, rng, partition=index)
+                for index, segment in enumerate(slices)
+            ])
+        if appended:
+            base = len(master)
+            master.insert_many(workload["rows"](base, appended))
+            rng, offset = np.random.default_rng(SEED), 0
+            for epoch in range(EPOCHS):
+                start = 0 if epoch == EPOCHS - 1 else base  # the last pass is full
+                model, offset = epoch_pass(epoch, model, offset, lambda slices: [
+                    old + rng.permutation(len(segment) - old)
+                    for index, segment in enumerate(slices)
+                    for old in [len(range(index, start, segments))]
+                ])
+        return model.as_flat_vector()
+
+
+class TestPhysicalReferenceMatrix:
+    """{dense, sparse} x S x ordering x {in-process, pool} x append history."""
+
+    @pytest.mark.parametrize("history", ["fresh", "appended"])
+    @pytest.mark.parametrize("ordering", sorted(PHYSICAL_ORDERINGS))
+    @pytest.mark.parametrize("width", sorted(PHYSICAL_WIDTHS))
+    @pytest.mark.parametrize("data", sorted(PHYSICAL_DATA))
+    def test_training_equals_the_physical_slices(self, data, width, ordering, history):
+        workload = PHYSICAL_DATA[data]
+        segments, rows = PHYSICAL_WIDTHS[width]
+        examples = workload["examples"][:rows]
+        appended = workload["examples"][rows:rows + max(1, rows // 4)] if history == "appended" else []
+        expected = _physical_reference(
+            workload, examples, appended, segments, PHYSICAL_ORDERINGS[ordering]()
+        )
+        for dispatch in DISPATCH:
+            # Fault-free: this matrix pins partition arithmetic, not recovery.
+            with SegmentedDatabase(segments, "dbms_b", seed=0, faults=()) as database:
+                database.master.executor.chunk_size = 8
+                workload["load"](database, examples)
+                runner = BismarckRunner(
+                    database, workload["task"](),
+                    IGDConfig(
+                        step_size=STEP, max_epochs=EPOCHS, seed=SEED,
+                        ordering=PHYSICAL_ORDERINGS[ordering](),
+                        parallelism=PureUDAParallelism(backend=dispatch),
+                    ),
+                )
+                result = runner.train("t")
+                if appended:
+                    database.insert("t", workload["rows"](rows, appended))
+                    result = runner.partial_fit(
+                        "t", initial_model=result.model,
+                        since_version=result.table_version, full_pass_every=EPOCHS,
+                    )
+                assert not result.degraded
+                assert np.array_equal(result.model.as_flat_vector(), expected), dispatch
+
+    @pytest.mark.parametrize("history", ["fresh", "appended"])
+    @pytest.mark.parametrize("width", sorted(PHYSICAL_WIDTHS))
+    @pytest.mark.parametrize("data", sorted(PHYSICAL_DATA))
+    def test_evaluation_passes_equal_the_serial_backend(self, data, width, history):
+        """Loss / accuracy / generic SUM, with and without WHERE, at equal width."""
+        workload = PHYSICAL_DATA[data]
+        segments, rows = PHYSICAL_WIDTHS[width]
+        task = workload["task"]()
+        model = task.initial_model(np.random.default_rng(1))
+        passes = {
+            "loss": (lambda: LossAggregate(task, model), None),
+            "accuracy": (lambda: AccuracyAggregate(task, model), None),
+            "generic": (SumAggregate, "label"),
+        }
+        workload = dict(workload, examples=workload["examples"][:rows])
+        with SegmentedDatabase(segments, "dbms_b", seed=0) as database:
+            table_of = lambda: database.table("t")  # noqa: E731
+            compiled = lambda kind, where: compile_pass(  # noqa: E731
+                kind, table_of(), passes[kind][0], argument=passes[kind][1],
+                where=where, workers=segments,
+            )
+            _populate(
+                database, workload, history,
+                warm=lambda: [
+                    SegmentedBackend(database, process=True).run(compiled(kind, None))
+                    for kind in passes
+                ],
+            )
+            for kind, order in itertools.product(passes, ("heap", "where")):
+                where = _predicate(workload, order)
+                expected = SerialBackend(database.master).run(compiled(kind, where))
+                for process in (False, True):
+                    value = SegmentedBackend(database, process=process).run(compiled(kind, where))
+                    assert value == expected, (kind, order, process)
+                if segments > 1:
+                    assert ProcessBackend(database.master).run(compiled(kind, where)) == expected
+
+
+class TestPartitionedPassCounts:
+    """What a partitioned pass costs, pinned by count rather than by time."""
+
+    @pytest.fixture
+    def segmented(self, lr_workload):
+        dataset, task = lr_workload
+        # Fault-free: a retried pass would be counted twice.
+        with SegmentedDatabase(3, "dbms_b", seed=0, faults=()) as database:
+            database.master.executor.chunk_size = 8
+            load_classification_table(database, "pts", dataset.examples[:70], sparse=True)
+            yield database, task, dataset
+
+    @pytest.mark.parametrize("backend", DISPATCH)
+    def test_one_scan_per_pass_and_one_charge_per_part(self, segmented, backend, monkeypatch):
+        database, task, _ = segmented
+        executor, table = database.master.executor, database.table("pts")
+        model = task.initial_model()
+        charges = []
+        real = executor._charge_overhead
+        monkeypatch.setattr(
+            executor, "_charge_overhead", lambda units=0.0: charges.append(units) or real(units)
+        )
+        part_chunks = sum(-(-len(range(part, len(table), 3)) // 8) for part in range(3))
+        for factory, folded_in_process in (
+            (lambda: LossAggregate(task, model), 0),  # whole chunks: no run_state
+            (lambda: IGDAggregate(task, 0.1), part_chunks),  # run_state charges per chunk
+        ):
+            before, charges[:] = table.scan_count, []
+            outcome = database.run_parallel_aggregate("pts", factory, backend=backend)
+            assert outcome.num_segments == 3 and outcome.total_tuples == len(table)
+            assert table.scan_count == before + 1
+            assert len(charges) == 3 + (folded_in_process if backend == "in_process" else 0)
+
+    def test_segmented_insert_decodes_each_row_once_and_ships_one_extend(self, segmented):
+        database, task, dataset = segmented
+        cache = database.master.executor.example_cache
+        config = IGDConfig(
+            max_epochs=2, seed=0, ordering="shuffle_once",
+            parallelism=PureUDAParallelism(backend="process"),
+        )
+        runner = BismarckRunner(database, task, config)
+        trained = runner.train("pts")
+        assert cache.decoded_rows == 70 and cache.misses == 1
+        pool = database.master.process_pool(3)
+        assert pool.transport_stats["page_payloads"] == 1  # gradient + loss share it
+        assert len({key for (_worker, key) in pool._loaded}) == 1
+        database.insert(
+            "pts", [(70 + i, ex.features, ex.label) for i, ex in enumerate(dataset.examples[70:])]
+        )
+        result = runner.partial_fit(
+            "pts", initial_model=trained.model, since_version=trained.table_version
+        )
+        assert not trained.degraded and not result.degraded
+        assert cache.decoded_rows == len(dataset.examples) and cache.misses == 1
+        (record,) = pool._payload_bytes.values()
+        assert len(record.deltas) == 1  # the appended rows, shipped once
+        assert pool.transport_stats["page_payloads"] == 2
+
+    def test_in_process_parts_gather_once_per_table_version(self, segmented, monkeypatch):
+        database, task, dataset = segmented
+        gathers = []
+        real = chunk_plan.gather_batches
+        monkeypatch.setattr(
+            chunk_plan, "gather_batches",
+            lambda batches, ordinals, size: gathers.append(len(ordinals)) or real(batches, ordinals, size),
+        )
+        config = lambda ordering: IGDConfig(  # noqa: E731
+            max_epochs=3, seed=0, ordering=ordering, parallelism=PureUDAParallelism()
+        )
+        train(task, database, "pts", config=config("shuffle_once"))
+        # Three epochs, three parts, one gather each: the parts of one table
+        # share the gathered slot instead of evicting each other every epoch.
+        assert sorted(gathers) == [23, 23, 24]
+        gathers.clear()
+        database.insert("pts", [(70, dataset.examples[70].features, dataset.examples[70].label)])
+        train(task, database, "pts", config=config("shuffle_once"))
+        assert sorted(gathers) == [23, 24, 24]  # a new version gathers again, once
+        gathers.clear()
+        train(task, database, "pts", config=config("shuffle_always"))
+        assert len(gathers) == 9  # fresh per-epoch orders gather every epoch
 
 
 class TestUnbatchablePairs:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
+from repro.core.uda import IGDAggregate
 from repro.data import load_classification_table, make_dense_classification
 from repro.db import Database, FaultPlan, SegmentedDatabase
 from repro.db.supervisor import RecoveryPolicy
@@ -241,32 +242,25 @@ class TestCacheEvictionGuard:
 
 
 # ---------------------------------------------------------------------------
-# Segmented ingest: appends extend segments in place
+# Segmented ingest: an insert touches the master only
 # ---------------------------------------------------------------------------
 class TestSegmentedIngest:
-    def test_append_keeps_segment_tables_alive_and_matches_repartition(self, corpus):
+    def test_append_reaches_its_home_segments_with_one_delta_decode(self, corpus):
         base, stream = corpus
         db = SegmentedDatabase(3, "dbms_b", seed=0)
         load_classification_table(db, "pts", base.examples)
-        before = db.segments_of("pts")
+        task = LogisticRegressionTask(DIMENSION, mu=0.01)
+        factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
+        cache = db.master.executor.example_cache
+        db.run_parallel_aggregate("pts", factory)
+        decoded = cache.decoded_rows
         db.insert("pts", _rows(len(base.examples), stream.examples))
-        after = db.segments_of("pts")
-        assert [id(s) for s in before] == [id(s) for s in after]  # extended, not rebuilt
-
-        reference = db.master.table("pts").partition(3)
-        for extended, rebuilt in zip(after, reference):
-            assert len(extended) == len(rebuilt)
-            assert list(extended.scan()) == list(rebuilt.scan())
-
-    def test_rewrite_still_forces_full_repartition(self, corpus):
-        base, _ = corpus
-        db = SegmentedDatabase(3, "dbms_b", seed=0)
-        load_classification_table(db, "pts", base.examples)
-        before = db.segments_of("pts")
-        db.shuffle_table("pts", seed=1)
-        after = db.segments_of("pts")
-        assert [id(s) for s in before] != [id(s) for s in after]
-        assert sum(len(s) for s in after) == len(base.examples)
+        outcome = db.run_parallel_aggregate("pts", factory)
+        # Row g belongs to segment g % 3 with no copy to extend or rebuild.
+        total = len(base.examples) + len(stream.examples)
+        assert outcome.per_segment_tuples == [len(range(i, total, 3)) for i in range(3)]
+        assert cache.decoded_rows - decoded == len(stream.examples)
+        assert cache.extensions == 1 and cache.misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -184,12 +184,12 @@ class TestBasePoolFixes:
         pool = ProcessWorkerPool(2, faults=(FaultPlan("kill", worker=1),))
         with make_database(dataset) as database:
             table = database.table("pts")
-            from repro.db.process_backend import run_process_aggregate
+            from repro.db.process_backend import fold_on_pool
 
+            parts = [range(0, len(table), 2), range(1, len(table), 2)]
             with pytest.raises(WorkerDiedError) as info:
-                run_process_aggregate(
-                    database.executor, table,
-                    IGDAggregate(task, 0.1), pool=pool, execution="auto",
+                fold_on_pool(
+                    pool, database.executor, table, IGDAggregate(task, 0.1), "examples", parts
                 )
         error = info.value
         assert isinstance(error, ExecutionError)  # subclass, old handlers still work

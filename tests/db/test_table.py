@@ -226,26 +226,3 @@ class TestInsertManyBatching:
         version = table.version
         assert table.insert_many([]) == 0
         assert table.version == version
-
-
-class TestPartition:
-    def test_round_robin_partition_counts(self, labelled_table):
-        segments = labelled_table.partition(4)
-        assert len(segments) == 4
-        assert sum(len(segment) for segment in segments) == 50
-        assert max(len(s) for s in segments) - min(len(s) for s in segments) <= 1
-
-    def test_partition_contents_are_disjoint_cover(self, labelled_table):
-        segments = labelled_table.partition(3)
-        seen = sorted(
-            row["id"] for segment in segments for row in segment.scan()
-        )
-        assert seen == list(range(50))
-
-    def test_partition_invalid_count(self, labelled_table):
-        with pytest.raises(SchemaError):
-            labelled_table.partition(0)
-
-    def test_partition_preserves_schema(self, labelled_table):
-        segments = labelled_table.partition(2)
-        assert all(segment.schema is labelled_table.schema for segment in segments)

@@ -24,7 +24,7 @@ from repro.data import (
     ratings_statistics,
     sequence_statistics,
 )
-from repro.db import Database, SegmentedDatabase
+from repro.db import Database, NullAggregate, SegmentedDatabase
 from repro.tasks import ConditionalRandomFieldTask
 
 
@@ -229,7 +229,8 @@ class TestLoaders:
         database = SegmentedDatabase(3, "dbms_b")
         dataset = make_dense_classification(30, 4, seed=0)
         load_classification_table(database, "papers", dataset.examples)
-        assert sum(len(s) for s in database.segments_of("papers")) == 30
+        assert len(database.table("papers")) == 30
+        assert database.run_parallel_aggregate("papers", NullAggregate).per_segment_tuples == [10] * 3
 
 
 class TestStatistics:

@@ -1,10 +1,11 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the paper-figure smoke tests.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md's
-per-experiment index) at the scale given by the ``REPRO_BENCH_SCALE``
+Every ``test_*.py`` here regenerates one table or figure of the paper through
+``repro.experiments`` at the scale given by the ``REPRO_BENCH_SCALE``
 environment variable (``small`` by default, ``medium`` / ``full`` for longer,
-more faithful runs).  Rendered tables/series are printed so a benchmark run
-doubles as a report; EXPERIMENTS.md records paper-vs-measured shapes.
+more faithful runs) and asserts its qualitative shape.  Rendered tables/series
+are printed (``pytest -s``) so a run doubles as a report.  Performance is
+measured elsewhere: ``bench/run.py`` is the repo's one benchmark.
 """
 
 from __future__ import annotations

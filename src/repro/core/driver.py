@@ -48,6 +48,9 @@ class IGDConfig:
     #: table version instead of rewriting the heap, so the example cache
     #: survives re-shuffles; pass e.g. ``ShuffleAlways(mode="physical")`` to
     #: get the paper's physical rewrite (the engine-overhead experiments do).
+    #: The sampling schemes are visit orders too and need a buffer size:
+    #: ``Subsample(n)`` trains on one reservoir sample, ``MultiplexedReservoir(n)``
+    #: is MRS (Section 3.4) — both run on every backend and execution path.
     ordering: OrderingPolicy | str | None = "shuffle_once"
     stopping: StoppingRule | int | dict | None = None
     parallelism: PureUDAParallelism | SharedMemoryParallelism | None = None

@@ -1,4 +1,5 @@
-"""Data-ordering policies: Clustered, ShuffleOnce, ShuffleAlways (Section 3.2).
+"""Visit orders: Clustered, ShuffleOnce, ShuffleAlways (Section 3.2) and the
+sampling schemes Subsample and MultiplexedReservoir (Section 3.4).
 
 IGD converges for any data order on convex problems, but clustered orders
 (e.g. all positive examples before all negative ones — the CA-TX example) can
@@ -23,17 +24,68 @@ The shuffle policies support two modes:
 In both modes ``shuffle_seconds`` / ``shuffle_count`` accumulate the time and
 number of reorder events (physical rewrites, or permutation generations in
 logical mode — segmented runs generate one permutation per segment).
+
+A sampling scheme is a visit order too.  Reservoir sampling never reads the
+model, so which ordinal steps when is fully determined before any gradient
+runs: :class:`Subsample` hands every epoch the same *subset* of the table's
+ordinals, :class:`MultiplexedReservoir` a *sequence with repeats*, and the
+one epoch loop — every backend, execution path, stopping rule and
+checkpoint — serves them exactly as it serves a permutation.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Any, Callable
 
 import numpy as np
 
 from ..db.table import Table
 
 ORDERING_MODES = ("physical", "logical")
+
+
+class ReservoirSampler:
+    """Classic reservoir sampling (Vitter): a without-replacement sample of
+    fixed capacity built in one pass, with no shuffle of the underlying data.
+
+    :meth:`offer` returns the item that was *dropped* by this offer: during
+    the fill phase nothing is dropped (returns None); afterwards either the
+    evicted buffer item or the offered item itself is returned.  The dropped
+    item is exactly what MRS's I/O worker takes a gradient step on.
+    """
+
+    def __init__(self, capacity: int, rng: np.random.Generator | None = None):
+        if capacity <= 0:
+            raise ValueError("reservoir capacity must be positive")
+        self.capacity = capacity
+        self.rng = rng or np.random.default_rng()
+        self.buffer: list[Any] = []
+        self.items_seen = 0
+
+    def offer(self, item: Any) -> Any | None:
+        """Offer one item; returns the dropped item (or None while filling)."""
+        self.items_seen += 1
+        if len(self.buffer) < self.capacity:
+            self.buffer.append(item)
+            return None
+        slot = int(self.rng.integers(0, self.items_seen))
+        if slot < self.capacity:
+            dropped = self.buffer[slot]
+            self.buffer[slot] = item
+            return dropped
+        return item
+
+    def __len__(self) -> int:
+        return len(self.buffer)
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.buffer) >= self.capacity
+
+    def sample(self) -> list[Any]:
+        """The current without-replacement sample."""
+        return list(self.buffer)
 
 
 class OrderingPolicy:
@@ -87,12 +139,15 @@ class OrderingPolicy:
         self.shuffle_seconds += time.perf_counter() - start
         self.shuffle_count += 1
 
-    def _timed_permutation(self, num_rows: int, rng: np.random.Generator) -> np.ndarray:
+    def _timed_order(self, draw: Callable[..., np.ndarray], *args) -> np.ndarray:
         start = time.perf_counter()
-        permutation = rng.permutation(num_rows)
+        order = draw(*args)
         self.shuffle_seconds += time.perf_counter() - start
         self.shuffle_count += 1
-        return permutation
+        return order
+
+    def _timed_permutation(self, num_rows: int, rng: np.random.Generator) -> np.ndarray:
+        return self._timed_order(rng.permutation, num_rows)
 
     def describe(self) -> str:
         return self.name
@@ -205,10 +260,117 @@ class ShuffleAlways(OrderingPolicy):
         return self._permutations[key]
 
 
+class Subsample(OrderingPolicy):
+    """Train on a reservoir sample only (Section 3.4's baseline).
+
+    One reservoir pass per row count picks ``buffer_size`` ordinals lazily on
+    first use; every epoch then visits that buffer and nothing else, as
+    :class:`ShuffleOnce` reuses its permutation.  The objective is still the
+    full-table objective, which is what makes subsampling's slow convergence
+    visible.  ``buffer_size >= num_rows`` keeps every ordinal in stored order
+    — the run is then bit-for-bit the ``clustered`` one.
+    """
+
+    name = "subsample"
+
+    def __init__(self, buffer_size: int):
+        super().__init__("logical")
+        if buffer_size <= 0:
+            raise ValueError("buffer_size must be positive")
+        self.buffer_size = buffer_size
+        self._buffers: dict[tuple[int, int], np.ndarray] = {}
+
+    def prepare(self, table: Table, rng: np.random.Generator) -> None:
+        self._buffers.clear()
+
+    def epoch_row_order(
+        self, num_rows: int, epoch: int, rng: np.random.Generator, *, partition: int = 0
+    ) -> np.ndarray:
+        key = (partition, num_rows)
+        if key not in self._buffers:
+            self._buffers[key] = self._timed_order(self._draw, num_rows, rng)
+        return self._buffers[key]
+
+    def _draw(self, num_rows: int, rng: np.random.Generator) -> np.ndarray:
+        sampler = ReservoirSampler(min(self.buffer_size, max(1, num_rows)), rng)
+        for ordinal in range(num_rows):
+            sampler.offer(ordinal)
+        return np.asarray(sampler.buffer, dtype=np.intp)
+
+
+class MultiplexedReservoir(OrderingPolicy):
+    """Multiplexed reservoir sampling (Section 3.4, Figure 6).
+
+    Two workers share one model: the **I/O worker** streams the table, offers
+    every ordinal to a reservoir and steps on whatever the reservoir *drops*;
+    the **memory worker** loops over the buffer the previous pass filled.
+    One epoch is one pass of the I/O worker, and the two are interleaved
+    deterministically — per streamed ordinal, the dropped ordinal (if any)
+    then ``memory_steps_per_io`` picks from the memory buffer, the analogue
+    of the workers' relative speeds.  When the epoch advances the buffers
+    swap: the freshly filled reservoir becomes the memory worker's and its
+    cursor restarts.  Both buffers live on the policy, keyed like the
+    shuffle policies' permutations, so a checkpointed run resumes mid-stream.
+
+    The reservoir is capped at ``num_rows - 1``: one that swallowed the whole
+    stream would never drop an ordinal and the I/O worker would take no step
+    at all.  Epoch 0 has no memory buffer yet, so with a buffer that large it
+    takes exactly one step; later epochs take more than ``num_rows``.
+    """
+
+    name = "mrs"
+
+    def __init__(self, buffer_size: int, memory_steps_per_io: int = 1):
+        super().__init__("logical")
+        if buffer_size <= 0:
+            raise ValueError("buffer_size must be positive")
+        self.buffer_size = buffer_size
+        self.memory_steps_per_io = memory_steps_per_io
+        self._epoch: int | None = None
+        self._orders: dict[tuple[int, int], np.ndarray] = {}
+        #: Buffer A per partition — the reservoir this epoch's pass filled.
+        self._filled: dict[tuple[int, int], list[int]] = {}
+        #: Buffer B per partition — what the memory worker iterates over.
+        self._memory: dict[tuple[int, int], list[int]] = {}
+
+    def prepare(self, table: Table, rng: np.random.Generator) -> None:
+        self._epoch = None
+        self._orders, self._filled, self._memory = {}, {}, {}
+
+    def epoch_row_order(
+        self, num_rows: int, epoch: int, rng: np.random.Generator, *, partition: int = 0
+    ) -> np.ndarray:
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._orders, self._filled, self._memory = {}, {}, self._filled
+        key = (partition, num_rows)
+        if key not in self._orders:
+            self._orders[key] = self._timed_order(self._interleave, key, rng)
+        return self._orders[key]
+
+    def _interleave(self, key: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+        num_rows = key[1]
+        sampler = ReservoirSampler(min(self.buffer_size, max(1, num_rows - 1)), rng)
+        memory = self._memory.get(key, [])
+        cursor = 0
+        steps: list[int] = []
+        for ordinal in range(num_rows):
+            dropped = sampler.offer(ordinal)
+            if dropped is not None:
+                steps.append(dropped)
+            for _ in range(self.memory_steps_per_io if memory else 0):
+                steps.append(memory[cursor % len(memory)])
+                cursor += 1
+        self._filled[key] = sampler.buffer
+        return np.asarray(steps, dtype=np.intp)
+
+
 _POLICIES = {
     "clustered": ClusteredOrder,
     "shuffle_once": ShuffleOnce,
     "shuffle_always": ShuffleAlways,
+    "subsample": Subsample,
+    "mrs": MultiplexedReservoir,
 }
 
 
@@ -216,7 +378,8 @@ def make_ordering(spec: "OrderingPolicy | str | None", **kwargs) -> OrderingPoli
     """Coerce a policy name (or an existing policy) into an OrderingPolicy.
 
     Keyword arguments are forwarded to the policy constructor, e.g.
-    ``make_ordering("shuffle_always", mode="physical")``.
+    ``make_ordering("shuffle_always", mode="physical")`` or
+    ``make_ordering("mrs", buffer_size=500)``.
     """
     if spec is None:
         return ShuffleOnce(**kwargs)

@@ -13,14 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ..core.driver import IGDResult, train, train_in_memory
+from ..core.ordering import MultiplexedReservoir, Subsample
 from ..core.proximal import L2Proximal
-from ..core.sampling import (
-    run_clustered_no_shuffle,
-    run_multiplexed_reservoir_sampling,
-    run_subsampling,
-)
 from ..data import load_classification_table, make_sparse_classification
 from ..db.engine import Database
 from ..tasks.logistic_regression import LogisticRegressionTask
@@ -63,17 +58,26 @@ def _make_workload(scale: ExperimentScale, seed: int):
     return dataset, task
 
 
-def _load_workload_table(dataset):
-    """The clustered workload as a heap table plus a shared example cache.
+TABLE = "mrs_points"
+STEP_SIZE = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.92}
 
-    The sampling runners index reservoirs into a stable table version, so one
-    decode (and one chunk-plane gather per buffer) serves every run of a
-    sweep — the Figure 10B buffer sweep stops re-decoding the corpus per
-    (scheme, fraction) combination.
+
+def _load_workload(dataset) -> Database:
+    """The clustered workload as a heap table.
+
+    No scheme rewrites the heap — each is a visit order over one stable table
+    version — so one decode serves every run of a sweep.
     """
     database = Database("postgres", seed=0)
-    load_classification_table(database, "mrs_points", dataset.examples, sparse=True)
-    return database.table("mrs_points"), database.executor.example_cache
+    load_classification_table(database, TABLE, dataset.examples, sparse=True)
+    return database
+
+
+def _train(task, database: Database, ordering, epochs: int, seed: int) -> IGDResult:
+    return train(
+        task, database, TABLE, ordering=ordering,
+        step_size=STEP_SIZE, max_epochs=epochs, seed=seed,
+    )
 
 
 def run_mrs_convergence(
@@ -88,25 +92,16 @@ def run_mrs_convergence(
     epochs = epochs or max(scale.max_epochs, 10)
     dataset, task = _make_workload(scale, seed)
     buffer_size = max(2, int(buffer_fraction * len(dataset)))
-    step_size = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.92}
-
-    table, cache = _load_workload_table(dataset)
-    subsampling = run_subsampling(
-        table, task, buffer_size=buffer_size, step_size=step_size,
-        epochs=epochs, seed=seed, cache=cache,
-    )
-    clustered = run_clustered_no_shuffle(
-        table, task, step_size=step_size, epochs=epochs, seed=seed, cache=cache
-    )
-    mrs = run_multiplexed_reservoir_sampling(
-        table, task, buffer_size=buffer_size, step_size=step_size,
-        epochs=epochs, seed=seed, cache=cache,
-    )
+    database = _load_workload(dataset)
+    orderings = {
+        "subsampling": Subsample(buffer_size),
+        "clustered": "clustered",
+        "mrs": MultiplexedReservoir(buffer_size),
+    }
     return MRSConvergenceResult(
         traces={
-            "subsampling": subsampling.objective_trace(),
-            "clustered": clustered.objective_trace(),
-            "mrs": mrs.objective_trace(),
+            scheme: _train(task, database, ordering, epochs, seed).objective_trace()
+            for scheme, ordering in orderings.items()
         },
         buffer_size=buffer_size,
         dataset_size=len(dataset),
@@ -166,48 +161,27 @@ def run_buffer_size_experiment(
     scale = resolve_scale(scale)
     epochs = epochs or max(scale.max_epochs, 12)
     dataset, task = _make_workload(scale, seed)
-    step_size = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.92}
 
-    # Estimate the optimal objective with a generous shuffled IGD run.
-    # Permute *indices*, never np.array(examples, dtype=object): equal-length
-    # examples would be reshaped into a 2-D object matrix and the "shuffled
-    # reference" would train on row-slices instead of the example objects.
-    shuffle = np.random.default_rng(seed).permutation(len(dataset.examples))
-    reference = run_clustered_no_shuffle(
-        [dataset.examples[i] for i in shuffle],
-        task,
-        step_size=step_size,
-        epochs=epochs * 2,
-        seed=seed,
+    # Estimate the optimal objective with a generous shuffled in-memory run.
+    reference = train_in_memory(
+        task, dataset.examples, step_size=STEP_SIZE, epochs=epochs * 2, seed=seed
     )
-    optimum = min(reference.objective_trace())
-    target = 2.0 * optimum
+    target = 2.0 * min(reference.objective_trace())
 
     result = BufferSizeResult(target_objective=target)
-    table, cache = _load_workload_table(dataset)
+    database = _load_workload(dataset)
     for fraction in buffer_fractions:
         buffer_size = max(2, int(fraction * len(dataset)))
-        subsampling = run_subsampling(
-            table, task, buffer_size=buffer_size, step_size=step_size,
-            epochs=epochs, seed=seed, cache=cache,
-        )
-        mrs = run_multiplexed_reservoir_sampling(
-            table, task, buffer_size=buffer_size, step_size=step_size,
-            epochs=epochs, seed=seed, cache=cache,
-        )
-        for scheme, run in (("subsampling", subsampling), ("mrs", mrs)):
-            seconds = None
-            cumulative = 0.0
-            for record in run.history:
-                cumulative += record.elapsed_seconds
-                if record.objective <= target:
-                    seconds = cumulative
-                    break
+        for scheme, ordering in (
+            ("subsampling", Subsample(buffer_size)),
+            ("mrs", MultiplexedReservoir(buffer_size)),
+        ):
+            run = _train(task, database, ordering, epochs, seed)
             result.rows.append(
                 BufferSizeRow(
                     buffer_size=buffer_size,
                     scheme=scheme,
-                    seconds_to_target=seconds,
+                    seconds_to_target=run.time_to_reach(target),
                     epochs_to_target=run.epochs_to_reach(target),
                 )
             )

@@ -154,7 +154,7 @@ class SpeedupResult:
         return self.speedups[scheme][index]
 
     def bench_payload(self) -> dict:
-        """Provenance record for ``BENCH_<n>.json`` snapshots."""
+        """Provenance record: the cores and dataset behind the measured curve."""
         payload = {
             "cores": self.cores,
             "dataset": self.dataset,

@@ -1,4 +1,4 @@
-"""Tests for ordering policies, reservoir/MRS sampling and parallel schemes."""
+"""Tests for visit orders (shuffles, reservoir/MRS sampling) and parallel schemes."""
 
 from __future__ import annotations
 
@@ -7,23 +7,27 @@ import pytest
 
 from repro.core import (
     ClusteredOrder,
-    Model,
+    MultiplexedReservoir,
     PureUDAParallelism,
     ReservoirSampler,
     SharedMemoryParallelism,
     ShuffleAlways,
     ShuffleOnce,
+    Subsample,
     make_ordering,
+    make_schedule,
     ordering_names,
     partition_round_robin,
-    run_clustered_no_shuffle,
-    run_multiplexed_reservoir_sampling,
     run_shared_memory_epoch,
-    run_subsampling,
+    train,
 )
-from repro.data import make_dense_classification
-from repro.db import ColumnType, Schema, Table
-from repro.tasks import LogisticRegressionTask, SupervisedExample
+from repro.data import (
+    load_classification_table,
+    make_dense_classification,
+    make_sparse_classification,
+)
+from repro.db import ColumnType, Database, Schema, Table
+from repro.tasks import LogisticRegressionTask
 
 
 @pytest.fixture
@@ -83,15 +87,28 @@ class TestOrderingPolicies:
         assert isinstance(physical, ShuffleAlways) and not physical.logical
 
     def test_ordering_names(self):
-        assert set(ordering_names()) == {"clustered", "shuffle_always", "shuffle_once"}
+        assert set(ordering_names()) == {
+            "clustered", "shuffle_always", "shuffle_once", "subsample", "mrs",
+        }
+
+    def test_sampling_policies_by_name(self):
+        policy = make_ordering("mrs", buffer_size=5, memory_steps_per_io=2)
+        assert isinstance(policy, MultiplexedReservoir)
+        assert (policy.buffer_size, policy.memory_steps_per_io) == (5, 2)
+        assert isinstance(make_ordering("subsample", buffer_size=5), Subsample)
+        for cls in (Subsample, MultiplexedReservoir):
+            assert cls(5).logical
+            with pytest.raises(ValueError):
+                cls(0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ShuffleOnce(mode="virtual")
 
     def test_mode_kwarg_forwards_uniformly(self):
-        """make_ordering(name, mode="physical") works for every policy name."""
-        for name in ordering_names():
+        """make_ordering(name, mode="physical") works for every heap order
+        (the sampling policies are visit orders only and take no mode)."""
+        for name in ("clustered", "shuffle_once", "shuffle_always"):
             policy = make_ordering(name, mode="physical")
             assert not policy.logical
         with pytest.raises(ValueError):
@@ -218,80 +235,177 @@ class TestReservoirSampler:
             ReservoirSampler(0)
 
 
-class TestSamplingRunners:
-    @pytest.fixture
-    def clustered_examples(self):
-        dataset = make_dense_classification(120, 6, seed=5).clustered_by_label()
-        return dataset.examples, LogisticRegressionTask(6)
+class TestSamplingVisitOrders:
+    """A sampling scheme is a visit order: a subset, or a sequence with repeats."""
 
-    def test_subsampling_trains_only_on_buffer(self, clustered_examples):
-        examples, task = clustered_examples
-        result = run_subsampling(examples, task, buffer_size=20, epochs=4, step_size=0.1, seed=0)
-        assert result.scheme == "subsampling"
-        assert result.buffer_size == 20
-        assert len(result.history) == 4
-        assert result.history[0].gradient_steps == 20
+    def test_subsample_is_one_subset_reused_every_epoch(self, label_table):
+        policy = Subsample(6)
+        rng = np.random.default_rng(0)
+        policy.prepare(label_table, rng)
+        first = policy.epoch_row_order(20, 0, rng)
+        assert policy.epoch_row_order(20, 3, rng) is first
+        assert len(first) == len(set(first.tolist())) == 6
+        assert set(first.tolist()) <= set(range(20))
+        assert policy.shuffle_count == 1
+        # each segment draws its own reservoir; a new run draws afresh
+        other = policy.epoch_row_order(20, 0, rng, partition=1)
+        assert other is not first and other.tolist() != first.tolist()
+        policy.prepare(label_table, rng)
+        assert policy.epoch_row_order(20, 0, rng) is not first
 
-    def test_mrs_converges_better_than_subsampling(self, clustered_examples):
-        examples, task = clustered_examples
-        subsampling = run_subsampling(
-            examples, task, buffer_size=12, epochs=6, step_size=0.1, seed=0
-        )
-        mrs = run_multiplexed_reservoir_sampling(
-            examples, task, buffer_size=12, epochs=6, step_size=0.1, seed=0
-        )
-        assert mrs.final_objective < subsampling.final_objective
+    def test_subsample_full_buffer_is_the_stored_order(self):
+        order = Subsample(25).epoch_row_order(20, 0, np.random.default_rng(0))
+        assert order.tolist() == list(range(20))
 
-    def test_mrs_uses_more_gradient_steps_per_epoch(self, clustered_examples):
-        examples, task = clustered_examples
-        mrs = run_multiplexed_reservoir_sampling(
-            examples, task, buffer_size=12, epochs=2, step_size=0.1, seed=0
-        )
-        # I/O worker steps on dropped tuples plus memory-worker steps.
-        assert mrs.history[-1].gradient_steps > len(examples)
-
-    def test_clustered_runner_matches_epoch_count(self, clustered_examples):
-        examples, task = clustered_examples
-        result = run_clustered_no_shuffle(examples, task, epochs=3, step_size=0.1, seed=0)
-        assert len(result.history) == 3
-        assert result.history[-1].gradient_steps == 3 * len(examples)
-
-    def test_epochs_to_reach(self, clustered_examples):
-        examples, task = clustered_examples
-        result = run_clustered_no_shuffle(examples, task, epochs=5, step_size=0.1, seed=0)
-        trace = result.objective_trace()
-        assert result.epochs_to_reach(trace[-1]) <= 5
-        assert result.epochs_to_reach(-1.0) is None
+    def test_mrs_interleaves_dropped_and_buffered_ordinals(self, label_table):
+        policy = MultiplexedReservoir(6, memory_steps_per_io=2)
+        rng = np.random.default_rng(0)
+        policy.prepare(label_table, rng)
+        first = policy.epoch_row_order(20, 0, rng)
+        # Epoch 0: the memory buffer is empty — only the 14 dropped ordinals
+        # step, and with the 6 kept ones they are the whole table.
+        assert policy.epoch_row_order(20, 0, rng) is first
+        kept = sorted(set(range(20)) - set(first.tolist()))
+        assert len(first) == 14 and len(kept) == 6
+        # Epoch 1: 14 fresh drops, each streamed ordinal followed by two
+        # picks cycling through the buffer epoch 0 kept.
+        second = policy.epoch_row_order(20, 1, rng)
+        assert len(second) == 14 + 2 * 20
+        memory_steps = [int(v) for v in second if int(v) in kept]
+        assert len(memory_steps) >= 40 and set(memory_steps) == set(kept)
+        assert policy.shuffle_count == 2
 
     @pytest.mark.parametrize("extra", [0, 5])
-    def test_subsampling_full_buffer_degenerates_to_clustered(self, clustered_examples, extra):
+    def test_mrs_full_buffer_caps_at_n_minus_one(self, extra):
+        """MRS caps the reservoir at n - 1 so the I/O worker — which trains on
+        *dropped* ordinals only — always takes at least one step per pass."""
+        policy = MultiplexedReservoir(20 + extra)
+        rng = np.random.default_rng(0)
+        assert len(policy.epoch_row_order(20, 0, rng)) == 1
+        later = policy.epoch_row_order(20, 1, rng)
+        assert len(later) == 1 + 20
+        assert len(set(later.tolist())) >= 19  # the whole 19-ordinal buffer cycles
+
+
+def reference_sampling_run(examples, task, policy, *, epochs, step_size, seed):
+    """The per-example loop the sampling policies must reproduce through
+    ``train``: reservoir -> interleave -> ``gradient_step`` + ``proximal.apply``."""
+    rng = np.random.default_rng(seed)
+    schedule = make_schedule(step_size)
+    model = task.initial_model(rng)
+    n = len(examples)
+    steps = 0
+    step_counts = []
+
+    def step(index, epoch):
+        nonlocal steps
+        alpha = schedule.step_size(steps, epoch)
+        task.gradient_step(model, examples[index], alpha)
+        task.proximal.apply(model, alpha)
+        steps += 1
+
+    memory: list[int] = []
+    buffer = None
+    for epoch in range(epochs):
+        if isinstance(policy, Subsample):
+            if buffer is None:
+                sampler = ReservoirSampler(min(policy.buffer_size, n), rng)
+                for index in range(n):
+                    sampler.offer(index)
+                buffer = sampler.sample()
+            for index in buffer:
+                step(index, epoch)
+        else:
+            sampler = ReservoirSampler(min(policy.buffer_size, n - 1), rng)
+            cursor = 0
+            for index in range(n):
+                dropped = sampler.offer(index)
+                if dropped is not None:
+                    step(dropped, epoch)
+                for _ in range(policy.memory_steps_per_io if memory else 0):
+                    step(memory[cursor % len(memory)], epoch)
+                    cursor += 1
+            memory = sampler.sample()
+        step_counts.append(steps)
+    return model, step_counts
+
+
+class TestSamplingOnTheEpochLoop:
+    STEP = {"kind": "epoch_decay", "alpha0": 0.1, "decay": 0.9}
+
+    @pytest.fixture(params=[False, True], ids=["dense", "sparse"])
+    def workload(self, request):
+        sparse = request.param
+        if sparse:
+            dataset = make_sparse_classification(140, 70, nonzeros_per_example=6, seed=3)
+        else:
+            dataset = make_dense_classification(120, 6, seed=5)
+        dataset = dataset.clustered_by_label()
+        database = Database("postgres", seed=0)
+        load_classification_table(database, "pts", dataset.examples, sparse=sparse)
+        return database, dataset.examples, LogisticRegressionTask(dataset.dimension)
+
+    def run(self, workload, ordering, **overrides):
+        database, _examples, task = workload
+        options = dict(ordering=ordering, step_size=self.STEP, max_epochs=4, seed=0)
+        return train(task, database, "pts", **{**options, **overrides})
+
+    @pytest.mark.parametrize("execution", ["per_tuple", "chunked"])
+    @pytest.mark.parametrize(
+        "make_policy",
+        [lambda: Subsample(30), lambda: MultiplexedReservoir(30),
+         lambda: MultiplexedReservoir(12, memory_steps_per_io=3)],
+        ids=["subsample", "mrs", "mrs_x3"],
+    )
+    def test_train_matches_per_example_reference_bit_for_bit(
+        self, workload, make_policy, execution
+    ):
+        _database, examples, task = workload
+        result = self.run(workload, make_policy(), execution=execution)
+        reference, step_counts = reference_sampling_run(
+            examples, task, make_policy(), epochs=4, step_size=self.STEP, seed=0
+        )
+        assert np.array_equal(result.model["w"], reference["w"])
+        assert [r.gradient_steps for r in result.history] == step_counts
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_subsample_full_buffer_degenerates_to_clustered(self, workload, extra):
         """buffer_size >= n keeps every tuple in stored order: the Figure 10B
         sweep at fraction 1.0 is plain IGD over the clustered data."""
-        examples, task = clustered_examples
-        full = run_subsampling(
-            examples, task, buffer_size=len(examples) + extra, epochs=3,
-            step_size=0.1, seed=0,
-        )
-        reference = run_clustered_no_shuffle(examples, task, epochs=3, step_size=0.1, seed=0)
-        assert full.buffer_size == len(examples)
-        assert np.array_equal(full.model["w"], reference.model["w"])
-        assert full.objective_trace() == reference.objective_trace()
+        n = len(workload[1])
+        full = self.run(workload, Subsample(n + extra))
+        clustered = self.run(workload, "clustered")
+        assert np.array_equal(full.model["w"], clustered.model["w"])
+        assert full.objective_trace() == clustered.objective_trace()
 
-    @pytest.mark.parametrize("extra", [0, 5])
-    def test_mrs_full_buffer_caps_at_n_minus_one(self, clustered_examples, extra):
-        """MRS caps the reservoir at n - 1 so the I/O worker — which trains on
-        *dropped* tuples only — always takes at least one step per pass."""
-        examples, task = clustered_examples
-        result = run_multiplexed_reservoir_sampling(
-            examples, task, buffer_size=len(examples) + extra, epochs=3,
-            step_size=0.1, seed=0,
-        )
-        assert result.buffer_size == len(examples) - 1
-        # Epoch 0: the memory buffer is still empty, so the single dropped
-        # tuple of the fill pass is the only gradient step.
+    def test_mrs_full_buffer_still_steps(self, workload):
+        n = len(workload[1])
+        result = self.run(workload, MultiplexedReservoir(n + 5))
         assert result.history[0].gradient_steps == 1
-        # Later epochs interleave the full swapped buffer: progress resumes.
-        assert result.history[-1].gradient_steps > len(examples)
+        assert result.history[-1].gradient_steps > n
+
+    def test_subsample_trains_only_on_the_buffer(self, workload):
+        result = self.run(workload, Subsample(20))
+        assert result.ordering_name == "subsample"
+        assert [r.gradient_steps for r in result.history] == [20, 40, 60, 80]
+
+    def test_mrs_converges_better_than_subsampling(self, workload):
+        subsample = self.run(workload, Subsample(12), max_epochs=6)
+        mrs = self.run(workload, MultiplexedReservoir(12), max_epochs=6)
+        assert mrs.final_objective < subsample.final_objective
+        # I/O worker steps on dropped tuples plus memory-worker steps.
+        assert mrs.history[-1].gradient_steps > 6 * len(workload[1]) - 12
+
+    @pytest.mark.parametrize(
+        "ordering", [Subsample(30), MultiplexedReservoir(30), "clustered"],
+        ids=["subsample", "mrs", "clustered"],
+    )
+    def test_epoch_stopwatch_is_bounded_by_the_run(self, workload, ordering):
+        """Every epoch is timed by the one loop's own stopwatch (the private
+        MRS loop once reported host uptime per epoch)."""
+        result = self.run(workload, ordering)
+        assert sum(r.elapsed_seconds for r in result.history) <= result.total_seconds
+        assert result.time_to_reach(result.final_objective) <= result.total_seconds
 
 
 @pytest.mark.backends

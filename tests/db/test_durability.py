@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig
+from repro.core.ordering import MultiplexedReservoir
 from repro.data import (
     load_classification_table,
     make_dense_classification,
@@ -449,17 +450,26 @@ def _train_config(**overrides) -> IGDConfig:
 
 
 class TestTrainingStateCheckpoints:
-    def test_epoch_checkpoint_and_resume_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "ordering", ["shuffle_once", MultiplexedReservoir(20)], ids=["shuffle_once", "mrs"]
+    )
+    def test_epoch_checkpoint_and_resume_matches_uninterrupted(self, tmp_path, ordering):
+        """The drawn permutation — or MRS's memory buffer — rides in the
+        saved policy, so the reopened run continues mid-stream."""
         dataset = _sparse_dataset()
         task = LogisticRegressionTask(dataset.dimension, mu=0.01)
 
         reference_db = Database("postgres", seed=0)
         load_classification_table(reference_db, "pts", dataset.examples, sparse=True)
-        reference = BismarckRunner(reference_db, task, _train_config()).train("pts")
+        reference = BismarckRunner(
+            reference_db, task, _train_config(ordering=ordering)
+        ).train("pts")
 
         db = _open(tmp_path / "db")
         load_classification_table(db, "pts", dataset.examples, sparse=True)
-        runner = BismarckRunner(db, task, _train_config(checkpoint_every=1, max_epochs=2))
+        runner = BismarckRunner(
+            db, task, _train_config(ordering=ordering, checkpoint_every=1, max_epochs=2)
+        )
         runner.train("pts")
         state = db.training_state("pts")
         assert state is not None and state.next_epoch == 2
@@ -469,9 +479,9 @@ class TestTrainingStateCheckpoints:
         recovered = _open(tmp_path / "db")
         state = recovered.training_state("pts")
         assert state is not None
-        resumed = BismarckRunner(recovered, task, _train_config(checkpoint_every=1)).train(
-            "pts", resume_from=state
-        )
+        resumed = BismarckRunner(
+            recovered, task, _train_config(ordering=ordering, checkpoint_every=1)
+        ).train("pts", resume_from=state)
         np.testing.assert_array_equal(
             resumed.model.as_flat_vector(), reference.model.as_flat_vector()
         )

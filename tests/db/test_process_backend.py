@@ -21,7 +21,12 @@ import numpy as np
 import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig, train
-from repro.core.ordering import ShuffleAlways, make_ordering
+from repro.core.ordering import (
+    MultiplexedReservoir,
+    ShuffleAlways,
+    Subsample,
+    make_ordering,
+)
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
 from repro.core.stepsize import make_schedule
 from repro.core.uda import AccuracyAggregate, IGDAggregate, LossAggregate
@@ -718,6 +723,9 @@ PHYSICAL_ORDERINGS = {
     "shuffle_once": lambda: "shuffle_once",
     "shuffle_always": lambda: "shuffle_always",
     "physical": lambda: ShuffleAlways(mode="physical"),
+    # Per-segment reservoirs: a subset, and a sequence with repeats.
+    "subsample": lambda: Subsample(12),
+    "mrs": lambda: MultiplexedReservoir(12),
 }
 
 

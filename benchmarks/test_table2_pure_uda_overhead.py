@@ -1,4 +1,4 @@
-"""Benchmark E2 — Table 2: pure-UDA runtime overhead vs the NULL aggregate."""
+"""Benchmark E2 — Table 2: one IGD epoch as a UDA vs the NULL aggregate."""
 
 from __future__ import annotations
 
@@ -12,17 +12,19 @@ def test_table2_pure_uda_overhead(benchmark, scale):
         run_overhead_table, args=("pure_uda", scale), kwargs={"repeats": 2},
         iterations=1, rounds=1,
     )
-    report("Table 2 — pure-UDA overhead vs NULL aggregate", result.render())
+    rendered = result.render()
+    report("Table 2 — IGD as a UDA vs the NULL aggregate (measured)", rendered)
 
-    # Every task costs more than the strawman NULL aggregate...
-    assert all(row.task_seconds > row.null_seconds for row in result.rows)
-    # ...and the overhead stays bounded (the paper reports <= ~2.5x extra for
-    # LMF; our Python transition functions are costlier relative to the scan,
-    # so the bound is looser but must not explode).
-    assert result.max_overhead_pct() < 1500.0
-    # LMF (the compute-heavy task) should be at least as expensive per tuple
-    # as the simple LR task on the same engine, as in the paper.
-    for engine in ("postgres", "dbms_a", "dbms_b"):
-        lmf = result.rows_for(engine=engine, task="LMF")[0]
-        lr = [r for r in result.rows_for(engine=engine, task="LR") if r.dataset == "forest_like"][0]
-        assert lmf.task_seconds > lr.null_seconds
+    # Structure only: which side of the paper's claim the timings fall on is
+    # the rendered verdict's business (and this host's), not an assertion.
+    assert result.tasks() == [
+        "forest_like LR", "forest_like SVM", "dblife_like LR", "dblife_like SVM",
+        "movielens_like LMF",
+    ]
+    for task in result.tasks():
+        for configuration in ("null", "per_tuple", "chunked", "pure_uda_x8"):
+            assert result.row(task, configuration).seconds > 0
+    assert len(result.rows) == 5 * 4
+    assert "Paper's claim:" in rendered
+    assert f"Verdict: {result.verdict()}" == rendered.splitlines()[-1]
+    assert result.verdict().startswith(("reproduced", "not reproduced here", "not measurable here"))

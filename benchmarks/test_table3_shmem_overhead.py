@@ -1,4 +1,4 @@
-"""Benchmark E3 — Table 3: shared-memory UDA overhead vs the NULL aggregate."""
+"""Benchmark E3 — Table 3: state down the pipe vs model in shared pages."""
 
 from __future__ import annotations
 
@@ -12,26 +12,22 @@ def test_table3_shared_memory_overhead(benchmark, scale):
         run_overhead_table, args=("shared_memory", scale), kwargs={"repeats": 2},
         iterations=1, rounds=1,
     )
-    report("Table 3 — shared-memory UDA overhead vs NULL aggregate", result.render())
+    rendered = result.render()
+    report("Table 3 — pooled pure-UDA epoch vs pooled NoLock epoch (measured)", rendered)
 
-    assert all(row.task_seconds > 0 for row in result.rows)
-    assert result.max_overhead_pct() < 1500.0
-
-
-def test_shared_memory_beats_pure_uda_on_dbms_a(benchmark, scale):
-    """The paper's motivation for the shared-memory UDA: on DBMS A, whose pure
-    UDA pays heavy model-passing costs, the shared-memory variant is several
-    times faster."""
-
-    def run_both():
-        return (
-            run_overhead_table("pure_uda", scale, engines=("dbms_a",), repeats=2),
-            run_overhead_table("shared_memory", scale, engines=("dbms_a",), repeats=2),
-        )
-
-    pure, shm = benchmark.pedantic(run_both, iterations=1, rounds=1)
-    report("DBMS A: pure UDA vs shared memory", pure.render() + "\n\n" + shm.render())
-    for dataset, task in (("forest_like", "LR"), ("forest_like", "SVM"), ("movielens_like", "LMF")):
-        pure_row = [r for r in pure.rows if r.dataset == dataset and r.task == task][0]
-        shm_row = [r for r in shm.rows if r.dataset == dataset and r.task == task][0]
-        assert shm_row.task_seconds < pure_row.task_seconds
+    models = result.tasks()
+    assert models[:3] == ["LR d=54", "LR d=2000", "LR d=100000"] and models[3].startswith("LMF")
+    assert len(result.rows) == 4 * 2
+    # The state-passing claim by count, never by wall-clock: every pure-UDA
+    # part's message holds the model, a NoLock worker's stays a KB-scale
+    # header at every swept dimension while the model grows to 800 KB.
+    for model in models:
+        uda, nolock = result.row(model, "pure_uda"), result.row(model, "nolock")
+        assert uda.seconds > 0 and nolock.seconds > 0
+        assert uda.pipe_bytes >= 2 * uda.model_bytes
+        assert 0 < nolock.pipe_bytes < 2 * 1024
+    assert result.model_copies_per_worker("pure_uda") >= 1.0
+    assert result.model_copies_per_worker("nolock") < 0.01
+    assert "Paper's claim:" in rendered
+    assert f"Verdict: {result.verdict()}" == rendered.splitlines()[-1]
+    assert result.verdict().startswith(("reproduced", "not reproduced here", "not measurable here"))

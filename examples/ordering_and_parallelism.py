@@ -58,7 +58,7 @@ def parallelism_study() -> None:
     epochs = 5
     workers = 8
 
-    segmented = SegmentedDatabase(workers, "dbms_b", seed=0)
+    segmented = SegmentedDatabase(workers, "dbms_b", seed=0)  # the string is only a label
     load_classification_table(segmented, "docs", dataset.examples, sparse=True)
     pure = train(
         LogisticRegressionTask(dataset.dimension), segmented, "docs",

@@ -18,7 +18,7 @@ from repro.frontend import install_frontend, load_model
 
 
 def main() -> None:
-    # 1. Stand up a database (the PostgreSQL-like personality) and load data.
+    # 1. Stand up a database ("postgres" is a display label, nothing more) and load data.
     database = Database("postgres", seed=0)
     dataset = make_dense_classification(num_examples=1000, dimension=54, seed=0)
     load_classification_table(database, "labeledpapers", dataset.examples, sparse=False)

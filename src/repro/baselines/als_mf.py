@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ def train_als_matrix_factorization(
     iterations: int = 20,
     ridge: float | None = None,
     seed: int | None = 0,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
     """Factorise the observed entries with alternating least squares."""
     ridge = task.mu if ridge is None else ridge
@@ -50,11 +49,6 @@ def train_als_matrix_factorization(
 
     for iteration in range(iterations):
         start = time.perf_counter()
-        if charge_per_tuple is not None:
-            # ALS scans every observed entry twice per iteration (row pass and
-            # column pass) through the engine.
-            for _ in range(2 * len(examples)):
-                charge_per_tuple()
         # Solve for every row factor with column factors fixed.
         for row, observed in by_row.items():
             design = np.stack([right[example.col] for example in observed])

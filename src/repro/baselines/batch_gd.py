@@ -10,7 +10,7 @@ whole IGD epoch while making far less progress per pass.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ def train_batch_gradient_descent(
     step_size: float = 0.01,
     iterations: int = 100,
     step_decay: float = 1.0,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
     """Train a linear-model task with full-batch gradient descent."""
     if not isinstance(task, LinearModelTask):
@@ -66,9 +65,6 @@ def train_batch_gradient_descent(
 
     for iteration in range(iterations):
         start = time.perf_counter()
-        if charge_per_tuple is not None:
-            for _ in range(len(examples)):
-                charge_per_tuple()
         gradient = _batch_gradient(task, weights, examples)
         weights -= alpha * gradient
         task.proximal.apply(model, alpha)

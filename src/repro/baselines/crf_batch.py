@@ -11,7 +11,7 @@ Bismarck's IGD updates after every sequence.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ def train_batch_crf(
     step_size: float = 0.5,
     iterations: int = 50,
     step_decay: float = 0.98,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
     """Full-batch gradient descent on the CRF negative log-likelihood."""
     model = task.initial_model()
@@ -45,8 +44,6 @@ def train_batch_crf(
         # update, so the averaged displacement tracks the batch direction.
         scratch = model.copy()
         for example in examples:
-            if charge_per_tuple is not None:
-                charge_per_tuple()
             task.gradient_step(scratch, example, 1.0)
         direction = {
             name: (scratch[name] - model[name]) / num_examples for name, _ in model.items()

@@ -11,7 +11,7 @@ per tuple touched is far lower than IGD's.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ def train_batch_matrix_factorization(
     step_size: float = 0.001,
     iterations: int = 50,
     seed: int | None = 0,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
     """Full-batch gradient descent on the observed-entry squared error."""
     rng = np.random.default_rng(seed)
@@ -42,8 +41,6 @@ def train_batch_matrix_factorization(
         grad_left = task.mu * left.copy()
         grad_right = task.mu * right.copy()
         for example in examples:
-            if charge_per_tuple is not None:
-                charge_per_tuple()
             li = left[example.row]
             rj = right[example.col]
             residual = float(np.dot(li, rj)) - example.value

@@ -8,16 +8,12 @@ a d x d system.  The per-iteration cost is therefore O(N d^2 + d^3) — super-
 linear in the dimension, which is exactly the reason the paper gives for
 Bismarck's speed advantage on LR ("the algorithms in MADlib for LR are
 super-linear in the dimension").
-
-``charge_per_tuple`` lets the comparison harness charge the engine's per-tuple
-scan cost for every tuple the baseline touches, so Bismarck and the baseline
-are measured against the same in-RDBMS substrate.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,18 +40,15 @@ def train_newton_logistic_regression(
     iterations: int = 25,
     ridge: float = 1e-6,
     tolerance: float = 1e-8,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
-    """Train LR by Newton/IRLS iterations with per-tuple scan accounting."""
+    """Train LR by Newton/IRLS iterations."""
     task = LogisticRegressionTask(dimension)
     weights = np.zeros(dimension)
     history: list[EpochRecord] = []
     total_start = time.perf_counter()
 
-    # The modelled in-RDBMS cost of IRLS is the per-tuple scan (charged below,
-    # once per tuple per iteration) plus the O(N d^2 + d^3) arithmetic; the
-    # arithmetic itself is batched here so the harness measures the modelled
-    # engine cost rather than Python loop overhead.
+    # IRLS costs O(N d^2 + d^3) arithmetic per iteration; it is batched here
+    # so the harness measures that rather than Python loop overhead.
     if examples:
         features_matrix = np.stack(
             [_densify(example.features, dimension) for example in examples]
@@ -70,9 +63,6 @@ def train_newton_logistic_regression(
         start = time.perf_counter()
         # One scan of the data; per tuple: O(d) for the gradient, O(d^2) for
         # the Hessian rank-one update (the MADlib IRLS transition function).
-        if charge_per_tuple is not None:
-            for _ in range(len(examples)):
-                charge_per_tuple()
         margins = labels * (features_matrix @ weights)
         probabilities = 1.0 / (1.0 + np.exp(np.clip(margins, -35, 35)))
         gradient = -(labels * probabilities) @ features_matrix

@@ -9,7 +9,7 @@ data for a single parameter update.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +27,8 @@ def train_batch_svm(
     step_size: float = 0.01,
     iterations: int = 100,
     step_decay: float = 0.99,
-    charge_per_tuple: Callable[[], object] | None = None,
 ) -> BaselineResult:
-    """Full-batch subgradient descent on the hinge loss.
-
-    ``charge_per_tuple`` is called once per tuple per iteration so the
-    comparison harness can charge the engine's scan cost (the native tool runs
-    inside the same RDBMS).
-    """
+    """Full-batch subgradient descent on the hinge loss."""
     model = task.initial_model()
     weights = model["w"]
     history: list[EpochRecord] = []
@@ -45,8 +39,6 @@ def train_batch_svm(
         start = time.perf_counter()
         gradient = np.zeros_like(weights)
         for example in examples:
-            if charge_per_tuple is not None:
-                charge_per_tuple()
             wx = dot_product(weights, example.features)
             if 1.0 - wx * example.label > 0:
                 scale_and_add(gradient, example.features, -example.label)

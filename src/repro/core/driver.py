@@ -61,12 +61,12 @@ class IGDConfig:
     compute_objective: bool = True
     #: Execution path for training epochs and loss passes on *every* backend
     #: (serial, pure-UDA segmented, shared-memory): "auto" serves aggregates
-    #: from the cached chunk plane (cached decoded examples, vectorized loss,
-    #: engine overhead charged per chunk) whenever the task and table support
-    #: it, falling back to per-tuple otherwise; "per_tuple" forces the paper's
-    #: tuple-at-a-time UDA protocol; "chunked" requires the fast path and
-    #: errors if it is unavailable.  Exact IGD (batch_size == 1) produces
-    #: bit-for-bit identical models on either path.
+    #: from the cached chunk plane (cached decoded examples, vectorized loss)
+    #: whenever the task and table support it, falling back to per-tuple
+    #: otherwise; "per_tuple" forces the paper's tuple-at-a-time UDA protocol;
+    #: "chunked" requires the fast path and errors if it is unavailable.
+    #: Exact IGD (batch_size == 1) produces bit-for-bit identical models on
+    #: either path.
     execution: str = "auto"
     #: Mini-batch size.  1 (default) is the paper's exact IGD: one gradient
     #: step per tuple.  B > 1 is opt-in mini-batch SGD — one averaged-gradient

@@ -47,10 +47,6 @@ class IGDAggregate(UserDefinedAggregate):
 
     wants_row = True
     supports_merge = True
-    # The UDA state carries the whole model across the engine's function-call
-    # boundary on every transition; engines with expensive model passing (the
-    # paper's DBMS A) therefore charge extra per tuple for this aggregate.
-    state_passing_units = 1.0
 
     def __init__(
         self,

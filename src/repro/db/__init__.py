@@ -7,9 +7,8 @@ The package provides the database features the paper relies on:
 * user-defined aggregates with the standard ``initialize / transition /
   terminate`` (+ ``merge``) contract (:mod:`repro.db.aggregates`),
 * a simulated shared-memory facility (:mod:`repro.db.shared_memory`),
-* a single-node engine with per-engine cost personalities
-  (:mod:`repro.db.engine`) and a segmented parallel engine
-  (:mod:`repro.db.parallel`).
+* a single-node engine (:mod:`repro.db.engine`) and a segmented parallel
+  engine (:mod:`repro.db.parallel`).
 """
 
 from .aggregates import (
@@ -18,15 +17,7 @@ from .aggregates import (
     NullAggregate,
     UserDefinedAggregate,
 )
-from .engine import (
-    DBMS_A,
-    DBMS_B,
-    PERSONALITIES,
-    POSTGRES,
-    Database,
-    EnginePersonality,
-    connect,
-)
+from .engine import Database, connect
 from .checkpoint import (
     CheckpointManager,
     RecoveryReport,
@@ -123,22 +114,17 @@ __all__ = [
     "CrashInjector",
     "CrashPlan",
     "ColumnType",
-    "DBMS_A",
     "DegradationEvent",
-    "DBMS_B",
     "Database",
     "DatabaseError",
     "DuplicateTableError",
     "DurabilityPolicy",
-    "EnginePersonality",
     "EnvSpecError",
     "ExecutionError",
     "FaultInjected",
     "FaultPlan",
     "FunctionalAggregate",
     "NullAggregate",
-    "PERSONALITIES",
-    "POSTGRES",
     "ParallelAggregateResult",
     "ParseError",
     "ProcessWorkerPool",

@@ -42,22 +42,13 @@ class UserDefinedAggregate:
     #: segments (no merge function was provided).
     supports_merge: bool = True
 
-    #: Relative size of the aggregation state passed across the engine's
-    #: function-call boundary on every transition.  Built-in aggregates carry a
-    #: few scalars (0.0 = negligible); Bismarck's IGD aggregate carries the
-    #: whole model (1.0), which is what makes the pure-UDA implementation slow
-    #: on engines with expensive model passing (the paper's "DBMS A").
-    state_passing_units: float = 0.0
-
     #: Chunked-execution contract.  Aggregates that can consume a whole
     #: decoded :class:`~repro.tasks.base.ExampleBatch` per call set
     #: ``supports_chunks`` (usually a property consulting the task) and expose
     #: the decoding task via ``chunk_decoder`` so the executor can key its
     #: example cache on it; ``transition_chunk`` then replaces a run of
-    #: per-tuple ``transition`` calls.  The engine charges its per-tuple /
-    #: model-passing overhead once per *chunk* on this path — the
-    #: function-call boundary is crossed per batch, which is exactly why
-    #: batch-at-a-time execution is fast.
+    #: per-tuple ``transition`` calls: the function-call boundary is crossed
+    #: once per batch, which is exactly why batch-at-a-time execution is fast.
     supports_chunks: bool = False
     chunk_decoder: Any = None
 

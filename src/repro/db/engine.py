@@ -1,18 +1,13 @@
 """The single-node database engine facade.
 
 :class:`Database` ties together the catalog (tables), the UDA registry, scalar
-user-defined functions, the simulated shared-memory arena and the executor.
-It also carries an :class:`EnginePersonality` that models the per-tuple and
-model-passing cost differences between the three engines the paper evaluates
-(PostgreSQL, "DBMS A", "DBMS B"): the absolute numbers in Tables 2–3 depend on
-the engine, and the personalities let the overhead experiments reproduce the
-relative pattern (DBMS A has expensive function-call / model-passing overhead;
-DBMS B is a parallel engine with cheap per-tuple cost per segment).
+user-defined functions, the shared-memory arena and the executor.  There is
+one engine: the string a database is constructed with is a display label and
+selects nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -37,44 +32,12 @@ from .types import Column, ColumnType, Schema
 from .wal import DurabilityPolicy, WriteAheadLog, prune_segments
 
 
-@dataclass(frozen=True)
-class EnginePersonality:
-    """Relative cost model of an RDBMS engine.
-
-    ``per_tuple_overhead`` is the abstract cost charged by the executor for
-    every tuple fed to an aggregate (scan + tuple formation + UDA call
-    overhead).  ``model_passing_cost`` is the extra cost charged each time a
-    UDA state (the model) is serialised across a function-call boundary, which
-    is what makes the pure-UDA implementation on DBMS A slow in the paper.
-    ``default_segments`` is the parallelism the engine runs with out of the box.
-    """
-
-    name: str
-    per_tuple_overhead: float = 1.0
-    model_passing_cost: float = 0.0
-    default_segments: int = 1
-
-
-POSTGRES = EnginePersonality(name="postgres", per_tuple_overhead=1.0, model_passing_cost=0.2)
-DBMS_A = EnginePersonality(name="dbms_a", per_tuple_overhead=4.0, model_passing_cost=6.0)
-DBMS_B = EnginePersonality(
-    name="dbms_b", per_tuple_overhead=2.0, model_passing_cost=1.0, default_segments=8
-)
-
-PERSONALITIES: dict[str, EnginePersonality] = {
-    "postgres": POSTGRES,
-    "postgresql": POSTGRES,
-    "dbms_a": DBMS_A,
-    "dbms_b": DBMS_B,
-}
-
-
 class Database:
     """A single-node in-memory database instance."""
 
     def __init__(
         self,
-        personality: EnginePersonality | str = POSTGRES,
+        label: str = "postgres",
         *,
         seed: int | None = None,
         recovery: "object | None" = None,
@@ -84,12 +47,8 @@ class Database:
         durability: "DurabilityPolicy | str | None" = None,
         crashes: "Sequence | None" = None,
     ):
-        if isinstance(personality, str):
-            try:
-                personality = PERSONALITIES[personality.lower()]
-            except KeyError:
-                raise ExecutionError(f"unknown engine personality: {personality!r}") from None
-        self.personality = personality
+        #: Display name only (shown by ``repr``); it selects nothing.
+        self.label = label
         self.tables: dict[str, Table] = {}
         self.aggregates = AggregateRegistry()
         self.functions: dict[str, Callable] = {}
@@ -134,8 +93,6 @@ class Database:
         self.executor = Executor(
             self.aggregates,
             self.functions,
-            per_tuple_overhead=personality.per_tuple_overhead,
-            model_passing_overhead=personality.model_passing_cost,
             rng=self.rng,
             **executor_kwargs,
         )
@@ -169,12 +126,7 @@ class Database:
                 table.add_observer(self._on_table_mutation)
 
     @classmethod
-    def open(
-        cls,
-        path: "str | Path",
-        personality: EnginePersonality | str = POSTGRES,
-        **kwargs,
-    ) -> "Database":
+    def open(cls, path: "str | Path", label: str = "postgres", **kwargs) -> "Database":
         """Open (creating or recovering) a durable database directory.
 
         A fresh directory starts empty with a live WAL; an existing one is
@@ -182,7 +134,7 @@ class Database:
         training states alike) — before the instance is returned.  See
         :attr:`recovery_report` for what happened.
         """
-        return cls(personality, path=path, **kwargs)
+        return cls(label, path=path, **kwargs)
 
     @property
     def durable(self) -> bool:
@@ -480,14 +432,14 @@ class Database:
         backend: str = "in_process",
         process_workers: int | None = None,
     ) -> Any:
-        """Run a UDA over a table directly (bypassing SQL), honouring the
-        engine's per-tuple cost model and an optional explicit row order.
-        ``execution`` selects per-tuple vs chunked columnar aggregation (see
-        :meth:`Executor.run_aggregate`).  ``backend="process"`` compiles the
-        call to a ``generic`` :class:`~repro.db.pass_plan.PassPlan` and runs
-        it on :class:`~repro.db.pass_plan.ProcessBackend` — the engine's
-        persistent supervised worker pool, ``process_workers`` wide
-        (default: one worker per core)."""
+        """Run a UDA over a table directly (bypassing SQL), honouring an
+        optional explicit row order.  ``execution`` selects per-tuple vs
+        chunked columnar aggregation (see :meth:`Executor.run_aggregate`).
+        ``backend="process"`` compiles the call to a ``generic``
+        :class:`~repro.db.pass_plan.PassPlan` and runs it on
+        :class:`~repro.db.pass_plan.ProcessBackend` — the engine's persistent
+        supervised worker pool, ``process_workers`` wide (default: one worker
+        per core)."""
         if backend not in ("in_process", "process"):
             raise ExecutionError(f"unknown execution backend {backend!r}")
         table = self.table(table_name)
@@ -514,12 +466,9 @@ class Database:
         return sorted(table.name for table in self.tables.values())
 
     def __repr__(self) -> str:
-        return (
-            f"Database(personality={self.personality.name!r}, "
-            f"tables={self.table_names()})"
-        )
+        return f"Database({self.label!r}, tables={self.table_names()})"
 
 
-def connect(personality: str | EnginePersonality = "postgres", *, seed: int | None = None) -> Database:
+def connect(label: str = "postgres", *, seed: int | None = None) -> Database:
     """Create a new database instance (mirrors a DB-API ``connect`` call)."""
-    return Database(personality, seed=seed)
+    return Database(label, seed=seed)

@@ -75,8 +75,6 @@ class Executor:
         aggregates: AggregateRegistry,
         functions: dict[str, Callable] | None = None,
         *,
-        per_tuple_overhead: float = 0.0,
-        model_passing_overhead: float = 0.0,
         rng: np.random.Generator | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         cache_entries: int = 32,
@@ -90,15 +88,6 @@ class Executor:
         #: Bound on retained ExampleCache entries (LRU by last touch).
         self.cache_entries = cache_entries
         self._example_cache = None  # built lazily (avoids a db<->tasks import cycle)
-        #: Simulated fixed cost charged per tuple fed to an aggregate; the
-        #: engine personalities use this to model per-engine differences
-        #: (Tables 2 and 3 in the paper).  Charged as busy-wait-free arithmetic
-        #: accumulation (not sleep) so results are deterministic.
-        self.per_tuple_overhead = per_tuple_overhead
-        #: Extra per-tuple cost charged when the aggregate's state (the model)
-        #: must be serialised across the engine's function-call boundary; the
-        #: charge is scaled by the aggregate's ``state_passing_units``.
-        self.model_passing_overhead = model_passing_overhead
         self.rng = rng or np.random.default_rng()
 
     # ---------------------------------------------------------------- SELECT
@@ -196,10 +185,7 @@ class Executor:
             arguments.append(item.aggregate_argument or Star())
 
         states = [instance.initialize() for instance in instances]
-        passing_units = max(instance.state_passing_units for instance in instances)
-        overhead_sink = 0.0
         for row in ordered:
-            overhead_sink += self._charge_overhead(passing_units)
             for i, instance in enumerate(instances):
                 value = row if instance.wants_row else self._aggregate_input(arguments[i], row)
                 states[i] = instance.transition(states[i], value)
@@ -209,32 +195,12 @@ class Executor:
         columns = [
             item.alias or _default_name(item, i) for i, item in enumerate(statement.items)
         ]
-        result = QueryResult(columns=columns, rows=[results], tuples_scanned=scanned)
-        # Keep the accumulated overhead reachable so it cannot be optimised out.
-        result.overhead_sink = overhead_sink  # type: ignore[attr-defined]
-        return result
+        return QueryResult(columns=columns, rows=[results], tuples_scanned=scanned)
 
     def _aggregate_input(self, argument: Expression, row: Row) -> Any:
         if isinstance(argument, Star):
             return row
         return argument.evaluate(row, self.functions)
-
-    def _charge_overhead(self, state_passing_units: float = 0.0) -> float:
-        """Simulate a per-tuple engine cost with a small arithmetic loop.
-
-        Returns the accumulated value so callers can keep it live.  The amount
-        of work scales linearly with ``per_tuple_overhead`` plus
-        ``model_passing_overhead * state_passing_units`` (abstract cost units;
-        1.0 unit ~ a few hundred float multiplies).
-        """
-        cost = self.per_tuple_overhead + self.model_passing_overhead * state_passing_units
-        if cost <= 0:
-            return 0.0
-        iterations = int(cost * 64)
-        sink = 1.0
-        for i in range(iterations):
-            sink = sink * 1.0000001 + 1e-9 * i
-        return sink
 
     # ------------------------------------------------------- programmatic API
     @property
@@ -299,24 +265,21 @@ class Executor:
 
         The single consumption loop behind :meth:`run_aggregate` and every
         in-process part of a partitioned pass
-        (:func:`~repro.db.pass_plan.run_partitioned`).  On the chunk plane the
-        per-tuple engine overhead (tuple formation, UDA call, model passing)
-        is charged once per chunk — the function-call boundary is crossed per
-        batch, which is the entire reason vectorized execution wins.  Either
-        way the pass counts as one logical scan, even when served from the
-        cache or by ``row_at`` random access: shuffle-always/MRS-style
-        ordered passes read every tuple and must show up in the scan counts
-        the overhead/scalability experiments report.
+        (:func:`~repro.db.pass_plan.run_partitioned`).  The chunk plane
+        crosses the aggregate's function-call boundary once per batch, the
+        per-tuple plane once per row (after forming it) — the difference
+        Table 2 times.  Either way the pass counts as one logical scan, even
+        when served from the cache or by ``row_at`` random access:
+        shuffle-always/MRS-style ordered passes read every tuple and must
+        show up in the scan counts the scalability experiments report.
         """
         plan = self.chunk_plan(
             table, instance, where=where, row_order=row_order, execution=execution
         )
         state = instance.initialize()
-        overhead_sink = 0.0
         if plan is not None:
             table.scan_count += 1
             for batch in plan:
-                overhead_sink += self._charge_overhead(instance.state_passing_units)
                 state = instance.transition_chunk(state, batch)
         else:
             if isinstance(argument, str):
@@ -329,14 +292,11 @@ class Executor:
             for row in rows:
                 if where is not None and not bool(where.evaluate(row, self.functions)):
                     continue
-                overhead_sink += self._charge_overhead(instance.state_passing_units)
                 if instance.wants_row or argument is None:
                     value: Any = row
                 else:
                     value = argument.evaluate(row, self.functions)
                 state = instance.transition(state, value)
-        if overhead_sink < 0:  # pragma: no cover - keeps the sink live
-            raise ExecutionError("overhead accumulator underflow")
         return state
 
     def run_aggregate(

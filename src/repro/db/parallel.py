@@ -1,7 +1,7 @@
 """Segmented (shared-nothing) parallel engine, modelled on the paper's "DBMS B".
 
-A :class:`SegmentedDatabase` is a facade: one master :class:`Database`, a
-segment count and a personality.  It holds no table of its own — segment
+A :class:`SegmentedDatabase` is a facade: one master :class:`Database` and a
+segment count.  It holds no table of its own — segment
 ``i`` of ``S`` is the rows ``i::S`` of the master table, named as visit
 ordinals over the master's one cached chunk list
 (:func:`~repro.db.pass_plan.partition_pass`), so loading, inserting,
@@ -10,8 +10,7 @@ shuffling and recovering touch the master only.  Aggregates that provide a
 states before ``terminate`` — exactly the "pure UDA" parallelism of Section
 3.3.  The segments fold sequentially in this process or, with
 ``backend="process"``, one OS worker each; either way the engine records the
-per-segment tuple counts and charges the personality's model-passing cost
-per segment.
+per-segment tuple counts.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .aggregates import UserDefinedAggregate
-from .engine import DBMS_B, Database, EnginePersonality
+from .engine import Database
 from .errors import ExecutionError
 from .expressions import ColumnRef, Expression
 from .pass_plan import run_partitioned
@@ -52,44 +51,17 @@ class ParallelAggregateResult:
 class SegmentedDatabase:
     """A shared-nothing parallel database: a master engine read as segments."""
 
-    def __init__(
-        self,
-        num_segments: int | None = None,
-        personality: EnginePersonality | str = DBMS_B,
-        *,
-        seed: int | None = None,
-        recovery: "object | None" = None,
-        faults: "Sequence | None" = None,
-        path: "object | None" = None,
-        durability: "object | None" = None,
-        crashes: "Sequence | None" = None,
-    ):
-        self.master = Database(
-            personality,
-            seed=seed,
-            recovery=recovery,
-            faults=faults,
-            path=path,
-            durability=durability,
-            crashes=crashes,
-        )
-        if num_segments is not None and num_segments <= 0:
+    def __init__(self, num_segments: int, label: str = "dbms_b", **master_options):
+        """``master_options`` are :class:`Database`'s keyword options, verbatim."""
+        if num_segments <= 0:
             raise ExecutionError("num_segments must be positive")
-        self.num_segments = (
-            num_segments if num_segments is not None
-            else self.master.personality.default_segments
-        )
+        self.num_segments = num_segments
+        self.master = Database(label, **master_options)
 
     @classmethod
-    def open(
-        cls,
-        path,
-        num_segments: int | None = None,
-        personality: EnginePersonality | str = DBMS_B,
-        **kwargs,
-    ) -> "SegmentedDatabase":
+    def open(cls, path, num_segments: int, label: str = "dbms_b", **kwargs) -> "SegmentedDatabase":
         """Open/recover a durable segmented database (see ``Database.open``)."""
-        return cls(num_segments, personality, path=path, **kwargs)
+        return cls(num_segments, label, path=path, **kwargs)
 
     @property
     def recovery_report(self):
@@ -110,10 +82,6 @@ class SegmentedDatabase:
         self.master.clear_training_state(name)
 
     # -------------------------------------------------------------- catalog
-    @property
-    def personality(self) -> EnginePersonality:
-        return self.master.personality
-
     def create_table(
         self, name: str, columns: Sequence[tuple[str, ColumnType | str]] | Schema
     ) -> Table:
@@ -182,7 +150,7 @@ class SegmentedDatabase:
         ``"chunked"`` raises if the pass cannot chunk.  Unlike the serial
         :meth:`Executor.run_aggregate` — whose ``"per_tuple"`` default is kept
         as the paper's reference protocol — this entry point defaults to the
-        chunk plane; callers measuring per-tuple engine overhead (Tables 2-3)
+        chunk plane; callers measuring the per-tuple call boundary (Table 2)
         must pass ``execution="per_tuple"`` explicitly.
 
         ``backend`` selects who folds a segment: ``"in_process"`` (the
@@ -254,6 +222,6 @@ class SegmentedDatabase:
 
     def __repr__(self) -> str:
         return (
-            f"SegmentedDatabase(personality={self.personality.name!r}, "
-            f"segments={self.num_segments}, tables={self.master.table_names()})"
+            f"SegmentedDatabase({self.num_segments}, {self.master.label!r}, "
+            f"tables={self.master.table_names()})"
         )

@@ -301,14 +301,13 @@ def run_partitioned(
 ) -> "tuple[Any, PassPartition]":
     """Partition → fold → merge: the one path of every multi-part pass.
 
-    Splits the pass with :func:`partition_pass`, charges the state-passing
-    cost once per part, folds each part — in this process through
-    :meth:`Executor.run_state` (whole chunks directly), or with ``on_pool``
-    one part per worker of the engine's ``workers``-wide pool — counts one
-    logical scan, and merges the partial states left-to-right.  The backends
-    differ only in who folds a part, and a part folds over the same chunk
-    blocks with the same kernels wherever it runs, so for a fixed width every
-    backend returns bit-for-bit the same value.
+    Splits the pass with :func:`partition_pass`, folds each part — in this
+    process through :meth:`Executor.run_state` (whole chunks directly), or
+    with ``on_pool`` one part per worker of the engine's ``workers``-wide
+    pool — counts one logical scan, and merges the partial states
+    left-to-right.  The backends differ only in who folds a part, and a part
+    folds over the same chunk blocks with the same kernels wherever it runs,
+    so for a fixed width every backend returns bit-for-bit the same value.
     """
     executor = engine.executor
     partition = partition_pass(
@@ -317,8 +316,6 @@ def run_partitioned(
     )
     kind, parts, chunks = partition
     scans = table.scan_count
-    for _ in parts:
-        executor._charge_overhead(instance.state_passing_units)
     if on_pool:
         from .process_backend import fold_on_pool
 
@@ -484,7 +481,6 @@ class SharedMemoryBackend(ExecutionBackend):
             step_offset=context.step_offset,
             proximal=context.proximal,
             arena=self.engine.shared_memory,
-            charge_per_tuple=executor._charge_overhead,
             cache=cache,
             row_order=plan.row_order,
         )
@@ -664,6 +660,12 @@ def epoch_backend(database: "Database | SegmentedDatabase", spec: Any) -> Execut
             raise TypeError(
                 "pure-UDA parallelism requires a SegmentedDatabase "
                 "(shared-nothing segments)"
+            )
+        if spec.segments not in (None, database.num_segments):
+            raise ExecutionError(
+                f"PureUDAParallelism(segments={spec.segments}) does not match the "
+                f"database's {database.num_segments} segments; the pass width is "
+                "the database's segment count"
             )
         return SegmentedBackend(database, process=spec.backend == "process")
     return SerialBackend(_engine_of(database))

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import io
+import math
 import os
 import pickle
 import time
@@ -193,8 +194,8 @@ def _decode_payload(data: bytes, handles: list) -> Any:
 # ---------------------------------------------------------------------------
 # Worker entrypoint
 # ---------------------------------------------------------------------------
-def _model_over(template: "Model", flat: np.ndarray) -> "Model":
-    """A model whose components are views into ``flat``.
+def _model_over(shapes: "Mapping[str, tuple]", flat: np.ndarray) -> "Model":
+    """A model of the named component ``shapes`` whose arrays are views into ``flat``.
 
     Laid out like :meth:`Model.as_flat_vector` (sorted component names,
     ravelled): over a private buffer a snapshot is one ``copyto`` and a delta
@@ -205,10 +206,10 @@ def _model_over(template: "Model", flat: np.ndarray) -> "Model":
 
     components = {}
     offset = 0
-    for name in sorted(template.component_names()):
-        array = template[name]
-        components[name] = flat[offset:offset + array.size].reshape(array.shape)
-        offset += array.size
+    for name in sorted(shapes):
+        size = math.prod(shapes[name])
+        components[name] = flat[offset:offset + size].reshape(shapes[name])
+        offset += size
     return Model(components)
 
 
@@ -250,10 +251,10 @@ def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
     )
 
     shm, shared = attach_shared_array(params["os_name"], params["shape"])
-    live = _model_over(params["model_template"], shared)
+    live = _model_over(params["model_shapes"], shared)
     if scheme == "aig":
         flat = np.empty_like(shared)
-        scratch = _model_over(params["model_template"], flat)
+        scratch = _model_over(params["model_shapes"], flat)
     steps = 0
     try:
         for batch in gathered:
@@ -524,9 +525,11 @@ class ProcessWorkerPool:
         self.workers = workers
         self._ctx = fork_context()
         self._faults = tuple(faults)
-        #: Transport accounting: bytes that crossed pipes per transport kind,
-        #: bytes resident in published pages, publication (encode+copy)
-        #: seconds, payload counts and ``/dev/shm``-exhaustion fallbacks.
+        #: Transport accounting: payload bytes that crossed pipes per transport
+        #: kind, op-message bytes :meth:`run` sent (a pure-UDA part's message
+        #: holds the model, a ``nolock`` worker's does not), bytes resident in
+        #: published pages, publication (encode+copy) seconds, payload counts
+        #: and ``/dev/shm``-exhaustion fallbacks.
         self.transport_stats: dict[str, Any] = {
             "page_payloads": 0,
             "pickle_payloads": 0,
@@ -534,6 +537,7 @@ class ProcessWorkerPool:
             "page_bytes": 0,
             "pages_bytes_shipped": 0,
             "pickle_bytes_shipped": 0,
+            "op_bytes_shipped": 0,
             "publish_seconds": 0.0,
         }
         #: Publication lock shared by every worker (inherited through fork).
@@ -651,6 +655,7 @@ class ProcessWorkerPool:
         for worker, payload in encoded.items():
             self._inflight[worker] = messages[worker][0]
             self._conns[worker].send_bytes(payload)
+            self.transport_stats["op_bytes_shipped"] += len(payload)
         return self._gather(list(messages))
 
     # ------------------------------------------------------------- transport
@@ -975,7 +980,7 @@ def fold_on_pool(
     """Fold part ``i`` of a partitioned pass on worker ``i``; states in part order.
 
     The pool half of :func:`~repro.db.pass_plan.run_partitioned`, which has
-    already partitioned, counted and charged the pass and merges what this
+    already partitioned and counted the pass and merges what this
     returns.  Every part reads the table's one resident payload — the cached
     chunk list for ``"chunks"`` (whole chunk ids) and ``"examples"`` (visit
     ordinals the worker gathers), the raw row block for ``"rows"`` — so the
@@ -1065,10 +1070,12 @@ def run_process_shared_memory_epoch(
 
     arena.free(segment_name)
     segment = arena.allocate_from(segment_name, model.as_flat_vector())
+    # Workers lay the model over the shared pages from its component shapes:
+    # no model-sized array ever rides the epoch message.
+    shapes = {name: model[name].shape for name in model.component_names()}
     try:
         messages: dict[int, tuple] = {}
         for worker in range(workers):
-            executor._charge_overhead()
             messages[worker] = (
                 "shmem_epoch",
                 {
@@ -1084,7 +1091,7 @@ def run_process_shared_memory_epoch(
                     "epoch": epoch,
                     "step_offset": step_offset,
                     "staleness": spec.effective_staleness(),
-                    "model_template": model.zeros_like(),
+                    "model_shapes": shapes,
                 },
             )
         steps_taken = int(sum(pool.run(messages).values()))

@@ -490,7 +490,6 @@ def run_shared_memory_epoch(
     proximal: "ProximalOperator | None" = None,
     arena: SharedMemoryArena | None = None,
     segment_name: str = "bismarck_model",
-    charge_per_tuple=None,
     cache: "ExampleCache | None" = None,
     row_order: "Sequence[int] | None" = None,
 ) -> "tuple[Model, int]":
@@ -514,15 +513,6 @@ def run_shared_memory_epoch(
     delta publication — is byte-identical either way, so cached and uncached
     epochs produce the same model.
 
-    ``charge_per_tuple`` is an optional zero-argument callable modelling the
-    engine's scan cost.  On the uncached path it is invoked once per tuple as
-    rows are read (the paper's protocol: workers scan tuples through the
-    engine; only the model-passing cost is avoided because the model lives in
-    shared memory).  On the cached path the per-tuple boundary disappears —
-    workers read decoded examples from the shared plane — so the charge is
-    applied once per published worker batch instead, mirroring how the serial
-    chunked path charges per chunk.
-
     This runner interleaves the workers cooperatively in one process, which
     is what makes the lock/AIG/NoLock convergence traces deterministic
     (Figure 9A).  The *measured* wall-clock path — real worker processes
@@ -534,25 +524,18 @@ def run_shared_memory_epoch(
 
     schedule = make_schedule(step_size)
     proximal = proximal if proximal is not None else task.proximal or IdentityProximal()
-    charge_per_batch = False
     if isinstance(examples, Table):
         if cache is not None:
             materialized = cache.examples_for(examples, task)
             # One logical scan of the table's data per epoch, cached or not.
             examples.scan_count += 1
-            charge_per_batch = True
         else:
-            materialized = []
-            for row in examples.scan():
-                if charge_per_tuple is not None:
-                    charge_per_tuple()
-                materialized.append(task.example_from_row(row))
+            materialized = [task.example_from_row(row) for row in examples.scan()]
     else:
-        materialized = []
-        for item in examples:
-            if charge_per_tuple is not None:
-                charge_per_tuple()
-            materialized.append(task.example_from_row(item) if isinstance(item, Row) else item)
+        materialized = [
+            task.example_from_row(item) if isinstance(item, Row) else item
+            for item in examples
+        ]
     if row_order is not None:
         # Zero-copy gather: the permuted list shares the decoded examples, so
         # a cached epoch under a fresh logical shuffle re-decodes nothing.
@@ -588,8 +571,6 @@ def run_shared_memory_epoch(
             batch = partition[cursor:cursor + staleness]
             cursors[worker] = cursor + len(batch)
             progressed = True
-            if charge_per_batch and charge_per_tuple is not None:
-                charge_per_tuple()
 
             snapshot = segment.snapshot()
             scratch.load_flat_vector(snapshot)

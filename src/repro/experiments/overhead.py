@@ -1,24 +1,35 @@
-"""Experiments E2/E3 — Tables 2 and 3: runtime overhead vs the NULL aggregate.
+"""Experiments E2/E3 — Tables 2 and 3: the UDA call boundary and state passing.
 
-The paper measures, for every engine and task, the single-iteration (one
-epoch) runtime of the Bismarck aggregate against a strawman "NULL" aggregate
-that scans the same tuples but computes nothing.  Table 2 uses the pure-UDA
-implementation, Table 3 the shared-memory UDA.
+The paper's Table 2 says one epoch of IGD written as a user-defined aggregate
+costs little more than a strawman NULL aggregate that scans the same tuples;
+its Table 3 says keeping the model in shared memory removes the cost of
+passing it across the function-call boundary.  This engine has both
+mechanisms for real, so the tables time those (mechanisms, not engines):
 
-We reproduce the measurement on the substrate's three engine personalities
-(postgres, dbms_a, dbms_b-with-8-segments) over the dense (Forest-like),
-sparse (DBLife-like) and ratings (MovieLens-like) datasets.
+* Table 2, per task: the NULL aggregate and the IGD aggregate over the
+  ``per_tuple`` protocol (row formation + one ``transition`` call per tuple),
+  with the ``chunked`` path and a pure-UDA pass over 8 in-process parts
+  beside them.
+* Table 3, per model shape: a pooled pure-UDA epoch (each part's message
+  carries the pickled state down the pipe, and the reply brings it back)
+  against a pooled ``nolock`` epoch (the model stays in mmap'd pages) at
+  equal workers — in seconds and in the op-message bytes the pool counted
+  (``transport_stats["op_bytes_shipped"]``, the outbound half).
+
+Every timing is the best of ``repeats`` warm epochs; each rendered table ends
+with the paper's claim and a verdict computed from the rows above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.uda import IGDAggregate
 from ..db.aggregates import NullAggregate
 from ..db.engine import Database
-from ..db.parallel import SegmentedDatabase
-from ..db.shared_memory import SharedMemoryParallelism, run_shared_memory_epoch
+from ..db.pass_plan import run_partitioned
+from ..db.process_backend import available_cores, run_process_shared_memory_epoch
+from ..db.shared_memory import SharedMemoryParallelism
 from ..data import (
     load_classification_table,
     load_ratings_table,
@@ -32,172 +43,201 @@ from ..tasks.svm import SVMTask
 from .harness import ExperimentScale, overhead_percent, resolve_scale, time_callable
 from .reporting import render_table
 
-ENGINES = ("postgres", "dbms_a", "dbms_b")
-DBMS_B_SEGMENTS = 8
+STEP_SIZE = 0.05
+#: Table 3's pool width, the same for both mechanisms.
+POOL_WORKERS = 2
+#: Table 3's model-dimension sweep: one sparse table, LR models of these widths.
+MODEL_DIMENSIONS = (54, 2_000, 100_000)
+#: The paper's worst Table 2 row (LMF) costs about this much over NULL.
+PAPER_WORST_OVERHEAD_PCT = 250.0
 
 
 @dataclass(frozen=True)
 class OverheadRow:
-    """One (engine, dataset, task) measurement."""
+    """One (task, configuration) measurement."""
 
-    engine: str
-    dataset: str
     task: str
-    null_seconds: float
-    task_seconds: float
-
-    @property
-    def overhead_pct(self) -> float:
-        return overhead_percent(self.null_seconds, self.task_seconds)
-
-    def as_row(self) -> tuple:
-        return (
-            self.engine,
-            self.dataset,
-            self.task,
-            f"{self.null_seconds * 1000:.2f}ms",
-            f"{self.task_seconds * 1000:.2f}ms",
-            f"{self.overhead_pct:.1f}%",
-        )
+    configuration: str
+    seconds: float
+    #: Table 3 only: op-message bytes sent per epoch, and the model's size.
+    pipe_bytes: int = 0
+    model_bytes: int = 0
 
 
 @dataclass
 class OverheadTableResult:
-    """All rows of a Table-2/Table-3 style overhead table."""
+    """All rows of Table 2 (``pure_uda``) or Table 3 (``shared_memory``)."""
 
     variant: str
-    rows: list[OverheadRow] = field(default_factory=list)
+    rows: list[OverheadRow]
+
+    def tasks(self) -> list[str]:
+        return list(dict.fromkeys(row.task for row in self.rows))
+
+    def row(self, task: str, configuration: str) -> OverheadRow:
+        return next(r for r in self.rows if (r.task, r.configuration) == (task, configuration))
+
+    def overhead_pct(self, task: str) -> float:
+        """Table 2: per-tuple IGD over the per-tuple NULL aggregate."""
+        return overhead_percent(
+            self.row(task, "null").seconds, self.row(task, "per_tuple").seconds
+        )
+
+    def model_copies_per_worker(self, configuration: str) -> float:
+        """Table 3: pipe-byte growth per worker over model-byte growth, across the sweep."""
+        low, high = (
+            self.row(f"LR d={d}", configuration)
+            for d in (MODEL_DIMENSIONS[0], MODEL_DIMENSIONS[-1])
+        )
+        grown = (high.pipe_bytes - low.pipe_bytes) / POOL_WORKERS
+        return grown / (high.model_bytes - low.model_bytes)
+
+    def verdict(self) -> str:
+        """reproduced / not reproduced here / not measurable here, from the rows."""
+        if self.variant == "pure_uda":
+            worst = max(self.overhead_pct(task) for task in self.tasks())
+            held = worst <= PAPER_WORST_OVERHEAD_PCT
+            detail = f"worst per-tuple overhead over NULL {worst:.0f}%"
+        elif available_cores() < POOL_WORKERS:
+            return f"not measurable here ({POOL_WORKERS} workers share {available_cores()} core)"
+        else:
+            copies = {name: self.model_copies_per_worker(name) for name in ("pure_uda", "nolock")}
+            widest = f"LR d={MODEL_DIMENSIONS[-1]}"
+            seconds = {name: self.row(widest, name).seconds for name in copies}
+            held = (
+                copies["nolock"] < 0.01 and copies["pure_uda"] >= 1.0
+                and seconds["nolock"] <= seconds["pure_uda"]
+            )
+            detail = (
+                f"model copies on the pipe per worker per epoch, by pipe-byte growth over "
+                f"model-byte growth: pure UDA {copies['pure_uda']:.2f}, NoLock "
+                f"{copies['nolock']:.2f}; at {widest} NoLock takes "
+                f"{seconds['nolock'] / seconds['pure_uda']:.2f}x the pure-UDA epoch"
+            )
+        return f"{'reproduced' if held else 'not reproduced here'} ({detail})"
 
     def render(self) -> str:
-        title = (
-            "Table 2 (reproduction): pure-UDA single-iteration overhead vs NULL aggregate"
-            if self.variant == "pure_uda"
-            else "Table 3 (reproduction): shared-memory UDA single-iteration overhead vs NULL aggregate"
-        )
-        return render_table(
-            ["Engine", "Dataset", "Task", "NULL time", "Runtime", "Overhead"],
-            [row.as_row() for row in self.rows],
-            title=title,
-        )
-
-    def rows_for(self, engine: str | None = None, task: str | None = None) -> list[OverheadRow]:
-        selected = self.rows
-        if engine is not None:
-            selected = [row for row in selected if row.engine == engine]
-        if task is not None:
-            selected = [row for row in selected if row.task == task]
-        return selected
-
-    def max_overhead_pct(self) -> float:
-        return max(row.overhead_pct for row in self.rows)
-
-
-def _build_engine(engine: str, seed: int = 0):
-    if engine == "dbms_b":
-        return SegmentedDatabase(DBMS_B_SEGMENTS, "dbms_b", seed=seed)
-    return Database(engine, seed=seed)
+        table2 = self.variant == "pure_uda"
+        configurations = list(dict.fromkeys(row.configuration for row in self.rows))
+        body = []
+        for task in self.tasks():
+            measured = [self.row(task, name) for name in configurations]
+            cells = [f"{row.seconds * 1000:.2f}ms" for row in measured]
+            if table2:
+                cells.append(f"{self.overhead_pct(task):.1f}%")
+            else:
+                cells += [measured[0].model_bytes, *(row.pipe_bytes for row in measured)]
+            body.append([task, *cells])
+        if table2:
+            headers = ["Task", *configurations, "per_tuple over null"]
+            title = "Table 2 (measured): one IGD epoch as a UDA vs the NULL aggregate"
+            claim = "IGD as a UDA costs little over a NULL aggregate scanning the same tuples."
+        else:
+            headers = ["Model", *configurations, "model B"]
+            headers += [f"{name} pipe B" for name in configurations]
+            title = (
+                f"Table 3 (measured): one pooled epoch on {POOL_WORKERS} workers, state "
+                "down the pipe vs model in shared pages"
+            )
+            claim = "a model kept in shared memory is not passed across the function-call boundary."
+        table = render_table(headers, body, title=title)
+        return f"{table}\nPaper's claim: {claim}\nVerdict: {self.verdict()}"
 
 
-def _load_workloads(database, scale: ExperimentScale) -> dict:
+def _measure(task: str, epochs: dict, repeats: int, pool=None, model_bytes: int = 0) -> list:
+    """Best of ``repeats`` warm runs per epoch; with ``pool``, its op bytes per run too."""
+    stats = pool.transport_stats if pool is not None else {"op_bytes_shipped": 0}
+    rows = []
+    for name, epoch in epochs.items():
+        before = stats["op_bytes_shipped"]
+        epoch()  # warm: decode cache, pool fork and payload publication happen once
+        seconds = time_callable(epoch, repeats=repeats).minimum
+        # Every run (the warm one included) sends the same messages.
+        shipped = (stats["op_bytes_shipped"] - before) // (repeats + 1)
+        rows.append(OverheadRow(task, name, seconds, shipped, model_bytes))
+    return rows
+
+
+def _table2_rows(database: Database, scale: ExperimentScale, repeats: int) -> list[OverheadRow]:
     dense = make_dense_classification(scale.dense_examples, scale.dense_dimension, seed=0)
     sparse = make_sparse_classification(
-        scale.sparse_examples,
-        scale.sparse_dimension,
-        nonzeros_per_example=scale.sparse_nonzeros,
-        seed=1,
+        scale.sparse_examples, scale.sparse_dimension,
+        nonzeros_per_example=scale.sparse_nonzeros, seed=1,
     )
     ratings = make_ratings(scale.rating_rows, scale.rating_cols, scale.num_ratings, rank=5, seed=2)
-    load_classification_table(database, "forest_like", dense.examples, sparse=False, replace=True)
-    load_classification_table(database, "dblife_like", sparse.examples, sparse=True, replace=True)
-    load_ratings_table(database, "movielens_like", ratings.examples, replace=True)
-    return {
-        "forest_like": ("dense", dense),
-        "dblife_like": ("sparse", sparse),
-        "movielens_like": ("ratings", ratings),
-    }
+    load_classification_table(database, "forest_like", dense.examples, sparse=False)
+    load_classification_table(database, "dblife_like", sparse.examples, sparse=True)
+    load_ratings_table(database, "movielens_like", ratings.examples)
+    workloads = [
+        ("forest_like", "LR", LogisticRegressionTask(dense.dimension)),
+        ("forest_like", "SVM", SVMTask(dense.dimension)),
+        ("dblife_like", "LR", LogisticRegressionTask(sparse.dimension)),
+        ("dblife_like", "SVM", SVMTask(sparse.dimension)),
+        ("movielens_like", "LMF",
+         LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=5, mu=0.01)),
+    ]
+    rows = []
+    for table_name, task_name, task in workloads:
+        table = database.table(table_name)
+        epochs = {
+            "null": lambda: database.run_aggregate(table_name, NullAggregate()),
+            "per_tuple": lambda: database.run_aggregate(
+                table_name, IGDAggregate(task, STEP_SIZE), execution="per_tuple"
+            ),
+            "chunked": lambda: database.run_aggregate(
+                table_name, IGDAggregate(task, STEP_SIZE), execution="chunked"
+            ),
+            # The paper's DBMS B ran 8 segments.
+            "pure_uda_x8": lambda: run_partitioned(
+                database, table, IGDAggregate(task, STEP_SIZE), workers=8
+            ),
+        }
+        rows += _measure(f"{table_name} {task_name}", epochs, repeats)
+    return rows
 
 
-def _tasks_for(dataset_name: str, kind, payload, scale: ExperimentScale) -> list:
-    if dataset_name == "movielens_like":
-        return [
-            (
-                "LMF",
-                LowRankMatrixFactorizationTask(
-                    payload.num_rows, payload.num_cols, rank=5, mu=0.01
-                ),
-            )
-        ]
-    dimension = payload.dimension
-    return [("LR", LogisticRegressionTask(dimension)), ("SVM", SVMTask(dimension))]
-
-
-def _run_null_epoch(database, table_name: str) -> None:
-    if isinstance(database, SegmentedDatabase):
-        database.run_parallel_aggregate(table_name, NullAggregate)
-    else:
-        database.run_aggregate(table_name, NullAggregate())
-
-
-def _run_pure_uda_epoch(database, table_name: str, task) -> None:
-    def factory():
-        return IGDAggregate(task, 0.05)
-
-    # Tables 2 and 3 measure the per-tuple function-call boundary itself, so
-    # the overhead epochs must not ride the cached chunk plane.
-    if isinstance(database, SegmentedDatabase):
-        database.run_parallel_aggregate(table_name, factory, execution="per_tuple")
-    else:
-        database.run_aggregate(table_name, factory(), execution="per_tuple")
-
-
-def _run_shared_memory_epoch(database, table_name: str, task) -> None:
-    engine = database.master if isinstance(database, SegmentedDatabase) else database
-    table = engine.table(table_name)
-    model = task.initial_model()
-    spec = SharedMemoryParallelism(
-        scheme="nolock",
-        workers=DBMS_B_SEGMENTS if isinstance(database, SegmentedDatabase) else 2,
+def _table3_rows(database: Database, scale: ExperimentScale, repeats: int) -> list[OverheadRow]:
+    sparse = make_sparse_classification(
+        scale.sparse_examples, MODEL_DIMENSIONS[0],
+        nonzeros_per_example=scale.sparse_nonzeros, seed=1,
     )
-    run_shared_memory_epoch(
-        table, task, model, 0.05, spec=spec, charge_per_tuple=engine.executor._charge_overhead
-    )
+    ratings = make_ratings(scale.rating_rows, scale.rating_cols, scale.num_ratings, rank=5, seed=2)
+    load_classification_table(database, "dblife_like", sparse.examples, sparse=True)
+    load_ratings_table(database, "movielens_like", ratings.examples)
+    lmf = LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=5, mu=0.01)
+    workloads = [
+        ("dblife_like", f"LR d={d}", LogisticRegressionTask(d)) for d in MODEL_DIMENSIONS
+    ] + [("movielens_like", f"LMF {ratings.num_rows}x{ratings.num_cols} r5", lmf)]
+    pool = database.process_pool(POOL_WORKERS)
+    spec = SharedMemoryParallelism(scheme="nolock", workers=POOL_WORKERS, backend="process")
+    rows = []
+    for table_name, label, task in workloads:
+        table = database.table(table_name)
+        model = task.initial_model()
+        epochs = {
+            # What a pure-UDA training epoch sends: the aggregate holds the state.
+            "pure_uda": lambda: run_partitioned(
+                database, table, IGDAggregate(task, STEP_SIZE, initial_model=model),
+                workers=POOL_WORKERS, on_pool=True,
+            ),
+            "nolock": lambda: run_process_shared_memory_epoch(
+                table, task, model, STEP_SIZE, spec=spec, pool=pool,
+                arena=database.shared_memory, executor=database.executor,
+            ),
+        }
+        rows += _measure(label, epochs, repeats, pool, 8 * model.num_parameters)
+    return rows
 
 
 def run_overhead_table(
     variant: str = "pure_uda",
     scale: ExperimentScale | str | None = None,
     *,
-    engines: tuple[str, ...] = ENGINES,
     repeats: int = 2,
 ) -> OverheadTableResult:
-    """Regenerate Table 2 (``variant='pure_uda'``) or Table 3 (``'shared_memory'``)."""
+    """Measure Table 2 (``variant='pure_uda'``) or Table 3 (``'shared_memory'``)."""
     if variant not in ("pure_uda", "shared_memory"):
         raise ValueError("variant must be 'pure_uda' or 'shared_memory'")
-    scale = resolve_scale(scale)
-    result = OverheadTableResult(variant=variant)
-
-    for engine in engines:
-        database = _build_engine(engine)
-        workloads = _load_workloads(database, scale)
-        for dataset_name, (kind, payload) in workloads.items():
-            null_sample = time_callable(
-                lambda: _run_null_epoch(database, dataset_name),
-                repeats=repeats,
-                label="null",
-            )
-            for task_name, task in _tasks_for(dataset_name, kind, payload, scale):
-                if variant == "pure_uda":
-                    runner = lambda: _run_pure_uda_epoch(database, dataset_name, task)
-                else:
-                    runner = lambda: _run_shared_memory_epoch(database, dataset_name, task)
-                task_sample = time_callable(runner, repeats=repeats, label=task_name)
-                result.rows.append(
-                    OverheadRow(
-                        engine=engine,
-                        dataset=dataset_name,
-                        task=task_name,
-                        null_seconds=null_sample.mean,
-                        task_seconds=task_sample.mean,
-                    )
-                )
-    return result
+    measure = _table2_rows if variant == "pure_uda" else _table3_rows
+    with Database("overhead", seed=0) as database:
+        return OverheadTableResult(variant, measure(database, resolve_scale(scale), repeats))

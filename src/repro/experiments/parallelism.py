@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.driver import IGDConfig, train
 from ..core.parallel import PureUDAParallelism, SharedMemoryParallelism
-from ..db.engine import DBMS_B, Database
+from ..db.engine import Database
 from ..db.parallel import SegmentedDatabase
 from ..db.process_backend import available_cores
 from ..data import (
@@ -76,7 +76,7 @@ def run_parallel_convergence(
     result = ParallelConvergenceResult(workers=workers)
 
     # Pure UDA: shared-nothing segments merged by model averaging.
-    segmented = SegmentedDatabase(workers, DBMS_B, seed=0)
+    segmented = SegmentedDatabase(workers, seed=0)
     load_sequences_table(segmented, "conll_like", corpus.examples)
     task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
     pure = train(

@@ -130,7 +130,6 @@ def run_scalability_experiment(
     # ------------------------------------------------------------- LR / SVM
     classify = make_scalability_classification(scale.scalability_examples, seed=seed)
     database = Database("postgres", seed=seed)
-    charge = database.executor._charge_overhead
     load_classification_table(database, "classify_large", classify.examples, sparse=False)
     step_size = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.9}
 
@@ -145,9 +144,7 @@ def run_scalability_experiment(
     # Newton converges in very few iterations; give it a short full run and
     # compare its wall-clock against the budget directly.
     start = time.perf_counter()
-    newton = train_newton_logistic_regression(
-        classify.examples, classify.dimension, iterations=6, charge_per_tuple=charge
-    )
+    newton = train_newton_logistic_regression(classify.examples, classify.dimension, iterations=6)
     newton_seconds = time.perf_counter() - start
     newton_completes = (
         newton_seconds <= budget and min(newton.objective_trace()) <= lr_target * 1.5
@@ -181,7 +178,6 @@ def run_scalability_experiment(
     for _ in range(200):
         gradient = np.zeros(classify.dimension)
         for example in classify.examples:
-            charge()
             if 1.0 - dot_product(svm_weights["w"], example.features) * example.label > 0:
                 scale_and_add(gradient, example.features, -example.label)
         svm_weights["w"][...] -= alpha * gradient
@@ -208,7 +204,6 @@ def run_scalability_experiment(
         seed=seed,
     )
     mf_db = Database("postgres", seed=seed)
-    mf_charge = mf_db.executor._charge_overhead
     load_ratings_table(mf_db, "matrix_large", ratings.examples)
     mf_task = LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=10, mu=0.01)
     mf_result, mf_seconds = bismarck_run(mf_task, mf_db, "matrix_large", 0.05)
@@ -232,7 +227,6 @@ def run_scalability_experiment(
         grad_left = baseline_mf_task.mu * left.copy()
         grad_right = baseline_mf_task.mu * right.copy()
         for example in ratings.examples:
-            mf_charge()
             li = left[example.row]
             rj = right[example.col]
             residual = float(np.dot(li, rj)) - example.value
@@ -260,7 +254,6 @@ def run_scalability_experiment(
         num_sequences=scale.num_sequences * 3, num_labels=scale.sequence_labels + 1, seed=seed
     )
     crf_db = Database("postgres", seed=seed)
-    crf_charge = crf_db.executor._charge_overhead
     load_sequences_table(crf_db, "dblp_like", corpus.examples)
     crf_task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
     crf_result, crf_seconds = bismarck_run(
@@ -276,7 +269,6 @@ def run_scalability_experiment(
         corpus.examples,
         step_size=0.5,
         iterations=max(4, int(budget_multiplier * epochs // 4)),
-        charge_per_tuple=crf_charge,
     )
     crf_elapsed = time.perf_counter() - start
     crf_completes = (

@@ -459,16 +459,6 @@ class TestSharedMemoryEpoch:
         )
         assert steps == 0
 
-    def test_charge_per_tuple_called(self, workload):
-        examples, task = workload
-        calls = []
-        run_shared_memory_epoch(
-            examples, task, task.initial_model(), 0.1,
-            spec=SharedMemoryParallelism(scheme="nolock", workers=2),
-            charge_per_tuple=lambda: calls.append(1),
-        )
-        assert len(calls) == len(examples)
-
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             SharedMemoryParallelism(scheme="optimistic", workers=4)

@@ -1,14 +1,13 @@
-"""Tests for engine personalities, the segmented database and shared memory."""
+"""Tests for the engine label, the segmented database and shared memory."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.driver import IGDConfig, train
+from repro.data import load_classification_table, make_dense_classification
 from repro.db import (
-    DBMS_A,
-    DBMS_B,
-    POSTGRES,
     Database,
     ExecutionError,
     FunctionalAggregate,
@@ -19,26 +18,39 @@ from repro.db import (
     UnknownTableError,
     connect,
 )
+from repro.tasks.logistic_regression import LogisticRegressionTask
 
 
-class TestPersonalities:
-    def test_connect_by_name(self):
-        assert connect("postgres").personality is POSTGRES
-        assert connect("dbms_a").personality is DBMS_A
-        assert connect("dbms_b").personality is DBMS_B
+class TestEngineLabel:
+    """The constructor string is a display label: it selects nothing."""
 
-    def test_postgresql_alias(self):
-        assert Database("postgresql").personality is POSTGRES
+    @pytest.mark.parametrize("label", ["postgres", "dbms_a", "dbms_b", "anything at all"])
+    def test_any_label_builds_the_one_engine(self, label):
+        database = connect(label, seed=0)
+        assert database.label == label and repr(label) in repr(database)
+        database.create_table("numbers", [("id", "int"), ("value", "float")])
+        database.insert("numbers", [(i, float(i)) for i in range(10)])
+        assert database.execute("SELECT sum(value) FROM numbers").scalar() == 45.0
 
-    def test_unknown_personality_raises(self):
-        with pytest.raises(ExecutionError):
-            Database("dbms_z")
+    def test_label_does_not_change_a_trained_model(self):
+        dataset = make_dense_classification(60, 5, seed=0)
+        weights = []
+        for label in ("postgres", "dbms_a"):
+            database = Database(label, seed=0)
+            load_classification_table(database, "points", dataset.examples, sparse=False)
+            result = train(
+                LogisticRegressionTask(5), database, "points",
+                config=IGDConfig(max_epochs=2, seed=0, execution="per_tuple"),
+            )
+            weights.append(result.model.as_flat_vector())
+        assert np.array_equal(*weights)
 
-    def test_dbms_a_has_expensive_model_passing(self):
-        assert DBMS_A.model_passing_cost > POSTGRES.model_passing_cost
-
-    def test_dbms_b_is_parallel_by_default(self):
-        assert DBMS_B.default_segments == 8
+    def test_segment_count_is_required(self, tmp_path):
+        with pytest.raises(TypeError):
+            SegmentedDatabase()
+        with pytest.raises(TypeError):
+            SegmentedDatabase.open(tmp_path / "db")
+        assert SegmentedDatabase(3).num_segments == 3
 
 
 @pytest.mark.backends
@@ -93,10 +105,6 @@ class TestSegmentedDatabase:
 
     def test_sql_passthrough(self, seg_db):
         assert seg_db.execute("SELECT count(*) FROM numbers").scalar() == 40
-
-    def test_default_segment_count_from_personality(self):
-        database = SegmentedDatabase(personality="dbms_b")
-        assert database.num_segments == 8
 
 
 def os_backed(segment) -> bool:

@@ -381,6 +381,24 @@ class TestWholeLoopParallelism:
             a.objective_trace(), b.objective_trace(), atol=1e-9, rtol=0
         )
 
+    def test_pure_uda_segments_must_match_the_database(self, workload):
+        """A spec width the database does not have is named, not silently ignored."""
+        dataset, task = workload
+        with SegmentedDatabase(2, "dbms_b", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            with pytest.raises(ExecutionError, match="segments=3.*2 segments"):
+                train(
+                    task, database, "pts",
+                    config=IGDConfig(max_epochs=1, parallelism=PureUDAParallelism(segments=3)),
+                )
+            for segments in (None, 2):
+                train(
+                    task, database, "pts",
+                    config=IGDConfig(
+                        max_epochs=1, parallelism=PureUDAParallelism(segments=segments)
+                    ),
+                )
+
     def test_parallel_evaluation_toggle_preserves_models(self, workload):
         """parallel_evaluation changes who computes the loss, never the model."""
         dataset, task = workload

@@ -867,25 +867,45 @@ class TestPartitionedPassCounts:
             yield database, task, dataset
 
     @pytest.mark.parametrize("backend", DISPATCH)
-    def test_one_scan_per_pass_and_one_charge_per_part(self, segmented, backend, monkeypatch):
+    def test_one_scan_per_pass(self, segmented, backend):
         database, task, _ = segmented
-        executor, table = database.master.executor, database.table("pts")
+        table = database.table("pts")
         model = task.initial_model()
-        charges = []
-        real = executor._charge_overhead
-        monkeypatch.setattr(
-            executor, "_charge_overhead", lambda units=0.0: charges.append(units) or real(units)
-        )
-        part_chunks = sum(-(-len(range(part, len(table), 3)) // 8) for part in range(3))
-        for factory, folded_in_process in (
-            (lambda: LossAggregate(task, model), 0),  # whole chunks: no run_state
-            (lambda: IGDAggregate(task, 0.1), part_chunks),  # run_state charges per chunk
-        ):
-            before, charges[:] = table.scan_count, []
+        for factory in (lambda: LossAggregate(task, model), lambda: IGDAggregate(task, 0.1)):
+            before = table.scan_count
             outcome = database.run_parallel_aggregate("pts", factory, backend=backend)
             assert outcome.num_segments == 3 and outcome.total_tuples == len(table)
             assert table.scan_count == before + 1
-            assert len(charges) == 3 + (folded_in_process if backend == "in_process" else 0)
+
+    def test_only_a_pure_uda_epoch_ships_the_model(self, segmented):
+        """``op_bytes_shipped`` over the same rows at two model widths: every
+        pure-UDA part's message holds the state, a ``nolock`` worker's holds
+        nothing that grows with the model (it lives in the shared pages)."""
+        database, _, dataset = segmented
+        pool = database.master.process_pool(3)
+
+        def epoch_bytes(target, parallelism, dimension):
+            config = IGDConfig(
+                max_epochs=1, seed=0, compute_objective=False, parallelism=parallelism
+            )
+            before = pool.transport_stats["op_bytes_shipped"]
+            train(LogisticRegressionTask(dimension), target, "pts", config=config)
+            return pool.transport_stats["op_bytes_shipped"] - before
+
+        narrow, wide = dataset.dimension, dataset.dimension + 5000
+        schemes = {
+            "pure_uda": (database, PureUDAParallelism(backend="process")),
+            "nolock": (
+                database.master,
+                SharedMemoryParallelism(scheme="nolock", workers=3, backend="process"),
+            ),
+        }
+        growth = {
+            name: epoch_bytes(*scheme, wide) - epoch_bytes(*scheme, narrow)
+            for name, scheme in schemes.items()
+        }
+        assert growth["pure_uda"] >= 3 * 8 * (wide - narrow)
+        assert 0 <= growth["nolock"] < 3 * 64
 
     def test_segmented_insert_decodes_each_row_once_and_ships_one_extend(self, segmented):
         database, task, dataset = segmented
@@ -1008,6 +1028,20 @@ class TestLifecycle:
         assert all(not proc.is_alive() for proc in pool._procs)
         with pytest.raises(ExecutionError):
             pool.run({0: ("ping",)})
+
+    def test_op_bytes_count_run_messages_not_payload_shipments(self):
+        import pickle
+
+        with ProcessWorkerPool(2) as pool:
+            pool.ensure_loaded(range(2), ("blob",), lambda: list(range(1000)))
+            assert pool.transport_stats["pickle_bytes_shipped"] > 0
+            assert pool.transport_stats["op_bytes_shipped"] == 0
+            messages = {0: ("ping",), 1: ("ping",)}
+            pool.run(messages)
+            assert pool.transport_stats["op_bytes_shipped"] == sum(
+                len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+                for message in messages.values()
+            )
 
     def test_worker_error_propagates(self):
         with ProcessWorkerPool(1) as pool:

@@ -46,13 +46,6 @@ class TestNewtonLR:
         trace = result.objective_trace()
         assert trace[-1] <= trace[1]
 
-    def test_charge_per_tuple_called_once_per_tuple_per_iteration(self, dense):
-        calls = []
-        train_newton_logistic_regression(
-            dense.examples, 6, iterations=2, charge_per_tuple=lambda: calls.append(1)
-        )
-        assert len(calls) == 2 * len(dense.examples)
-
     def test_early_stop_on_tiny_step(self, dense):
         result = train_newton_logistic_regression(dense.examples, 6, iterations=50, tolerance=1e-3)
         assert result.iterations < 50

@@ -1,8 +1,10 @@
 """Atomic snapshots of the catalog, and crash recovery.
 
 A snapshot is one self-contained image of a database: every catalog table
-(rows, schema, version counter **and version ledger** — so ``partial_fit``
-watermarks keep classifying correctly across a crash), the engine's saved
+(rows — array columns as one block each, see
+:func:`~repro.db.table.encode_rows` — schema, version counter **and version
+ledger**, so ``partial_fit`` watermarks keep classifying correctly across a
+crash), the engine's saved
 :class:`TrainingState` objects, and the WAL position it covers through.  It
 compacts the log; it is not what makes an epoch durable — a saved
 ``TrainingState`` is a WAL record, and ``Database.save_training_state``
@@ -25,7 +27,8 @@ Recovery (:func:`recover_database`, run by ``Database.open``):
 3. read the log from the snapshot's ``(segment, offset)`` on in one pass
    (:func:`~repro.db.wal.read_wal`) and replay it — table mutations re-apply
    with their original :class:`~repro.db.table.LedgerEntry` (exact version
-   numbers, ledger reconstructed, no re-logging), DDL records re-create/drop
+   numbers, ledger reconstructed, no re-logging; a record whose row counts
+   contradict its entry raises ``ExecutionError``), DDL records re-create/drop
    tables, ``training`` records save or clear a :class:`TrainingState`;
 4. the engine then reopens the WAL for append and re-attaches its mutation
    observers.
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .table import Table
+from .table import Table, decode_rows
 from .wal import RECORD_HEADER, numbered_files, prune_segments, read_wal
 
 #: Checkpoint file framing: magic + format version, then ``<II`` (length,
@@ -131,7 +134,7 @@ class CheckpointManager:
         if not blob.startswith(CHECKPOINT_MAGIC) or len(blob) < prefix + RECORD_HEADER.size:
             return None
         length, checksum = RECORD_HEADER.unpack_from(blob, prefix)
-        data = blob[prefix + RECORD_HEADER.size:]
+        data = memoryview(blob)[prefix + RECORD_HEADER.size:]  # a view: the payload is table-sized
         if len(data) != length or zlib.crc32(data) != checksum:
             return None
         return pickle.loads(data)
@@ -214,7 +217,7 @@ def recover_database(database, directory: Path) -> RecoveryReport:
             table = database.tables.get(record["table"])
             if table is not None:
                 table.apply_logged_mutation(
-                    record["entry"], record["rows"], record.get("clustered_on")
+                    record["entry"], decode_rows(record), record.get("clustered_on")
                 )
         elif kind == "training":
             if record["state"] is None:

@@ -27,7 +27,7 @@ from .parser import (
     parse,
 )
 from .shared_memory import SharedMemoryArena
-from .table import LedgerEntry, Table
+from .table import LedgerEntry, Table, encode_rows
 from .types import Column, ColumnType, Schema
 from .wal import DurabilityPolicy, WriteAheadLog, prune_segments
 
@@ -147,7 +147,8 @@ class Database:
         return self.wal is not None and not self.wal.closed
 
     def _on_table_mutation(self, table: Table, entry: LedgerEntry) -> None:
-        """WAL observer: append one mutation record (rows + ledger entry)."""
+        """WAL observer: append one mutation record (ledger entry + the rows
+        it added, or all rows after a rewrite, in ``encode_rows`` form)."""
         if not self._logging:
             return
         if entry.kind == "append":
@@ -159,7 +160,7 @@ class Database:
                 "type": "mutation",
                 "table": table.name.lower(),
                 "entry": entry,
-                "rows": rows,
+                **encode_rows(table.schema, rows),
                 "clustered_on": table.clustered_on,
             }
         )

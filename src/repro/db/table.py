@@ -16,8 +16,8 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import SchemaError
-from .types import ColumnType, Row, Schema
+from .errors import ExecutionError, SchemaError
+from .types import FLOAT64, ColumnType, Row, Schema
 
 DEFAULT_PAGE_SIZE = 256
 #: Default number of rows per columnar chunk yielded by :meth:`Table.scan_chunks`.
@@ -81,6 +81,65 @@ _CHUNK_DTYPES = {
     ColumnType.INTEGER: np.int64,
     ColumnType.BOOLEAN: np.bool_,
 }
+
+
+def encode_rows(schema: Schema, rows: list[tuple]) -> dict:
+    """The fields a durable record or image carries ``rows`` in.
+
+    A ``FLOAT_ARRAY`` column whose every value in ``rows`` is a 1-D float64
+    array of one length leaves the tuples and becomes one stacked ``(n, d)``
+    block: ``{"rows": <tuples without those columns>, "blocks":
+    {column_index: block}}``, one buffer for pickle to frame instead of one
+    ndarray per row.  Everything else stays inline — ragged, ``None`` or
+    list-valued arrays, and by measurement sparse maps (CSR triples were
+    slower and larger than pickle's own dict encoding) and scalar columns
+    (typed arrays grew the file).  With no block the result is ``{"rows":
+    rows}`` alone, byte for byte what was written before blocks existed.
+    """
+    blocks: dict[int, np.ndarray] = {}
+    if rows:
+        for index, column in enumerate(schema.columns):
+            if column.type is not ColumnType.FLOAT_ARRAY:
+                continue
+            values = [row[index] for row in rows]
+            shape = getattr(values[0], "shape", ())
+            if len(shape) == 1 and all(
+                type(value) is np.ndarray and value.dtype == FLOAT64 and value.shape == shape
+                for value in values
+            ):
+                blocks[index] = np.array(values)
+    if not blocks:
+        return {"rows": rows}
+    inline = [
+        [row[index] for row in rows] for index in range(len(schema)) if index not in blocks
+    ]
+    return {"rows": list(zip(*inline)) if inline else [()] * len(rows), "blocks": blocks}
+
+
+def decode_rows(fields: Mapping) -> list[tuple]:
+    """The row tuples :func:`encode_rows` was given; array values are views
+    ``block[i]`` of the one decoded buffer.  A record without blocks — every
+    record written before they existed — is its ``rows`` list as it stands."""
+    rows = fields["rows"]
+    blocks = fields.get("blocks")
+    if not blocks:
+        return rows
+    for index, block in blocks.items():
+        if len(block) != len(rows):
+            raise ExecutionError(
+                f"corrupt durable record: column {index} block holds {len(block)} rows "
+                f"beside {len(rows)} row tuples"
+            )
+    # Column by column, never ``zip(*rows)``: one iterator per row is enough
+    # tracked allocations to push a reopen into a full GC pass.
+    columns, position = [], 0
+    for index in range(len(rows[0]) + len(blocks)):
+        if index in blocks:
+            columns.append(list(blocks[index]))
+        else:
+            columns.append([row[position] for row in rows])
+            position += 1
+    return list(zip(*columns))
 
 
 class TableChunk:
@@ -256,21 +315,22 @@ class Table:
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
         """Insert many rows with batched page appends; returns the number inserted."""
-        coerce_row = self.schema.coerce_row
-        coerced = [coerce_row(values) for values in rows]
+        coerced = self.schema.coerce_rows(rows)
         if not coerced:
             return 0
-        remaining = coerced
-        if self._pages and len(self._pages[-1]) < self.page_size:
-            space = self.page_size - len(self._pages[-1])
-            self._pages[-1].extend(remaining[:space])
-            remaining = remaining[space:]
-        for start in range(0, len(remaining), self.page_size):
-            self._pages.append(remaining[start:start + self.page_size])
-        self._num_rows += len(coerced)
+        self._extend_pages(coerced)
         self.clustered_on = None
         self._bump("append", len(coerced), "insert_many")
         return len(coerced)
+
+    def _extend_pages(self, rows: list[tuple]) -> None:
+        """Append ``rows`` to the heap: fill the tail page, then cut new ones."""
+        space = self.page_size - len(self._pages[-1]) if self._pages else 0
+        if space:
+            self._pages[-1].extend(rows[:space])
+        for start in range(space, len(rows), self.page_size):
+            self._pages.append(rows[start:start + self.page_size])
+        self._num_rows += len(rows)
 
     def truncate(self) -> None:
         """Remove all rows."""
@@ -383,11 +443,8 @@ class Table:
 
     # ------------------------------------------------------- physical reorder
     def _replace_all(self, value_tuples: list[tuple], *, op: str = "rewrite") -> None:
-        pages: list[list[tuple]] = []
-        for start in range(0, len(value_tuples), self.page_size):
-            pages.append(list(value_tuples[start:start + self.page_size]))
-        self._pages = pages
-        self._num_rows = len(value_tuples)
+        self._pages, self._num_rows = [], 0
+        self._extend_pages(value_tuples)
         self._bump("rewrite", 0, op)
 
     def cluster_by(self, column: str, *, descending: bool = False) -> None:
@@ -448,13 +505,15 @@ class Table:
 
         Carries the version counter and the full retained ledger, so a table
         restored from an image classifies version deltas exactly like the
-        original — ``partial_fit`` watermarks survive a crash.
+        original — ``partial_fit`` watermarks survive a crash.  The rows are
+        in :func:`encode_rows` form: ``"rows"`` and, when an array column
+        stacked, ``"blocks"``.
         """
         return {
             "name": self.name,
             "schema": self.schema,
             "page_size": self.page_size,
-            "rows": [values for page in self._pages for values in page],
+            **encode_rows(self.schema, self.tail_values(0)),
             "version": self._version,
             "ledger": list(self._ledger),
             "ledger_capacity": self.ledger_capacity,
@@ -465,10 +524,7 @@ class Table:
     def from_image(cls, image: dict) -> "Table":
         """Rebuild a table from :meth:`to_image` output."""
         table = cls(image["name"], image["schema"], page_size=image["page_size"])
-        rows = image["rows"]
-        for start in range(0, len(rows), table.page_size):
-            table._pages.append(list(rows[start:start + table.page_size]))
-        table._num_rows = len(rows)
+        table._extend_pages(decode_rows(image))
         table._version = image["version"]
         table._ledger = list(image["ledger"])
         table.ledger_capacity = image.get("ledger_capacity", DEFAULT_LEDGER_CAPACITY)
@@ -485,22 +541,20 @@ class Table:
         the reconstructed ledger is indistinguishable from the pre-crash one
         and observers (not yet attached during recovery anyway) never re-log
         a replayed record.  ``rows`` are the appended tail for ``append``
-        entries and the full post-mutation row image for rewrites.
+        entries and the full post-mutation row image for rewrites; a record
+        whose row count contradicts its entry is refused, not applied.
         """
-        if entry.kind == "append":
-            remaining = list(rows)
-            if self._pages and len(self._pages[-1]) < self.page_size:
-                space = self.page_size - len(self._pages[-1])
-                self._pages[-1].extend(remaining[:space])
-                remaining = remaining[space:]
-            for start in range(0, len(remaining), self.page_size):
-                self._pages.append(list(remaining[start:start + self.page_size]))
-        else:
-            self._pages = [
-                list(rows[start:start + self.page_size])
-                for start in range(0, len(rows), self.page_size)
-            ]
-        self._num_rows = entry.rows_after
+        appended = entry.kind == "append"
+        expected = entry.rows_added if appended else entry.rows_after
+        if len(rows) != expected or (appended and self._num_rows + expected != entry.rows_after):
+            raise ExecutionError(
+                f"corrupt durable record: {entry.op} to version {entry.version} of "
+                f"{self.name!r} carries {len(rows)} rows but its ledger entry says "
+                f"+{entry.rows_added} -> {entry.rows_after}"
+            )
+        if not appended:
+            self._pages, self._num_rows = [], 0
+        self._extend_pages(rows)
         self.clustered_on = clustered_on
         self._version = entry.version
         self._ledger.append(entry)

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import SchemaError, TypeMismatchError, UnknownColumnError
+
+#: The dtype of a canonical ``FLOAT_ARRAY`` value.  Compare with ``==``: an
+#: unpickled array carries an equal dtype that is not this object.
+FLOAT64 = np.dtype(np.float64)
 
 
 class ColumnType(enum.Enum):
@@ -213,6 +218,63 @@ class Schema:
         return tuple(
             column.coerce(value) for column, value in zip(self.columns, ordered)
         )
+
+    def coerce_rows(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> list[tuple]:
+        """Coerce a batch: ``[coerce_row(row) for row in rows]``, checked by column.
+
+        A column whose every value already has its canonical exact type passes
+        through untouched (as ``coerce_value`` would leave it); sparse maps
+        are still rebuilt as fresh ``{int: float}`` dicts.  Any other batch —
+        a value to convert, a NULL, a mapping row, a wrong arity — takes the
+        per-row path, so stored tuples and raised exceptions are the same.
+        """
+        rows = rows if isinstance(rows, list) else list(rows)
+        coerced = self._coerce_canonical(rows)
+        return [self.coerce_row(row) for row in rows] if coerced is None else coerced
+
+    def _coerce_canonical(self, rows: list) -> "list[tuple] | None":
+        """``coerce_rows`` for an all-canonical batch; ``None`` when it is not one."""
+        row_types = set(map(type, rows))
+        if not row_types <= {tuple, list} or set(map(len, rows)) != {len(self.columns)}:
+            return None
+
+        def values(index: int):  # lazily: a column is never materialised just to be checked
+            return map(itemgetter(index), rows)
+
+        fresh: dict[int, list] = {}
+        for index, column in enumerate(self.columns):
+            kinds = set(map(type, values(index)))
+            if column.type is ColumnType.ANY:
+                canonical = column.nullable or type(None) not in kinds
+            else:
+                canonical = kinds == {_CANONICAL_TYPES[column.type]}
+            if canonical and column.type is ColumnType.FLOAT_ARRAY:
+                canonical = all(value.dtype == FLOAT64 for value in values(index))
+            if not canonical:
+                return None
+            if column.type is ColumnType.SPARSE_VECTOR:
+                try:
+                    fresh[index] = [
+                        {int(key): float(entry) for key, entry in value.items()}
+                        for value in values(index)
+                    ]
+                except (ValueError, TypeError):
+                    return None
+        if not fresh and row_types == {tuple}:
+            return rows
+        columns = (fresh.get(index) or values(index) for index in range(len(self.columns)))
+        return list(zip(*columns))
+
+
+#: The exact type of a value ``coerce_value`` leaves as it is, per column type.
+_CANONICAL_TYPES = {
+    ColumnType.INTEGER: int,
+    ColumnType.FLOAT: float,
+    ColumnType.TEXT: str,
+    ColumnType.BOOLEAN: bool,
+    ColumnType.FLOAT_ARRAY: np.ndarray,
+    ColumnType.SPARSE_VECTOR: dict,
+}
 
 
 class Row:

@@ -8,6 +8,17 @@ appended *after* the change is applied in memory and *before* control returns
 to the caller, so a process that dies at any instant can be reopened and
 replayed to the exact boundary it last completed.
 
+Wherever a record carries table rows (``mutation`` records and the image in a
+``create``) they are in :func:`~repro.db.table.encode_rows` form: a ``rows``
+list of tuples and, when a ``FLOAT_ARRAY`` column is uniform within the
+record, ``blocks`` holding that column as one stacked ``(n, d)`` float64
+array — one buffer to frame and checksum instead of one pickled ndarray per
+row.  Ragged or NULL-bearing array columns, sparse maps, scalars and text
+stay inline (for sparse maps and scalars a columnar form measured slower or
+larger than pickle's own), a record with no block has no ``blocks`` key, and
+so logs written before blocks existed replay through the same decoder.  This
+module neither knows nor cares: it frames whatever payload it is given.
+
 Physical layout — the database directory holds numbered **segments**::
 
     wal-000000.log          9-byte header, then records
@@ -41,6 +52,7 @@ Fsync policy is per-database (``Database(durability=...)``):
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import struct
@@ -130,23 +142,30 @@ def scan_segment(
     reported as ``torn_bytes``.  A segment whose file header is itself
     unreadable is treated as entirely torn (``clean_length`` 0).
     """
-    data = path.read_bytes()
-    if len(data) < SEGMENT_HEADER_SIZE or not data.startswith(SEGMENT_MAGIC):
-        return [], 0, len(data)
-    view = memoryview(data)
+    size = path.stat().st_size
+    if size < SEGMENT_HEADER_SIZE:
+        return [], 0, size
     records: list[tuple[int, Any]] = []
-    offset = start
-    while offset + RECORD_HEADER.size <= len(data):
-        length, checksum = RECORD_HEADER.unpack_from(data, offset)
-        end = offset + RECORD_HEADER.size + length
-        if end > len(data):
-            break
-        payload_bytes = view[offset + RECORD_HEADER.size:end]
-        if zlib.crc32(payload_bytes) != checksum:
-            break
-        records.append((offset, pickle.loads(payload_bytes)))
-        offset = end
-    return records, offset, len(data) - offset
+    # Mapped, not read: a record can be most of a table, and a second
+    # table-sized heap buffer beside the decoded one is what tips the
+    # allocator into returning and re-faulting both on every reopen.
+    with open(path, "rb") as handle, mmap.mmap(
+        handle.fileno(), 0, access=mmap.ACCESS_READ
+    ) as data:
+        if data[:len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
+            return [], 0, size
+        offset = start
+        while offset + RECORD_HEADER.size <= size:
+            length, checksum = RECORD_HEADER.unpack_from(data, offset)
+            end = offset + RECORD_HEADER.size + length
+            if end > size:
+                break
+            with memoryview(data)[offset + RECORD_HEADER.size:end] as payload:
+                if zlib.crc32(payload) != checksum:
+                    break
+                records.append((offset, pickle.loads(payload)))
+            offset = end
+    return records, offset, size - offset
 
 
 def read_wal(

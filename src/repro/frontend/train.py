@@ -14,6 +14,7 @@ summary string — mirroring how MADlib's training functions behave.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from typing import Any, Mapping
 
@@ -40,18 +41,33 @@ def _catalog(database) -> Database:
     return database.master if isinstance(database, SegmentedDatabase) else database
 
 
-def _infer_feature_dimension(table, feature_column: str) -> int:
-    """Dimensionality of the feature column: array length or max sparse index + 1."""
-    dimension = 0
-    for row in table.scan():
-        features = row[feature_column]
-        if isinstance(features, Mapping):
+def _infer_feature_dimension(table, feature_column: str, memo: "dict | None" = None) -> int:
+    """Dimensionality of the feature column: array length or max sparse index + 1.
+
+    ``memo`` remembers ``(table, version, dimension)`` per column, so a call
+    after an append-only delta reads only the appended rows; a rewrite, or a
+    new table under an old name, rescans.
+    """
+    index = table.schema.index_of(feature_column)
+    key = (table.name.lower(), feature_column)
+    dimension, start = 0, 0
+    known = memo.get(key) if memo is not None else None
+    if known is not None and known[0]() is table:
+        delta = table.classify_delta(known[1])
+        if delta.is_same or delta.is_append:
+            dimension, start = known[2], delta.base_rows
+    for values in table.tail_values(start):
+        features = values[index]
+        # Arrays and dicts never reach the ABC check, most of a row's cost.
+        if not isinstance(features, np.ndarray) and isinstance(features, (dict, Mapping)):
             if features:
                 dimension = max(dimension, max(features) + 1)
         else:
             dimension = max(dimension, len(features))
     if dimension == 0:
         raise ValueError(f"could not infer a feature dimension from column {feature_column!r}")
+    if memo is not None:
+        memo[key] = (weakref.ref(table), table.version, dimension)
     return dimension
 
 
@@ -151,6 +167,8 @@ def install_frontend(database: Database | SegmentedDatabase) -> None:
     # their full parameterisation — a dimension change (appended rows
     # widened the feature space) naturally maps to a fresh task.
     task_cache: dict[tuple, Any] = {}
+    # What ``_infer_feature_dimension`` last saw per (table, feature column).
+    dimension_memo: dict[tuple, tuple] = {}
 
     def _cached_task(key: tuple, build):
         task = task_cache.get(key)
@@ -162,7 +180,7 @@ def install_frontend(database: Database | SegmentedDatabase) -> None:
                  step_size: float | None = None, epochs: int | None = None,
                  mu: float = 0.0) -> str:
         table = catalog.table(table_name)
-        dimension = _infer_feature_dimension(table, feature_column)
+        dimension = _infer_feature_dimension(table, feature_column, dimension_memo)
         task = _cached_task(
             ("lr", dimension, mu, feature_column, label_column),
             lambda: LogisticRegressionTask(
@@ -175,7 +193,7 @@ def install_frontend(database: Database | SegmentedDatabase) -> None:
                   step_size: float | None = None, epochs: int | None = None,
                   mu: float = 0.0) -> str:
         table = catalog.table(table_name)
-        dimension = _infer_feature_dimension(table, feature_column)
+        dimension = _infer_feature_dimension(table, feature_column, dimension_memo)
         task = _cached_task(
             ("svm", dimension, mu, feature_column, label_column),
             lambda: SVMTask(
@@ -188,7 +206,7 @@ def install_frontend(database: Database | SegmentedDatabase) -> None:
                     mu: float = 0.1, step_size: float | None = None,
                     epochs: int | None = None) -> str:
         table = catalog.table(table_name)
-        dimension = _infer_feature_dimension(table, feature_column)
+        dimension = _infer_feature_dimension(table, feature_column, dimension_memo)
         task = _cached_task(
             ("lasso", dimension, mu, feature_column, label_column),
             lambda: LassoTask(
@@ -202,8 +220,9 @@ def install_frontend(database: Database | SegmentedDatabase) -> None:
                   rank: int = 10, step_size: float | None = None,
                   epochs: int | None = None, mu: float = 0.01) -> str:
         table = catalog.table(table_name)
-        num_rows = max(int(row[row_column]) for row in table.scan()) + 1
-        num_cols = max(int(row[col_column]) for row in table.scan()) + 1
+        row_index, col_index = table.schema.index_of(row_column), table.schema.index_of(col_column)
+        cells = [(int(v[row_index]), int(v[col_index])) for v in table.tail_values(0)]
+        num_rows, num_cols = (max(ids) + 1 for ids in zip(*cells))
         task = _cached_task(
             ("lmf", num_rows, num_cols, int(rank), mu, row_column, col_column, value_column),
             lambda: LowRankMatrixFactorizationTask(

@@ -9,7 +9,9 @@ behind, and ``/dev/shm`` returns to its baseline.
 
 The CI ``crash`` job re-enters this file through
 :func:`test_ci_crash_matrix` with ``REPRO_CRASH_SPEC`` drawn from a kill
-matrix (``kill:epoch=…`` / ``kill:op=checkpoint`` / ``kill:op=wal_append[:at=K]``).
+matrix (``kill:epoch=…`` / ``kill:op=checkpoint`` / ``kill:op=wal_append[:at=K]``);
+a ``wal_append`` cell also kills a child that is loading array rows, whose
+records are single large blocks.
 """
 
 from __future__ import annotations
@@ -318,6 +320,75 @@ def test_sigkill_mid_wal_append_discards_torn_record(tmp_path):
     reopened.close()
 
 
+ARRAY_APPEND_CHILD = """
+import sys
+import numpy as np
+from repro.db import Database
+
+db = Database.open(sys.argv[1])
+table = db.create_table("pts", [("id", "int"), ("vec", "float[]"), ("label", "float")])
+print("ACKED 0", flush=True)
+for batch in range({batches}):
+    table.insert_many(
+        (batch * {batch_rows} + i, np.full({dimension}, batch + i / {batch_rows}), 1.0)
+        for i in range({batch_rows})
+    )
+    print("ACKED", len(table), flush=True)
+print("SURVIVED", flush=True)
+"""
+ARRAY_BATCHES, ARRAY_BATCH_ROWS, ARRAY_DIMENSION = 4, 500, 54
+
+
+def _kill_array_append_child(path, crash_spec: str) -> int:
+    """SIGKILL a child mid-``wal_append`` while it loads array rows; check the
+    reopen and return the number of rows that survived.
+
+    Append 0 is the CREATE record and append ``1 + b`` the block record of
+    batch ``b`` (one ~216 KB buffer), so the spec's ``at`` picks which record
+    is left half-written.  Whatever it tears, the tail is discarded and the
+    reopened table is exactly the prefix the child acknowledged.
+    """
+    env = {**os.environ, "PYTHONPATH": SRC_ROOT, "REPRO_CRASH": crash_spec}
+    code = ARRAY_APPEND_CHILD.format(
+        batches=ARRAY_BATCHES, batch_rows=ARRAY_BATCH_ROWS, dimension=ARRAY_DIMENSION
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert completed.returncode == -9, completed.stderr
+    assert "SURVIVED" not in completed.stdout
+    acked = [int(line.split()[1]) for line in completed.stdout.splitlines()
+             if line.startswith("ACKED")]
+
+    db = Database.open(path)
+    assert db.recovery_report.torn_bytes_discarded > 0
+    if not acked:  # the CREATE record itself was the torn one
+        assert not db.has_table("pts")
+        db.close()
+        return 0
+    rows = [row.values for row in db.table("pts").scan()]
+    assert [values[0] for values in rows] == list(range(acked[-1]))
+    for ordinal, (_, vec, label) in enumerate(rows):
+        batch, i = divmod(ordinal, ARRAY_BATCH_ROWS)
+        assert label == 1.0 and vec.shape == (ARRAY_DIMENSION,)
+        assert np.all(vec == batch + i / ARRAY_BATCH_ROWS)
+    # The repaired log accepts another block record and survives another cycle.
+    db.table("pts").insert_many([(-1, np.zeros(ARRAY_DIMENSION), 0.0)] * 3)
+    db.close()
+    reopened = Database.open(path)
+    assert len(reopened.table("pts")) == acked[-1] + 3
+    assert reopened.recovery_report.torn_bytes_discarded == 0
+    reopened.close()
+    return acked[-1]
+
+
+def test_sigkill_mid_block_record_keeps_the_acked_prefix(tmp_path):
+    # at=2: batch 0 is acknowledged, batch 1's block record is torn.
+    survived = _kill_array_append_child(tmp_path / "db", "kill:op=wal_append:at=2")
+    assert survived == ARRAY_BATCH_ROWS
+
+
 def test_ci_crash_matrix(tmp_path):
     """CI entry point: one kill scenario per ``REPRO_CRASH_SPEC`` matrix cell.
 
@@ -335,3 +406,6 @@ def test_ci_crash_matrix(tmp_path):
     _assert_pids_gone(_worker_pids(completed))
     _resume_and_check(tmp_path / "db", "process")
     _assert_no_shm_leak(baseline)
+    if "op=wal_append" in spec:
+        # The same torn write under the other kind of record: array blocks.
+        _kill_array_append_child(tmp_path / "arrays", spec)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import ColumnType, Schema, SchemaError, TypeMismatchError, UnknownColumnError
 from repro.db.types import Column, Row, coerce_value
@@ -135,3 +137,119 @@ class TestRow:
         assert row == (1, 2.0, "x")
         assert row == Row(simple_schema, (1, 2.0, "x"))
         assert row != (2, 2.0, "x")
+
+
+# ------------------------------------------------- batch coercion, by column
+BATCH_SCHEMA = Schema.of(
+    Column("i", ColumnType.INTEGER, nullable=False),
+    ("f", ColumnType.FLOAT),
+    ("t", ColumnType.TEXT),
+    ("b", ColumnType.BOOLEAN),
+    ("a", ColumnType.FLOAT_ARRAY),
+    ("s", ColumnType.SPARSE_VECTOR),
+    Column("x", ColumnType.ANY, nullable=False),
+)
+
+_floats = st.floats(allow_nan=False, width=64)
+_array = st.lists(_floats, max_size=3).map(lambda v: np.array(v, dtype=np.float64))
+_sparse = st.dictionaries(st.integers(0, 50), _floats, max_size=3)
+#: Per column: values already canonical, and values ``coerce_value`` converts or refuses.
+CANONICAL = [st.integers(), _floats, st.text(max_size=3), st.booleans(), _array, _sparse,
+             st.integers() | _array | st.text(max_size=2)]
+OTHER = [
+    st.booleans() | st.just("7") | st.just(2.0) | st.just(2.5) | st.none() | st.just(np.int64(3)),
+    st.integers(-5, 5) | st.just("1.5") | st.just("x") | st.none() | st.just(np.float64(0.5)),
+    st.integers() | st.none() | st.just(1.5),
+    st.sampled_from([0, 1, 2, "t", "maybe", None, np.bool_(True)]),
+    st.lists(_floats, max_size=3) | st.none() | st.just("v")
+    | st.lists(_floats, max_size=3).map(lambda v: np.array(v, dtype=np.float32))
+    | st.just(np.zeros((2, 2))),
+    st.just({"1": 2}) | st.just({"k": 1.0}) | st.just([(1, 2.0)]) | st.just([1, 2]) | st.none()
+    | st.just({1: "x"}),
+    st.none(),
+]
+
+
+@st.composite
+def batches(draw):
+    """A batch of rows: mostly canonical, with stray values, row kinds and arities."""
+    strict = draw(st.booleans())
+    columns = [
+        canonical if strict or draw(st.integers(0, 5)) else canonical | other
+        for canonical, other in zip(CANONICAL, OTHER)
+    ]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        values = [draw(column) for column in columns]
+        shape = "tuple" if strict else draw(
+            st.sampled_from(["tuple", "tuple", "list", "mapping", "partial_mapping", "short", "long"])
+        )
+        if shape == "tuple":
+            rows.append(tuple(values))
+        elif shape == "list":
+            rows.append(values)
+        elif shape == "mapping":
+            rows.append(dict(zip(BATCH_SCHEMA.column_names, values)))
+        elif shape == "partial_mapping":
+            rows.append(dict(list(zip(BATCH_SCHEMA.column_names, values))[draw(st.integers(0, 2)):]))
+        else:
+            rows.append(tuple(values[:-1] if shape == "short" else values + [0]))
+    return rows
+
+
+def _outcome(function):
+    try:
+        return function()
+    except Exception as error:  # the class is the contract under test
+        return type(error)
+
+
+def _assert_identical(batch, reference):
+    """Same values and exact types; arrays that pass untouched are the same objects."""
+    assert type(batch) is type(reference)
+    if isinstance(reference, np.ndarray):
+        assert batch.dtype == reference.dtype and np.array_equal(batch, reference)
+    elif isinstance(reference, (list, tuple)):
+        assert len(batch) == len(reference)
+        for left, right in zip(batch, reference):
+            _assert_identical(left, right)
+    elif isinstance(reference, dict):
+        assert list(batch.items()) == list(reference.items())
+        assert [(type(k), type(v)) for k, v in batch.items()] == \
+            [(type(k), type(v)) for k, v in reference.items()]
+    else:
+        assert batch == reference
+
+
+class TestCoerceRows:
+    @settings(max_examples=300, deadline=None)
+    @given(batches())
+    def test_equals_per_row_coercion_or_raises_the_same_class(self, rows):
+        reference = _outcome(lambda: [BATCH_SCHEMA.coerce_row(row) for row in rows])
+        batch = _outcome(lambda: BATCH_SCHEMA.coerce_rows(rows))
+        if isinstance(reference, type):
+            assert batch is reference
+            return
+        _assert_identical(batch, reference)
+        for coerced, given_row in zip(batch, rows):
+            assert type(coerced) is tuple
+            values = list(given_row.get(name) for name in BATCH_SCHEMA.column_names) \
+                if isinstance(given_row, dict) else given_row
+            if type(values[4]) is np.ndarray and values[4].dtype == np.float64:
+                assert coerced[4] is values[4]          # no copy, as np.asarray
+            if coerced[5] is not None:
+                assert coerced[5] is not values[5]      # a fresh {int: float} dict
+
+    def test_accepts_a_generator_and_an_empty_batch(self):
+        schema = Schema.of(("x", ColumnType.INTEGER), ("y", ColumnType.FLOAT))
+        assert schema.coerce_rows((i, float(i)) for i in range(3)) == [(0, 0.0), (1, 1.0), (2, 2.0)]
+        assert schema.coerce_rows([]) == []
+        assert schema.coerce_rows(iter(())) == []
+
+    def test_canonical_tuples_pass_through_as_the_same_objects(self):
+        schema = Schema.of(("x", ColumnType.INTEGER), ("v", ColumnType.FLOAT_ARRAY))
+        rows = [(i, np.full(2, float(i))) for i in range(4)]
+        assert all(a is b for a, b in zip(schema.coerce_rows(rows), rows))
+        # bool is not int, numpy scalars are not Python scalars: those convert.
+        assert schema.coerce_rows([(True, rows[0][1])]) == [(1, rows[0][1])]
+        assert type(schema.coerce_rows([(np.int64(2), rows[0][1])])[0][0]) is int

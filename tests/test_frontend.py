@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from repro.data import (
     make_sequences,
     make_sparse_classification,
 )
-from repro.db import Database, SegmentedDatabase
+from repro.db import Database, Schema, SegmentedDatabase, Table
 from repro.frontend import install_frontend, load_model, model_exists, save_model
+from repro.frontend import train as train_module
+from repro.frontend.train import _infer_feature_dimension
 
 
 @pytest.fixture
@@ -138,3 +142,107 @@ class TestTrainingFunctions:
         result = database.execute("SELECT SVMTrain('pm', 'labeledpapers', 'vec', 'label')")
         assert "pm" in result.scalar()
         assert model_exists(database, "pm")
+
+
+# ------------------------------------------------ feature-dimension inference
+def _scan_dimension(table, feature_column: str) -> int:
+    """The full-scan inference the memo must agree with (the reference loop)."""
+    dimension = 0
+    for row in table.scan():
+        features = row[feature_column]
+        if isinstance(features, Mapping):
+            if features:
+                dimension = max(dimension, max(features) + 1)
+        else:
+            dimension = max(dimension, len(features))
+    return dimension
+
+
+class TestFeatureDimensionInference:
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        """Row counts of every ``tail_values`` call, newest last."""
+        read = []
+        original = Table.tail_values
+
+        def counting(table, start):
+            values = original(table, start)
+            read.append(len(values))
+            return values
+
+        monkeypatch.setattr(Table, "tail_values", counting)
+        return read
+
+    def test_sparse_history_of_appends_widening_and_rewrites(self, rows_read):
+        table = Table("pts", Schema.of(("vec", "sparse"), ("label", "float")))
+        memo: dict = {}
+
+        def check(expected_rows_read: int) -> int:
+            del rows_read[:]
+            dimension = _infer_feature_dimension(table, "vec", memo)
+            assert dimension == _scan_dimension(table, "vec")
+            assert rows_read == [expected_rows_read]
+            return dimension
+
+        table.insert_many(({i % 7: 1.0}, 1.0) for i in range(50))
+        assert check(50) == 7                    # first sight: the whole table
+        assert check(0) == 7                     # same version: nothing read
+        table.insert_many([({3: 1.0}, -1.0), ({}, 1.0)])
+        table.insert(({2: 0.5}, 1.0))
+        assert check(3) == 7                     # two appends: only their rows
+        table.insert_many([({40: 1.0}, 1.0)])
+        assert check(1) == 41                    # a widening append is still a delta
+        table.shuffle(seed=0)
+        assert check(54) == 41                   # a rewrite rescans
+        table.truncate()
+        table.insert_many([({1: 1.0}, 1.0)])
+        assert check(1) == 2                     # and may narrow
+
+    def test_dense_and_mixed_columns(self, rows_read):
+        dense = Table("d", Schema.of(("vec", "float[]"), ("label", "float")))
+        dense.insert_many((np.zeros(5), 1.0) for _ in range(10))
+        memo: dict = {}
+        assert _infer_feature_dimension(dense, "vec", memo) == 5
+        dense.insert_many((np.zeros(5), 1.0) for _ in range(4))
+        assert _infer_feature_dimension(dense, "vec", memo) == 5
+        assert rows_read == [10, 4]
+        mixed = Table("m", Schema.of(("vec", "any"), ("label", "float")))
+        mixed.insert_many([(np.zeros(3), 1.0), ({8: 1.0}, -1.0), ([1.0, 2.0], 1.0)])
+        assert _infer_feature_dimension(mixed, "vec") == _scan_dimension(mixed, "vec") == 9
+
+    def test_a_new_table_under_an_old_name_is_rescanned(self, rows_read):
+        memo: dict = {}
+        first = Table("pts", Schema.of(("vec", "sparse")))
+        first.insert_many([({9: 1.0},), ({1: 1.0},)])
+        assert _infer_feature_dimension(first, "vec", memo) == 10
+        second = Table("pts", Schema.of(("vec", "sparse")))
+        second.insert_many([({1: 1.0},)])
+        second.insert_many([({2: 1.0},)])  # versions 1..2 would read as an append to `first`
+        assert _infer_feature_dimension(second, "vec", memo) == 3
+        assert rows_read == [2, 2]
+
+    def test_empty_column_still_raises(self):
+        table = Table("pts", Schema.of(("vec", "sparse")))
+        table.insert(({},))
+        with pytest.raises(ValueError, match="could not infer"):
+            _infer_feature_dimension(table, "vec", {})
+
+    def test_sql_refresh_reads_only_the_appended_rows(self, frontend_db, rows_read, monkeypatch):
+        frontend_db.execute("SELECT LRTrain('m', 'labeledpapers', 'vec', 'label', 0.1, 2)")
+        vec = frontend_db.table("labeledpapers").row_at(0)["vec"]
+        frontend_db.insert("labeledpapers", [(150 + i, vec, 1.0) for i in range(5)])
+        inferred = []
+        original = train_module._infer_feature_dimension
+
+        def spying(table, column, memo=None):
+            del rows_read[:]
+            dimension = original(table, column, memo)
+            inferred.append((dimension, list(rows_read)))
+            return dimension
+
+        monkeypatch.setattr(train_module, "_infer_feature_dimension", spying)
+        summary = frontend_db.execute(
+            "SELECT LRTrain('m', 'labeledpapers', 'vec', 'label', 0.1, 2)"
+        ).scalar()
+        assert "continued" in summary
+        assert inferred == [(6, [5])]

@@ -50,7 +50,7 @@ class IGDConfig:
     #: get the paper's physical rewrite (the engine-overhead experiments do).
     #: The sampling schemes are visit orders too and need a buffer size:
     #: ``Subsample(n)`` trains on one reservoir sample, ``MultiplexedReservoir(n)``
-    #: is MRS (Section 3.4) — both run on every backend and execution path.
+    #: is MRS (Section 3.4) — both run on every backend.
     ordering: OrderingPolicy | str | None = "shuffle_once"
     stopping: StoppingRule | int | dict | None = None
     parallelism: PureUDAParallelism | SharedMemoryParallelism | None = None
@@ -59,18 +59,10 @@ class IGDConfig:
     #: Whether to evaluate the objective after every epoch (needed by most
     #: stopping rules; can be disabled for pure-throughput measurements).
     compute_objective: bool = True
-    #: Execution path for training epochs and loss passes on *every* backend
-    #: (serial, pure-UDA segmented, shared-memory): "auto" serves aggregates
-    #: from the cached chunk plane (cached decoded examples, vectorized loss)
-    #: whenever the task and table support it, falling back to per-tuple
-    #: otherwise; "per_tuple" forces the paper's tuple-at-a-time UDA protocol;
-    #: "chunked" requires the fast path and errors if it is unavailable.
-    #: Exact IGD (batch_size == 1) produces bit-for-bit identical models on
-    #: either path.
-    execution: str = "auto"
     #: Mini-batch size.  1 (default) is the paper's exact IGD: one gradient
     #: step per tuple.  B > 1 is opt-in mini-batch SGD — one averaged-gradient
-    #: step per B examples — and requires the chunked path.  A
+    #: step per B examples — and needs a task that batches the table (an
+    #: unbatchable pair fails at its first row, before any step).  A
     #: :class:`~repro.core.batching.BatchSchedule` (or its dict spec) makes
     #: the size epoch-adaptive: constant or geometric growth.
     batch_size: int | BatchSchedule | dict = 1
@@ -91,20 +83,13 @@ class IGDConfig:
     checkpoint_name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.execution not in ("auto", "per_tuple", "chunked"):
-            raise ValueError(f"unknown execution mode {self.execution!r}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         schedule = make_batch_schedule(self.batch_size)
-        if schedule.max_batch_size(self.max_epochs) > 1:
-            if self.execution == "per_tuple":
-                raise ValueError("mini-batch IGD (batch_size > 1) requires the chunked path")
-            if isinstance(self.parallelism, SharedMemoryParallelism):
-                raise ValueError("mini-batch IGD runs serial or pure-UDA, not shared-memory")
-            # "auto" would silently fall back to per-tuple on an unbatchable
-            # workload and then die mid-epoch; mini-batch runs must instead
-            # fail fast at the aggregation entry point.
-            self.execution = "chunked"
+        if schedule.max_batch_size(self.max_epochs) > 1 and isinstance(
+            self.parallelism, SharedMemoryParallelism
+        ):
+            raise ValueError("mini-batch IGD runs serial or pure-UDA, not shared-memory")
 
     def resolved_stopping(self) -> StoppingRule:
         return make_stopping_rule(self.stopping, max_epochs=self.max_epochs)
@@ -520,15 +505,6 @@ class BismarckRunner:
         one plan that any backend can run.
         """
         spec = self.config.parallelism
-        if (
-            isinstance(spec, SharedMemoryParallelism)
-            and spec.backend == "process"
-            and self.config.execution == "per_tuple"
-        ):
-            raise ValueError(
-                "the process backend serves workers from the cached "
-                "chunk plane and cannot replay the per-tuple protocol"
-            )
         batch_size = self.config.resolved_batch_schedule().batch_size(epoch)
         factory = lambda: IGDAggregate(  # noqa: E731 - tiny closure
             self.task,
@@ -546,7 +522,6 @@ class BismarckRunner:
             table,
             factory,
             row_order=row_order,
-            execution=self.config.execution,
             workers=getattr(spec, "workers", 1) or 1,
             train=TrainEpochContext(
                 task=self.task,
@@ -565,19 +540,15 @@ class BismarckRunner:
     def _compute_objective(
         self, table: Table, model: Model, proximal: ProximalOperator
     ) -> float:
-        # The loss pass rides the same execution path — and, for
-        # process-backed runs, the same worker pool and resident payload —
-        # as training; the shared example cache is keyed on the table's
-        # version, so any shuffle or re-clustering between epochs busts it
-        # automatically.
+        # The loss pass follows the same chunk-or-rows rule — and, for
+        # process-backed runs, rides the same worker pool and resident
+        # payload — as training; the shared example cache is keyed on the
+        # table's version, so any shuffle or re-clustering between epochs
+        # busts it automatically.
         spec = self.config.parallelism if self.config.parallel_evaluation else None
         backend, workers = evaluation_backend(self.database, spec)
         plan = compile_pass(
-            "loss",
-            table,
-            lambda: LossAggregate(self.task, model),
-            execution=self.config.execution,
-            workers=workers,
+            "loss", table, lambda: LossAggregate(self.task, model), workers=workers
         )
         data_term = backend.run(plan)
         return float(data_term) + proximal.penalty(model)

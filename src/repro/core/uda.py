@@ -94,8 +94,10 @@ class IGDAggregate(UserDefinedAggregate):
     def transition(self, state: IGDState, row: Row | Any) -> IGDState:
         if self.batch_size > 1:
             raise ExecutionError(
-                "mini-batch IGD (batch_size > 1) requires the chunked execution "
-                "path; run with execution='chunked' on a batchable task/table"
+                "mini-batch IGD (batch_size > 1) steps over cached chunks, but "
+                "this pass folds rows per tuple (task "
+                f"{getattr(self.task, 'name', None)!r} cannot batch the table, "
+                "or per_tuple=True); use batch_size=1 or a pair that batches"
             )
         example = self._to_example(row)
         step_index = state.step_offset + state.gradient_steps

@@ -429,25 +429,30 @@ class Database:
         *,
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
-        execution: str = "per_tuple",
+        per_tuple: bool = False,
         backend: str = "in_process",
         process_workers: int | None = None,
     ) -> Any:
         """Run a UDA over a table directly (bypassing SQL), honouring an
-        optional explicit row order.  ``execution`` selects per-tuple vs
-        chunked columnar aggregation (see :meth:`Executor.run_aggregate`).
+        optional explicit row order.  The chunk-or-rows choice and
+        ``per_tuple`` are :meth:`Executor.run_aggregate`'s.
         ``backend="process"`` compiles the call to a ``generic``
         :class:`~repro.db.pass_plan.PassPlan` and runs it on
         :class:`~repro.db.pass_plan.ProcessBackend` — the engine's persistent
         supervised worker pool, ``process_workers`` wide (default: one worker
-        per core)."""
+        per core); pool workers never replay the per-tuple protocol."""
         if backend not in ("in_process", "process"):
             raise ExecutionError(f"unknown execution backend {backend!r}")
         table = self.table(table_name)
         if backend == "in_process":
             return self.executor.run_aggregate(
                 table, aggregate, argument, where=where, row_order=row_order,
-                execution=execution,
+                per_tuple=per_tuple,
+            )
+        if per_tuple:
+            raise ExecutionError(
+                "the process backend serves passes from the cached chunk "
+                "plane and cannot replay the per-tuple engine protocol"
             )
         from .pass_plan import ProcessBackend, compile_pass
         from .process_backend import default_process_workers
@@ -457,8 +462,7 @@ class Database:
         )
         plan = compile_pass(
             "generic", table, lambda: instance, argument=argument, where=where,
-            row_order=row_order, execution=execution,
-            workers=process_workers or default_process_workers(),
+            row_order=row_order, workers=process_workers or default_process_workers(),
         )
         return ProcessBackend(self).run(plan)
 

@@ -219,37 +219,28 @@ class Executor:
         *,
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
-        execution: str = "auto",
     ) -> ChunkPlan | None:
-        """Resolve the chunk plan for one aggregate pass, or None for per-item.
+        """Resolve the chunk plan for one aggregate pass, or None for rows.
 
-        This is the engine's one chunk-or-per-tuple decision: ``"per_tuple"``
-        never chunks; ``"auto"`` chunks when the aggregate, task and column
-        types can batch and silently runs per item otherwise; ``"chunked"``
-        raises instead of degrading.  ``where`` is served by a selection
-        vector cached once per (table, version, predicate); ``row_order`` by
-        a vectorized gather over the cached batches.
+        This is the engine's one chunk-or-rows rule: an aggregate with a
+        chunk decoder runs on the cached chunk plane when its task batches
+        the table; anything else — built-in SQL aggregates, per-example-only
+        tasks, columns no batch kernel takes — folds rows per tuple.
+        ``where`` is served by a selection vector cached once per (table,
+        version, predicate); ``row_order`` by a vectorized gather over the
+        cached batches.
         """
-        if execution == "per_tuple":
+        if not instance.supports_chunks:
             return None
-        plan = None
-        if instance.supports_chunks:
-            plan = ChunkPlan.resolve(
-                table,
-                instance.chunk_decoder,
-                self.example_cache,
-                self.chunk_size,
-                where=where,
-                row_order=row_order,
-                functions=self.functions,
-            )
-        if plan is None and execution == "chunked":
-            raise ExecutionError(
-                f"aggregate {type(instance).__name__} cannot run chunked over "
-                f"table {table.name!r} (unsupported aggregate, column types or "
-                f"task {getattr(instance.chunk_decoder, 'name', None)!r})"
-            )
-        return plan
+        return ChunkPlan.resolve(
+            table,
+            instance.chunk_decoder,
+            self.example_cache,
+            self.chunk_size,
+            where=where,
+            row_order=row_order,
+            functions=self.functions,
+        )
 
     def run_state(
         self,
@@ -259,7 +250,7 @@ class Executor:
         *,
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
-        execution: str = "per_tuple",
+        per_tuple: bool = False,
     ) -> Any:
         """initialize + transitions over one table pass; the raw state.
 
@@ -268,13 +259,15 @@ class Executor:
         (:func:`~repro.db.pass_plan.run_partitioned`).  The chunk plane
         crosses the aggregate's function-call boundary once per batch, the
         per-tuple plane once per row (after forming it) — the difference
-        Table 2 times.  Either way the pass counts as one logical scan, even
-        when served from the cache or by ``row_at`` random access:
-        shuffle-always/MRS-style ordered passes read every tuple and must
-        show up in the scan counts the scalability experiments report.
+        Table 2 times, which is what ``per_tuple=True`` forces; by default
+        :meth:`chunk_plan` decides.  Either way the pass counts as one
+        logical scan, even when served from the cache or by ``row_at``
+        random access: shuffle-always/MRS-style ordered passes read every
+        tuple and must show up in the scan counts the scalability
+        experiments report.
         """
-        plan = self.chunk_plan(
-            table, instance, where=where, row_order=row_order, execution=execution
+        plan = None if per_tuple else self.chunk_plan(
+            table, instance, where=where, row_order=row_order
         )
         state = instance.initialize()
         if plan is not None:
@@ -307,7 +300,7 @@ class Executor:
         *,
         where: Expression | None = None,
         row_order: Sequence[int] | None = None,
-        execution: str = "per_tuple",
+        per_tuple: bool = False,
     ) -> Any:
         """Run a single aggregate over a table without going through SQL.
 
@@ -315,23 +308,20 @@ class Executor:
         of row ordinals) — this is how the ordering policies express
         shuffle-once / shuffle-always without physically rewriting the table.
 
-        ``execution`` picks the code path: ``"per_tuple"`` (the default, the
-        paper's tuple-at-a-time UDA protocol), ``"chunked"`` (batch-at-a-time
-        over cached columnar examples; raises if the aggregate/table cannot
-        chunk), or ``"auto"`` (chunked when possible, silent per-tuple
-        fallback) — see :meth:`chunk_plan`.  Both planes produce bit-for-bit
-        the same models.  The pass runs in this process; worker pools are
-        reached by compiling a :class:`~repro.db.pass_plan.PassPlan`.
+        The pass runs on the cached chunk plane when :meth:`chunk_plan` finds
+        one and per tuple otherwise; ``per_tuple=True`` forces the paper's
+        tuple-at-a-time UDA protocol (the call boundary Table 2 times).  Both
+        planes produce bit-for-bit the same models.  The pass runs in this
+        process; worker pools are reached by compiling a
+        :class:`~repro.db.pass_plan.PassPlan`.
         """
-        if execution not in ("per_tuple", "chunked", "auto"):
-            raise ExecutionError(f"unknown execution mode {execution!r}")
         instance = (
             self.aggregates.create(aggregate) if isinstance(aggregate, str) else aggregate
         )
         return instance.terminate(
             self.run_state(
                 table, instance, argument,
-                where=where, row_order=row_order, execution=execution,
+                where=where, row_order=row_order, per_tuple=per_tuple,
             )
         )
 

@@ -126,7 +126,6 @@ class SegmentedDatabase:
         *,
         where: Expression | None = None,
         segment_row_orders: Sequence[Sequence[int]] | None = None,
-        execution: str = "auto",
         backend: str = "in_process",
     ) -> ParallelAggregateResult:
         """Run a UDA independently on every segment and merge the results.
@@ -142,26 +141,17 @@ class SegmentedDatabase:
         serially and the call raises rather than silently training in stored
         heap order.
 
-        ``execution`` selects the per-segment code path, with the same
-        contract as :meth:`Executor.run_aggregate`: ``"auto"`` (the default)
-        serves each segment from the master's cached columnar chunks whenever
-        the aggregate and task support it, falling back to per-tuple;
-        ``"per_tuple"`` forces the paper's tuple-at-a-time protocol;
-        ``"chunked"`` raises if the pass cannot chunk.  Unlike the serial
-        :meth:`Executor.run_aggregate` — whose ``"per_tuple"`` default is kept
-        as the paper's reference protocol — this entry point defaults to the
-        chunk plane; callers measuring the per-tuple call boundary (Table 2)
-        must pass ``execution="per_tuple"`` explicitly.
-
-        ``backend`` selects who folds a segment: ``"in_process"`` (the
-        default) folds them sequentially in this process; ``"process"`` folds
-        each in its own OS worker from the master engine's persistent pool.
-        Both are :func:`~repro.db.pass_plan.run_partitioned` at width
+        Each segment follows :meth:`Executor.chunk_plan`'s rule: the master's
+        cached columnar chunks when the aggregate's task batches the table,
+        rows per tuple otherwise.  ``backend`` selects who folds a segment:
+        ``"in_process"`` (the default) folds them sequentially in this
+        process; ``"process"`` folds each in its own OS worker from the
+        master engine's persistent pool, which refuses by name a (task,
+        table) pair the chunk plane cannot batch.  Both are
+        :func:`~repro.db.pass_plan.run_partitioned` at width
         ``num_segments``, so for a fixed seed and segment count they produce
         **bit-for-bit the same model** — the pure-UDA determinism contract.
         """
-        if execution not in ("per_tuple", "chunked", "auto"):
-            raise ExecutionError(f"unknown execution mode {execution!r}")
         if backend not in ("in_process", "process"):
             raise ExecutionError(f"unknown execution backend {backend!r}")
         table = self.master.table(table_name)
@@ -178,21 +168,15 @@ class SegmentedDatabase:
                     )
                 order = segment_row_orders[0]
             value = self.master.executor.run_aggregate(
-                table, instance, argument, where=where, row_order=order, execution=execution,
+                table, instance, argument, where=where, row_order=order
             )
             return ParallelAggregateResult(
                 value=value, per_segment_tuples=[len(table)], num_segments=1, merges=0,
             )
-        if backend == "process" and execution == "per_tuple":
-            raise ExecutionError(
-                "the process backend serves passes from the cached chunk "
-                "plane and cannot replay the per-tuple engine protocol; "
-                "use the in-process backend for per-tuple runs"
-            )
         value, partition = run_partitioned(
             self.master, table, instance, argument=argument, where=where,
-            execution=execution, workers=self.num_segments,
-            part_orders=segment_row_orders, on_pool=backend == "process",
+            workers=self.num_segments, part_orders=segment_row_orders,
+            on_pool=backend == "process",
         )
         return ParallelAggregateResult(
             value=value,

@@ -10,7 +10,7 @@ real.  Every pass the driver or the experiment harness runs per epoch —
 * **generic** (non-task) SQL aggregates —
 
 compiles to a small :class:`PassPlan` (pass kind, table + version snapshot,
-WHERE / row-order, execution mode, parallel width, merge contract), and a
+WHERE / row-order, parallel width, merge contract), and a
 single :class:`ExecutionBackend` protocol executes the plan on any of the
 four backends: serial, in-process shared-memory (the cooperative epoch
 simulation), segmented pure-UDA, or the forked
@@ -104,7 +104,6 @@ class PassPlan:
     argument: "Expression | None" = None
     where: "Expression | None" = None
     row_order: "Sequence[int] | None" = None
-    execution: str = "auto"
     #: Requested parallel width.  1 compiles to a plain serial pass; the
     #: effective width is never more than the number of partitionable items.
     workers: int = 1
@@ -153,7 +152,6 @@ def compile_pass(
     argument: "Expression | str | None" = None,
     where: "Expression | None" = None,
     row_order: "Sequence[int] | None" = None,
-    execution: str = "auto",
     workers: int = 1,
     train: TrainEpochContext | None = None,
 ) -> PassPlan:
@@ -168,8 +166,6 @@ def compile_pass(
         argument = ColumnRef(argument)
     if kind not in PASS_KINDS:
         raise ExecutionError(f"unknown pass kind {kind!r}; expected one of {PASS_KINDS}")
-    if execution not in ("per_tuple", "chunked", "auto"):
-        raise ExecutionError(f"unknown execution mode {execution!r}")
     if workers <= 0:
         raise ExecutionError("pass workers must be positive")
     if kind == "train" and train is None:
@@ -191,7 +187,6 @@ def compile_pass(
         argument=argument,
         where=where,
         row_order=row_order,
-        execution=execution,
         workers=workers,
         mergeable=mergeable,
         chunk_partitionable=chunk_partitionable,
@@ -224,7 +219,6 @@ def partition_pass(
     *,
     where: "Expression | None" = None,
     row_order: "Sequence[int] | None" = None,
-    execution: str = "auto",
     workers: int = 1,
     part_orders: "Sequence[Sequence[int] | None] | None" = None,
 ) -> PassPartition:
@@ -253,8 +247,7 @@ def partition_pass(
         and where is None and row_order is None and part_orders is None
     )
     if whole_chunks or decoder is None:
-        # Raw rows are off the chunk plane: this raises under "chunked".
-        chunks = executor.chunk_plan(table, instance, execution=execution)
+        chunks = executor.chunk_plan(table, instance)
         if chunks is not None:
             width = max(1, min(workers, len(chunks)))
             ids = [np.arange(part, len(chunks), width, dtype=np.intp) for part in range(width)]
@@ -294,7 +287,6 @@ def run_partitioned(
     argument: "Expression | None" = None,
     where: "Expression | None" = None,
     row_order: "Sequence[int] | None" = None,
-    execution: str = "auto",
     workers: int = 1,
     part_orders: "Sequence[Sequence[int] | None] | None" = None,
     on_pool: bool = False,
@@ -312,7 +304,7 @@ def run_partitioned(
     executor = engine.executor
     partition = partition_pass(
         executor, table, instance, where=where, row_order=row_order,
-        execution=execution, workers=workers, part_orders=part_orders,
+        workers=workers, part_orders=part_orders,
     )
     kind, parts, chunks = partition
     scans = table.scan_count
@@ -330,10 +322,7 @@ def run_partitioned(
                 state = instance.transition_chunk(state, chunks.batches[chunk_id])
             states.append(state)
     else:
-        states = [
-            executor.run_state(table, instance, argument, row_order=part, execution=execution)
-            for part in parts
-        ]
+        states = [executor.run_state(table, instance, argument, row_order=part) for part in parts]
     # The parts together read each visited row once: one logical scan.
     table.scan_count = scans + 1
     return merge_partial_states(instance, states), partition
@@ -432,22 +421,13 @@ class SerialBackend(ExecutionBackend):
         if plan.kind == "train":
             context = plan.train
             model = executor.run_aggregate(
-                plan.table,
-                plan.factory(),
-                where=plan.where,
-                row_order=plan.row_order,
-                execution=plan.execution,
+                plan.table, plan.factory(), where=plan.where, row_order=plan.row_order
             )
             return model, _steps_taken(model, context.step_offset, len(plan.table))
-        if plan.workers > 1 and plan.mergeable and plan.execution != "per_tuple":
+        if plan.workers > 1 and plan.mergeable:
             return _run_plan_partitioned(self.engine, plan, on_pool=False)
         return executor.run_aggregate(
-            plan.table,
-            plan.factory(),
-            plan.argument,
-            where=plan.where,
-            row_order=plan.row_order,
-            execution=plan.execution,
+            plan.table, plan.factory(), plan.argument, where=plan.where, row_order=plan.row_order
         )
 
 
@@ -469,8 +449,6 @@ class SharedMemoryBackend(ExecutionBackend):
                 "evaluation passes compile to the serial or process backends"
             )
         context = plan.train
-        executor = self.engine.executor
-        cache = None if plan.execution == "per_tuple" else executor.example_cache
         return run_shared_memory_epoch(
             plan.table,
             context.task,
@@ -481,7 +459,7 @@ class SharedMemoryBackend(ExecutionBackend):
             step_offset=context.step_offset,
             proximal=context.proximal,
             arena=self.engine.shared_memory,
-            cache=cache,
+            cache=self.engine.executor.example_cache,
             row_order=plan.row_order,
         )
 
@@ -526,7 +504,6 @@ class SegmentedBackend(ExecutionBackend):
             plan.argument,
             where=plan.where,
             segment_row_orders=None if context is None else context.segment_row_orders,
-            execution=plan.execution,
             backend=backend,
         )
         if context is None:
@@ -560,11 +537,6 @@ class ProcessBackend(ExecutionBackend):
 
     def run(self, plan: PassPlan) -> Any:
         plan.revalidate()
-        if plan.execution == "per_tuple":
-            raise ExecutionError(
-                "the process backend serves passes from the cached chunk "
-                "plane and cannot replay the per-tuple engine protocol"
-            )
         engine = self.engine
         ladder = [("serial", lambda: SerialBackend(engine).run(plan))]
         snapshot = None
@@ -629,8 +601,7 @@ class ProcessBackend(ExecutionBackend):
 def _run_plan_partitioned(engine: "Database", plan: PassPlan, *, on_pool: bool) -> Any:
     value, _ = run_partitioned(
         engine, plan.table, plan.factory(), argument=plan.argument, where=plan.where,
-        row_order=plan.row_order, execution=plan.execution, workers=plan.workers,
-        on_pool=on_pool,
+        row_order=plan.row_order, workers=plan.workers, on_pool=on_pool,
     )
     return value
 

@@ -916,14 +916,22 @@ def _ship_batches(
     """Make ``table``'s cached chunk list resident on ``workers``; returns its key.
 
     The chunk plane resolves the list only when something crosses the pipe —
-    a full shipment, or after an append the appended rows alone — and a
-    (task, table) pair it cannot batch raises as ``execution="chunked"`` does.
+    a full shipment, or after an append the appended rows alone.  Workers
+    fold chunks only, so a (task, table) pair the plane cannot batch — which
+    an in-process pass would fold per tuple — is refused here, by name.
     """
     decoder = instance.chunk_decoder
     key = batches_payload_key(table, decoder, executor.chunk_size)
 
     def batches() -> list:
-        return executor.chunk_plan(table, instance, execution="chunked").batches
+        plan = executor.chunk_plan(table, instance)
+        if plan is None:
+            raise ExecutionError(
+                f"aggregate {type(instance).__name__} cannot run chunked over "
+                f"table {table.name!r} (unsupported aggregate, column types or "
+                f"task {getattr(decoder, 'name', None)!r})"
+            )
+        return plan.batches
 
     def extend(from_version: int) -> "tuple[str, Any] | None":
         delta = table.classify_delta(from_version)

@@ -12,9 +12,7 @@ which still re-exports it for back-compat):
   ``multiprocessing.shared_memory`` (``/dev/shm`` mmap) block, so worker
   *processes* attach to the same physical pages the parent allocated;
 * per-segment process-safe locks (:meth:`SharedSegment.lock`) for the "Lock"
-  scheme;
-* a per-component compare-and-exchange primitive
-  (:meth:`SharedSegment.compare_and_exchange`) that the "AIG" scheme uses;
+  and "AIG" schemes;
 * raw unsynchronised access for the "NoLock" (Hogwild) scheme — on the
   process backend this is a genuinely racy read-modify-write on the mmap'd
   pages; and
@@ -237,10 +235,7 @@ class SharedSegment:
     that inherited it, as well as in-process cooperative workers.
     """
 
-    __slots__ = (
-        "name", "array", "_shm", "_lock", "_freed",
-        "lock_acquisitions", "atomic_operations", "unsynchronised_writes",
-    )
+    __slots__ = ("name", "array", "_shm", "_lock", "_freed")
 
     def __init__(self, name: str, array: np.ndarray, shm: Any = None, lock: Any = None):
         self.name = name
@@ -248,11 +243,6 @@ class SharedSegment:
         self._shm = shm
         self._lock = lock if lock is not None else fork_context().Lock()
         self._freed = False
-        #: Scheme cost counters (per-process; the cooperative simulation's
-        #: speed-up cost model consumes them).
-        self.lock_acquisitions = 0
-        self.atomic_operations = 0
-        self.unsynchronised_writes = 0
 
     @property
     def os_name(self) -> str | None:
@@ -265,38 +255,9 @@ class SharedSegment:
 
     @contextmanager
     def lock(self) -> Iterator[np.ndarray]:
-        """Acquire the segment lock and yield the array (the "Lock" scheme)."""
+        """Acquire the segment lock and yield the array (Lock and AIG publishes)."""
         with self._lock:
-            self.lock_acquisitions += 1
             yield self.array
-
-    def compare_and_exchange(self, index: int, expected: float, new_value: float) -> bool:
-        """Atomically replace ``array[index]`` if it still equals ``expected``.
-
-        Mirrors the CompareAndExchange instruction used by AIG [Niu et al.].
-        Returns True on success, False if the value changed underneath us.
-        """
-        with self._lock:
-            self.atomic_operations += 1
-            if self.array[index] == expected:
-                self.array[index] = new_value
-                return True
-            return False
-
-    def atomic_add(self, index: int, delta: float, max_retries: int = 64) -> None:
-        """Per-component atomic add built on compare-and-exchange (AIG update)."""
-        for _ in range(max_retries):
-            current = float(self.array[index])
-            if self.compare_and_exchange(index, current, current + delta):
-                return
-        raise SharedMemoryError(
-            f"atomic_add on segment {self.name!r} exceeded {max_retries} retries"
-        )
-
-    def unsynchronised_add(self, indices: np.ndarray | list[int], deltas: np.ndarray) -> None:
-        """Race-prone add with no synchronisation (the NoLock / Hogwild update)."""
-        self.unsynchronised_writes += 1
-        self.array[indices] += deltas
 
     def snapshot(self) -> np.ndarray:
         """Copy of the current contents (a worker's possibly-stale read)."""
@@ -495,23 +456,19 @@ def run_shared_memory_epoch(
 ) -> "tuple[Model, int]":
     """Run one epoch of shared-memory parallel IGD (cooperative simulation).
 
-    ``examples`` is either a Table (rows are converted through the task) or a
-    sequence of already-converted examples.  Returns the updated model and the
-    number of gradient steps taken.
+    ``examples`` is either a Table, served from ``cache`` (the engine
+    executor's :class:`~repro.tasks.base.ExampleCache`, which decodes it once
+    per table version through the task — any task, batchable or not — so
+    every worker slices the *same* cached example list zero-copy), or a
+    sequence of examples (rows are converted through the task), the
+    reference form tests compare against.  Returns the updated model and
+    the number of gradient steps taken.
 
     ``row_order`` optionally imposes a logical visit order (a permutation of
     example ordinals): workers then partition the *permuted* ordinal sequence.
-    On the cached path this is a zero-copy gather of the cached decoded
-    example list, so logical shuffle-once / shuffle-always re-orders epochs
-    without invalidating the cache or re-decoding a single tuple.
-
-    ``cache`` optionally points at an :class:`~repro.tasks.base.ExampleCache`
-    (normally the engine executor's): the table is then decoded once per table
-    version and every worker slices the *same* cached example list zero-copy,
-    instead of re-decoding every tuple every epoch.  The update schedule —
-    round-robin worker interleaving, per-worker staleness batches, snapshot +
-    delta publication — is byte-identical either way, so cached and uncached
-    epochs produce the same model.
+    This is a zero-copy gather of the cached decoded example list, so logical
+    shuffle-once / shuffle-always re-orders epochs without invalidating the
+    cache or re-decoding a single tuple.
 
     This runner interleaves the workers cooperatively in one process, which
     is what makes the lock/AIG/NoLock convergence traces deterministic
@@ -525,12 +482,9 @@ def run_shared_memory_epoch(
     schedule = make_schedule(step_size)
     proximal = proximal if proximal is not None else task.proximal or IdentityProximal()
     if isinstance(examples, Table):
-        if cache is not None:
-            materialized = cache.examples_for(examples, task)
-            # One logical scan of the table's data per epoch, cached or not.
-            examples.scan_count += 1
-        else:
-            materialized = [task.example_from_row(row) for row in examples.scan()]
+        materialized = cache.examples_for(examples, task)
+        # One logical scan of the table's data per epoch.
+        examples.scan_count += 1
     else:
         materialized = [
             task.example_from_row(item) if isinstance(item, Row) else item
@@ -585,13 +539,15 @@ def run_shared_memory_epoch(
             if spec.scheme == "lock":
                 with segment.lock() as shared:
                     shared += delta
-            elif spec.scheme == "aig":
+            else:
+                # AIG publishes per-component adds under the lock; NoLock
+                # (Hogwild) adds unsynchronised.  Same float adds either way.
                 nonzero = np.nonzero(delta)[0]
-                for index in nonzero:
-                    segment.atomic_add(int(index), float(delta[index]))
-            else:  # nolock
-                nonzero = np.nonzero(delta)[0]
-                segment.unsynchronised_add(nonzero, delta[nonzero])
+                if spec.scheme == "aig":
+                    with segment.lock() as shared:
+                        shared[nonzero] += delta[nonzero]
+                else:
+                    segment.array[nonzero] += delta[nonzero]
         if not progressed:
             break
 

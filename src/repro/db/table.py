@@ -442,9 +442,13 @@ class Table:
         return [Row(schema, values) for page in self._pages for values in page]
 
     # ------------------------------------------------------- physical reorder
-    def _replace_all(self, value_tuples: list[tuple], *, op: str = "rewrite") -> None:
+    def _replace_all(
+        self, value_tuples: list[tuple], *, op: str, clustered_on: str | None
+    ) -> None:
+        # clustered_on is set before the bump: observers (the WAL) log it.
         self._pages, self._num_rows = [], 0
         self._extend_pages(value_tuples)
+        self.clustered_on = clustered_on
         self._bump("rewrite", 0, op)
 
     def cluster_by(self, column: str, *, descending: bool = False) -> None:
@@ -452,16 +456,14 @@ class Table:
         index = self.schema.index_of(column)
         all_rows = [values for page in self._pages for values in page]
         all_rows.sort(key=lambda values: values[index], reverse=descending)
-        self._replace_all(all_rows, op="cluster_by")
-        self.clustered_on = column
+        self._replace_all(all_rows, op="cluster_by", clustered_on=column)
 
     def cluster_by_key(self, key: Callable[[Row], Any], *, label: str = "<callable>") -> None:
         """Physically re-order the heap using an arbitrary key function."""
         schema = self.schema
         all_rows = [values for page in self._pages for values in page]
         all_rows.sort(key=lambda values: key(Row(schema, values)))
-        self._replace_all(all_rows, op="cluster_by_key")
-        self.clustered_on = label
+        self._replace_all(all_rows, op="cluster_by_key", clustered_on=label)
 
     def shuffle(self, rng: np.random.Generator | None = None, seed: int | None = None) -> None:
         """Physically shuffle the heap (``ORDER BY RANDOM()`` materialised).
@@ -474,8 +476,7 @@ class Table:
             rng = np.random.default_rng(seed)
         all_rows = [values for page in self._pages for values in page]
         permutation = rng.permutation(len(all_rows))
-        self._replace_all([all_rows[i] for i in permutation], op="shuffle")
-        self.clustered_on = None
+        self._replace_all([all_rows[i] for i in permutation], op="shuffle", clustered_on=None)
 
     def copy(self, name: str | None = None) -> "Table":
         """Deep-enough copy of the table (rows are immutable tuples).

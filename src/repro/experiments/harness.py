@@ -27,7 +27,6 @@ def evaluate_model(
     kind: str = "loss",
     workers: int = 1,
     backend: str = "in_process",
-    execution: str = "auto",
     include_penalty: bool = False,
 ):
     """Run one evaluation pass (loss or accuracy) through the pass-plan layer.
@@ -52,9 +51,7 @@ def evaluate_model(
         factory = lambda: AccuracyAggregate(task, model)  # noqa: E731 - tiny closure
     else:
         raise ValueError(f"unknown evaluation kind {kind!r}; expected 'loss' or 'accuracy'")
-    plan = compile_pass(
-        kind, engine.table(table_name), factory, execution=execution, workers=workers
-    )
+    plan = compile_pass(kind, engine.table(table_name), factory, workers=workers)
     if backend == "process":
         value = ProcessBackend(engine).run(plan)
     else:

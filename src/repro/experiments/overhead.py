@@ -182,11 +182,9 @@ def _table2_rows(database: Database, scale: ExperimentScale, repeats: int) -> li
         epochs = {
             "null": lambda: database.run_aggregate(table_name, NullAggregate()),
             "per_tuple": lambda: database.run_aggregate(
-                table_name, IGDAggregate(task, STEP_SIZE), execution="per_tuple"
+                table_name, IGDAggregate(task, STEP_SIZE), per_tuple=True
             ),
-            "chunked": lambda: database.run_aggregate(
-                table_name, IGDAggregate(task, STEP_SIZE), execution="chunked"
-            ),
+            "chunked": lambda: database.run_aggregate(table_name, IGDAggregate(task, STEP_SIZE)),
             # The paper's DBMS B ran 8 segments.
             "pure_uda_x8": lambda: run_partitioned(
                 database, table, IGDAggregate(task, STEP_SIZE), workers=8

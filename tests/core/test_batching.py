@@ -51,10 +51,7 @@ class TestBatchSchedule:
         schedule = BatchSchedule(initial=1, growth=10.0)
         assert schedule.batch_size(400) == schedule.batch_size(500) > 10**9
         assert schedule.max_batch_size(2000) == schedule.batch_size(400)
-        from repro.core import IGDConfig
-
-        config = IGDConfig(batch_size=schedule, max_epochs=1500)
-        assert config.execution == "chunked"
+        IGDConfig(batch_size=schedule, max_epochs=1500)  # validates without overflow
 
     def test_make_batch_schedule_coercions(self):
         assert make_batch_schedule(3) == BatchSchedule(initial=3)
@@ -72,13 +69,6 @@ class TestDriverIntegration:
     def workload(self):
         dataset = make_sparse_classification(60, 40, nonzeros_per_example=5, seed=2)
         return dataset, LogisticRegressionTask(dataset.dimension)
-
-    def test_config_accepts_schedule_and_forces_chunked(self, workload):
-        config = IGDConfig(batch_size=BatchSchedule(initial=1, growth=2.0), max_epochs=4)
-        assert config.execution == "chunked"
-        # A schedule that never exceeds 1 stays on the default path.
-        config = IGDConfig(batch_size=BatchSchedule(initial=1), max_epochs=4)
-        assert config.execution == "auto"
 
     def test_growth_schedule_trains_and_reduces_steps(self, workload):
         dataset, task = workload
@@ -126,10 +116,8 @@ class TestDriverIntegration:
             runs["exact"].model.as_flat_vector(), runs["growth"].model.as_flat_vector()
         )
 
-    def test_schedule_refused_with_parallelism_or_per_tuple(self, workload):
+    def test_schedule_refused_with_shared_memory(self, workload):
         schedule = BatchSchedule(initial=1, growth=2.0)
-        with pytest.raises(ValueError, match="chunked"):
-            IGDConfig(batch_size=schedule, execution="per_tuple", max_epochs=4)
         from repro.core import SharedMemoryParallelism
 
         with pytest.raises(ValueError, match="serial"):

@@ -8,12 +8,19 @@ the LMF task, the structured tasks (CRF, Kalman, portfolio), the
 loss/accuracy aggregates, mini-batch semantics, the version-keyed example
 cache, and all three execution backends (serial, shared-memory, segmented
 pure-UDA).
+
+A training run's per-tuple reference is the same task's non-batching twin
+(:func:`rows_twin`): the engine's one chunk-or-rows rule folds it row by row,
+gradient and loss pass alike.  A single pass's reference is the per-tuple
+protocol itself, ``run_aggregate(..., per_tuple=True)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.driver import IGDConfig, train
 from repro.core.model import Model
@@ -34,7 +41,9 @@ from repro.data import (
 )
 from repro.db.engine import Database
 from repro.db.errors import ExecutionError
+from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.parallel import SegmentedDatabase
+from repro.db.shared_memory import run_shared_memory_epoch
 from repro.tasks import (
     ConditionalRandomFieldTask,
     KalmanSmoothingTask,
@@ -57,10 +66,21 @@ ORDERINGS = ("shuffle_once", "shuffle_always", "clustered")
 STEP = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.9}
 
 
-class PerTupleOnlyTask(LogisticRegressionTask):
-    """A task that genuinely cannot chunk (the old role of the CRF task)."""
+def rows_twin(task_cls):
+    """``task_cls`` that cannot batch: the engine folds it per tuple."""
+    return type(f"{task_cls.__name__}Rows", (task_cls,), {"supports_batches": False})
 
-    supports_batches = False
+
+#: A task that genuinely cannot chunk (the old role of the CRF task).
+PerTupleOnlyTask = rows_twin(LogisticRegressionTask)
+
+
+def assert_same_run(reference, result, *components):
+    for name in components:
+        assert np.array_equal(reference.model[name], result.model[name])
+    assert np.allclose(
+        reference.objective_trace(), result.objective_trace(), atol=1e-9, rtol=0
+    )
 
 
 def _tiny_edge_table():
@@ -72,18 +92,11 @@ def _tiny_edge_table():
     return table
 
 
-def _train(task_cls, data, *, sparse: bool, ordering: str, execution: str, **config):
+def _train(task_cls, data, *, sparse: bool, ordering: str, **config):
     database = Database("postgres", seed=0)
     load_classification_table(database, "points", data.examples, sparse=sparse, replace=True)
     task = task_cls(data.dimension)
-    cfg = IGDConfig(
-        step_size=STEP,
-        max_epochs=3,
-        ordering=ordering,
-        seed=11,
-        execution=execution,
-        **config,
-    )
+    cfg = IGDConfig(step_size=STEP, max_epochs=3, ordering=ordering, seed=11, **config)
     return train(task, database, "points", config=cfg)
 
 
@@ -92,65 +105,39 @@ class TestChunkedPathParity:
     @pytest.mark.parametrize("task_name", sorted(TASKS))
     def test_dense_models_bit_identical(self, task_name, ordering):
         data = make_dense_classification(160, 10, seed=0)
-        per_tuple = _train(TASKS[task_name], data, sparse=False, ordering=ordering,
-                           execution="per_tuple")
-        chunked = _train(TASKS[task_name], data, sparse=False, ordering=ordering,
-                         execution="chunked")
-        assert np.array_equal(per_tuple.model["w"], chunked.model["w"])
-        assert np.allclose(
-            per_tuple.objective_trace(), chunked.objective_trace(), atol=1e-9, rtol=0
-        )
+        task_cls = TASKS[task_name]
+        per_tuple = _train(rows_twin(task_cls), data, sparse=False, ordering=ordering)
+        chunked = _train(task_cls, data, sparse=False, ordering=ordering)
+        assert_same_run(per_tuple, chunked, "w")
 
     @pytest.mark.parametrize("task_name", sorted(TASKS))
     def test_sparse_models_bit_identical(self, task_name):
         data = make_sparse_classification(150, 40, nonzeros_per_example=5, seed=1)
-        per_tuple = _train(TASKS[task_name], data, sparse=True, ordering="shuffle_once",
-                           execution="per_tuple")
-        chunked = _train(TASKS[task_name], data, sparse=True, ordering="shuffle_once",
-                         execution="chunked")
-        assert np.array_equal(per_tuple.model["w"], chunked.model["w"])
-        assert np.allclose(
-            per_tuple.objective_trace(), chunked.objective_trace(), atol=1e-9, rtol=0
-        )
+        task_cls = TASKS[task_name]
+        per_tuple = _train(rows_twin(task_cls), data, sparse=True, ordering="shuffle_once")
+        chunked = _train(task_cls, data, sparse=True, ordering="shuffle_once")
+        assert_same_run(per_tuple, chunked, "w")
 
     def test_gradient_step_counts_match(self):
         data = make_dense_classification(90, 6, seed=2)
-        per_tuple = _train(LogisticRegressionTask, data, sparse=False,
-                           ordering="shuffle_once", execution="per_tuple")
-        chunked = _train(LogisticRegressionTask, data, sparse=False,
-                         ordering="shuffle_once", execution="chunked")
+        per_tuple = _train(PerTupleOnlyTask, data, sparse=False, ordering="shuffle_once")
+        chunked = _train(LogisticRegressionTask, data, sparse=False, ordering="shuffle_once")
         assert [r.gradient_steps for r in per_tuple.history] == [
             r.gradient_steps for r in chunked.history
         ]
 
     def test_lmf_models_bit_identical(self):
         ratings = make_ratings(40, 30, 500, rank=4, seed=3)
-        results = {}
-        for execution in ("per_tuple", "chunked"):
+        results = []
+        for task_cls in (rows_twin(LowRankMatrixFactorizationTask), LowRankMatrixFactorizationTask):
             database = Database("postgres", seed=0)
             load_ratings_table(database, "ratings", ratings.examples, replace=True)
-            task = LowRankMatrixFactorizationTask(
-                ratings.num_rows, ratings.num_cols, rank=4, mu=0.01
-            )
-            results[execution] = train(
+            task = task_cls(ratings.num_rows, ratings.num_cols, rank=4, mu=0.01)
+            results.append(train(
                 task, database, "ratings",
-                config=IGDConfig(step_size=0.05, max_epochs=3, ordering="shuffle_once",
-                                 seed=5, execution=execution),
-            )
-        assert np.array_equal(results["per_tuple"].model["L"], results["chunked"].model["L"])
-        assert np.array_equal(results["per_tuple"].model["R"], results["chunked"].model["R"])
-        assert np.allclose(
-            results["per_tuple"].objective_trace(),
-            results["chunked"].objective_trace(),
-            atol=1e-9, rtol=0,
-        )
-
-    def test_auto_equals_chunked_on_batchable_workload(self):
-        data = make_dense_classification(100, 8, seed=4)
-        auto = _train(SVMTask, data, sparse=False, ordering="shuffle_once", execution="auto")
-        chunked = _train(SVMTask, data, sparse=False, ordering="shuffle_once",
-                         execution="chunked")
-        assert np.array_equal(auto.model["w"], chunked.model["w"])
+                config=IGDConfig(step_size=0.05, max_epochs=3, ordering="shuffle_once", seed=5),
+            ))
+        assert_same_run(*results, "L", "R")
 
 
 class TestLossAndAccuracyAggregates:
@@ -165,18 +152,16 @@ class TestLossAndAccuracyAggregates:
 
     def test_loss_aggregate_chunked_matches_per_tuple(self):
         database, task, model = self._database_and_task()
-        per_tuple = database.run_aggregate("points", LossAggregate(task, model))
-        chunked = database.run_aggregate(
-            "points", LossAggregate(task, model), execution="chunked"
-        )
+        per_tuple = database.run_aggregate("points", LossAggregate(task, model), per_tuple=True)
+        chunked = database.run_aggregate("points", LossAggregate(task, model))
         assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
     def test_accuracy_aggregate_chunked_matches_per_tuple(self):
         database, task, model = self._database_and_task()
-        per_tuple = database.run_aggregate("points", AccuracyAggregate(task, model))
-        chunked = database.run_aggregate(
-            "points", AccuracyAggregate(task, model), execution="chunked"
+        per_tuple = database.run_aggregate(
+            "points", AccuracyAggregate(task, model), per_tuple=True
         )
+        chunked = database.run_aggregate("points", AccuracyAggregate(task, model))
         assert chunked == per_tuple
 
     def test_lr_accuracy_parity_at_sub_ulp_decision_values(self):
@@ -186,20 +171,17 @@ class TestLossAndAccuracyAggregates:
         database.register_table(_tiny_edge_table())
         task = LogisticRegressionTask(1)
         model = Model({"w": np.array([-1e-17])})
-        per_tuple = database.run_aggregate("edge", AccuracyAggregate(task, model))
-        chunked = database.run_aggregate(
-            "edge", AccuracyAggregate(task, model), execution="chunked"
-        )
+        per_tuple = database.run_aggregate("edge", AccuracyAggregate(task, model), per_tuple=True)
+        chunked = database.run_aggregate("edge", AccuracyAggregate(task, model))
         assert chunked == per_tuple == 1.0
 
 
 class TestMiniBatchMode:
     def test_batch_size_one_recovers_exact_igd(self):
         data = make_dense_classification(110, 9, seed=7)
-        exact = _train(LogisticRegressionTask, data, sparse=False,
-                       ordering="shuffle_once", execution="per_tuple")
+        exact = _train(PerTupleOnlyTask, data, sparse=False, ordering="shuffle_once")
         minibatch = _train(LogisticRegressionTask, data, sparse=False,
-                           ordering="shuffle_once", execution="chunked", batch_size=1)
+                           ordering="shuffle_once", batch_size=1)
         assert np.array_equal(exact.model["w"], minibatch.model["w"])
 
     @pytest.mark.parametrize("task_name", sorted(TASKS))
@@ -223,31 +205,35 @@ class TestMiniBatchMode:
     def test_minibatch_training_converges(self):
         data = make_dense_classification(200, 8, seed=9)
         result = _train(LogisticRegressionTask, data, sparse=False,
-                        ordering="shuffle_once", execution="chunked", batch_size=16)
+                        ordering="shuffle_once", batch_size=16)
         trace = result.objective_trace()
         assert trace[-1] < trace[0]
         # ceil(200 / 16) = 13 averaged steps per epoch, not 200
         assert result.history[0].gradient_steps == 13
 
-    def test_minibatch_requires_chunkable_path(self):
+    def test_minibatch_refused_by_the_per_tuple_protocol(self):
         data = make_dense_classification(30, 4, seed=10)
-        with pytest.raises(ValueError):
-            IGDConfig(batch_size=4, execution="per_tuple")
         database = Database("postgres", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
         aggregate = IGDAggregate(LogisticRegressionTask(data.dimension), 0.05, batch_size=4)
-        with pytest.raises(ExecutionError):
-            database.run_aggregate("points", aggregate)  # per-tuple path refuses
+        with pytest.raises(ExecutionError, match="mini-batch"):
+            database.run_aggregate("points", aggregate, per_tuple=True)
 
-    def test_minibatch_config_normalises_auto_to_strict_chunked(self):
-        """B > 1 must fail fast on unbatchable workloads, not mid-epoch."""
-        assert IGDConfig(batch_size=4).execution == "chunked"
+    def test_minibatch_unbatchable_pair_fails_before_its_first_step(self):
+        steps = []
+
+        class Counted(PerTupleOnlyTask):
+            def gradient_step(self, model, example, alpha):
+                steps.append(alpha)
+                super().gradient_step(model, example, alpha)
+
         data = make_dense_classification(24, 4, seed=0)
         database = Database("postgres", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
-        task = PerTupleOnlyTask(data.dimension)
-        with pytest.raises(ExecutionError):
-            train(task, database, "points", config=IGDConfig(batch_size=4, max_epochs=1))
+        with pytest.raises(ExecutionError, match="mini-batch"):
+            train(Counted(data.dimension), database, "points",
+                  config=IGDConfig(batch_size=4, max_epochs=1))
+        assert steps == []
 
     def test_minibatch_structured_tasks_converge(self):
         """Structured tasks now run opt-in mini-batch SGD through the generic
@@ -266,44 +252,37 @@ class TestMiniBatchMode:
         assert result.history[0].gradient_steps == 4  # ceil(20 / 5)
 
 
-class TestExecutionModes:
-    def _per_tuple_only_db(self):
+class TestChunkOrRowsRule:
+    def test_unbatchable_task_folds_rows(self):
         data = make_dense_classification(4, 3, seed=0)
         database = Database("postgres", seed=0)
-        load_classification_table(database, "points", data.examples, sparse=False)
-        return database, PerTupleOnlyTask(data.dimension)
-
-    def test_chunked_raises_for_unbatchable_task(self):
-        database, task = self._per_tuple_only_db()
-        aggregate = IGDAggregate(task, 0.05)
-        with pytest.raises(ExecutionError):
-            database.run_aggregate("points", aggregate, execution="chunked")
-
-    def test_auto_falls_back_for_unbatchable_task(self):
-        database, task = self._per_tuple_only_db()
-        model = database.run_aggregate(
-            "points", IGDAggregate(task, 0.05), execution="auto"
-        )
+        table = load_classification_table(database, "points", data.examples, sparse=False)
+        task = PerTupleOnlyTask(data.dimension)
+        assert database.executor.chunk_plan(table, IGDAggregate(task, 0.05)) is None
+        model = database.run_aggregate("points", IGDAggregate(task, 0.05))
         assert model.metadata["gradient_steps"] == 4
+
+    @pytest.mark.parametrize("name", ["sum", "count"])
+    def test_builtin_sql_aggregate_folds_rows(self, name):
+        """No chunk decoder, no chunk plan: the rule folds the rows, which
+        is exactly the per-tuple protocol."""
+        database = Database("postgres", seed=0)
+        table = database.create_table("t", [("x", "float")])
+        table.insert_many((float(i),) for i in range(10))
+        assert database.executor.chunk_plan(table, database.aggregates.create(name)) is None
+        assert database.run_aggregate("t", name, "x") == database.run_aggregate(
+            "t", name, "x", per_tuple=True
+        ) == {"sum": 45.0, "count": 10}[name]
 
     def test_crf_task_now_chunks(self):
         """The CRF used to be the canonical unbatchable task; it chunks now."""
         corpus = make_sequences(4, num_labels=3, seed=0)
         database = Database("postgres", seed=0)
-        load_sequences_table(database, "seqs", corpus.examples)
+        table = load_sequences_table(database, "seqs", corpus.examples)
         task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
-        model = database.run_aggregate(
-            "seqs", IGDAggregate(task, 0.05), execution="chunked"
-        )
+        assert database.executor.chunk_plan(table, IGDAggregate(task, 0.05)) is not None
+        model = database.run_aggregate("seqs", IGDAggregate(task, 0.05))
         assert model.metadata["gradient_steps"] == 4
-
-    def test_unknown_execution_mode_rejected(self):
-        database = Database("postgres", seed=0)
-        database.create_table("t", [("x", "float")])
-        with pytest.raises(ExecutionError):
-            database.run_aggregate("t", "count", "x", execution="warp")
-        with pytest.raises(ValueError):
-            IGDConfig(execution="warp")
 
     def test_chunked_execution_counts_one_scan_per_pass(self):
         data = make_dense_classification(60, 5, seed=11)
@@ -312,10 +291,10 @@ class TestExecutionModes:
         task = LogisticRegressionTask(data.dimension)
         model = task.initial_model()
         before = table.scan_count
-        database.run_aggregate("points", LossAggregate(task, model), execution="chunked")
+        database.run_aggregate("points", LossAggregate(task, model))
         assert table.scan_count == before + 1
         # a cached pass still counts as one logical scan
-        database.run_aggregate("points", LossAggregate(task, model), execution="chunked")
+        database.run_aggregate("points", LossAggregate(task, model))
         assert table.scan_count == before + 2
 
 
@@ -410,21 +389,20 @@ class TestExampleCacheInvalidation:
         task = LogisticRegressionTask(3)
         old = make_dense_classification(40, 3, seed=13)
         new = make_dense_classification(40, 3, seed=14)
+
+        def losses():
+            return [
+                database.run_aggregate(
+                    "pts", LossAggregate(task, task.initial_model()), per_tuple=per_tuple
+                )
+                for per_tuple in (True, False)
+            ]
+
         old_table = load_classification_table(database, "pts", old.examples, sparse=False)
-        per_tuple_old = database.run_aggregate(
-            "pts", LossAggregate(task, task.initial_model())
-        )
-        chunked_old = database.run_aggregate(
-            "pts", LossAggregate(task, task.initial_model()), execution="chunked"
-        )
+        per_tuple_old, chunked_old = losses()
         load_classification_table(database, "pts", new.examples, sparse=False, replace=True)
         assert database.table("pts").version == old_table.version  # the trap
-        per_tuple_new = database.run_aggregate(
-            "pts", LossAggregate(task, task.initial_model())
-        )
-        chunked_new = database.run_aggregate(
-            "pts", LossAggregate(task, task.initial_model()), execution="chunked"
-        )
+        per_tuple_new, chunked_new = losses()
         assert chunked_old == pytest.approx(per_tuple_old, abs=1e-9)
         assert chunked_new == pytest.approx(per_tuple_new, abs=1e-9)
 
@@ -465,72 +443,62 @@ class TestSparseEdgeCases:
             else:
                 features = {int(j): float(rng.normal()) for j in rng.choice(10, size=3, replace=False)}
             rows.append((features, 1.0 if rng.random() > 0.5 else -1.0))
-        results = {}
-        for execution in ("per_tuple", "chunked"):
+        results = []
+        for task_cls in (PerTupleOnlyTask, LogisticRegressionTask):
             database = Database("postgres", seed=0)
             table = Table("pts", schema)
             table.insert_many(rows)
             database.register_table(table)
-            task = LogisticRegressionTask(10)
-            results[execution] = train(
-                task, database, "pts",
-                config=IGDConfig(step_size=0.1, max_epochs=3, ordering="shuffle_once",
-                                 seed=2, execution=execution),
-            )
-        assert np.array_equal(results["per_tuple"].model["w"], results["chunked"].model["w"])
-        assert np.allclose(
-            results["per_tuple"].objective_trace(),
-            results["chunked"].objective_trace(),
-            atol=1e-9, rtol=0,
-        )
+            results.append(train(
+                task_cls(10), database, "pts",
+                config=IGDConfig(step_size=0.1, max_epochs=3, ordering="shuffle_once", seed=2),
+            ))
+        assert_same_run(*results, "w")
 
 
 # ---------------------------------------------------------------------------
 # Structured tasks: CRF, Kalman, portfolio — chunked must equal per-tuple
 # ---------------------------------------------------------------------------
-def _train_crf(execution: str, *, ordering: str = "shuffle_once", parallelism=None,
+def _train_crf(*, rows: bool = False, ordering: str = "shuffle_once", parallelism=None,
                database=None, epochs: int = 3):
     corpus = make_sequences(30, num_labels=3, seed=0)
     if database is None:
         database = Database("postgres", seed=0)
     load_sequences_table(database, "seqs", corpus.examples, replace=True)
-    task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
+    task_cls = rows_twin(ConditionalRandomFieldTask) if rows else ConditionalRandomFieldTask
     return train(
-        task, database, "seqs",
+        task_cls(corpus.num_features, corpus.num_labels), database, "seqs",
         config=IGDConfig(
             step_size={"kind": "epoch_decay", "alpha0": 0.2, "decay": 0.9},
-            max_epochs=epochs, ordering=ordering, seed=1,
-            execution=execution, parallelism=parallelism,
+            max_epochs=epochs, ordering=ordering, seed=1, parallelism=parallelism,
         ),
     )
 
 
-def _train_kalman(execution: str, *, ordering: str = "shuffle_once"):
+def _train_kalman(*, rows: bool = False, ordering: str = "shuffle_once"):
     series = make_noisy_timeseries(60, 2, seed=0)
     database = Database("postgres", seed=0)
     load_timeseries_table(database, "ts", series.examples)
-    task = KalmanSmoothingTask(
+    task_cls = rows_twin(KalmanSmoothingTask) if rows else KalmanSmoothingTask
+    task = task_cls(
         series.num_steps, series.state_dim,
         dynamics=series.dynamics, observation_matrix=series.observation_matrix,
     )
     return train(
         task, database, "ts",
-        config=IGDConfig(step_size=0.05, max_epochs=3, ordering=ordering,
-                         seed=1, execution=execution),
+        config=IGDConfig(step_size=0.05, max_epochs=3, ordering=ordering, seed=1),
     )
 
 
-def _train_portfolio(execution: str, *, ordering: str = "shuffle_once"):
+def _train_portfolio(*, rows: bool = False, ordering: str = "shuffle_once"):
     data = make_portfolio_returns(6, 120, seed=0)
     database = Database("postgres", seed=0)
     load_returns_table(database, "returns", data.examples)
-    task = PortfolioOptimizationTask(
-        data.num_assets, data.expected_returns, num_samples=len(data.examples)
-    )
+    task_cls = rows_twin(PortfolioOptimizationTask) if rows else PortfolioOptimizationTask
+    task = task_cls(data.num_assets, data.expected_returns, num_samples=len(data.examples))
     return train(
         task, database, "returns",
-        config=IGDConfig(step_size=0.05, max_epochs=3, ordering=ordering,
-                         seed=1, execution=execution),
+        config=IGDConfig(step_size=0.05, max_epochs=3, ordering=ordering, seed=1),
     )
 
 
@@ -538,35 +506,22 @@ def _train_portfolio(execution: str, *, ordering: str = "shuffle_once"):
 class TestStructuredTaskParity:
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_crf_models_bit_identical(self, ordering):
-        per_tuple = _train_crf("per_tuple", ordering=ordering)
-        chunked = _train_crf("chunked", ordering=ordering)
-        assert np.array_equal(per_tuple.model["emission"], chunked.model["emission"])
-        assert np.array_equal(per_tuple.model["transition"], chunked.model["transition"])
-        assert np.allclose(
-            per_tuple.objective_trace(), chunked.objective_trace(), atol=1e-9, rtol=0
+        per_tuple = _train_crf(rows=True, ordering=ordering)
+        chunked = _train_crf(ordering=ordering)
+        assert_same_run(per_tuple, chunked, "emission", "transition")
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_kalman_models_bit_identical(self, ordering):
+        assert_same_run(
+            _train_kalman(rows=True, ordering=ordering), _train_kalman(ordering=ordering),
+            "states",
         )
 
-    def test_crf_auto_equals_chunked(self):
-        auto = _train_crf("auto")
-        chunked = _train_crf("chunked")
-        assert np.array_equal(auto.model["emission"], chunked.model["emission"])
-
-    @pytest.mark.parametrize("execution", ["chunked", "auto"])
-    def test_kalman_models_bit_identical(self, execution):
-        per_tuple = _train_kalman("per_tuple")
-        fast = _train_kalman(execution)
-        assert np.array_equal(per_tuple.model["states"], fast.model["states"])
-        assert np.allclose(
-            per_tuple.objective_trace(), fast.objective_trace(), atol=1e-9, rtol=0
-        )
-
-    @pytest.mark.parametrize("execution", ["chunked", "auto"])
-    def test_portfolio_models_bit_identical(self, execution):
-        per_tuple = _train_portfolio("per_tuple")
-        fast = _train_portfolio(execution)
-        assert np.array_equal(per_tuple.model["w"], fast.model["w"])
-        assert np.allclose(
-            per_tuple.objective_trace(), fast.objective_trace(), atol=1e-9, rtol=0
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_portfolio_models_bit_identical(self, ordering):
+        assert_same_run(
+            _train_portfolio(rows=True, ordering=ordering), _train_portfolio(ordering=ordering),
+            "w",
         )
 
     def test_crf_loss_aggregate_parity(self):
@@ -577,10 +532,8 @@ class TestStructuredTaskParity:
         model = task.initial_model()
         emission = model["emission"]
         emission += np.random.default_rng(0).normal(scale=0.1, size=emission.shape)
-        per_tuple = database.run_aggregate("seqs", LossAggregate(task, model))
-        chunked = database.run_aggregate(
-            "seqs", LossAggregate(task, model), execution="chunked"
-        )
+        per_tuple = database.run_aggregate("seqs", LossAggregate(task, model), per_tuple=True)
+        chunked = database.run_aggregate("seqs", LossAggregate(task, model))
         assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
 
@@ -590,85 +543,75 @@ class TestStructuredTaskParity:
 @pytest.mark.backends
 class TestBackendChunkParity:
     @pytest.mark.parametrize("scheme", ["lock", "aig", "nolock"])
-    def test_shared_memory_cached_epoch_matches_uncached(self, scheme):
-        """execution='auto' (cached example plane) and 'per_tuple' (per-epoch
-        decode) must produce identical shared-memory models."""
+    def test_shared_memory_cached_epoch_matches_example_list(self, scheme):
+        """The engine's epoch reads the example cache; the runner fed the
+        decoded example list is its reference, and the twin's run (whose
+        loss pass folds rows) trains the same model."""
         spec = SharedMemoryParallelism(scheme=scheme, workers=4)
-        results = {}
-        for execution in ("per_tuple", "auto"):
-            data = make_dense_classification(80, 6, seed=3)
+        data = make_dense_classification(80, 6, seed=3)
+        results = []
+        for task_cls in (PerTupleOnlyTask, LogisticRegressionTask):
             database = Database("postgres", seed=0)
-            load_classification_table(database, "points", data.examples, sparse=False)
-            task = LogisticRegressionTask(data.dimension)
-            results[execution] = train(
-                task, database, "points",
+            table = load_classification_table(database, "points", data.examples, sparse=False)
+            results.append(train(
+                task_cls(data.dimension), database, "points",
                 config=IGDConfig(step_size=0.1, max_epochs=3, ordering="shuffle_once",
-                                 seed=4, execution=execution, parallelism=spec),
-            )
-        assert np.array_equal(
-            results["per_tuple"].model["w"], results["auto"].model["w"]
+                                 seed=4, parallelism=spec),
+            ))
+        assert_same_run(*results, "w")
+        task = LogisticRegressionTask(data.dimension)
+        examples = [task.example_from_row(row) for row in table.scan()]
+        listed, _ = run_shared_memory_epoch(examples, task, task.initial_model(), 0.1, spec=spec)
+        cached, _ = run_shared_memory_epoch(
+            table, task, task.initial_model(), 0.1, spec=spec,
+            cache=database.executor.example_cache,
         )
-        assert np.allclose(
-            results["per_tuple"].objective_trace(),
-            results["auto"].objective_trace(),
-            atol=1e-9, rtol=0,
-        )
+        assert np.array_equal(listed["w"], cached["w"])
 
-    def test_shared_memory_crf_cached_epoch_matches_uncached(self):
+    def test_shared_memory_crf_matches_per_tuple(self):
         spec = SharedMemoryParallelism(scheme="nolock", workers=4)
-        per_tuple = _train_crf("per_tuple", parallelism=spec, epochs=2)
-        cached = _train_crf("auto", parallelism=spec, epochs=2)
+        per_tuple = _train_crf(rows=True, parallelism=spec, epochs=2)
+        cached = _train_crf(parallelism=spec, epochs=2)
         assert np.array_equal(per_tuple.model["emission"], cached.model["emission"])
         assert np.array_equal(per_tuple.model["transition"], cached.model["transition"])
 
     @pytest.mark.parametrize("task_name", sorted(TASKS))
     def test_segmented_pure_uda_chunked_matches_per_tuple(self, task_name):
-        results = {}
-        for execution in ("per_tuple", "auto"):
-            data = make_dense_classification(96, 7, seed=5)
+        results = []
+        data = make_dense_classification(96, 7, seed=5)
+        for task_cls in (rows_twin(TASKS[task_name]), TASKS[task_name]):
             database = SegmentedDatabase(4, "dbms_b", seed=0)
             load_classification_table(database, "points", data.examples, sparse=False)
-            task = TASKS[task_name](data.dimension)
-            results[execution] = train(
-                task, database, "points",
+            results.append(train(
+                task_cls(data.dimension), database, "points",
                 config=IGDConfig(step_size=STEP, max_epochs=3, ordering="shuffle_once",
-                                 seed=6, execution=execution,
-                                 parallelism=PureUDAParallelism()),
-            )
-        assert np.array_equal(
-            results["per_tuple"].model["w"], results["auto"].model["w"]
-        )
-        assert np.allclose(
-            results["per_tuple"].objective_trace(),
-            results["auto"].objective_trace(),
-            atol=1e-9, rtol=0,
-        )
+                                 seed=6, parallelism=PureUDAParallelism()),
+            ))
+        assert_same_run(*results, "w")
 
     def test_segmented_crf_chunked_matches_per_tuple(self):
-        results = {}
-        for execution in ("per_tuple", "auto"):
-            database = SegmentedDatabase(4, "dbms_b", seed=0)
-            results[execution] = _train_crf(
-                execution, parallelism=PureUDAParallelism(), database=database, epochs=2
-            )
-        assert np.array_equal(
-            results["per_tuple"].model["emission"], results["auto"].model["emission"]
+        per_tuple, chunked = (
+            _train_crf(rows=rows, parallelism=PureUDAParallelism(),
+                       database=SegmentedDatabase(4, "dbms_b", seed=0), epochs=2)
+            for rows in (True, False)
         )
-        assert np.array_equal(
-            results["per_tuple"].model["transition"], results["auto"].model["transition"]
-        )
+        assert np.array_equal(per_tuple.model["emission"], chunked.model["emission"])
+        assert np.array_equal(per_tuple.model["transition"], chunked.model["transition"])
 
-    def test_segmented_chunked_aggregate_api_parity(self):
-        """run_parallel_aggregate execution modes agree at the API level too."""
+    @pytest.mark.parametrize("where", [None, BinaryOp(">", ColumnRef("label"), Literal(0.0))],
+                             ids=["all", "where"])
+    def test_segmented_aggregate_api_parity(self, where):
+        """run_parallel_aggregate folds the twin's segments per tuple and
+        the task's from cached chunks — WHERE through the selection vector."""
         data = make_dense_classification(60, 5, seed=7)
         database = SegmentedDatabase(4, "dbms_b", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
-        task = LogisticRegressionTask(data.dimension)
-        factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
-        per_tuple = database.run_parallel_aggregate(
-            "points", factory, execution="per_tuple"
+        per_tuple, chunked = (
+            database.run_parallel_aggregate(
+                "points", lambda task=task: IGDAggregate(task, 0.05), where=where
+            )
+            for task in (PerTupleOnlyTask(data.dimension), LogisticRegressionTask(data.dimension))
         )
-        chunked = database.run_parallel_aggregate("points", factory, execution="chunked")
         assert np.array_equal(per_tuple.value["w"], chunked.value["w"])
         assert per_tuple.num_segments == chunked.num_segments == 4
 
@@ -679,54 +622,43 @@ class TestBackendChunkParity:
         task = LogisticRegressionTask(data.dimension)
         cache = database.master.executor.example_cache
         factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
-        database.run_parallel_aggregate("points", factory, execution="chunked")
+        database.run_parallel_aggregate("points", factory)
         # The four segments are ordinals over the master's one chunk list.
         assert cache.misses == 1 and cache.decoded_rows == 64
-        database.run_parallel_aggregate("points", factory, execution="chunked")
+        database.run_parallel_aggregate("points", factory)
         assert cache.misses == 1 and cache.decoded_rows == 64  # second epoch served cached
         assert cache.hits >= 4
-
-    def test_segmented_chunked_where_matches_per_tuple(self):
-        """WHERE no longer forces per-tuple execution on segments: every
-        segment filters through its cached selection vector."""
-        from repro.db.expressions import BinaryOp, ColumnRef, Literal
-
-        data = make_dense_classification(40, 4, seed=9)
-        database = SegmentedDatabase(2, "dbms_b", seed=0)
-        load_classification_table(database, "points", data.examples, sparse=False)
-        task = LogisticRegressionTask(data.dimension)
-        factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
-        predicate = BinaryOp(">", ColumnRef("label"), Literal(0.0))
-        per_tuple = database.run_parallel_aggregate(
-            "points", factory, where=predicate, execution="per_tuple"
-        )
-        chunked = database.run_parallel_aggregate(
-            "points", factory, where=predicate, execution="chunked"
-        )
-        assert np.array_equal(per_tuple.value["w"], chunked.value["w"])
 
 
 # ---------------------------------------------------------------------------
 # Selection vectors and permutations: WHERE / row_order on the chunk plane
 # ---------------------------------------------------------------------------
-EXECUTIONS = ("per_tuple", "chunked", "auto")
-
-
 def _segment_lengths(rows, count):
     """Rows per segment: segment ``i`` of ``count`` is master rows ``i::count``."""
     return [len(range(index, rows, count)) for index in range(count)]
 
 
 def _label_predicate():
-    from repro.db.expressions import BinaryOp, ColumnRef, Literal
-
     return BinaryOp(">", ColumnRef("label"), Literal(0.0))
+
+
+@st.composite
+def selection_passes(draw):
+    """(sparse, rows, WHERE id < threshold or None, row order or None, chunk size).
+
+    Threshold 0 selects nothing; the row order may repeat rows, skip rows
+    and name them by negative ordinals.
+    """
+    rows = draw(st.integers(2, 40))
+    threshold = draw(st.none() | st.integers(0, rows))
+    order = draw(st.none() | st.lists(st.integers(-rows, rows - 1), max_size=2 * rows))
+    return draw(st.booleans()), rows, threshold, order, draw(st.integers(1, 48))
 
 
 @pytest.mark.backends
 class TestSelectionPermutationParity:
     """WHERE filters and explicit row orders ride the cached chunk plane and
-    must reproduce the per-tuple path bit for bit, on every backend."""
+    must reproduce the per-tuple protocol bit for bit."""
 
     def _serial_db(self, *, sparse=False, seed=20):
         if sparse:
@@ -737,144 +669,155 @@ class TestSelectionPermutationParity:
         load_classification_table(database, "points", data.examples, sparse=sparse)
         return database, data
 
-    def _igd_model(self, database, task, *, where=None, row_order=None, execution="per_tuple"):
-        aggregate = IGDAggregate(task, {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.9})
+    def _igd_model(self, database, task, *, where=None, row_order=None, per_tuple=False):
+        aggregate = IGDAggregate(task, STEP)
         return database.run_aggregate(
-            "points", aggregate, where=where, row_order=row_order, execution=execution
+            "points", aggregate, where=where, row_order=row_order, per_tuple=per_tuple
         )
 
+    def _both_models(self, database, task, **selection):
+        """The pass under the per-tuple protocol, then under the default rule."""
+        return [
+            self._igd_model(database, task, per_tuple=per_tuple, **selection)
+            for per_tuple in (True, False)
+        ]
+
+    # Hand-picked regressions; the property below draws the combinations.
     @pytest.mark.parametrize("sparse", [False, True])
     def test_where_filtered_models_bit_identical(self, sparse):
         database, data = self._serial_db(sparse=sparse)
         task = LogisticRegressionTask(data.dimension)
-        predicate = _label_predicate()
-        models = {
-            execution: self._igd_model(database, task, where=predicate, execution=execution)
-            for execution in EXECUTIONS
-        }
-        assert models["per_tuple"].metadata["gradient_steps"] < len(data.examples)
-        assert np.array_equal(models["per_tuple"]["w"], models["chunked"]["w"])
-        assert np.array_equal(models["per_tuple"]["w"], models["auto"]["w"])
+        per_tuple, chunked = self._both_models(database, task, where=_label_predicate())
+        assert per_tuple.metadata["gradient_steps"] < len(data.examples)
+        assert np.array_equal(per_tuple["w"], chunked["w"])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_row_order_models_bit_identical(self, sparse):
         database, data = self._serial_db(sparse=sparse)
         task = LogisticRegressionTask(data.dimension)
         order = np.random.default_rng(3).permutation(len(data.examples))
-        models = {
-            execution: self._igd_model(database, task, row_order=order, execution=execution)
-            for execution in EXECUTIONS
-        }
-        assert np.array_equal(models["per_tuple"]["w"], models["chunked"]["w"])
-        assert np.array_equal(models["per_tuple"]["w"], models["auto"]["w"])
+        per_tuple, chunked = self._both_models(database, task, row_order=order)
+        assert np.array_equal(per_tuple["w"], chunked["w"])
 
     def test_where_and_row_order_compose(self):
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
         order = np.random.default_rng(4).permutation(len(data.examples))
-        predicate = _label_predicate()
-        per_tuple = self._igd_model(
-            database, task, where=predicate, row_order=order, execution="per_tuple"
-        )
-        chunked = self._igd_model(
-            database, task, where=predicate, row_order=order, execution="chunked"
+        per_tuple, chunked = self._both_models(
+            database, task, where=_label_predicate(), row_order=order
         )
         assert np.array_equal(per_tuple["w"], chunked["w"])
 
     def test_loss_aggregate_where_parity(self):
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
-        rng = np.random.default_rng(0)
-        model = Model({"w": rng.normal(size=data.dimension)})
-        predicate = _label_predicate()
-        per_tuple = database.run_aggregate(
-            "points", LossAggregate(task, model), where=predicate
-        )
-        chunked = database.run_aggregate(
-            "points", LossAggregate(task, model), where=predicate, execution="chunked"
+        model = Model({"w": np.random.default_rng(0).normal(size=data.dimension)})
+        per_tuple, chunked = (
+            database.run_aggregate(
+                "points", LossAggregate(task, model), where=_label_predicate(),
+                per_tuple=per_tuple,
+            )
+            for per_tuple in (True, False)
         )
         assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
     def test_empty_selection_parity(self):
-        from repro.db.expressions import BinaryOp, ColumnRef, Literal
-
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
         nothing = BinaryOp(">", ColumnRef("label"), Literal(1e9))
-        per_tuple = self._igd_model(database, task, where=nothing, execution="per_tuple")
-        chunked = self._igd_model(database, task, where=nothing, execution="chunked")
+        per_tuple, chunked = self._both_models(database, task, where=nothing)
         assert per_tuple.metadata["gradient_steps"] == 0
         assert np.array_equal(per_tuple["w"], chunked["w"])
 
     def test_negative_ordinals_match_row_at(self):
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
-        order = [-1, 0, -2, 1]
-        per_tuple = self._igd_model(database, task, row_order=order, execution="per_tuple")
-        chunked = self._igd_model(database, task, row_order=order, execution="chunked")
+        per_tuple, chunked = self._both_models(database, task, row_order=[-1, 0, -2, 1])
         assert np.array_equal(per_tuple["w"], chunked["w"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(selection_passes())
+    def test_per_tuple_protocol_matches_the_chunk_plane(self, drawn):
+        sparse, rows, threshold, order, chunk_size = drawn
+        if sparse:
+            data = make_sparse_classification(rows, 30, nonzeros_per_example=4, seed=rows)
+        else:
+            data = make_dense_classification(rows, 6, seed=rows)
+        database = Database("postgres", seed=0)
+        database.executor.chunk_size = chunk_size
+        load_classification_table(database, "points", data.examples, sparse=sparse)
+        task = LogisticRegressionTask(data.dimension)
+        where = None if threshold is None else BinaryOp("<", ColumnRef("id"), Literal(threshold))
+
+        def both(make):
+            return [
+                database.run_aggregate(
+                    "points", make(), where=where, row_order=order, per_tuple=per_tuple
+                )
+                for per_tuple in (True, False)
+            ]
+
+        per_tuple, chunked = both(lambda: IGDAggregate(task, STEP))
+        assert per_tuple.metadata == chunked.metadata
+        assert np.array_equal(per_tuple["w"], chunked["w"])
+        model = Model({"w": np.random.default_rng(rows).normal(size=data.dimension)})
+        per_tuple, chunked = both(lambda: LossAggregate(task, model))
+        assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
     def test_crf_row_order_models_bit_identical(self):
         """Sequence gathers reuse the cached flattened feature arrays."""
         corpus = make_sequences(24, num_labels=3, seed=3)
         order = np.random.default_rng(5).permutation(len(corpus.examples))
-        results = {}
-        for execution in ("per_tuple", "chunked"):
-            database = Database("postgres", seed=0)
-            load_sequences_table(database, "seqs", corpus.examples, replace=True)
-            task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
-            aggregate = IGDAggregate(task, 0.1)
-            results[execution] = database.run_aggregate(
-                "seqs", aggregate, row_order=order, execution=execution
+        database = Database("postgres", seed=0)
+        load_sequences_table(database, "seqs", corpus.examples)
+        task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
+        per_tuple, chunked = (
+            database.run_aggregate(
+                "seqs", IGDAggregate(task, 0.1), row_order=order, per_tuple=per_tuple
             )
-        assert np.array_equal(
-            results["per_tuple"]["emission"], results["chunked"]["emission"]
+            for per_tuple in (True, False)
         )
-        assert np.array_equal(
-            results["per_tuple"]["transition"], results["chunked"]["transition"]
-        )
+        assert np.array_equal(per_tuple["emission"], chunked["emission"])
+        assert np.array_equal(per_tuple["transition"], chunked["transition"])
 
     def test_lmf_row_order_models_bit_identical(self):
         """Rating gathers cover the RatingBatch take/concat kernels."""
         ratings = make_ratings(20, 15, 200, rank=3, seed=6)
         order = np.random.default_rng(7).permutation(200)
-        results = {}
-        for execution in ("per_tuple", "chunked"):
-            database = Database("postgres", seed=0)
-            load_ratings_table(database, "ratings", ratings.examples, replace=True)
-            task = LowRankMatrixFactorizationTask(
-                ratings.num_rows, ratings.num_cols, rank=3, mu=0.01
+        database = Database("postgres", seed=0)
+        load_ratings_table(database, "ratings", ratings.examples)
+        task = LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=3, mu=0.01)
+        initial = task.initial_model()
+        per_tuple, chunked = (
+            database.run_aggregate(
+                "ratings", IGDAggregate(task, 0.05, initial_model=initial),
+                row_order=order, per_tuple=per_tuple,
             )
-            aggregate = IGDAggregate(task, 0.05, initial_model=task.initial_model())
-            results[execution] = database.run_aggregate(
-                "ratings", aggregate, row_order=order, execution=execution
-            )
-        assert np.array_equal(results["per_tuple"]["L"], results["chunked"]["L"])
-        assert np.array_equal(results["per_tuple"]["R"], results["chunked"]["R"])
+            for per_tuple in (True, False)
+        )
+        assert np.array_equal(per_tuple["L"], chunked["L"])
+        assert np.array_equal(per_tuple["R"], chunked["R"])
 
     def test_segmented_row_orders_match_per_tuple(self):
         data = make_dense_classification(60, 5, seed=21)
-        rng = np.random.default_rng(8)
-        results = {}
-        for execution in ("per_tuple", "chunked"):
+        results = []
+        for task_cls in (PerTupleOnlyTask, LogisticRegressionTask):
             database = SegmentedDatabase(3, "dbms_b", seed=0)
             load_classification_table(database, "points", data.examples, sparse=False)
+            rng = np.random.default_rng(8)  # same orders for both runs
             orders = [rng.permutation(length) for length in _segment_lengths(60, 3)]
-            rng = np.random.default_rng(8)  # same orders for both executions
-            task = LogisticRegressionTask(data.dimension)
-            factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
-            results[execution] = database.run_parallel_aggregate(
-                "points", factory, segment_row_orders=orders, execution=execution
-            )
-        assert np.array_equal(results["per_tuple"].value["w"], results["chunked"].value["w"])
+            task = task_cls(data.dimension)
+            results.append(database.run_parallel_aggregate(
+                "points", lambda: IGDAggregate(task, 0.05), segment_row_orders=orders
+            ))
+        assert np.array_equal(results[0].value["w"], results[1].value["w"])
 
     def test_chunked_filter_still_scans_once(self):
         database, data = self._serial_db()
         table = database.table("points")
         task = LogisticRegressionTask(data.dimension)
-        predicate = _label_predicate()
         before = table.scan_count
-        self._igd_model(database, task, where=predicate, execution="chunked")
+        self._igd_model(database, task, where=_label_predicate())
         assert table.scan_count == before + 1
 
     def test_selection_vector_cached_per_version(self):
@@ -885,27 +828,27 @@ class TestSelectionPermutationParity:
         cache = database.executor.example_cache
         # First pass derives two artefacts: the selection vector and the
         # gathered (masked) chunk list built from it.
-        self._igd_model(database, task, where=predicate, execution="chunked")
+        self._igd_model(database, task, where=predicate)
         assert cache.derived_misses == 2
-        self._igd_model(database, task, where=predicate, execution="chunked")
+        self._igd_model(database, task, where=predicate)
         assert cache.derived_misses == 2 and cache.derived_hits == 2
         table.shuffle(seed=0)  # physical mutation busts both derived entries
-        self._igd_model(database, task, where=predicate, execution="chunked")
+        self._igd_model(database, task, where=predicate)
         assert cache.derived_misses == 4
 
     def test_stale_udf_binding_invalidates_selection(self):
         """Re-registering a UDF referenced by the predicate must invalidate
         the cached selection vector — chunked stays bit-for-bit per-tuple."""
-        from repro.db.expressions import ColumnRef, FunctionCall
+        from repro.db.expressions import FunctionCall
 
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
         predicate = FunctionCall("keep", (ColumnRef("label"),))
         database.register_function("keep", lambda label: label > 0)
-        first = self._igd_model(database, task, where=predicate, execution="chunked")
+        first = self._igd_model(database, task, where=predicate)
         database.register_function("keep", lambda label: label < 0)
-        chunked = self._igd_model(database, task, where=predicate, execution="chunked")
-        per_tuple = self._igd_model(database, task, where=predicate, execution="per_tuple")
+        chunked = self._igd_model(database, task, where=predicate)
+        per_tuple = self._igd_model(database, task, where=predicate, per_tuple=True)
         assert not np.array_equal(first["w"], chunked["w"])
         assert np.array_equal(per_tuple["w"], chunked["w"])
 
@@ -917,7 +860,7 @@ class TestSelectionPermutationParity:
         cache = database.executor.example_cache
         order = np.random.default_rng(11).permutation(len(data.examples))
         for _ in range(3):
-            self._igd_model(database, task, row_order=order, execution="chunked")
+            self._igd_model(database, task, row_order=order)
         assert cache.derived_misses == 1
         assert cache.derived_hits == 2
 
@@ -932,13 +875,18 @@ class TestOrderedScanAccounting:
         table = load_classification_table(database, "points", data.examples, sparse=False)
         return database, table, LogisticRegressionTask(data.dimension)
 
-    @pytest.mark.parametrize("execution", EXECUTIONS)
-    def test_row_order_pass_counts_one_scan(self, execution):
+    @pytest.mark.parametrize(
+        "per_tuple, rows", [(True, False), (False, False), (False, True)],
+        ids=["per_tuple", "chunked", "rows_twin"],
+    )
+    def test_row_order_pass_counts_one_scan(self, per_tuple, rows):
         database, table, task = self._setup()
+        if rows:  # the rule folds a task that cannot batch per tuple
+            task = PerTupleOnlyTask(task.dimension)
         order = list(range(len(table)))[::-1]
         before = table.scan_count
         database.run_aggregate(
-            "points", IGDAggregate(task, 0.05), row_order=order, execution=execution
+            "points", IGDAggregate(task, 0.05), row_order=order, per_tuple=per_tuple
         )
         assert table.scan_count == before + 1
 
@@ -965,11 +913,9 @@ class TestOrderedScanAccounting:
         table = database.table("points")
         orders = [list(range(length))[::-1] for length in _segment_lengths(30, 3)]
         before = table.scan_count
-        task = LogisticRegressionTask(data.dimension)
+        task = PerTupleOnlyTask(data.dimension)
         factory = lambda: IGDAggregate(task, 0.05)  # noqa: E731
-        database.run_parallel_aggregate(
-            "points", factory, segment_row_orders=orders, execution="per_tuple"
-        )
+        database.run_parallel_aggregate("points", factory, segment_row_orders=orders)
         assert table.scan_count == before + 1
 
 
@@ -977,7 +923,7 @@ class TestOrderedScanAccounting:
 class TestLogicalOrderingCachePlane:
     """Logical shuffles keep the example cache alive: zero re-decodes."""
 
-    def _train_logical(self, ordering, *, execution="chunked", epochs=4, parallelism=None,
+    def _train_logical(self, ordering, *, rows=False, epochs=4, parallelism=None,
                        segmented=False):
         data = make_dense_classification(120, 6, seed=24)
         if segmented:
@@ -985,11 +931,11 @@ class TestLogicalOrderingCachePlane:
         else:
             database = Database("postgres", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
-        task = LogisticRegressionTask(data.dimension)
+        task_cls = PerTupleOnlyTask if rows else LogisticRegressionTask
         result = train(
-            task, database, "points",
+            task_cls(data.dimension), database, "points",
             config=IGDConfig(step_size=STEP, max_epochs=epochs, ordering=ordering,
-                             seed=25, execution=execution, parallelism=parallelism),
+                             seed=25, parallelism=parallelism),
         )
         return database, result
 
@@ -1020,48 +966,35 @@ class TestLogicalOrderingCachePlane:
 
         _, logical = self._train_logical(ShuffleOnce(mode="logical"), epochs=3)
         _, physical = self._train_logical(ShuffleOnce(mode="physical"), epochs=3)
-        assert np.array_equal(logical.model["w"], physical.model["w"])
-        assert np.allclose(
-            logical.objective_trace(), physical.objective_trace(), atol=1e-9, rtol=0
-        )
+        assert_same_run(logical, physical, "w")
 
     @pytest.mark.parametrize("ordering", ["shuffle_once", "shuffle_always"])
-    def test_logical_shuffle_execution_parity_serial(self, ordering):
-        results = {
-            execution: self._train_logical(ordering, execution=execution)[1]
-            for execution in EXECUTIONS
-        }
-        assert np.array_equal(results["per_tuple"].model["w"], results["chunked"].model["w"])
-        assert np.array_equal(results["per_tuple"].model["w"], results["auto"].model["w"])
-        assert np.allclose(
-            results["per_tuple"].objective_trace(),
-            results["chunked"].objective_trace(),
-            atol=1e-9, rtol=0,
-        )
+    def test_logical_shuffle_parity_serial(self, ordering):
+        _, per_tuple = self._train_logical(ordering, rows=True)
+        _, chunked = self._train_logical(ordering)
+        assert_same_run(per_tuple, chunked, "w")
 
     def test_logical_shuffle_always_shared_memory_parity_and_cache(self):
         spec = SharedMemoryParallelism(scheme="nolock", workers=4)
-        results = {}
-        for execution in ("per_tuple", "auto"):
-            database, results[execution] = self._train_logical(
-                "shuffle_always", execution=execution, epochs=3, parallelism=spec
+        results = []
+        for rows in (True, False):
+            database, result = self._train_logical(
+                "shuffle_always", rows=rows, epochs=3, parallelism=spec
             )
-        assert np.array_equal(
-            results["per_tuple"].model["w"], results["auto"].model["w"]
-        )
+            results.append(result)
+        assert np.array_equal(results[0].model["w"], results[1].model["w"])
         # cached run: one example-list decode + one batch decode (loss pass)
         assert database.executor.example_cache.misses == 2
 
     def test_logical_shuffle_always_segmented_parity_and_cache(self):
-        results = {}
-        for execution in ("per_tuple", "auto"):
-            database, results[execution] = self._train_logical(
-                "shuffle_always", execution=execution, epochs=3,
+        results = []
+        for rows in (True, False):
+            database, result = self._train_logical(
+                "shuffle_always", rows=rows, epochs=3,
                 parallelism=PureUDAParallelism(), segmented=True,
             )
-        assert np.array_equal(
-            results["per_tuple"].model["w"], results["auto"].model["w"]
-        )
+            results.append(result)
+        assert np.array_equal(results[0].model["w"], results[1].model["w"])
         cache = database.master.executor.example_cache
         # one decode, shared by every segment's gradient pass and the loss
         # pass — never repeated, because logical shuffles leave the heap alone

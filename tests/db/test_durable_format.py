@@ -239,6 +239,22 @@ def test_recovered_table_equals_the_pre_crash_table(tmp_path, name, snapshot):
     db.close()
 
 
+@pytest.mark.parametrize("rewrite, clustered_on", [
+    (lambda t: t.cluster_by("id", descending=True), "id"),
+    (lambda t: t.cluster_by_key(lambda row: row["id"] % 3, label="id mod 3"), "id mod 3"),
+    (lambda t: (t.cluster_by("id"), t.shuffle(seed=1)), None),
+], ids=["cluster_by", "cluster_by_key", "shuffle_after_cluster_by"])
+def test_a_rewrite_logs_the_clustering_it_leaves(tmp_path, rewrite, clustered_on):
+    db = Database.open(tmp_path / "db")
+    table = db.create_table("t", [("id", "int")])
+    table.insert_many((i,) for i in range(6))
+    rewrite(table)
+    assert table.clustered_on == clustered_on
+    with Database.open(tmp_path / "db") as recovered:
+        assert_same_table(recovered.table("t"), table)
+    db.close()
+
+
 # ------------------------------------------------------------- the fixture
 def record_history(db: Database, *, rounds: int = 1) -> None:
     """The mutations ``fixtures/parent_format`` records, then ``rounds - 1`` more appends.

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.driver import IGDConfig, train
-from repro.data import load_classification_table, make_dense_classification
+from repro.data import (
+    load_classification_table,
+    make_dense_classification,
+    make_sparse_classification,
+)
 from repro.db import (
     Database,
     ExecutionError,
@@ -18,6 +22,7 @@ from repro.db import (
     UnknownTableError,
     connect,
 )
+from repro.db.shared_memory import SharedMemoryParallelism, run_shared_memory_epoch
 from repro.tasks.logistic_regression import LogisticRegressionTask
 
 
@@ -40,7 +45,7 @@ class TestEngineLabel:
             load_classification_table(database, "points", dataset.examples, sparse=False)
             result = train(
                 LogisticRegressionTask(5), database, "points",
-                config=IGDConfig(max_epochs=2, seed=0, execution="per_tuple"),
+                config=IGDConfig(max_epochs=2, seed=0),
             )
             weights.append(result.model.as_flat_vector())
         assert np.array_equal(*weights)
@@ -175,35 +180,12 @@ class TestSharedMemory:
         assert os.path.exists(f"/dev/shm/{segment.os_name}")
         arena.free_all()
 
-    def test_lock_counts_acquisitions(self):
+    def test_lock_yields_the_shared_array(self):
         arena = SharedMemoryArena()
         segment = arena.allocate("w", 4)
         with segment.lock() as array:
             array += 1.0
-        assert segment.lock_acquisitions == 1
         np.testing.assert_allclose(segment.array, np.ones(4))
-
-    def test_compare_and_exchange(self):
-        arena = SharedMemoryArena()
-        segment = arena.allocate("w", 2)
-        assert segment.compare_and_exchange(0, 0.0, 5.0) is True
-        assert segment.compare_and_exchange(0, 0.0, 7.0) is False
-        assert segment.array[0] == 5.0
-
-    def test_atomic_add(self):
-        arena = SharedMemoryArena()
-        segment = arena.allocate("w", 3)
-        segment.atomic_add(1, 2.5)
-        segment.atomic_add(1, -1.0)
-        assert segment.array[1] == pytest.approx(1.5)
-        assert segment.atomic_operations >= 2
-
-    def test_unsynchronised_add(self):
-        arena = SharedMemoryArena()
-        segment = arena.allocate("w", 4)
-        segment.unsynchronised_add(np.array([0, 2]), np.array([1.0, 3.0]))
-        np.testing.assert_allclose(segment.array, [1.0, 0.0, 3.0, 0.0])
-        assert segment.unsynchronised_writes == 1
 
     def test_snapshot_is_copy(self):
         arena = SharedMemoryArena()
@@ -211,6 +193,25 @@ class TestSharedMemory:
         snapshot = segment.snapshot()
         segment.array[0] = 9.0
         assert snapshot[0] == 1.0
+
+    @pytest.mark.parametrize("scheme", ["aig", "nolock"])
+    def test_cooperative_publish_matches_the_lock_scheme(self, scheme):
+        """Interleaved in one process, AIG and NoLock publish the delta's
+        nonzero components with the same float adds as Lock's whole-vector
+        add: at an equal staleness window the models are identical."""
+        dataset = make_sparse_classification(60, 30, nonzeros_per_example=4, seed=5)
+        database = Database("postgres", seed=0)
+        table = load_classification_table(database, "pts", dataset.examples, sparse=True)
+        task = LogisticRegressionTask(dataset.dimension)
+        examples = [task.example_from_row(row) for row in table.scan()]
+        models = {
+            name: run_shared_memory_epoch(
+                examples, task, task.initial_model(), 0.1,
+                spec=SharedMemoryParallelism(scheme=name, workers=4, staleness=2),
+            )[0]
+            for name in ("lock", scheme)
+        }
+        assert np.array_equal(models["lock"]["w"], models[scheme]["w"])
 
     def test_database_owns_arena(self):
         database = Database()

@@ -191,11 +191,9 @@ class TestFallbackParity:
             with _wire(form), Database("postgres", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples)
                 database.executor.chunk_size = 16
-                serial = database.run_aggregate(
-                    "pts", make(task, model), execution="auto"
-                )
+                serial = database.run_aggregate("pts", make(task, model))
                 values[form] = database.run_aggregate(
-                    "pts", make(task, model), execution="auto", backend="process",
+                    "pts", make(task, model), backend="process",
                     process_workers=2,
                 )
                 stats[form] = dict(database.process_pool(2).transport_stats)
@@ -210,7 +208,7 @@ class TestFallbackParity:
             with _wire(form), Database("postgres", seed=0) as database:
                 load_classification_table(database, "pts", dataset.examples)
                 values[form] = database.run_aggregate(
-                    "pts", "sum", "id", execution="auto", backend="process",
+                    "pts", "sum", "id", backend="process",
                     process_workers=2,
                 )
         assert values["fallback"] == values["pages"]
@@ -334,15 +332,13 @@ class TestZeroResidue:
         with Database("postgres", seed=0) as database:
             load_classification_table(database, "pts", dataset.examples)
             database.run_aggregate(
-                "pts", LossAggregate(task, model), execution="auto",
-                backend="process", process_workers=2,
+                "pts", LossAggregate(task, model), backend="process", process_workers=2,
             )
             during = _shm_entries() - baseline
             # Non-append mutation: bumps the version, forcing a rebuild.
             database.table("pts").cluster_by("id")
             database.run_aggregate(
-                "pts", LossAggregate(task, model), execution="auto",
-                backend="process", process_workers=2,
+                "pts", LossAggregate(task, model), backend="process", process_workers=2,
             )
             after_rebuild = _shm_entries() - baseline
             # Old pages were unlinked when the record was replaced, so the

@@ -61,15 +61,13 @@ def _shm_entries() -> set[str]:
 
 
 class TestCompilePass:
-    def test_rejects_unknown_kind_and_execution(self, workload):
+    def test_rejects_unknown_kind_width_and_missing_context(self, workload):
         dataset, task = workload
         with make_database(dataset) as database:
             table = database.table("pts")
             factory = lambda: LossAggregate(task, task.initial_model())  # noqa: E731
             with pytest.raises(ExecutionError, match="pass kind"):
                 compile_pass("metrics", table, factory)
-            with pytest.raises(ExecutionError, match="execution mode"):
-                compile_pass("loss", table, factory, execution="vectorized")
             with pytest.raises(ExecutionError, match="workers"):
                 compile_pass("loss", table, factory, workers=0)
             with pytest.raises(ExecutionError, match="TrainEpochContext"):
@@ -205,9 +203,7 @@ class TestProcessLossAccuracyParity:
         dataset, task = workload
         model = task.initial_model()
         with make_database(dataset) as database:
-            plain = database.run_aggregate(
-                "pts", LossAggregate(task, model), execution="auto"
-            )
+            plain = database.run_aggregate("pts", LossAggregate(task, model))
             plan = compile_pass(
                 "loss", database.table("pts"),
                 lambda: LossAggregate(task, model), workers=1,
@@ -219,9 +215,7 @@ class TestProcessLossAccuracyParity:
         dataset, task = workload
         model = task.initial_model()
         with make_database(dataset) as database:
-            plain = database.run_aggregate(
-                "pts", AccuracyAggregate(task, model), execution="auto"
-            )
+            plain = database.run_aggregate("pts", AccuracyAggregate(task, model))
             for workers in (1, 2, 4):
                 plan = compile_pass(
                     "accuracy", database.table("pts"),
@@ -253,7 +247,7 @@ class TestProcessLossAccuracyParity:
             )
             reference = database.run_aggregate(
                 "pts", LossAggregate(task, model),
-                where=predicate, row_order=order, execution="per_tuple",
+                where=predicate, row_order=order, per_tuple=True,
             )
             assert ProcessBackend(database).run(single) == pytest.approx(reference, rel=1e-12)
 
@@ -283,7 +277,7 @@ class TestGenericProcessAggregates:
         with make_database(dataset, chunk_size=None) as database:
             plain = database.run_aggregate("pts", name, "id")
             value = database.run_aggregate(
-                "pts", name, "id", execution="auto", backend="process",
+                "pts", name, "id", backend="process",
                 process_workers=3,
             )
             assert value == plain
@@ -313,34 +307,32 @@ class TestGenericProcessAggregates:
             )
             with pytest.raises(ExecutionError, match="picklable"):
                 database.run_aggregate(
-                    "pts", counter, "id", execution="auto", backend="process",
+                    "pts", counter, "id", backend="process",
                     process_workers=2,
                 )
             # The failed scatter never desynced the pipes: the same pool
             # still serves a well-formed pass.
             assert database.run_aggregate(
-                "pts", "count", "id", execution="auto", backend="process",
+                "pts", "count", "id", backend="process",
                 process_workers=2,
             ) == len(dataset.examples)
 
     def test_explicit_chunked_request_errors_instead_of_degrading(self, workload):
-        """execution='chunked' keeps its contract on every backend: a pass
-        that cannot take the vectorized path raises, it never silently runs
-        per-item transitions."""
-        dataset, _task = workload
-        with make_database(dataset, chunk_size=None) as database:
-            table = database.table("pts")
-            # Generic aggregates can never chunk: serial raises today...
-            with pytest.raises(ExecutionError, match="cannot run chunked"):
-                database.run_aggregate("pts", "sum", "id", execution="chunked")
-            # ...and the partitioned serial and process paths match it.
+        """One plan, two backends: the serial one folds a task that cannot
+        batch per tuple; the pool, which folds chunks only, refuses it by
+        name instead of degrading."""
+        dataset, task = workload
+        rows_task = type("Rows", (type(task),), {"supports_batches": False})(task.dimension)
+        with make_database(dataset) as database:
             plan = compile_pass(
-                "generic", table, lambda: database.aggregates.create("sum"),
-                argument=ColumnRef("id"), workers=2, execution="chunked",
+                "generic", database.table("pts"), lambda: IGDAggregate(rows_task, 0.1)
             )
-            with pytest.raises(ExecutionError, match="cannot run chunked"):
-                SerialBackend(database).run(plan)
-            with pytest.raises(ExecutionError, match="cannot run chunked"):
+            serial = SerialBackend(database).run(plan)
+            reference = database.run_aggregate(
+                "pts", IGDAggregate(rows_task, 0.1), per_tuple=True
+            )
+            assert np.array_equal(serial["w"], reference["w"])
+            with pytest.raises(ExecutionError, match=r"cannot run chunked over table 'pts'"):
                 ProcessBackend(database).run(plan)
 
     def test_non_mergeable_generic_refused(self, workload):
@@ -349,7 +341,7 @@ class TestGenericProcessAggregates:
             lonely = FunctionalAggregate(initialize=int, transition=lambda s, v: s + 1)
             with pytest.raises(ExecutionError, match="merge"):
                 database.run_aggregate(
-                    "pts", lonely, execution="auto", backend="process",
+                    "pts", lonely, backend="process",
                     process_workers=2,
                 )
 

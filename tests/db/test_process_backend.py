@@ -150,17 +150,26 @@ class TestPureUDAProcessParity:
         assert outcome.total_tuples == len(dataset.examples)
 
     def test_process_backend_refuses_per_tuple(self, lr_workload):
+        """Workers fold chunks only: a task that cannot batch is refused by
+        name, where the in-process segments fold it per tuple."""
         dataset, task = lr_workload
-        database = SegmentedDatabase(2, "dbms_b", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
-        with pytest.raises(ExecutionError):
-            database.run_parallel_aggregate(
-                "pts",
-                lambda: IGDAggregate(task, 0.1),
-                execution="per_tuple",
-                backend="process",
+        rows_task = _rows_twin(task)
+        with SegmentedDatabase(2, "dbms_b", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            with pytest.raises(ExecutionError, match=r"cannot run chunked over table 'pts'"):
+                database.run_parallel_aggregate(
+                    "pts", lambda: IGDAggregate(rows_task, 0.1), backend="process"
+                )
+            outcome = database.run_parallel_aggregate(
+                "pts", lambda: IGDAggregate(rows_task, 0.1)
             )
-        database.close_process_pools()
+        assert outcome.total_tuples == len(dataset.examples)
+
+
+def _rows_twin(task):
+    """``task`` as a non-batching twin: the chunk-or-rows rule folds it per tuple."""
+    twin = type(f"{type(task).__name__}Rows", (type(task),), {"supports_batches": False})
+    return twin(task.dimension)
 
 
 class TestProcessBackendPlans:
@@ -169,7 +178,7 @@ class TestProcessBackendPlans:
         model = task.initial_model()
         with Database("postgres", seed=0) as database:
             load_classification_table(database, "pts", dataset.examples, sparse=True)
-            serial = database.run_aggregate("pts", LossAggregate(task, model), execution="auto")
+            serial = database.run_aggregate("pts", LossAggregate(task, model))
             plan = compile_pass(
                 "loss", database.table("pts"), lambda: LossAggregate(task, model), workers=3
             )
@@ -199,8 +208,7 @@ class TestProcessBackendPlans:
             predicate = BinaryOp("<", ColumnRef("id"), Literal(60))
             order = np.random.default_rng(3).permutation(len(table))
             model_serial = database.run_aggregate(
-                "pts", IGDAggregate(task, 0.1), where=predicate, row_order=order,
-                execution="auto",
+                "pts", IGDAggregate(task, 0.1), where=predicate, row_order=order
             )
             # One worker: the process partition is the full serial visit order,
             # so the filtered + permuted pass must be bit-for-bit the serial one.
@@ -214,7 +222,7 @@ class TestProcessBackendPlans:
         )
 
     def test_per_tuple_execution_refused(self, lr_workload):
-        """Matches the driver/SegmentedDatabase contract and the docs."""
+        """Pool workers fold chunks only: the per-tuple protocol is refused by name."""
         dataset, task = lr_workload
         database = Database("postgres", seed=0)
         load_classification_table(database, "pts", dataset.examples, sparse=True)
@@ -223,7 +231,7 @@ class TestProcessBackendPlans:
             with pytest.raises(ExecutionError, match="per-tuple"):
                 database.run_aggregate(
                     "pts", LossAggregate(task, model),
-                    execution="per_tuple", backend="process", process_workers=2,
+                    per_tuple=True, backend="process", process_workers=2,
                 )
 
     def test_non_mergeable_aggregate_raises(self, lr_workload):
@@ -344,19 +352,22 @@ class TestSharedMemoryProcessSchemes:
         assert run.epochs_run == 3
 
     def test_per_tuple_execution_rejected(self, lr_workload):
+        """The worker processes fold chunks only: a task that cannot batch is
+        refused by name, not replayed per tuple."""
         dataset, task = lr_workload
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "pts", dataset.examples, sparse=True)
-        with pytest.raises(ValueError):
-            train(
-                task, database, "pts",
-                config=IGDConfig(
-                    max_epochs=1,
-                    execution="per_tuple",
-                    parallelism=SharedMemoryParallelism(scheme="nolock", workers=2, backend="process"),
-                    seed=0,
-                ),
-            )
+        with Database("postgres", seed=0) as database:
+            load_classification_table(database, "pts", dataset.examples, sparse=True)
+            with pytest.raises(ExecutionError, match=r"cannot run chunked over table 'pts'"):
+                train(
+                    _rows_twin(task), database, "pts",
+                    config=IGDConfig(
+                        max_epochs=1,
+                        parallelism=SharedMemoryParallelism(
+                            scheme="nolock", workers=2, backend="process"
+                        ),
+                        seed=0,
+                    ),
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +412,7 @@ class TestWorkerGatherCache:
         assert gathers == [90]
         assert np.array_equal(first, second)
         serial = database.run_aggregate(
-            "pts", IGDAggregate(task, 0.1), row_order=order, execution="chunked"
+            "pts", IGDAggregate(task, 0.1), row_order=order
         )
         assert np.array_equal(first, serial.as_flat_vector())
         run(np.random.default_rng(2).permutation(90))
@@ -415,7 +426,7 @@ class TestWorkerGatherCache:
             payloads, ("uda_state", key, IGDAggregate(task, 0.1), range(90))
         )
         assert gathers == [] and _gather_slot(key) not in payloads
-        serial = database.run_aggregate("pts", IGDAggregate(task, 0.1), execution="chunked")
+        serial = database.run_aggregate("pts", IGDAggregate(task, 0.1))
         assert np.array_equal(state.model.as_flat_vector(), serial.as_flat_vector())
 
     def test_batches_tail_extend_discards_the_kept_gather(self, lr_workload, gathers):
@@ -442,7 +453,7 @@ class TestWorkerGatherCache:
         state = _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), wider))
         assert gathers == [90]  # the new rows were gathered, not served stale
         serial = database.run_aggregate(
-            "pts", IGDAggregate(task, 0.1), row_order=wider, execution="chunked"
+            "pts", IGDAggregate(task, 0.1), row_order=wider
         )
         assert np.array_equal(state.model.as_flat_vector(), serial.as_flat_vector())
 
@@ -747,7 +758,7 @@ def _physical_reference(workload, examples, appended, segments, ordering):
             )
             states = [
                 reference.executor.run_state(
-                    segment, instance, row_order=order, execution="auto"
+                    segment, instance, row_order=order
                 )
                 for segment, order in zip(slices, orders_of(slices))
             ]

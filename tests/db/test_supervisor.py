@@ -350,7 +350,7 @@ class TestSupervisedRecovery:
 
         convenience = degraded(
             lambda database: database.run_aggregate(
-                "pts", "sum", "id", execution="auto", backend="process",
+                "pts", "sum", "id", backend="process",
                 process_workers=2,
             )
         )

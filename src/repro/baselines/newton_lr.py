@@ -13,22 +13,22 @@ super-linear in the dimension").
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..core.convergence import EpochRecord
 from ..core.model import Model
-from ..tasks.base import SupervisedExample
+from ..tasks.base import SupervisedExample, sparse_arrays
 from ..tasks.logistic_regression import LogisticRegressionTask
 from .base import BaselineResult
 
 
 def _densify(features, dimension: int) -> np.ndarray:
-    if isinstance(features, dict):
+    if isinstance(features, Mapping):
         dense = np.zeros(dimension)
-        for index, value in features.items():
-            dense[index] = value
+        indices, values = sparse_arrays(features)
+        dense[indices] = values
         return dense
     return np.asarray(features, dtype=np.float64)
 

@@ -88,7 +88,7 @@ from .shared_memory import (
     run_shared_memory_epoch,
 )
 from .table import Table
-from .types import Column, ColumnType, Row, Schema
+from .types import Column, ColumnType, Row, Schema, SparseVector
 
 __all__ = [
     "AggregateRegistry",
@@ -141,6 +141,7 @@ __all__ = [
     "SharedMemoryError",
     "SharedMemoryParallelism",
     "SharedSegment",
+    "SparseVector",
     "SupervisedWorkerPool",
     "Table",
     "TrainingState",

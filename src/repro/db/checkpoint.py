@@ -1,7 +1,7 @@
 """Atomic snapshots of the catalog, and crash recovery.
 
 A snapshot is one self-contained image of a database: every catalog table
-(rows — array columns as one block each, see
+(rows — array and sparse columns as one block each, see
 :func:`~repro.db.table.encode_rows` — schema, version counter **and version
 ledger**, so ``partial_fit`` watermarks keep classifying correctly across a
 crash), the engine's saved
@@ -41,6 +41,7 @@ match the uninterrupted run bit-for-bit.
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
 import zlib
@@ -126,18 +127,25 @@ class CheckpointManager:
     def load(self, generation: int) -> "dict | None":
         """One generation's payload, or None when missing/corrupt."""
         path = self._path(generation)
+        prefix = len(CHECKPOINT_MAGIC)
         try:
-            blob = path.read_bytes()
+            handle = open(path, "rb")
         except OSError:
             return None
-        prefix = len(CHECKPOINT_MAGIC)
-        if not blob.startswith(CHECKPOINT_MAGIC) or len(blob) < prefix + RECORD_HEADER.size:
-            return None
-        length, checksum = RECORD_HEADER.unpack_from(blob, prefix)
-        data = memoryview(blob)[prefix + RECORD_HEADER.size:]  # a view: the payload is table-sized
-        if len(data) != length or zlib.crc32(data) != checksum:
-            return None
-        return pickle.loads(data)
+        # Mapped, not read, like a WAL segment (``scan_segment``): the payload
+        # is table-sized, and a heap copy beside the decoded tables made each
+        # reopen's cost depend on what the process had allocated before.
+        with handle:
+            if os.fstat(handle.fileno()).st_size < prefix + RECORD_HEADER.size:
+                return None
+            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as blob:
+                if blob[:prefix] != CHECKPOINT_MAGIC:
+                    return None
+                length, checksum = RECORD_HEADER.unpack_from(blob, prefix)
+                with memoryview(blob)[prefix + RECORD_HEADER.size:] as data:
+                    if len(data) != length or zlib.crc32(data) != checksum:
+                        return None
+                    return pickle.loads(data)
 
     def load_latest(self) -> "tuple[dict, int] | None":
         """Newest checkpoint that validates, scanning newest → oldest."""
@@ -217,7 +225,8 @@ def recover_database(database, directory: Path) -> RecoveryReport:
             table = database.tables.get(record["table"])
             if table is not None:
                 table.apply_logged_mutation(
-                    record["entry"], decode_rows(record), record.get("clustered_on")
+                    record["entry"], decode_rows(table.schema, record),
+                    record.get("clustered_on"),
                 )
         elif kind == "training":
             if record["state"] is None:

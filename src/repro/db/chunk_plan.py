@@ -236,9 +236,8 @@ class ChunkPlan:
         )
         gathered = cache.gathered_for(
             table, ("gathered", id(decoder), chunk_size), identity, (decoder, row_order, mask),
-            lambda: gather_batches(
-                batches, _visit_ordinals(len(table), row_order, mask), chunk_size
-            ),
+            lambda: [_visit_ordinals(len(table), row_order, mask)],
+            lambda visited: gather_batches(batches, visited[0], chunk_size),
         )
         if gathered is None:
             return None

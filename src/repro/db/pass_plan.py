@@ -275,7 +275,9 @@ def partition_pass(
     # The same inputs name the same parts: kept (like any gather) so that an
     # in-process fold of a pass-invariant part finds its gathered chunks.
     identity = (workers, id(row_order), id(mask), tuple(map(id, orders or ())))
-    parts = cache.gathered_for(table, ("parts",), identity, (row_order, mask, orders), deal)
+    parts = cache.gathered_for(
+        table, ("parts",), identity, (row_order, mask, orders), deal, lambda parts: parts
+    )
     return PassPartition("rows" if decoder is None else "examples", parts)
 
 

@@ -17,7 +17,17 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ExecutionError, SchemaError
-from .types import FLOAT64, ColumnType, Row, Schema
+from .types import (
+    FLOAT64,
+    ColumnType,
+    Row,
+    Schema,
+    SparseVector,
+    coerce_value,
+    narrow_indices,
+    pack_sparse,
+    sparse_rows,
+)
 
 DEFAULT_PAGE_SIZE = 256
 #: Default number of rows per columnar chunk yielded by :meth:`Table.scan_chunks`.
@@ -86,22 +96,33 @@ _CHUNK_DTYPES = {
 def encode_rows(schema: Schema, rows: list[tuple]) -> dict:
     """The fields a durable record or image carries ``rows`` in.
 
-    A ``FLOAT_ARRAY`` column whose every value in ``rows`` is a 1-D float64
-    array of one length leaves the tuples and becomes one stacked ``(n, d)``
-    block: ``{"rows": <tuples without those columns>, "blocks":
-    {column_index: block}}``, one buffer for pickle to frame instead of one
-    ndarray per row.  Everything else stays inline — ragged, ``None`` or
-    list-valued arrays, and by measurement sparse maps (CSR triples were
-    slower and larger than pickle's own dict encoding) and scalar columns
-    (typed arrays grew the file).  With no block the result is ``{"rows":
-    rows}`` alone, byte for byte what was written before blocks existed.
+    Two kinds of column leave the tuples for ``"blocks"``, ``{column_index:
+    block}``, so pickle frames a few buffers per column instead of an object
+    per row:
+
+    * a ``FLOAT_ARRAY`` column whose every value in ``rows`` is a 1-D float64
+      array of one length, as one stacked ``(n, d)`` array;
+    * a ``SPARSE_VECTOR`` column whose every value is a :class:`SparseVector`
+      or NULL, as one CSR entry ``(indptr, indices, values, nulls)``: the
+      non-NULL rows' arrays concatenated, keys in the narrowest of uint16 /
+      int32 / int64 that holds them, and the NULL rows' positions.
+
+    Everything else stays inline in ``"rows"`` — ragged, ``None`` or
+    list-valued arrays, and scalar columns (typed arrays grew the file).
+    With no block the result is ``{"rows": rows}`` alone, byte for byte what
+    was written before blocks existed.
     """
-    blocks: dict[int, np.ndarray] = {}
+    blocks: dict[int, Any] = {}
     if rows:
         for index, column in enumerate(schema.columns):
-            if column.type is not ColumnType.FLOAT_ARRAY:
+            if column.type not in (ColumnType.FLOAT_ARRAY, ColumnType.SPARSE_VECTOR):
                 continue
             values = [row[index] for row in rows]
+            if column.type is ColumnType.SPARSE_VECTOR:
+                present = [value for value in values if value is not None]
+                if all(type(value) is SparseVector for value in present):
+                    blocks[index] = _csr_entry(values, present)
+                continue
             shape = getattr(values[0], "shape", ())
             if len(shape) == 1 and all(
                 type(value) is np.ndarray and value.dtype == FLOAT64 and value.shape == shape
@@ -116,30 +137,70 @@ def encode_rows(schema: Schema, rows: list[tuple]) -> dict:
     return {"rows": list(zip(*inline)) if inline else [()] * len(rows), "blocks": blocks}
 
 
-def decode_rows(fields: Mapping) -> list[tuple]:
-    """The row tuples :func:`encode_rows` was given; array values are views
-    ``block[i]`` of the one decoded buffer.  A record without blocks — every
-    record written before they existed — is its ``rows`` list as it stands."""
+def _csr_entry(values: list, present: list) -> tuple:
+    """A sparse column's block: ``present``, its non-NULL values, concatenated."""
+    keys = [value.indices for value in present]
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)), out=indptr[1:])
+    indices = np.concatenate(keys + [np.zeros(0, dtype=np.uint16)])
+    data = np.concatenate([value.values for value in present] + [np.zeros(0)])
+    nulls = tuple(i for i, value in enumerate(values) if value is None)
+    return indptr, narrow_indices(indices), data, nulls
+
+
+def _sparse_column(indptr, indices, values, nulls) -> list:
+    column = sparse_rows(indptr, indices, values)
+    for position in nulls:  # ascending, so each lands where it was
+        column.insert(position, None)
+    return column
+
+
+def decode_rows(schema: Schema, fields: Mapping) -> list[tuple]:
+    """The row tuples :func:`encode_rows` was given.
+
+    Array values are views ``block[i]`` of the one decoded buffer and sparse
+    values :class:`SparseVector` views of the one CSR entry.  A record
+    without blocks is its ``rows`` list as it stands, except that the plain
+    dicts older code wrote into a sparse column are packed into one block the
+    same way, so every reader sees one kind of sparse value.
+    """
     rows = fields["rows"]
-    blocks = fields.get("blocks")
-    if not blocks:
-        return rows
+    blocks = fields.get("blocks") or {}
     for index, block in blocks.items():
-        if len(block) != len(rows):
+        held = len(block) if isinstance(block, np.ndarray) else len(block[0]) - 1 + len(block[3])
+        if held != len(rows):
             raise ExecutionError(
-                f"corrupt durable record: column {index} block holds {len(block)} rows "
+                f"corrupt durable record: column {index} block holds {held} rows "
                 f"beside {len(rows)} row tuples"
             )
+    inline_sparse = {
+        index for index, column in enumerate(schema.columns)
+        if column.type is ColumnType.SPARSE_VECTOR and index not in blocks
+    }
+    if not rows or not (blocks or inline_sparse):
+        return rows
     # Column by column, never ``zip(*rows)``: one iterator per row is enough
     # tracked allocations to push a reopen into a full GC pass.
     columns, position = [], 0
     for index in range(len(rows[0]) + len(blocks)):
         if index in blocks:
-            columns.append(list(blocks[index]))
-        else:
-            columns.append([row[position] for row in rows])
-            position += 1
+            block = blocks[index]
+            columns.append(list(block) if isinstance(block, np.ndarray) else _sparse_column(*block))
+            continue
+        column = [row[position] for row in rows]
+        position += 1
+        if index in inline_sparse:
+            column = _pack_legacy_maps(column)
+        columns.append(column)
     return list(zip(*columns))
+
+
+def _pack_legacy_maps(column: list) -> list:
+    """A sparse column written inline by older code, its dicts as one CSR block."""
+    maps = [value for value in column if value is not None]
+    packed = all(type(value) is dict for value in maps) and pack_sparse(maps)
+    stored = iter(packed or [coerce_value(value, ColumnType.SPARSE_VECTOR) for value in maps])
+    return [None if value is None else next(stored) for value in column]
 
 
 class TableChunk:
@@ -525,7 +586,7 @@ class Table:
     def from_image(cls, image: dict) -> "Table":
         """Rebuild a table from :meth:`to_image` output."""
         table = cls(image["name"], image["schema"], page_size=image["page_size"])
-        table._extend_pages(decode_rows(image))
+        table._extend_pages(decode_rows(image["schema"], image))
         table._version = image["version"]
         table._ledger = list(image["ledger"])
         table.ledger_capacity = image.get("ledger_capacity", DEFAULT_LEDGER_CAPACITY)

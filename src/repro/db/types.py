@@ -8,8 +8,10 @@ values so downstream code can rely on consistent Python/numpy types.
 
 from __future__ import annotations
 
+import collections.abc
 import enum
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -20,6 +22,94 @@ from .errors import SchemaError, TypeMismatchError, UnknownColumnError
 #: The dtype of a canonical ``FLOAT_ARRAY`` value.  Compare with ``==``: an
 #: unpickled array carries an equal dtype that is not this object.
 FLOAT64 = np.dtype(np.float64)
+
+#: A CSR block stores its keys in the narrowest of these that holds them.
+_INDEX_DTYPES = tuple(np.iinfo(dtype) for dtype in (np.uint16, np.int32, np.int64))
+
+
+class SparseVector(collections.abc.Mapping):
+    """The canonical ``SPARSE_VECTOR`` value: an immutable ``{index: value}`` map.
+
+    ``indices`` and ``values`` are read-only views into one CSR block that a
+    whole batch of rows shares (:func:`sparse_rows`), keys and values in
+    insertion order.  As a mapping it yields Python ``int`` / ``float``,
+    equals the dict with the same items and, like a dict, is unhashable;
+    ``values`` is the array, not the dict method.
+    """
+
+    __slots__ = ("indices", "values")
+
+    def __init__(self, indices: np.ndarray, values: np.ndarray):
+        self.indices = indices
+        self.values = values
+
+    def _dict(self) -> dict:
+        return dict(zip(self.indices.tolist(), self.values.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        return iter(self.indices.tolist())
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def items(self):
+        return self._dict().items()
+
+    def __reduce__(self):
+        return (_frozen_sparse_vector, (self.indices, self.values))
+
+    def __repr__(self) -> str:
+        return f"SparseVector({self._dict()!r})"
+
+
+def _frozen_sparse_vector(indices: np.ndarray, values: np.ndarray) -> SparseVector:
+    indices.flags.writeable = values.flags.writeable = False
+    return SparseVector(indices, values)
+
+
+def sparse_rows(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> list:
+    """One :class:`SparseVector` per CSR row, each a read-only view of the block."""
+    indices.flags.writeable = values.flags.writeable = False
+    bounds = indptr.tolist()
+    return [SparseVector(indices[lo:hi], values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def narrow_indices(keys: np.ndarray) -> np.ndarray:
+    """``keys`` in the narrowest of uint16 / int32 / int64 that holds its extremes."""
+    low, high = (int(keys.min()), int(keys.max())) if keys.size else (0, 0)
+    dtype = next(info.dtype for info in _INDEX_DTYPES if info.min <= low and high <= info.max)
+    return keys.astype(dtype, copy=False)
+
+
+def pack_sparse(maps: list) -> "list[SparseVector] | None":
+    """Dicts as views of one CSR block: ``[{int(k): float(v)} for each map]``.
+
+    One ``np.fromiter`` per array.  ``None`` when that could differ from the
+    per-map conversion or raise another exception: a key that is not an
+    ``int`` (``1.5`` and ``1`` would both become ``1``), a value numpy cannot
+    convert, or a ``None`` value (numpy reads it as NaN where ``float``
+    refuses it).
+    """
+    if not set(map(type, chain.from_iterable(maps))) <= {int}:
+        return None
+    indptr = np.zeros(len(maps) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, maps), dtype=np.intp, count=len(maps)), out=indptr[1:])
+    total = int(indptr[-1])
+    try:
+        keys = np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=total)
+        values = np.fromiter(
+            chain.from_iterable(map(dict.values, maps)), dtype=np.float64, count=total
+        )
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if np.isnan(values).any() and any(
+        value is None for value in chain.from_iterable(map(dict.values, maps))
+    ):
+        return None
+    return sparse_rows(indptr, narrow_indices(keys), values)
 
 
 class ColumnType(enum.Enum):
@@ -121,14 +211,21 @@ def coerce_value(value: Any, column_type: ColumnType, *, nullable: bool = True) 
                 return np.asarray(value, dtype=np.float64)
             raise TypeMismatchError(f"cannot coerce {value!r} to FLOAT_ARRAY")
         if column_type is ColumnType.SPARSE_VECTOR:
+            if type(value) is SparseVector:
+                return value
             if isinstance(value, Mapping):
-                return {int(k): float(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)) and all(
+                pairs = value.items()
+            elif isinstance(value, (list, tuple)) and all(
                 isinstance(item, (list, tuple)) and len(item) == 2 for item in value
             ):
-                return {int(k): float(v) for k, v in value}
-            raise TypeMismatchError(f"cannot coerce {value!r} to SPARSE_VECTOR")
-    except (ValueError, TypeError) as exc:
+                pairs = value
+            else:
+                raise TypeMismatchError(f"cannot coerce {value!r} to SPARSE_VECTOR")
+            packed = pack_sparse([{int(k): float(v) for k, v in pairs}])
+            if packed is None:
+                raise TypeMismatchError(f"sparse index of {value!r} exceeds int64")
+            return packed[0]
+    except (ValueError, TypeError, OverflowError) as exc:
         raise TypeMismatchError(
             f"cannot coerce {value!r} to {column_type.value}: {exc}"
         ) from exc
@@ -223,10 +320,12 @@ class Schema:
         """Coerce a batch: ``[coerce_row(row) for row in rows]``, checked by column.
 
         A column whose every value already has its canonical exact type passes
-        through untouched (as ``coerce_value`` would leave it); sparse maps
-        are still rebuilt as fresh ``{int: float}`` dicts.  Any other batch —
-        a value to convert, a NULL, a mapping row, a wrong arity — takes the
-        per-row path, so stored tuples and raised exceptions are the same.
+        through untouched (as ``coerce_value`` would leave it).  A sparse
+        column of plain dicts is packed into one CSR block, each row holding
+        a read-only :class:`SparseVector` view of it, when :func:`pack_sparse`
+        can promise the per-map ``{int: float}`` conversion.  Any other batch
+        — a value to convert, a NULL, a mapping row, a wrong arity — takes the
+        per-row path, so stored values and raised exceptions are the same.
         """
         rows = rows if isinstance(rows, list) else list(rows)
         coerced = self._coerce_canonical(rows)
@@ -244,6 +343,11 @@ class Schema:
         fresh: dict[int, list] = {}
         for index, column in enumerate(self.columns):
             kinds = set(map(type, values(index)))
+            if column.type is ColumnType.SPARSE_VECTOR and kinds == {dict}:
+                fresh[index] = pack_sparse(list(values(index)))
+                if fresh[index] is None:
+                    return None
+                continue
             if column.type is ColumnType.ANY:
                 canonical = column.nullable or type(None) not in kinds
             else:
@@ -252,14 +356,6 @@ class Schema:
                 canonical = all(value.dtype == FLOAT64 for value in values(index))
             if not canonical:
                 return None
-            if column.type is ColumnType.SPARSE_VECTOR:
-                try:
-                    fresh[index] = [
-                        {int(key): float(entry) for key, entry in value.items()}
-                        for value in values(index)
-                    ]
-                except (ValueError, TypeError):
-                    return None
         if not fresh and row_types == {tuple}:
             return rows
         columns = (fresh.get(index) or values(index) for index in range(len(self.columns)))
@@ -273,7 +369,7 @@ _CANONICAL_TYPES = {
     ColumnType.TEXT: str,
     ColumnType.BOOLEAN: bool,
     ColumnType.FLOAT_ARRAY: np.ndarray,
-    ColumnType.SPARSE_VECTOR: dict,
+    ColumnType.SPARSE_VECTOR: SparseVector,
 }
 
 

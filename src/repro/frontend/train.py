@@ -23,6 +23,7 @@ import numpy as np
 from ..core.driver import BismarckRunner, IGDConfig
 from ..db.engine import Database
 from ..db.parallel import SegmentedDatabase
+from ..db.types import SparseVector
 from ..tasks.crf import ConditionalRandomFieldTask
 from ..tasks.lasso import LassoTask
 from ..tasks.logistic_regression import LogisticRegressionTask
@@ -58,8 +59,11 @@ def _infer_feature_dimension(table, feature_column: str, memo: "dict | None" = N
             dimension, start = known[2], delta.base_rows
     for values in table.tail_values(start):
         features = values[index]
-        # Arrays and dicts never reach the ABC check, most of a row's cost.
-        if not isinstance(features, np.ndarray) and isinstance(features, (dict, Mapping)):
+        # Stored sparse values and arrays never reach the ABC check, most of a row's cost.
+        if type(features) is SparseVector:
+            if features:
+                dimension = max(dimension, int(features.indices.max()) + 1)
+        elif not isinstance(features, np.ndarray) and isinstance(features, Mapping):
             if features:
                 dimension = max(dimension, max(features) + 1)
         else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
-from ..db.types import Row
+from ..db.types import Row, SparseVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db.table imports types only)
     from ..db.table import Table, TableChunk
@@ -35,11 +35,14 @@ FeatureVector = "np.ndarray | Mapping[int, float]"
 def sparse_arrays(features: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
     """Index/value arrays of a sparse mapping, in its iteration order.
 
-    The array form costs more than a pure-Python loop below ~20 nonzeros but
-    wins beyond it, and — more importantly — makes the per-tuple sparse ops
-    the *same float operations* as the chunked CSR kernels, which is what
-    keeps the two execution paths bit-for-bit identical.
+    A stored :class:`~repro.db.types.SparseVector` already is that pair (its
+    views of the table's CSR block); any other mapping is converted.  The
+    array form makes the per-tuple sparse ops the *same float operations* as
+    the chunked CSR kernels, which is what keeps the two execution paths
+    bit-for-bit identical.
     """
+    if type(features) is SparseVector:
+        return features.indices, features.values
     count = len(features)
     indices = np.fromiter(features.keys(), dtype=np.intp, count=count)
     values = np.fromiter(features.values(), dtype=np.float64, count=count)
@@ -261,19 +264,16 @@ def make_example_batch(
             return None
         return ExampleBatch("dense", X=X, y=labels, dimension=dimension)
     if isinstance(first, Mapping):
-        if not all(isinstance(row, Mapping) for row in features):
+        # Stored values skip the ABC check, most of its cost per row.
+        if set(map(type, features)) != {SparseVector} and not all(
+            isinstance(row, Mapping) for row in features
+        ):
             return None
-        counts = np.fromiter((len(row) for row in features), dtype=np.intp, count=n)
+        keys, values = zip(*map(sparse_arrays, features))
         indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        indices = np.empty(total, dtype=np.intp)
-        data = np.empty(total, dtype=np.float64)
-        for i, row in enumerate(features):
-            lo, hi = indptr[i], indptr[i + 1]
-            if hi > lo:
-                indices[lo:hi] = np.fromiter(row.keys(), dtype=np.intp, count=hi - lo)
-                data[lo:hi] = np.fromiter(row.values(), dtype=np.float64, count=hi - lo)
+        np.cumsum(np.fromiter(map(len, keys), dtype=np.intp, count=n), out=indptr[1:])
+        indices = np.concatenate(keys, dtype=np.intp)
+        data = np.concatenate(values, dtype=np.float64)
         return ExampleBatch(
             "sparse", indptr=indptr, indices=indices, data=data, y=labels, dimension=dimension
         )
@@ -509,7 +509,7 @@ class ExampleCache:
         return payload
 
     def gathered_for(
-        self, table: "Table", slot_key: tuple, identity: tuple, pin: Any, build
+        self, table: "Table", slot_key: tuple, identity: tuple, pin: Any, visit, build
     ) -> Any:
         """Bounded-slot variant of :meth:`derived_for` for per-order artefacts.
 
@@ -520,23 +520,32 @@ class ExampleCache:
         fit in one table's worth of rows, oldest dropped first: the S parts
         of one partitioned pass live side by side, while fresh per-epoch
         orders (logical shuffle-always) push the previous epoch's out instead
-        of filling the cache with dead dataset-sized copies.
+        of filling the cache with dead dataset-sized copies.  On a miss
+        ``visit()`` lists the ordinal sequences the new artefact covers and
+        ``build(visited)`` makes it from them; their lengths are its row
+        count, so the artefacts it displaces are dropped *before* ``build``
+        runs and the slot never holds both at once.
         """
         full_key = (table.name, "derived") + tuple(slot_key)
         version = table.version
         entry = self._entries.get(full_key)
-        kept = entry.payload if entry is not None and entry.valid_for(table, version) else []
-        for known, _, _, payload in kept:
-            if known == identity:
-                self.derived_hits += 1
-                self._touch(full_key)
-                return payload
+        kept = list(entry.payload) if entry is not None and entry.valid_for(table, version) else []
+        hits = [payload for known, _, _, payload in kept if known == identity]
+        if hits:
+            self.derived_hits += 1
+            self._touch(full_key)
+            return hits[0]
         self.derived_misses += 1
-        payload = build()
-        kept = kept + [(identity, pin, sum(map(len, payload or ())), payload)]
-        while len(kept) > 1 and sum(rows for _, _, rows, _ in kept) > len(table):
+        visited = visit()
+        rows = sum(map(len, visited))
+        while kept and sum(held for _, _, held, _ in kept) + rows > len(table):
             kept.pop(0)
+        # The survivors become the entry's list before ``build`` runs, so
+        # nothing still holds the artefacts they displace when it allocates.
         self._store(full_key, entry, table, version, kept, None)
+        del entry
+        payload = build(visited)
+        kept.append((identity, pin, rows, payload))
         return payload
 
     def selection_for(

@@ -864,6 +864,30 @@ class TestSelectionPermutationParity:
         assert cache.derived_misses == 1
         assert cache.derived_hits == 2
 
+    def test_a_fresh_order_drops_the_gathers_it_displaces_before_building(self, monkeypatch):
+        """Shuffle-always: the slot never holds last epoch's gather beside this one's."""
+        from repro.db import chunk_plan
+
+        database, data = self._serial_db()
+        task = LogisticRegressionTask(data.dimension)
+        cache = database.executor.example_cache
+        gather = chunk_plan.gather_batches
+        kept_when_built = []
+
+        def recording(batches, ordinals, chunk_size):
+            slots = [entry for key, entry in cache._entries.items() if "gathered" in key]
+            kept_when_built.append(sum(rows for slot in slots for _, _, rows, _ in slot.payload))
+            return gather(batches, ordinals, chunk_size)
+
+        monkeypatch.setattr(chunk_plan, "gather_batches", recording)
+        rng = np.random.default_rng(3)
+        half = len(data.examples) // 2
+        orders = [rng.permutation(2 * half)[:half] for _ in range(2)]  # two halves fit ...
+        orders += [rng.permutation(2 * half) for _ in range(3)]         # ... a whole order not
+        for order in orders:
+            self._igd_model(database, task, row_order=order)
+        assert kept_when_built == [0, half, 0, 0, 0]
+
 
 @pytest.mark.backends
 class TestOrderedScanAccounting:

@@ -10,8 +10,8 @@ behind, and ``/dev/shm`` returns to its baseline.
 The CI ``crash`` job re-enters this file through
 :func:`test_ci_crash_matrix` with ``REPRO_CRASH_SPEC`` drawn from a kill
 matrix (``kill:epoch=…`` / ``kill:op=checkpoint`` / ``kill:op=wal_append[:at=K]``);
-a ``wal_append`` cell also kills a child that is loading array rows, whose
-records are single large blocks.
+a ``wal_append`` cell also kills two children that are loading rows whose
+records are single large blocks: dense arrays, and sparse maps as CSR entries.
 """
 
 from __future__ import annotations
@@ -325,35 +325,51 @@ import sys
 import numpy as np
 from repro.db import Database
 
+kind = sys.argv[2]
 db = Database.open(sys.argv[1])
-table = db.create_table("pts", [("id", "int"), ("vec", "float[]"), ("label", "float")])
+table = db.create_table(
+    "pts", [("id", "int"), ("vec", "float[]" if kind == "array" else "sparse"), ("label", "float")]
+)
 print("ACKED 0", flush=True)
 for batch in range({batches}):
     table.insert_many(
-        (batch * {batch_rows} + i, np.full({dimension}, batch + i / {batch_rows}), 1.0)
-        for i in range({batch_rows})
+        (ordinal, {value}, 1.0)
+        for ordinal in range(batch * {batch_rows}, (batch + 1) * {batch_rows})
     )
     print("ACKED", len(table), flush=True)
 print("SURVIVED", flush=True)
 """
 ARRAY_BATCHES, ARRAY_BATCH_ROWS, ARRAY_DIMENSION = 4, 500, 54
+#: Row ``ordinal``'s ``vec`` as source, evaluated by the child and by the checks: a
+#: 54-wide array, or 54 non-zeros of a 70 000-wide space (an int32-keyed CSR entry).
+ROW_VALUE = {
+    "array": f"np.full({ARRAY_DIMENSION}, ordinal / {ARRAY_BATCH_ROWS})",
+    "sparse": f"{{(1_297 * ordinal + k) % 70_000: ordinal / {ARRAY_BATCH_ROWS} + k"
+              f" for k in range({ARRAY_DIMENSION})}}",
+}
 
 
-def _kill_array_append_child(path, crash_spec: str) -> int:
-    """SIGKILL a child mid-``wal_append`` while it loads array rows; check the
-    reopen and return the number of rows that survived.
+def _row_value(kind: str, ordinal: int):
+    return eval(ROW_VALUE[kind], {"np": np, "ordinal": ordinal})
+
+
+def _kill_array_append_child(path, crash_spec: str, kind: str = "array") -> int:
+    """SIGKILL a child mid-``wal_append`` while it loads ``kind`` rows (dense
+    arrays or sparse maps); check the reopen and return the number of rows
+    that survived.
 
     Append 0 is the CREATE record and append ``1 + b`` the block record of
-    batch ``b`` (one ~216 KB buffer), so the spec's ``at`` picks which record
-    is left half-written.  Whatever it tears, the tail is discarded and the
-    reopened table is exactly the prefix the child acknowledged.
+    batch ``b`` (one ~216 KB buffer, or one ~324 KB CSR entry), so
+    the spec's ``at`` picks which record is left half-written.  Whatever it
+    tears, the tail is discarded and the reopened table is exactly the prefix
+    the child acknowledged.
     """
     env = {**os.environ, "PYTHONPATH": SRC_ROOT, "REPRO_CRASH": crash_spec}
     code = ARRAY_APPEND_CHILD.format(
-        batches=ARRAY_BATCHES, batch_rows=ARRAY_BATCH_ROWS, dimension=ARRAY_DIMENSION
+        batches=ARRAY_BATCHES, batch_rows=ARRAY_BATCH_ROWS, value=ROW_VALUE[kind]
     )
     completed = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
+        [sys.executable, "-c", code, str(path), kind],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert completed.returncode == -9, completed.stderr
@@ -370,11 +386,14 @@ def _kill_array_append_child(path, crash_spec: str) -> int:
     rows = [row.values for row in db.table("pts").scan()]
     assert [values[0] for values in rows] == list(range(acked[-1]))
     for ordinal, (_, vec, label) in enumerate(rows):
-        batch, i = divmod(ordinal, ARRAY_BATCH_ROWS)
-        assert label == 1.0 and vec.shape == (ARRAY_DIMENSION,)
-        assert np.all(vec == batch + i / ARRAY_BATCH_ROWS)
+        expected = _row_value(kind, ordinal)
+        assert label == 1.0
+        if kind == "array":
+            assert vec.shape == (ARRAY_DIMENSION,) and np.array_equal(vec, expected)
+        else:
+            assert vec == expected and list(vec) == list(expected)
     # The repaired log accepts another block record and survives another cycle.
-    db.table("pts").insert_many([(-1, np.zeros(ARRAY_DIMENSION), 0.0)] * 3)
+    db.table("pts").insert_many([(-1, _row_value(kind, 0), 0.0)] * 3)
     db.close()
     reopened = Database.open(path)
     assert len(reopened.table("pts")) == acked[-1] + 3
@@ -386,6 +405,12 @@ def _kill_array_append_child(path, crash_spec: str) -> int:
 def test_sigkill_mid_block_record_keeps_the_acked_prefix(tmp_path):
     # at=2: batch 0 is acknowledged, batch 1's block record is torn.
     survived = _kill_array_append_child(tmp_path / "db", "kill:op=wal_append:at=2")
+    assert survived == ARRAY_BATCH_ROWS
+
+
+def test_sigkill_mid_csr_record_keeps_the_acked_prefix(tmp_path):
+    # The sparse twin: batch 1's CSR entry is the torn record.
+    survived = _kill_array_append_child(tmp_path / "db", "kill:op=wal_append:at=2", "sparse")
     assert survived == ARRAY_BATCH_ROWS
 
 
@@ -407,5 +432,7 @@ def test_ci_crash_matrix(tmp_path):
     _resume_and_check(tmp_path / "db", "process")
     _assert_no_shm_leak(baseline)
     if "op=wal_append" in spec:
-        # The same torn write under the other kind of record: array blocks.
+        # The same torn write under the other kinds of record: array blocks
+        # and sparse CSR entries.
         _kill_array_append_child(tmp_path / "arrays", spec)
+        _kill_array_append_child(tmp_path / "sparse", spec, "sparse")

@@ -1,11 +1,11 @@
-"""The durable record shape: array columns as blocks, everything else inline.
+"""The durable record shape: array and sparse columns as blocks, everything else inline.
 
 Pinned here: the encode/decode pair round-trips every value shape a table can
-hold; a directory written *before* array columns became blocks
-(``fixtures/parent_format``) still opens, replays and keeps growing; a record
-whose row counts disagree is refused instead of building a table whose length
-contradicts its ledger; and the bytes on disk stay within a fixed factor of
-the raw data.
+hold; a directory written *before* array columns became blocks and sparse maps
+became CSR entries (``fixtures/parent_format``) still opens, replays and keeps
+growing; a record whose row counts disagree is refused instead of building a
+table whose length contradicts its ledger; and the bytes on disk stay within
+a fixed factor of the raw data.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Database, ExecutionError, TrainingState
+from repro.db import Database, ExecutionError, SparseVector, TrainingState
 from repro.db.table import LedgerEntry, Table, decode_rows, encode_rows
-from repro.db.types import Schema
+from repro.db.types import ColumnType, Schema, coerce_value
 from repro.db.wal import RECORD_HEADER, SEGMENT_HEADER_SIZE, read_wal, segment_files
 
 FIXTURE = Path(__file__).parent / "fixtures" / "parent_format"
@@ -35,6 +35,10 @@ def assert_same_value(left, right) -> None:
     if isinstance(left, np.ndarray):
         assert left.dtype == right.dtype and left.shape == right.shape
         assert np.array_equal(left, right, equal_nan=True)
+    elif isinstance(left, SparseVector):
+        assert not left.indices.flags.writeable and not left.values.flags.writeable
+        assert_same_value(left.indices.astype(np.int64), right.indices.astype(np.int64))
+        assert_same_value(left.values, right.values)
     elif isinstance(left, dict):
         assert list(left) == list(right)  # key order too
         for key in left:
@@ -114,13 +118,16 @@ def wide_rows(draw):
     n = draw(st.integers(0, 7))
     a, a_blocked = draw(array_column(n))
     b, b_blocked = draw(array_column(n))
-    sparse = st.dictionaries(st.integers(0, 99), st.floats(allow_nan=False), max_size=4)
+    keys = st.integers(0, 99) | st.integers(-2**40, 2**40)
+    sparse = st.none() | st.dictionaries(keys, st.floats(allow_nan=False), max_size=4).map(
+        lambda value: coerce_value(value, ColumnType.SPARSE_VECTOR)
+    )
     anything = st.none() | st.integers() | st.text(max_size=3) | st.lists(st.integers(), max_size=2)
     rows = [
         (i, a[i], draw(sparse), b[i], draw(st.text(max_size=5)), draw(anything), draw(finite))
         for i in range(n)
     ]
-    return rows, {1: a_blocked, 3: b_blocked}
+    return rows, {1: a_blocked, 2: n > 0, 3: b_blocked}
 
 
 def _is_block_column(values: list) -> bool:
@@ -145,42 +152,83 @@ class TestEncodeDecode:
         if not expected_blocks:
             assert fields == {"rows": rows} and fields["rows"] is rows
         for index, block in fields.get("blocks", {}).items():
+            if index == 2:
+                indptr, indices, data, nulls = block
+                values = [row[2] for row in rows]
+                assert nulls == tuple(i for i, value in enumerate(values) if value is None)
+                assert len(indptr) == len(rows) - len(nulls) + 1 and len(indices) == len(data)
+                continue
             assert block.dtype == np.float64 and block.shape == (len(rows), len(rows[0][index]))
         assert all(len(row) == len(WIDE) - len(expected_blocks) for row in fields["rows"])
-        assert_same_rows(decode_rows(through_pickle(fields)), rows)
+        assert_same_rows(decode_rows(WIDE, through_pickle(fields)), rows)
 
     def test_recovered_arrays_are_views_of_one_buffer(self):
-        rows = [(i, np.full(3, float(i)), {}, np.arange(2.0), "", None, 0.5) for i in range(5)]
-        decoded = decode_rows(through_pickle(encode_rows(WIDE, rows)))
+        rows = WIDE.coerce_rows(
+            [(i, np.full(3, float(i)), {i: 1.0}, np.arange(2.0), "", None, 0.5) for i in range(5)]
+        )
+        decoded = decode_rows(WIDE, through_pickle(encode_rows(WIDE, rows)))
         assert len({id(row[1].base) for row in decoded}) == 1
         assert len({id(row[3].base) for row in decoded}) == 1
         assert all(row[1].flags.writeable for row in decoded)
+        assert len({id(row[2].indices.base) for row in decoded}) == 1
+        assert len({id(row[2].values.base) for row in decoded}) == 1
+        assert not any(row[2].values.flags.writeable for row in decoded)
         # ... and stack again: a table recovered from blocks snapshots as blocks.
-        assert set(encode_rows(WIDE, decoded + rows)["blocks"]) == {1, 3}
+        assert set(encode_rows(WIDE, decoded + rows)["blocks"]) == {1, 2, 3}
         assert all(a[1] is b[1] for a, b in zip(WIDE.coerce_rows(decoded), decoded))
+        assert all(a[2] is b[2] for a, b in zip(WIDE.coerce_rows(decoded), decoded))
 
     def test_a_schema_of_array_columns_only(self):
         schema = Schema.of(("a", "float[]"), ("b", "float[]"))
         rows = [(np.full(2, float(i)), np.full(0, 1.0)) for i in range(4)]
         fields = encode_rows(schema, rows)
         assert fields["rows"] == [()] * 4 and set(fields["blocks"]) == {0, 1}
-        assert_same_rows(decode_rows(through_pickle(fields)), rows)
+        assert_same_rows(decode_rows(schema, through_pickle(fields)), rows)
 
-    def test_no_array_column_means_no_new_key(self):
-        schema = Schema.of(("id", "int"), ("s", "sparse"))
-        rows = [(1, {3: 1.0}), (2, {})]
+    def test_no_array_or_sparse_column_means_no_new_key(self):
+        schema = Schema.of(("id", "int"), ("t", "text"), ("y", "float"))
+        rows = [(1, "a", 1.0), (2, "", -0.5)]
         assert encode_rows(schema, rows) == {"rows": rows}
         assert encode_rows(WIDE, []) == {"rows": []}
-        assert decode_rows({"rows": rows}) is rows
+        assert decode_rows(schema, {"rows": rows}) is rows
+
+    def test_a_sparse_column_is_one_csr_entry_with_its_nulls(self):
+        schema = Schema.of(("id", "int"), ("s", "sparse"))
+        rows = schema.coerce_rows([(0, None), (1, {300: 1.0, 2: -2.0}), (2, {}), (3, None)])
+        fields = encode_rows(schema, rows)
+        assert fields["rows"] == [(0,), (1,), (2,), (3,)]
+        indptr, indices, data, nulls = fields["blocks"][1]
+        assert indptr.tolist() == [0, 2, 2] and nulls == (0, 3)
+        assert indices.dtype == np.uint16 and indices.tolist() == [300, 2]
+        assert data.tolist() == [1.0, -2.0]
+        assert_same_rows(decode_rows(schema, through_pickle(fields)), rows)
+        # Only NULLs: an empty block, still a block.
+        assert_same_rows(decode_rows(schema, encode_rows(schema, [(5, None)])), [(5, None)])
+
+    def test_dicts_written_inline_by_older_code_decode_to_sparse_vectors(self):
+        schema = Schema.of(("id", "int"), ("v", "float[]"), ("s", "sparse"))
+        old = [(0, np.zeros(2), {7: 0.5, 1: -1.0}), (1, np.ones(2), None), (2, None, {})]
+        for fields in ({"rows": old}, encode_rows(schema, old)):  # without, and beside, a block
+            decoded = decode_rows(schema, through_pickle(fields))
+            assert [row[2] for row in decoded] == [{7: 0.5, 1: -1.0}, None, {}]
+            assert type(decoded[0][2]) is SparseVector and list(decoded[0][2]) == [7, 1]
+            assert decoded[0][2].indices.base is decoded[2][2].indices.base
 
     def test_block_row_count_must_match_the_tuples(self):
         rows = [(i, np.zeros(3), float(i)) for i in range(4)]
-        fields = encode_rows(Schema.of(("id", "int"), ("v", "float[]"), ("y", "float")), rows)
+        schema = Schema.of(("id", "int"), ("v", "float[]"), ("y", "float"))
+        fields = encode_rows(schema, rows)
         fields["blocks"][1] = fields["blocks"][1][:3]
         with pytest.raises(ExecutionError, match="block holds 3 rows beside 4"):
-            decode_rows(fields)
+            decode_rows(schema, fields)
         with pytest.raises(ExecutionError, match="block holds 3 rows beside 0"):
-            decode_rows({"rows": [], "blocks": fields["blocks"]})
+            decode_rows(schema, {"rows": [], "blocks": fields["blocks"]})
+        sparse = Schema.of(("id", "int"), ("s", "sparse"))
+        fields = encode_rows(sparse, sparse.coerce_rows([(i, {i: 1.0}) for i in range(4)]))
+        indptr, indices, data, nulls = fields["blocks"][1]
+        fields["blocks"][1] = (indptr[:-1], indices, data, nulls)
+        with pytest.raises(ExecutionError, match="block holds 3 rows beside 4"):
+            decode_rows(sparse, fields)
 
 
 # -------------------------------------------- whole histories, through disk
@@ -415,10 +463,31 @@ def test_dense_table_costs_its_raw_bytes_on_disk(tmp_path):
     assert _directory_bytes(tmp_path / "db") <= 1.005 * raw
 
 
-def test_a_table_without_array_columns_writes_the_bytes_it_always_did(tmp_path):
-    """Sparse, text and scalar columns: the record shape, hence the log, is unchanged."""
-    table = Table("t", Schema.of(("id", "int"), ("vec", "sparse"), ("body", "text")))
-    table.insert_many((i, {i: 0.5, 2 * i + 1: -1.0}, f"row {i}") for i in range(20))
+def test_sparse_rows_cost_less_than_their_raw_bytes_on_disk(tmp_path):
+    """2 000 rows x 25 non-zeros of a 2 000-wide space through an fsync WAL: the
+    keys fit uint16, so a non-zero costs 10 bytes against 16 raw."""
+    rows, nnz, dimension = 2_000, 25, 2_000
+    rng = np.random.default_rng(0)
+    keys = np.argsort(rng.random((rows + 200, dimension)), axis=1)[:, :nnz].tolist()
+    values = rng.normal(size=(rows + 200, nnz)).tolist()
+    make = lambda i: (i, dict(zip(keys[i], values[i])), float(i % 2))  # noqa: E731
+    table = Table("docs", Schema.of(("id", "int"), ("vec", "sparse"), ("label", "float")))
+    table.insert_many(make(i) for i in range(rows))
+    with Database.open(tmp_path / "db", durability="fsync") as db:
+        db.register_table(table)
+        db.insert("docs", [make(rows + i) for i in range(200)])
+    records, _ = read_wal(tmp_path / "db")
+    assert records[-1]["blocks"][1][1].dtype == np.uint16
+    raw = (rows + 200) * (16 + nnz * 16)
+    assert _directory_bytes(tmp_path / "db") <= 0.7 * raw
+    with Database.open(tmp_path / "db") as reopened:
+        assert_same_table(reopened.table("docs"), table)
+
+
+def test_a_table_of_text_and_scalars_writes_the_bytes_it_always_did(tmp_path):
+    """Text and scalar columns: the record shape, hence the log, is unchanged."""
+    table = Table("t", Schema.of(("id", "int"), ("weight", "float"), ("body", "text")))
+    table.insert_many((i, 0.5 * i, f"row {i}") for i in range(20))
     expected = []  # the records as they were shaped before blocks existed
     with Database.open(tmp_path / "db", durability="fsync") as db:
         db.register_table(table)
@@ -427,7 +496,7 @@ def test_a_table_without_array_columns_writes_the_bytes_it_always_did(tmp_path):
             "rows": table.tail_values(0), "version": 1, "ledger": table.ledger_entries(),
             "ledger_capacity": table.ledger_capacity, "clustered_on": None,
         }})
-        for rows, since in (([(20, {}, "tail")], 20), (None, 0)):
+        for rows, since in (([(20, -1.0, "tail")], 20), (None, 0)):
             table.insert_many(rows) if rows else table.shuffle(seed=1)
             expected.append({
                 "type": "mutation", "table": "t", "entry": table.ledger_entries()[-1],

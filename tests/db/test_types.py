@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import ColumnType, Schema, SchemaError, TypeMismatchError, UnknownColumnError
-from repro.db.types import Column, Row, coerce_value
+from repro.db.types import Column, Row, SparseVector, coerce_value
 
 
 class TestColumnType:
@@ -153,9 +155,11 @@ BATCH_SCHEMA = Schema.of(
 _floats = st.floats(allow_nan=False, width=64)
 _array = st.lists(_floats, max_size=3).map(lambda v: np.array(v, dtype=np.float64))
 _sparse = st.dictionaries(st.integers(0, 50), _floats, max_size=3)
+_stored = _sparse.map(lambda value: coerce_value(value, ColumnType.SPARSE_VECTOR))
 #: Per column: values already canonical, and values ``coerce_value`` converts or refuses.
-CANONICAL = [st.integers(), _floats, st.text(max_size=3), st.booleans(), _array, _sparse,
-             st.integers() | _array | st.text(max_size=2)]
+#: A sparse column takes plain dicts (packed into one block) or stored ``SparseVector``s.
+CANONICAL = [st.integers(), _floats, st.text(max_size=3), st.booleans(), _array,
+             _sparse | _stored, st.integers() | _array | st.text(max_size=2)]
 OTHER = [
     st.booleans() | st.just("7") | st.just(2.0) | st.just(2.5) | st.none() | st.just(np.int64(3)),
     st.integers(-5, 5) | st.just("1.5") | st.just("x") | st.none() | st.just(np.float64(0.5)),
@@ -165,7 +169,8 @@ OTHER = [
     | st.lists(_floats, max_size=3).map(lambda v: np.array(v, dtype=np.float32))
     | st.just(np.zeros((2, 2))),
     st.just({"1": 2}) | st.just({"k": 1.0}) | st.just([(1, 2.0)]) | st.just([1, 2]) | st.none()
-    | st.just({1: "x"}),
+    | st.just({1: "x"}) | st.just({1: 0.5, 1.5: 2.0}) | st.just({True: 1.0}) | st.just({1: None})
+    | st.just({2**63: 1.0}),
     st.none(),
 ]
 
@@ -213,10 +218,12 @@ def _assert_identical(batch, reference):
         assert len(batch) == len(reference)
         for left, right in zip(batch, reference):
             _assert_identical(left, right)
-    elif isinstance(reference, dict):
+    elif isinstance(reference, SparseVector):
+        assert list(batch) == list(reference) and len(batch) == len(reference)
         assert list(batch.items()) == list(reference.items())
         assert [(type(k), type(v)) for k, v in batch.items()] == \
             [(type(k), type(v)) for k, v in reference.items()]
+        assert batch.indices.dtype == reference.indices.dtype
     else:
         assert batch == reference
 
@@ -237,14 +244,41 @@ class TestCoerceRows:
                 if isinstance(given_row, dict) else given_row
             if type(values[4]) is np.ndarray and values[4].dtype == np.float64:
                 assert coerced[4] is values[4]          # no copy, as np.asarray
-            if coerced[5] is not None:
-                assert coerced[5] is not values[5]      # a fresh {int: float} dict
+            if type(values[5]) is SparseVector:
+                assert coerced[5] is values[5]          # stored values pass through
+            elif coerced[5] is not None:                # a dict: {int(k): float(v)}, read-only
+                assert coerced[5] == {int(k): float(v) for k, v in dict(values[5]).items()}
+                assert not coerced[5].values.flags.writeable
 
     def test_accepts_a_generator_and_an_empty_batch(self):
         schema = Schema.of(("x", ColumnType.INTEGER), ("y", ColumnType.FLOAT))
         assert schema.coerce_rows((i, float(i)) for i in range(3)) == [(0, 0.0), (1, 1.0), (2, 2.0)]
         assert schema.coerce_rows([]) == []
         assert schema.coerce_rows(iter(())) == []
+
+    def test_a_batch_of_sparse_maps_is_one_block(self):
+        schema = Schema.of(("x", ColumnType.INTEGER), ("s", ColumnType.SPARSE_VECTOR))
+        rows = schema.coerce_rows([(i, {i: 0.5, 3 * i + 1: -1.0}) for i in range(5)])
+        assert len({id(row[1].indices.base) for row in rows}) == 1
+        assert len({id(row[1].values.base) for row in rows}) == 1
+        assert rows[2][1] == {2: 0.5, 7: -1.0}
+        # Keys the per-map conversion would merge or refuse take that path instead.
+        (_, merged), = schema.coerce_rows([(0, {1: 0.5, 1.5: 2.0})])
+        assert merged == {1: 2.0} and list(merged) == [1] and len(merged) == 1
+        assert schema.coerce_rows([(0, {True: 1.0, "2": 3})]) == [(0, {1: 1.0, 2: 3.0})]
+        with pytest.raises(TypeMismatchError):
+            schema.coerce_rows([(0, {1: None})])
+        with pytest.raises(TypeMismatchError):
+            schema.coerce_rows([(0, {2**63: 1.0})])
+
+    @pytest.mark.parametrize("keys, dtype", [
+        ([], np.uint16), ([0, 65_535], np.uint16), ([-1, 3], np.int32), ([65_536], np.int32),
+        ([-2**31, 2**31 - 1], np.int32), ([2**31], np.int64), ([-2**31 - 1, 0], np.int64),
+    ])
+    def test_keys_take_the_narrowest_index_dtype(self, keys, dtype):
+        schema = Schema.of(("s", ColumnType.SPARSE_VECTOR))
+        (value,), = schema.coerce_rows([({key: 1.0 for key in keys},)])
+        assert value.indices.dtype == dtype and list(value) == keys
 
     def test_canonical_tuples_pass_through_as_the_same_objects(self):
         schema = Schema.of(("x", ColumnType.INTEGER), ("v", ColumnType.FLOAT_ARRAY))
@@ -253,3 +287,40 @@ class TestCoerceRows:
         # bool is not int, numpy scalars are not Python scalars: those convert.
         assert schema.coerce_rows([(True, rows[0][1])]) == [(1, rows[0][1])]
         assert type(schema.coerce_rows([(np.int64(2), rows[0][1])])[0][0]) is int
+
+
+# --------------------------------------------- a stored sparse value is a dict
+_keys = st.integers(-2**40, 2**40) | st.integers(0, 2**16 + 5) | st.integers(-3, 3)
+
+
+class TestSparseVectorIsADict:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(_keys, _floats, max_size=6), _keys)
+    def test_behaves_as_the_dict_it_was_made_from(self, expected, probe):
+        value = coerce_value(expected, ColumnType.SPARSE_VECTOR)
+        assert type(value) is SparseVector
+        assert value == expected and expected == value and not value != expected
+        assert value != {**expected, probe: 0.5} or expected.get(probe) == 0.5
+        assert len(value) == len(expected) and bool(value) == bool(expected)
+        assert list(value) == list(expected)  # insertion order
+        assert list(value.items()) == list(expected.items())
+        assert [(type(k), type(v)) for k, v in value.items()] == [(int, float)] * len(expected)
+        for key in expected:
+            assert value[key] == expected[key] and value.get(key) == expected[key]
+            assert key in value
+        assert (probe in value) == (probe in expected)
+        assert value.get(probe, "absent") == expected.get(probe, "absent")
+        if probe not in expected:
+            with pytest.raises(KeyError):
+                value[probe]
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is SparseVector and copy == expected
+        assert copy.indices.dtype == value.indices.dtype
+        for stored in (value, copy):
+            assert not stored.indices.flags.writeable and not stored.values.flags.writeable
+            with pytest.raises(TypeError):
+                stored[probe] = 1.0
+            with pytest.raises(TypeError):
+                hash(stored)
+            with pytest.raises(ValueError):
+                stored.values[:1] = 2.0

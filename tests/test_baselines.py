@@ -14,7 +14,14 @@ from repro.baselines import (
     train_newton_logistic_regression,
 )
 from repro.core import train_in_memory
-from repro.data import make_dense_classification, make_ratings, make_sequences
+from repro.data import (
+    load_classification_table,
+    make_dense_classification,
+    make_ratings,
+    make_sequences,
+    make_sparse_classification,
+)
+from repro.db import Database, SparseVector
 from repro.tasks import (
     ConditionalRandomFieldTask,
     LinearRegressionTask,
@@ -22,6 +29,7 @@ from repro.tasks import (
     LowRankMatrixFactorizationTask,
     SVMTask,
 )
+from repro.tasks.base import SupervisedExample
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,27 @@ class TestNewtonLR:
     def test_early_stop_on_tiny_step(self, dense):
         result = train_newton_logistic_regression(dense.examples, 6, iterations=50, tolerance=1e-3)
         assert result.iterations < 50
+
+    def test_sparse_table_rows_train_like_their_dense_form(self):
+        """Rows read back from a sparse column (``SparseVector``, not dict) densify."""
+        data = make_sparse_classification(80, 12, nonzeros_per_example=3, seed=5)
+        database = Database()
+        load_classification_table(database, "docs", data.examples, sparse=True)
+        stored = [
+            SupervisedExample(row["vec"], row["label"]) for row in database.table("docs").scan()
+        ]
+        assert all(isinstance(example.features, SparseVector) for example in stored)
+        dense = []
+        for example in stored:
+            features = np.zeros(12)
+            for index, value in example.features.items():
+                features[index] = value
+            dense.append(SupervisedExample(features, example.label))
+        sparse_run = train_newton_logistic_regression(stored, 12, iterations=5)
+        dense_run = train_newton_logistic_regression(dense, 12, iterations=5)
+        assert np.array_equal(sparse_run.model["w"], dense_run.model["w"])
+        # The reported objective sums sparse vs dense dot products: same value, other rounding.
+        assert np.allclose(sparse_run.objective_trace(), dense_run.objective_trace(), rtol=1e-12)
 
 
 class TestBatchLinearBaselines:

@@ -24,7 +24,7 @@ from repro.data import (
     ratings_statistics,
     sequence_statistics,
 )
-from repro.db import Database, NullAggregate, SegmentedDatabase
+from repro.db import Database, NullAggregate, SegmentedDatabase, SparseVector
 from repro.tasks import ConditionalRandomFieldTask
 
 
@@ -187,7 +187,11 @@ class TestLoaders:
         dataset = make_sparse_classification(10, 30, nonzeros_per_example=3, seed=0)
         load_classification_table(database, "docs", dataset.examples, sparse=True)
         row = database.table("docs").row_at(0)
-        assert isinstance(row["vec"], dict)
+        # Stored as a read-only view of the batch's CSR block, equal to the generated dict.
+        assert isinstance(row["vec"], SparseVector)
+        assert row["vec"] == dataset.examples[0].features
+        assert list(row["vec"]) == list(dataset.examples[0].features)
+        assert not row["vec"].values.flags.writeable
 
     def test_loader_replace(self):
         database = Database()

@@ -9,7 +9,6 @@ measure time-to-tolerance uniformly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..core.convergence import EpochRecord
@@ -51,14 +50,3 @@ class BaselineResult:
             if record.objective <= target_objective:
                 return cumulative
         return None
-
-
-class Timer:
-    """Tiny context helper for per-iteration timing."""
-
-    def __enter__(self) -> "Timer":
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self.start

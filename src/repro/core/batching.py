@@ -59,22 +59,11 @@ class BatchSchedule:
             size = min(size, self.cap)
         return size
 
-    @property
-    def constant(self) -> bool:
-        """True when every epoch uses the same batch size."""
-        return self.growth == 1.0 or self.cap == self.initial
-
     def max_batch_size(self, max_epochs: int) -> int:
         """Largest batch the schedule can reach within ``max_epochs`` epochs."""
         if max_epochs <= 0:
             return self.initial
         return self.batch_size(max_epochs - 1)
-
-    def describe(self) -> str:
-        if self.constant:
-            return f"batch(constant={self.initial})"
-        cap = "" if self.cap is None else f", cap={self.cap}"
-        return f"batch(initial={self.initial}, growth={self.growth}{cap})"
 
 
 def make_batch_schedule(spec: "BatchSchedule | int | dict") -> BatchSchedule:
@@ -94,31 +83,3 @@ def make_batch_schedule(spec: "BatchSchedule | int | dict") -> BatchSchedule:
         return BatchSchedule(**spec)
     raise TypeError(f"cannot build a batch schedule from {spec!r}")
 
-
-def geometric_growth(initial: int = 1, growth: float = 2.0, cap: int | None = None) -> BatchSchedule:
-    """Convenience constructor for the epoch-adaptive growth schedule."""
-    return BatchSchedule(initial=initial, growth=growth, cap=cap)
-
-
-def epochs_until(schedule: BatchSchedule, target: int) -> int:
-    """First epoch at which the schedule reaches ``target`` examples per step.
-
-    Walks :meth:`BatchSchedule.batch_size` itself rather than inverting the
-    growth analytically — the schedule *rounds* per epoch, so the real-valued
-    crossing point can differ from the rounded one by an epoch.
-    """
-    if target <= schedule.initial:
-        return 0
-    if schedule.constant:
-        raise ValueError(f"constant schedule never reaches batch size {target}")
-    if schedule.cap is not None and schedule.cap < target:
-        raise ValueError(f"capped schedule never reaches batch size {target}")
-    # The analytic crossing is within one epoch of the rounded one; probe
-    # around it instead of scanning from zero.
-    guess = max(math.ceil(math.log(target / schedule.initial, schedule.growth)), 1)
-    epoch = guess
-    while epoch > 0 and schedule.batch_size(epoch - 1) >= target:
-        epoch -= 1
-    while schedule.batch_size(epoch) < target:
-        epoch += 1
-    return epoch

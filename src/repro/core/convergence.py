@@ -9,7 +9,7 @@ evaluation section).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -30,9 +30,6 @@ class StoppingRule:
     def should_stop(self, history: Sequence[EpochRecord]) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass(frozen=True)
 class FixedEpochs(StoppingRule):
@@ -46,9 +43,6 @@ class FixedEpochs(StoppingRule):
 
     def should_stop(self, history: Sequence[EpochRecord]) -> bool:
         return len(history) >= self.num_epochs
-
-    def describe(self) -> str:
-        return f"fixed_epochs({self.num_epochs})"
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,6 @@ class RelativeImprovement(StoppingRule):
                 lagging += 1
         return lagging >= self.patience
 
-    def describe(self) -> str:
-        return f"relative_improvement(tol={self.tolerance}, patience={self.patience})"
-
 
 @dataclass(frozen=True)
 class ObjectiveThreshold(StoppingRule):
@@ -93,9 +84,6 @@ class ObjectiveThreshold(StoppingRule):
 
     def should_stop(self, history: Sequence[EpochRecord]) -> bool:
         return bool(history) and history[-1].objective <= self.target
-
-    def describe(self) -> str:
-        return f"objective_threshold({self.target})"
 
 
 @dataclass(frozen=True)
@@ -121,9 +109,6 @@ class ToleranceToOptimum(StoppingRule):
     def should_stop(self, history: Sequence[EpochRecord]) -> bool:
         return bool(history) and history[-1].objective <= self.threshold()
 
-    def describe(self) -> str:
-        return f"tolerance_to_optimum(opt={self.optimum}, tol={self.tolerance})"
-
 
 @dataclass(frozen=True)
 class AnyOf(StoppingRule):
@@ -138,9 +123,6 @@ class AnyOf(StoppingRule):
 
     def should_stop(self, history: Sequence[EpochRecord]) -> bool:
         return any(rule.should_stop(history) for rule in self.rules)
-
-    def describe(self) -> str:
-        return "any_of(" + ", ".join(rule.describe() for rule in self.rules) + ")"
 
 
 def make_stopping_rule(spec: "StoppingRule | int | dict | None", max_epochs: int = 20) -> StoppingRule:

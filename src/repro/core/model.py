@@ -9,7 +9,7 @@ magnitude smaller than the data").
 The class provides the handful of linear-algebra utilities the rest of the
 system needs: copying, averaging (for the pure-UDA merge), flattening to a
 single vector (for shared-memory parallelism and convergence norms), and
-distances/norms (for stopping rules and tests).
+norms.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class Model:
         """Create a model with zero-initialised components of the given shapes."""
         return cls({name: np.zeros(shape) for name, shape in shapes.items()})
 
-    @classmethod
-    def from_vector(cls, name: str, vector: Sequence[float] | np.ndarray) -> "Model":
-        """Create a single-component model from a flat vector."""
-        return cls({name: np.asarray(vector, dtype=np.float64)})
-
     def copy(self) -> "Model":
         return Model(
             {name: array.copy() for name, array in self._components.items()},
@@ -105,25 +100,11 @@ class Model:
         """Euclidean norm over all parameters."""
         return float(np.sqrt(sum(float(np.sum(a * a)) for a in self._components.values())))
 
-    def distance_to(self, other: "Model") -> float:
-        """Euclidean distance between two models with identical structure."""
-        self._check_compatible(other)
-        total = 0.0
-        for name, array in self._components.items():
-            diff = array - other._components[name]
-            total += float(np.sum(diff * diff))
-        return float(np.sqrt(total))
-
     def add_scaled(self, other: "Model", scale: float) -> None:
         """In-place ``self += scale * other``."""
         self._check_compatible(other)
         for name, array in self._components.items():
             array += scale * other._components[name]
-
-    def scale(self, factor: float) -> None:
-        """In-place multiplication of every parameter by ``factor``."""
-        for array in self._components.values():
-            array *= factor
 
     def _check_compatible(self, other: "Model") -> None:
         if set(self._components) != set(other._components):

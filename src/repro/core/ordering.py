@@ -392,7 +392,3 @@ def make_ordering(spec: "OrderingPolicy | str | None", **kwargs) -> OrderingPoli
             f"unknown ordering policy {spec!r}; expected one of {sorted(_POLICIES)}"
         ) from None
     return cls(**kwargs)
-
-
-def ordering_names() -> list[str]:
-    return sorted(_POLICIES)

@@ -179,10 +179,5 @@ class ComposedProximal(ProximalOperator):
         for op in self.operators:
             op.apply(model, alpha)
 
-    def apply_to_array(self, array: np.ndarray, alpha: float) -> np.ndarray:
-        for op in self.operators:
-            array = op.apply_to_array(array, alpha)
-        return array
-
     def penalty(self, model: Model) -> float:
         return sum(op.penalty(model) for op in self.operators)

@@ -31,9 +31,6 @@ class StepSizeSchedule:
         steps = range(start_index, start_index + count * stride, stride)
         return np.array([self.step_size(k, epoch) for k in steps], dtype=np.float64)
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 @dataclass(frozen=True)
 class ConstantStepSize(StepSizeSchedule):
@@ -50,9 +47,6 @@ class ConstantStepSize(StepSizeSchedule):
 
     def step_sizes(self, start_index: int, count: int, epoch: int, stride: int = 1) -> np.ndarray:
         return np.full(count, self.alpha)
-
-    def describe(self) -> str:
-        return f"constant(alpha={self.alpha})"
 
 
 @dataclass(frozen=True)
@@ -76,9 +70,6 @@ class DiminishingStepSize(StepSizeSchedule):
     def step_size(self, step_index: int, epoch: int) -> float:
         return self.alpha0 / (1.0 + step_index) ** self.power
 
-    def describe(self) -> str:
-        return f"diminishing(alpha0={self.alpha0}, power={self.power})"
-
 
 @dataclass(frozen=True)
 class GeometricStepSize(StepSizeSchedule):
@@ -95,9 +86,6 @@ class GeometricStepSize(StepSizeSchedule):
 
     def step_size(self, step_index: int, epoch: int) -> float:
         return self.alpha0 * self.rho ** step_index
-
-    def describe(self) -> str:
-        return f"geometric(alpha0={self.alpha0}, rho={self.rho})"
 
 
 @dataclass(frozen=True)
@@ -122,9 +110,6 @@ class EpochDecayStepSize(StepSizeSchedule):
 
     def step_sizes(self, start_index: int, count: int, epoch: int, stride: int = 1) -> np.ndarray:
         return np.full(count, self.alpha0 * self.decay ** epoch)
-
-    def describe(self) -> str:
-        return f"epoch_decay(alpha0={self.alpha0}, decay={self.decay})"
 
 
 def make_schedule(spec: StepSizeSchedule | float | dict) -> StepSizeSchedule:

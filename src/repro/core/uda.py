@@ -18,7 +18,7 @@ shows for the C implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..db.aggregates import UserDefinedAggregate
@@ -167,18 +167,6 @@ class IGDAggregate(UserDefinedAggregate):
         if isinstance(row, Row):
             return self.task.example_from_row(row)
         return row
-
-    def for_epoch(self, epoch: int, model: Model, step_offset: int) -> "IGDAggregate":
-        """A fresh aggregate configured to continue training at ``epoch``."""
-        return IGDAggregate(
-            self.task,
-            self.schedule,
-            initial_model=model,
-            proximal=self.proximal,
-            epoch=epoch,
-            step_offset=step_offset,
-            batch_size=self.batch_size,
-        )
 
 
 class LossAggregate(UserDefinedAggregate):

@@ -30,28 +30,6 @@ class RatingsDataset:
     def density(self) -> float:
         return len(self.examples) / float(self.num_rows * self.num_cols)
 
-    def clustered_by_row(self) -> "RatingsDataset":
-        """Entries sorted by row index (how a ratings table is often stored)."""
-        ordered = sorted(self.examples, key=lambda example: (example.row, example.col))
-        return RatingsDataset(
-            examples=ordered,
-            num_rows=self.num_rows,
-            num_cols=self.num_cols,
-            true_rank=self.true_rank,
-            name=self.name,
-        )
-
-    def shuffled(self, seed: int | None = 0) -> "RatingsDataset":
-        rng = np.random.default_rng(seed)
-        permutation = rng.permutation(len(self.examples))
-        return RatingsDataset(
-            examples=[self.examples[i] for i in permutation],
-            num_rows=self.num_rows,
-            num_cols=self.num_cols,
-            true_rank=self.true_rank,
-            name=self.name,
-        )
-
     def approximate_bytes(self) -> int:
         return len(self.examples) * 20
 

@@ -32,16 +32,6 @@ class SequenceDataset:
     def num_tokens(self) -> int:
         return sum(len(example) for example in self.examples)
 
-    def shuffled(self, seed: int | None = 0) -> "SequenceDataset":
-        rng = np.random.default_rng(seed)
-        permutation = rng.permutation(len(self.examples))
-        return SequenceDataset(
-            examples=[self.examples[i] for i in permutation],
-            num_features=self.num_features,
-            num_labels=self.num_labels,
-            name=self.name,
-        )
-
     def approximate_bytes(self) -> int:
         return sum(
             sum(len(features) for features in example.token_features) * 8 + len(example) * 4

@@ -29,14 +29,6 @@ class ClassificationDataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    @property
-    def num_positive(self) -> int:
-        return sum(1 for example in self.examples if example.label > 0)
-
-    @property
-    def num_negative(self) -> int:
-        return len(self.examples) - self.num_positive
-
     def clustered_by_label(self) -> "ClassificationDataset":
         """A copy whose examples are sorted by label (positives first)."""
         ordered = sorted(self.examples, key=lambda example: -example.label)

@@ -71,7 +71,6 @@ from .pass_plan import (
 from .process_backend import (
     ProcessWorkerPool,
     available_cores,
-    default_process_workers,
     run_process_shared_memory_epoch,
 )
 from .supervisor import (
@@ -154,7 +153,6 @@ __all__ = [
     "available_cores",
     "connect",
     "crashes_from_env",
-    "default_process_workers",
     "faults_from_env",
     "parse_crash_spec",
     "parse_fault_spec",

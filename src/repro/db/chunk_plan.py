@@ -249,14 +249,6 @@ class ChunkPlan:
     def __len__(self) -> int:
         return len(self.batches)
 
-    @property
-    def num_examples(self) -> int:
-        return sum(len(batch) for batch in self.batches)
-
-    def worker_partitions(self, workers: int) -> list[list[int]]:
-        """Round-robin example-ordinal partitions over the cached batches."""
-        return partition_round_robin(self.num_examples, workers)
-
     def __repr__(self) -> str:
         return (
             f"ChunkPlan(table={self.table.name!r}, chunks={len(self.batches)}, "

@@ -238,9 +238,6 @@ class Database:
         """The saved training state under ``name`` (or None)."""
         return self._training_states.get(name.lower())
 
-    def training_state_names(self) -> list[str]:
-        return sorted(self._training_states)
-
     def clear_training_state(self, name: str) -> None:
         """Forget a saved training state; on a durable engine, log that."""
         self._training_states.pop(name.lower(), None)
@@ -326,9 +323,6 @@ class Database:
         """Register a scalar user-defined function (e.g. ``SVMTrain``)."""
         self.functions[name.lower()] = func
 
-    def has_function(self, name: str) -> bool:
-        return name.lower() in self.functions
-
     # ------------------------------------------------------------------ query
     def execute(self, sql: str) -> QueryResult:
         """Parse and execute one SQL statement."""
@@ -346,10 +340,6 @@ class Database:
             table = self.table(statement.table) if statement.table else None
             return self.executor.execute_select(statement, table)
         raise ExecutionError(f"unsupported statement type: {type(statement).__name__}")
-
-    def query(self, sql: str) -> list[tuple]:
-        """Execute and return just the rows."""
-        return self.execute(sql).rows
 
     # ---------------------------------------------------------- programmatic
     def process_pool(self, workers: int):
@@ -455,14 +445,14 @@ class Database:
                 "plane and cannot replay the per-tuple engine protocol"
             )
         from .pass_plan import ProcessBackend, compile_pass
-        from .process_backend import default_process_workers
+        from .process_backend import available_cores
 
         instance = (
             self.aggregates.create(aggregate) if isinstance(aggregate, str) else aggregate
         )
         plan = compile_pass(
             "generic", table, lambda: instance, argument=argument, where=where,
-            row_order=row_order, workers=process_workers or default_process_workers(),
+            row_order=row_order, workers=process_workers or available_cores(),
         )
         return ProcessBackend(self).run(plan)
 

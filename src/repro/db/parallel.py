@@ -43,10 +43,6 @@ class ParallelAggregateResult:
     def total_tuples(self) -> int:
         return sum(self.per_segment_tuples)
 
-    @property
-    def max_segment_tuples(self) -> int:
-        return max(self.per_segment_tuples) if self.per_segment_tuples else 0
-
 
 class SegmentedDatabase:
     """A shared-nothing parallel database: a master engine read as segments."""
@@ -63,23 +59,8 @@ class SegmentedDatabase:
         """Open/recover a durable segmented database (see ``Database.open``)."""
         return cls(num_segments, label, path=path, **kwargs)
 
-    @property
-    def recovery_report(self):
-        return self.master.recovery_report
-
-    @property
-    def crash_injector(self):
-        return self.master.crash_injector
-
-    def checkpoint(self):
-        """Snapshot the master catalog."""
-        return self.master.checkpoint()
-
     def training_state(self, name: str):
         return self.master.training_state(name)
-
-    def clear_training_state(self, name: str) -> None:
-        self.master.clear_training_state(name)
 
     # -------------------------------------------------------------- catalog
     def create_table(
@@ -105,13 +86,6 @@ class SegmentedDatabase:
     def redistribute(self, name: str) -> None:
         # Nothing to bring in sync; bench/hooks.py still wraps the name.
         self.master.table(name)
-
-    # ------------------------------------------------------------ registration
-    def register_aggregate(self, name: str, factory: Callable[[], UserDefinedAggregate]) -> None:
-        self.master.register_aggregate(name, factory)
-
-    def register_function(self, name: str, func: Callable) -> None:
-        self.master.register_function(name, func)
 
     # ------------------------------------------------------------- execution
     def execute(self, sql: str):

@@ -139,10 +139,6 @@ class PassPlan:
             "automatically but physical rewrites require recompiling the pass"
         )
 
-    def describe(self) -> str:
-        width = f"x{self.workers}" if self.workers > 1 else ""
-        return f"{self.kind}({self.table.name}@v{self.version}){width}"
-
 
 def compile_pass(
     kind: str,

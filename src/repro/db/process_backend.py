@@ -85,11 +85,6 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def default_process_workers() -> int:
-    """Default pool size for the process backend: one worker per core."""
-    return max(1, available_cores())
-
-
 # ---------------------------------------------------------------------------
 # Payload wire policy: zero-copy chunk pages, pickled bytes as the fallback
 # ---------------------------------------------------------------------------

@@ -388,10 +388,6 @@ class Row:
         self._values = values
 
     @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
     def values(self) -> tuple:
         return self._values
 

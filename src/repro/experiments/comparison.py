@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..baselines import (
     train_batch_crf,
     train_batch_gradient_descent,
@@ -37,7 +35,7 @@ from ..tasks.crf import ConditionalRandomFieldTask
 from ..tasks.logistic_regression import LogisticRegressionTask
 from ..tasks.matrix_factorization import LowRankMatrixFactorizationTask
 from ..tasks.svm import SVMTask
-from .harness import ExperimentScale, resolve_scale, time_to_tolerance, tolerance_target
+from .harness import ExperimentScale, resolve_scale, tolerance_target
 from .reporting import render_series, render_table
 
 

@@ -2,20 +2,18 @@
 
 Every experiment module in this package regenerates one table or figure of
 the paper's evaluation section and returns a plain dataclass whose fields are
-the rows/series the paper reports.  The benchmarks under ``benchmarks/`` call
-these functions and print the rendered tables, and ``EXPERIMENTS.md`` records
-the measured shapes against the paper's.
+the rows/series the paper reports.  The smoke tests under ``benchmarks/`` call
+these functions, assert the paper's qualitative shapes and print the rendered
+tables.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from ..core.convergence import EpochRecord
 
 
 def evaluate_model(
@@ -147,10 +145,6 @@ class TimingSample:
     seconds: list[float] = field(default_factory=list)
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.seconds)) if self.seconds else 0.0
-
-    @property
     def minimum(self) -> float:
         return float(np.min(self.seconds)) if self.seconds else 0.0
 
@@ -177,27 +171,3 @@ def overhead_percent(baseline_seconds: float, measured_seconds: float) -> float:
 def tolerance_target(optimum: float, tolerance: float = 1e-3) -> float:
     """Objective value corresponding to a relative tolerance above the optimum."""
     return optimum + tolerance * max(abs(optimum), 1e-12)
-
-
-def time_to_tolerance(
-    history: Sequence[EpochRecord], optimum: float, *, tolerance: float = 1e-3
-) -> float | None:
-    """Cumulative seconds until the objective reaches the tolerance band."""
-    target = tolerance_target(optimum, tolerance)
-    cumulative = 0.0
-    for record in history:
-        cumulative += record.elapsed_seconds
-        if record.objective <= target:
-            return cumulative
-    return None
-
-
-def epochs_to_tolerance(
-    history: Sequence[EpochRecord], optimum: float, *, tolerance: float = 1e-3
-) -> int | None:
-    """Number of epochs until the objective reaches the tolerance band (1-based)."""
-    target = tolerance_target(optimum, tolerance)
-    for record in history:
-        if record.objective <= target:
-            return record.epoch + 1
-    return None

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core.driver import IGDConfig, train
 from ..core.parallel import PureUDAParallelism, SharedMemoryParallelism
 from ..db.engine import Database
@@ -148,28 +146,6 @@ class SpeedupResult:
                 f"{self.serial_epoch_seconds:.3f}s on {self.dataset})"
             ),
         )
-
-    def speedup(self, scheme: str, workers: int) -> float:
-        index = self.worker_counts.index(workers)
-        return self.speedups[scheme][index]
-
-    def bench_payload(self) -> dict:
-        """Provenance record: the cores and dataset behind the measured curve."""
-        payload = {
-            "cores": self.cores,
-            "dataset": self.dataset,
-            "serial_epoch_seconds": round(self.serial_epoch_seconds, 4),
-            "worker_counts": list(self.worker_counts),
-            "speedups": {
-                scheme: [round(value, 3) for value in values]
-                for scheme, values in self.speedups.items()
-            },
-        }
-        if 4 in self.worker_counts:
-            payload["speedup_at_4"] = {
-                scheme: round(self.speedup(scheme, 4), 3) for scheme in self.speedups
-            }
-        return payload
 
 
 def _measured_worker_counts(max_workers: int) -> list[int]:
@@ -322,18 +298,6 @@ class WholeLoopResult:
                 f"whole-loop vs gradient-only: {self.speedup_vs_gradient_only():.2f}x)"
             ),
         )
-
-    def bench_payload(self) -> dict:
-        return {
-            "workers": self.workers,
-            "cores": self.cores,
-            "epochs": self.epochs,
-            "scheme": self.scheme,
-            "dataset": self.dataset,
-            "total_seconds": {k: round(v, 4) for k, v in self.total_seconds.items()},
-            "steady_seconds": {k: round(v, 4) for k, v in self.steady_seconds.items()},
-            "speedup_vs_gradient_only": round(self.speedup_vs_gradient_only(), 3),
-        }
 
 
 def run_whole_loop_experiment(

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from ..baselines import (
     train_batch_crf,
-    train_batch_matrix_factorization,
-    train_batch_svm,
     train_newton_logistic_regression,
 )
 from ..core.driver import IGDConfig, train
@@ -84,24 +82,6 @@ class ScalabilityResult:
             if row.task == task and row.system == system:
                 return row.completes
         raise KeyError(f"no scalability row for ({task}, {system})")
-
-
-def _baseline_within_budget(run_iteration, target: float, budget_seconds: float,
-                            max_iterations: int = 200) -> tuple[float, bool]:
-    """Run baseline iterations until the target, the budget, or the cap is hit.
-
-    ``run_iteration`` is a callable performing one full baseline iteration and
-    returning the current objective value.
-    """
-    start = time.perf_counter()
-    for _ in range(max_iterations):
-        objective = run_iteration()
-        elapsed = time.perf_counter() - start
-        if objective <= target:
-            return elapsed, True
-        if elapsed >= budget_seconds:
-            return elapsed, False
-    return time.perf_counter() - start, False
 
 
 def run_scalability_experiment(

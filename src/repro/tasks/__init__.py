@@ -5,7 +5,6 @@ from .base import (
     SupervisedExample,
     Task,
     dot_product,
-    feature_dimension,
     scale_and_add,
 )
 from .crf import ConditionalRandomFieldTask, SequenceExample
@@ -44,7 +43,6 @@ __all__ = [
     "catx_closed_form_iterates",
     "create_task",
     "dot_product",
-    "feature_dimension",
     "is_registered",
     "log1p_exp",
     "register_task",

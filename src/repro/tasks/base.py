@@ -70,13 +70,6 @@ def scale_and_add(weights: np.ndarray, features: Any, scalar: float) -> None:
         weights += scalar * features
 
 
-def feature_dimension(features: Any) -> int:
-    """Dimensionality implied by a feature vector (max index + 1 for sparse)."""
-    if isinstance(features, Mapping):
-        return (max(features) + 1) if features else 0
-    return int(np.asarray(features).shape[0])
-
-
 # ---------------------------------------------------------------------------
 # Columnar example batches (the decoded form of a TableChunk)
 # ---------------------------------------------------------------------------
@@ -474,7 +467,7 @@ class ExampleCache:
         self._store(key, entry, table, version, examples, task)
         return examples
 
-    def derived_for(self, table: "Table", key: tuple, pin: Any, build, extend=None) -> Any:
+    def derived_for(self, table: "Table", key: tuple, pin: Any, build) -> Any:
         """Cache an arbitrary per-version artefact derived from ``table``.
 
         ``key`` identifies the artefact (selection vectors, gathered chunk
@@ -482,11 +475,6 @@ class ExampleCache:
         batches but keep their own hit/miss counters, so decode statistics
         stay meaningful.  ``pin`` keeps any identity-keyed objects alive for
         the entry's lifetime so their ``id()`` cannot be recycled.
-
-        ``extend``, when given, is called as ``extend(old_payload, delta)``
-        for stale entries whose ledger delta is append-only; returning a
-        non-``None`` payload stores it at the new version without running
-        ``build`` (returning ``None`` falls back to a full rebuild).
         """
         full_key = (table.name, "derived") + tuple(key)
         version = table.version
@@ -495,14 +483,6 @@ class ExampleCache:
             self.derived_hits += 1
             self._touch(full_key)
             return entry.payload
-        if extend is not None:
-            delta = self._append_delta(entry, table)
-            if delta is not None:
-                payload = extend(entry.payload, delta)
-                if payload is not None:
-                    self.extensions += 1
-                    self._store(full_key, entry, table, version, payload, pin)
-                    return payload
         self.derived_misses += 1
         payload = build()
         self._store(full_key, entry, table, version, payload, pin)
@@ -584,24 +564,7 @@ class ExampleCache:
                 count=len(table),
             )
 
-        def extend(old_mask: np.ndarray, delta) -> np.ndarray | None:
-            # Append-only delta: the predicate is deterministic and rows
-            # [0, base_rows) are untouched, so evaluate it on the new tail
-            # rows only and concatenate onto the cached mask.
-            if old_mask.shape[0] != delta.base_rows:
-                return None
-            schema = table.schema
-            tail = np.fromiter(
-                (
-                    bool(predicate.evaluate(Row(schema, values), function_map))
-                    for values in table.tail_values(delta.base_rows)
-                ),
-                dtype=np.bool_,
-                count=delta.rows_added,
-            )
-            return np.concatenate([old_mask, tail])
-
-        return self.derived_for(table, key, (predicate, bindings), build, extend=extend)
+        return self.derived_for(table, key, (predicate, bindings), build)
 
     def _touch(self, key: tuple) -> None:
         """Move an entry to the back of the eviction order (LRU on hit).
@@ -624,14 +587,6 @@ class ExampleCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
         self._entries[key] = _CacheEntry(table, version, payload, task)
-
-    def invalidate(self, table_name: str | None = None) -> None:
-        """Drop all entries (or just those of one table)."""
-        if table_name is None:
-            self._entries.clear()
-            return
-        for key in [k for k in self._entries if k[0] == table_name]:
-            del self._entries[key]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -680,30 +635,6 @@ class Task:
     def total_loss(self, model: Model, examples: Iterable[Any]) -> float:
         """Sum of per-example losses (the data term of the objective)."""
         return float(sum(self.loss(model, example) for example in examples))
-
-    def objective(self, model: Model, examples: Iterable[Any]) -> float:
-        """Full objective: data term plus the proximal operator's penalty."""
-        return self.total_loss(model, examples) + self.proximal.penalty(model)
-
-    def batch_gradient(self, model: Model, examples: Iterable[Any]) -> Model:
-        """Full (batch) gradient as a Model with the same structure.
-
-        Default implementation accumulates the effect of per-example IGD steps
-        with a unit step size, which equals the analytic gradient for tasks
-        whose gradient_step is a plain ``w -= alpha * grad`` update.  Tasks
-        with conditional updates (e.g. SVM's hinge) inherit this behaviour
-        correctly because the subgradient is what the step applies.
-        """
-        gradient = model.zeros_like()
-        probe = model.copy()
-        for example in examples:
-            snapshot = model.copy()
-            self.gradient_step(snapshot, example, 1.0)
-            # gradient contribution = -(w_after - w_before) for alpha = 1
-            for component_name, array in gradient.items():
-                array -= snapshot[component_name] - model[component_name]
-        del probe
-        return gradient
 
     # ----------------------------------------------------------- batched API
     def batch_from_chunk(self, chunk: "TableChunk") -> ExampleBatch | None:
@@ -892,9 +823,6 @@ class LinearModelTask(Task):
         features = row[self.feature_column]
         label = row[self.label_column]
         return SupervisedExample(features, label)
-
-    def decision_value(self, model: Model, example: SupervisedExample) -> float:
-        return dot_product(model["w"], example.features)
 
     # ----------------------------------------------------------- batched API
     def batch_from_chunk(self, chunk: "TableChunk") -> ExampleBatch | None:

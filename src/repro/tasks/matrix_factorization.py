@@ -173,24 +173,6 @@ class LowRankMatrixFactorizationTask(Task):
             if apply_proximal:
                 proximal.apply(model, alpha)
 
-    def minibatch_step(
-        self, model: Model, batch: RatingBatch, start: int, stop: int, alpha: float
-    ) -> None:
-        left = model["L"]
-        right = model["R"]
-        rows = batch.rows[start:stop]
-        cols = batch.cols[start:stop]
-        values = batch.values[start:stop]
-        li = left[rows]
-        rj = right[cols]
-        residuals = np.einsum("ij,ij->i", li, rj) - values
-        coefficient = alpha / (stop - start)
-        gradient_left = residuals[:, None] * rj + self.mu * li
-        gradient_right = residuals[:, None] * li + self.mu * rj
-        # Duplicate row/col indices within a mini-batch must accumulate.
-        np.add.at(left, rows, -coefficient * gradient_left)
-        np.add.at(right, cols, -coefficient * gradient_right)
-
     # ---------------------------------------------------------------- helpers
     def regularization_penalty(self, model: Model) -> float:
         """The ``mu * ||L, R||_F^2`` term of the full objective."""

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BatchSchedule, IGDConfig, geometric_growth, make_batch_schedule, train
-from repro.core.batching import epochs_until
+from repro.core import BatchSchedule, IGDConfig, make_batch_schedule, train
 from repro.data import load_classification_table, make_sparse_classification
 from repro.db import Database
 from repro.tasks import LogisticRegressionTask
@@ -15,16 +14,13 @@ from repro.tasks import LogisticRegressionTask
 class TestBatchSchedule:
     def test_constant_schedule(self):
         schedule = BatchSchedule(initial=4)
-        assert schedule.constant
         assert [schedule.batch_size(e) for e in range(4)] == [4, 4, 4, 4]
         assert schedule.max_batch_size(10) == 4
 
     def test_geometric_growth_with_cap(self):
-        schedule = geometric_growth(initial=1, growth=2.0, cap=8)
-        assert not schedule.constant
+        schedule = BatchSchedule(initial=1, growth=2.0, cap=8)
         assert [schedule.batch_size(e) for e in range(6)] == [1, 2, 4, 8, 8, 8]
         assert schedule.max_batch_size(2) == 2
-        assert epochs_until(schedule, 8) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -35,17 +31,10 @@ class TestBatchSchedule:
             BatchSchedule(initial=8, cap=4)
         with pytest.raises(ValueError):
             BatchSchedule(initial=1).batch_size(-1)
-        with pytest.raises(ValueError):
-            epochs_until(BatchSchedule(initial=1), 4)
 
-    def test_epochs_until_honours_per_epoch_rounding(self):
-        """The crossing epoch follows the *rounded* sizes, not the raw curve."""
-        slow = BatchSchedule(initial=1, growth=1.4)
-        assert slow.batch_size(2) == 2  # round(1.96)
-        assert epochs_until(slow, 2) == 2
-        fast = BatchSchedule(initial=1, growth=1.5)
-        assert fast.batch_size(1) == 2  # round(1.5)
-        assert epochs_until(fast, 2) == 1
+    def test_batch_sizes_round_per_epoch(self):
+        assert BatchSchedule(initial=1, growth=1.4).batch_size(2) == 2  # round(1.96)
+        assert BatchSchedule(initial=1, growth=1.5).batch_size(1) == 2  # round(1.5)
 
     def test_uncapped_growth_saturates_instead_of_overflowing(self):
         schedule = BatchSchedule(initial=1, growth=10.0)

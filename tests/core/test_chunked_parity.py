@@ -141,11 +141,11 @@ class TestChunkedPathParity:
 
 
 class TestLossAndAccuracyAggregates:
-    def _database_and_task(self):
+    def _database_and_task(self, task_cls=LogisticRegressionTask):
         data = make_dense_classification(120, 7, seed=6)
         database = Database("postgres", seed=0)
         load_classification_table(database, "points", data.examples, sparse=False)
-        task = LogisticRegressionTask(data.dimension)
+        task = task_cls(data.dimension)
         rng = np.random.default_rng(0)
         model = Model({"w": rng.normal(size=data.dimension)})
         return database, task, model
@@ -156,8 +156,9 @@ class TestLossAndAccuracyAggregates:
         chunked = database.run_aggregate("points", LossAggregate(task, model))
         assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
-    def test_accuracy_aggregate_chunked_matches_per_tuple(self):
-        database, task, model = self._database_and_task()
+    @pytest.mark.parametrize("task_cls", [LogisticRegressionTask, SVMTask], ids=["lr", "svm"])
+    def test_accuracy_aggregate_chunked_matches_per_tuple(self, task_cls):
+        database, task, model = self._database_and_task(task_cls)
         per_tuple = database.run_aggregate(
             "points", AccuracyAggregate(task, model), per_tuple=True
         )
@@ -234,6 +235,14 @@ class TestMiniBatchMode:
             train(Counted(data.dimension), database, "points",
                   config=IGDConfig(batch_size=4, max_epochs=1))
         assert steps == []
+
+    def test_lmf_refuses_minibatch_by_name(self):
+        ratings = make_ratings(10, 8, 60, rank=2, seed=1)
+        database = Database("postgres", seed=0)
+        load_ratings_table(database, "ratings", ratings.examples)
+        task = LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=2)
+        with pytest.raises(NotImplementedError, match="does not implement minibatch_step"):
+            train(task, database, "ratings", config=IGDConfig(batch_size=4, max_epochs=1))
 
     def test_minibatch_structured_tasks_converge(self):
         """Structured tasks now run opt-in mini-batch SGD through the generic
@@ -1132,7 +1141,7 @@ class TestExampleCacheDecodedExamples:
 
 @pytest.mark.backends
 class TestChunkPlanLayer:
-    def test_resolve_and_worker_partitions(self):
+    def test_resolve(self):
         from repro.db.chunk_plan import ChunkPlan
 
         data = make_dense_classification(50, 4, seed=16)
@@ -1141,11 +1150,7 @@ class TestChunkPlanLayer:
         task = LogisticRegressionTask(data.dimension)
         plan = ChunkPlan.resolve(table, task, database.executor.example_cache, 16)
         assert plan is not None
-        assert plan.num_examples == 50
-        assert len(plan) == 4  # ceil(50 / 16) chunks
-        partitions = plan.worker_partitions(3)
-        assert [len(p) for p in partitions] == [17, 17, 16]
-        assert sorted(i for p in partitions for i in p) == list(range(50))
+        assert [len(batch) for batch in plan] == [16, 16, 16, 2]
 
     def test_resolve_refuses_unbatchable(self):
         from repro.db.chunk_plan import ChunkPlan

@@ -81,10 +81,6 @@ class TestStepSizes:
         with pytest.raises(TypeError):
             make_schedule("fast")
 
-    def test_describe_strings(self):
-        assert "0.1" in ConstantStepSize(0.1).describe()
-        assert "geometric" in GeometricStepSize(1.0, 0.9).describe()
-
 
 class TestProximalOperators:
     def test_identity_is_noop(self):

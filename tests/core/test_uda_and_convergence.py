@@ -81,15 +81,6 @@ class TestIGDAggregate:
         merged = aggregate.merge(aggregate.initialize(), aggregate.initialize())
         assert merged.gradient_steps == 0
 
-    def test_for_epoch_continues_training(self):
-        task = OneDimensionalLeastSquares()
-        aggregate = IGDAggregate(task, 0.5)
-        model = task.initial_model()
-        follow_up = aggregate.for_epoch(3, model, step_offset=200)
-        state = follow_up.initialize()
-        assert state.epoch == 3
-        assert state.step_offset == 200
-
     def test_proximal_applied_each_step(self):
         from repro.core import L1Proximal
 

@@ -1101,4 +1101,4 @@ class TestMeasuredSpeedupSmoke:
         for scheme in ("pure_uda", "lock", "aig", "nolock"):
             assert len(result.speedups[scheme]) == 2
             assert all(value > 0 for value in result.speedups[scheme])
-        assert result.bench_payload()["cores"] >= 1
+        assert result.cores >= 1

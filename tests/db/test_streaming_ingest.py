@@ -24,11 +24,12 @@ import pytest
 
 from repro.core.driver import BismarckRunner, IGDConfig
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
-from repro.core.uda import IGDAggregate
+from repro.core.model import Model
+from repro.core.uda import IGDAggregate, LossAggregate
 from repro.data import load_classification_table, make_dense_classification
 from repro.db import Database, FaultPlan, SegmentedDatabase
+from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.supervisor import RecoveryPolicy
-from repro.experiments import run_streaming_ingest_experiment
 from repro.frontend import install_frontend
 from repro.frontend.models import load_model, trained_source
 from repro.tasks.logistic_regression import LogisticRegressionTask
@@ -145,12 +146,22 @@ class TestExtendedCacheParity:
 # Delta decode accounting
 # ---------------------------------------------------------------------------
 class TestDeltaDecode:
-    def test_k_append_batches_decode_only_the_delta(self, corpus):
+    @pytest.mark.parametrize(
+        "config, full_pass_every",
+        [
+            (IGDConfig(max_epochs=2, seed=0), 0),
+            # A shuffled refresh whose last epoch is a full pass over the
+            # extended cache still decodes only the appended rows.
+            (IGDConfig(max_epochs=3, ordering="shuffle_once", seed=0), 3),
+        ],
+        ids=["delta_epochs", "shuffled_with_full_pass"],
+    )
+    def test_k_append_batches_decode_only_the_delta(self, corpus, config, full_pass_every):
         base, stream = corpus
         db = Database("postgres", seed=0)
         load_classification_table(db, "pts", base.examples)
         task = LogisticRegressionTask(DIMENSION, mu=0.01)
-        runner = BismarckRunner(db, task, IGDConfig(max_epochs=2, seed=0))
+        runner = BismarckRunner(db, task, config)
         cache = db.executor.example_cache
 
         trained = runner.train("pts")
@@ -160,7 +171,8 @@ class TestDeltaDecode:
         for batch in batches:
             db.insert("pts", batch)
             refreshed = runner.partial_fit(
-                "pts", initial_model=model, since_version=version
+                "pts", initial_model=model, since_version=version,
+                full_pass_every=full_pass_every,
             )
             model, version = refreshed.model, refreshed.table_version
         # Every row decoded exactly once, appends charged delta-only.
@@ -208,6 +220,24 @@ class TestDeltaDecode:
         ).scalar()
         added_positive = sum(1 for ex in stream.examples[:10] if ex.label > 0)
         assert positive_after == positive_before + added_positive
+
+    def test_where_pass_after_an_append_sees_the_new_rows(self, corpus):
+        """A selection vector is cached per table version: after an append the
+        chunk plane evaluates the predicate again, so a WHERE pass folds the
+        same rows as the per-tuple protocol."""
+        base, stream = corpus
+        db = Database("postgres", seed=0)
+        load_classification_table(db, "pts", base.examples)
+        task = LogisticRegressionTask(DIMENSION, mu=0.01)
+        model = Model({"w": np.random.default_rng(0).normal(size=DIMENSION)})
+        positive = BinaryOp(">", ColumnRef("label"), Literal(0.0))
+        db.run_aggregate("pts", LossAggregate(task, model), where=positive)
+        db.insert("pts", _rows(len(base.examples), stream.examples))
+        chunked = db.run_aggregate("pts", LossAggregate(task, model), where=positive)
+        per_tuple = db.run_aggregate(
+            "pts", LossAggregate(task, model), where=positive, per_tuple=True
+        )
+        assert chunked == pytest.approx(per_tuple, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +413,3 @@ class TestDeltaShippingChaos:
         assert multiprocessing.active_children() == []
         assert _shm_entries() <= before
 
-
-# ---------------------------------------------------------------------------
-# Streaming-ingest experiment (the BENCH figure)
-# ---------------------------------------------------------------------------
-class TestStreamingExperiment:
-    def test_incremental_beats_full_invalidation(self):
-        result = run_streaming_ingest_experiment(
-            "small", insert_rounds=3, rows_per_round=20
-        )
-        assert len(result.rounds) == 3
-        assert result.cache_extensions >= 3
-        # Delta-only decode: strictly less work than the invalidation world.
-        assert result.incremental_decoded_total == 3 * 20
-        assert result.baseline_decoded_total > result.incremental_decoded_total
-        assert result.decode_ratio < 0.5
-        payload = result.bench_payload()
-        assert payload["decode_ratio"] == pytest.approx(result.decode_ratio, abs=1e-4)
-        assert "Streaming ingest" in result.render()

@@ -17,7 +17,6 @@ from repro.tasks import (
     catx_closed_form_final,
     catx_closed_form_iterates,
     dot_product,
-    feature_dimension,
     scale_and_add,
     sigmoid,
 )
@@ -36,11 +35,6 @@ class TestFeatureHelpers:
         np.testing.assert_allclose(weights, [2.0, 2.0, 0.0])
         scale_and_add(weights, {2: 4.0}, 0.5)
         np.testing.assert_allclose(weights, [2.0, 2.0, 2.0])
-
-    def test_feature_dimension(self):
-        assert feature_dimension(np.zeros(7)) == 7
-        assert feature_dimension({3: 1.0, 10: 2.0}) == 11
-        assert feature_dimension({}) == 0
 
     def test_sigmoid_stability(self):
         assert sigmoid(1000.0) == pytest.approx(1.0)
@@ -219,8 +213,7 @@ class TestLasso:
         with pytest.raises(ValueError):
             LassoTask(5, mu=-0.1)
 
-    def test_objective_includes_penalty(self):
+    def test_penalty_is_mu_times_l1_norm(self):
         task = LassoTask(2, mu=1.0)
         model = Model({"w": np.array([1.0, -1.0])})
-        example = SupervisedExample(np.array([0.0, 0.0]), 0.0)
-        assert task.objective(model, [example]) == pytest.approx(2.0)
+        assert task.proximal.penalty(model) == pytest.approx(2.0)

@@ -4,9 +4,11 @@ tiny scale and produces the qualitative shape the paper reports."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
+from repro import experiments
 from repro.experiments import (
     ExperimentScale,
     overhead_percent,
@@ -47,6 +49,7 @@ class TestHarnessHelpers:
     def test_resolve_scale(self):
         assert resolve_scale(None).name == "small"
         assert resolve_scale("medium").name == "medium"
+        assert resolve_scale("full").name == "full"
         assert resolve_scale(TINY) is TINY
         with pytest.raises(ValueError):
             resolve_scale("galactic")
@@ -61,7 +64,18 @@ class TestHarnessHelpers:
     def test_time_callable(self):
         sample = time_callable(lambda: sum(range(1000)), repeats=3, label="sum")
         assert len(sample.seconds) == 3
-        assert sample.mean >= sample.minimum >= 0
+        assert sample.minimum >= 0
+
+    def test_every_exported_experiment_has_a_figure_test(self):
+        """An experiment no ``benchmarks/test_*.py`` names reproduces no
+        figure; it belongs in ``bench/`` or nowhere."""
+        figures = "".join(
+            path.read_text()
+            for path in (Path(__file__).resolve().parents[1] / "benchmarks").glob("test_*.py")
+        )
+        runners = [name for name in experiments.__all__ if name.startswith("run_")]
+        assert runners
+        assert [name for name in runners if name not in figures] == []
 
     def test_render_table_and_series(self):
         table = render_table(["a", "b"], [(1, 2.5), ("x", None)], title="T")

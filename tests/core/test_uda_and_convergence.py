@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     AnyOf,
+    DiminishingStepSize,
     EpochRecord,
     FixedEpochs,
     IGDAggregate,
@@ -80,6 +81,22 @@ class TestIGDAggregate:
         aggregate = IGDAggregate(task, 0.5)
         merged = aggregate.merge(aggregate.initialize(), aggregate.initialize())
         assert merged.gradient_steps == 0
+
+    def test_later_epoch_continues_the_step_count(self):
+        """A follow-up epoch's aggregate indexes the schedule past the steps
+        already taken, so a diminishing step size keeps diminishing."""
+        task = OneDimensionalLeastSquares()
+        aggregate = IGDAggregate(
+            task, DiminishingStepSize(alpha0=1.0), epoch=3, step_offset=3
+        )
+        state = aggregate.initialize()
+        assert (state.epoch, state.step_offset) == (3, 3)
+        state = aggregate.transition(state, SupervisedExample(1.0, 2.0))
+        # alpha_3 = 1 / 4, half the 0.5 step that lands on w = 1.0.
+        assert state.model["w"][0] == pytest.approx(0.5)
+        model = aggregate.terminate(state)
+        assert model.metadata["gradient_steps"] == 4
+        assert model.metadata["epoch"] == 3
 
     def test_proximal_applied_each_step(self):
         from repro.core import L1Proximal

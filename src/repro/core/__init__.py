@@ -23,12 +23,7 @@ from .ordering import (
     Subsample,
     make_ordering,
 )
-from .parallel import (
-    PureUDAParallelism,
-    SharedMemoryParallelism,
-    partition_round_robin,
-    run_shared_memory_epoch,
-)
+from .parallel import PureUDAParallelism, SharedMemoryParallelism
 from .proximal import (
     BoxProjection,
     ComposedProximal,
@@ -93,9 +88,7 @@ __all__ = [
     "make_ordering",
     "make_schedule",
     "make_stopping_rule",
-    "partition_round_robin",
     "project_to_simplex",
-    "run_shared_memory_epoch",
     "train",
     "train_in_memory",
 ]

@@ -134,7 +134,7 @@ class IGDResult:
 
     @property
     def degraded(self) -> bool:
-        """True when any pass fell down the backend degradation ladder."""
+        """True when any pass fell back from the process backend."""
         return any(
             hasattr(event, "to_backend") for event in self.recovery_events
         )

@@ -11,31 +11,28 @@ Two mechanisms, both built from features every RDBMS offers:
 
 * **Shared-memory UDA** — the model lives in the database's shared-memory
   arena and is updated concurrently by workers scanning different portions of
-  the data.  The simulation (and everything else shared-memory: the arena,
-  the concurrency schemes, the epoch runner) lives in
-  :mod:`repro.db.shared_memory`; this module re-exports the public API for
-  back-compat, since historically the epoch runner was defined here.
+  the data.  The arena and the spec live in :mod:`repro.db.shared_memory`;
+  this module re-exports the spec beside the pure-UDA one.
 
-Both backends consume the same cached chunk plane as the serial executor
+Both consume the same cached chunk plane as the serial executor
 (:mod:`repro.db.chunk_plan`): the segmented engine runs ``transition_chunk``
-over each segment's ordinals of the one cached chunk list, and the
-shared-memory epoch slices one cached decoded-example list across its
-workers.  The *convergence* behaviour (what Figure 9A measures) depends only
-on the update schedule and is reproduced faithfully; the *wall-clock
-speed-up* (Figure 9B) is measured on the forked process backend
-(:mod:`repro.db.process_backend`).
+over each segment's ordinals of the one cached chunk list, and the simulated
+shared-memory epoch is serial IGD over the workers' round-robin window
+interleave of the visit order
+(:func:`~repro.db.chunk_plan.interleave_round_robin`).  The *convergence*
+behaviour (what Figure 9A measures) depends only on the update schedule and
+is reproduced faithfully; the *wall-clock speed-up* (Figure 9B) is measured
+on the forked process backend (:mod:`repro.db.process_backend`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..db.chunk_plan import partition_round_robin
 from ..db.shared_memory import (
     SHARED_MEMORY_SCHEMES,
     SharedMemoryArena,
     SharedMemoryParallelism,
-    run_shared_memory_epoch,
 )
 
 __all__ = [
@@ -43,8 +40,6 @@ __all__ = [
     "PureUDAParallelism",
     "SharedMemoryArena",
     "SharedMemoryParallelism",
-    "partition_round_robin",
-    "run_shared_memory_epoch",
 ]
 
 

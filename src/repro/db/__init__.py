@@ -52,7 +52,7 @@ from .fault import (
     parse_fault_spec,
 )
 from .wal import DurabilityPolicy, WriteAheadLog, read_wal
-from .chunk_plan import ChunkPlan, partition_round_robin, resolve_ordinals, split_round_robin
+from .chunk_plan import ChunkPlan, interleave_round_robin, resolve_ordinals, split_round_robin
 from .executor import QueryResult
 from .parallel import ParallelAggregateResult, SegmentedDatabase
 from .pass_plan import (
@@ -84,7 +84,6 @@ from .shared_memory import (
     SharedMemoryArena,
     SharedMemoryParallelism,
     SharedSegment,
-    run_shared_memory_epoch,
 )
 from .table import Table
 from .types import Column, ColumnType, Row, Schema, SparseVector
@@ -104,6 +103,7 @@ __all__ = [
     "compile_pass",
     "epoch_backend",
     "evaluation_backend",
+    "interleave_round_robin",
     "resolve_ordinals",
     "split_round_robin",
     "COMPUTE_OPS",
@@ -156,9 +156,7 @@ __all__ = [
     "faults_from_env",
     "parse_crash_spec",
     "parse_fault_spec",
-    "partition_round_robin",
     "recover_database",
     "read_wal",
     "run_process_shared_memory_epoch",
-    "run_shared_memory_epoch",
 ]

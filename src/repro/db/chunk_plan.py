@@ -1,10 +1,10 @@
 """Backend-neutral chunk planning for the cached columnar execution plane.
 
 Every execution backend — the serial executor (:mod:`repro.db.executor`), the
-shared-memory epoch (:mod:`repro.db.shared_memory`), the partitioned passes
-of :mod:`repro.db.pass_plan` and the pool workers — serves aggregates from
-the *same* cached decoded chunks: one chunk list per (table, decoder), which
-every filter, order and partition addresses by ordinal instead of copying.
+passes of :mod:`repro.db.pass_plan` and the pool workers — serves aggregates
+from the *same* cached decoded chunks: one chunk list per (table, decoder),
+which every filter, order and partition addresses by ordinal instead of
+copying.
 A :class:`ChunkPlan` bundles the decisions every backend makes:
 
 * **cache lookup** — batches are resolved through the shared
@@ -25,9 +25,9 @@ A :class:`ChunkPlan` bundles the decisions every backend makes:
   tail chunk, in the cache and in pool workers alike; and
 * **round-robin assignment** — :func:`split_round_robin` deals a visit
   sequence to parts as strided views (position ``j`` → part ``j % width``,
-  how a shared-nothing engine lays segments out);
-  :func:`partition_round_robin` is its list form, which the cooperative
-  shared-memory epoch interleaves the cached example list with.
+  how a shared-nothing engine lays segments out), and
+  :func:`interleave_round_robin` walks those parts back in windows, the
+  visit order of the simulated shared-memory epoch.
 """
 
 from __future__ import annotations
@@ -42,24 +42,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .table import Table
 
 
-def partition_round_robin(num_items: int, workers: int) -> list[list[int]]:
-    """Round-robin assignment of item ordinals to workers (segment layout)."""
-    partitions: list[list[int]] = [[] for _ in range(workers)]
-    for index in range(num_items):
-        partitions[index % workers].append(index)
-    return partitions
-
-
 def split_round_robin(ordinals: np.ndarray, workers: int) -> list[np.ndarray]:
     """Round-robin split of a resolved visit-ordinal array across workers.
 
-    Position ``i`` of the visit order goes to worker ``i % workers`` — the
-    identical layout :func:`partition_round_robin` gives segments, expressed
-    as strided views so no per-item Python loop runs.  The arithmetic under
+    Position ``i`` of the visit order goes to worker ``i % workers``, as
+    strided views so no per-item Python loop runs.  The arithmetic under
     :func:`~repro.db.pass_plan.partition_pass`, the partition contract every
     pass backend shares.
     """
     return [ordinals[worker::workers] for worker in range(workers)]
+
+
+def interleave_round_robin(order: np.ndarray, workers: int, window: int) -> np.ndarray:
+    """``order`` as ``workers`` round-robin parts visit it, ``window`` rows a turn.
+
+    Position ``j`` belongs to part ``j % workers`` (:func:`split_round_robin`)
+    at that part's step ``j // workers``.  Turns go round the parts in order,
+    each part taking its next ``window`` rows, until every part is drained —
+    the visit sequence of workers that each step a private copy over one
+    window and publish it before the next worker reads.  One ``lexsort`` on
+    (round, part, position); a width above ``len(order)`` leaves the extra
+    parts empty and the order unchanged.
+    """
+    order = np.asarray(order)
+    positions = np.arange(order.shape[0])
+    part = positions % workers
+    rounds = positions // workers // window
+    return order[np.lexsort((positions, part, rounds))]
 
 
 def _visit_ordinals(

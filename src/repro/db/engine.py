@@ -77,7 +77,7 @@ class Database:
             crashes if crashes is not None else crashes_from_env()
         )
         #: Structured RecoveryEvent / DegradationEvent log, appended to by
-        #: supervised pools and the degradation ladder.  The driver snapshots
+        #: supervised pools and the plans' fallbacks.  The driver snapshots
         #: it around a training run to report what a run absorbed.
         self.recovery_log: list = []
         #: Sticky flag: once the respawn budget is exhausted, process-backed

@@ -12,8 +12,8 @@ real.  Every pass the driver or the experiment harness runs per epoch —
 compiles to a small :class:`PassPlan` (pass kind, table + version snapshot,
 WHERE / row-order, parallel width, merge contract), and a
 single :class:`ExecutionBackend` protocol executes the plan on any of the
-four backends: serial, in-process shared-memory (the cooperative epoch
-simulation), segmented pure-UDA, or the forked
+four backends: serial, simulated shared-memory (serial IGD over the workers'
+window interleave), segmented pure-UDA, or the forked
 :class:`~repro.db.process_backend.ProcessWorkerPool`.  The driver's old
 spec×backend ``if/elif`` ladder collapses into ``compile_pass(...)`` +
 ``backend.run(plan)``, and — because loss/accuracy/generic passes ride the
@@ -36,13 +36,13 @@ once, on :func:`partition_pass`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .aggregates import merge_partial_states
-from .chunk_plan import resolve_ordinals, split_round_robin
+from .chunk_plan import interleave_round_robin, resolve_ordinals, split_round_robin
 from .errors import ExecutionError, WorkerDiedError
 from .expressions import ColumnRef
 
@@ -66,10 +66,10 @@ PASS_KINDS = ("train", "loss", "accuracy", "generic")
 class TrainEpochContext:
     """Everything a training-epoch plan carries beyond the aggregate pass.
 
-    The shared-memory backends do not run the UDA protocol at all — they race
-    workers on one shared model — so the plan keeps the raw ingredients
-    (task, model, schedule, proximal, epoch bookkeeping, parallelism spec)
-    alongside the aggregate factory that the UDA backends use.
+    The process shared-memory epoch does not run the UDA protocol at all —
+    it races workers on one shared model — so the plan keeps the raw
+    ingredients (task, model, schedule, proximal, epoch bookkeeping,
+    parallelism spec) alongside the aggregate factory the other backends use.
     """
 
     task: "Task"
@@ -332,7 +332,7 @@ def _retry_then_degrade(
     attempt: Callable[[], Any],
     *,
     from_backend: str,
-    ladder: "Sequence[tuple[str, Callable[[], Any]]]",
+    fallback: "tuple[str, Callable[[], Any]]",
     reset: "Callable[[], None] | None" = None,
 ) -> Any:
     """The one retry-then-degrade policy of process-backed plans.
@@ -342,13 +342,12 @@ def _retry_then_degrade(
     :class:`~repro.db.errors.WorkerDiedError` after the pool respawned the
     casualties: ``attempt`` is simply re-run (after ``reset`` undid whatever
     the aborted attempt mutated).  Once the respawn budget is exhausted
-    (``recoverable=False``) the pass walks ``ladder`` — ``(backend name,
-    runner)`` rungs, taking the next rung when one refuses the plan with an
-    :class:`ExecutionError` — emitting one structured
-    :class:`~repro.db.supervisor.DegradationEvent` per rung instead of
-    raising.  The engine's sticky ``process_degraded`` flag routes every
-    later plan of the run down the ladder immediately rather than rebuilding
-    (and re-losing) a pool each epoch.
+    (``recoverable=False``) the pass runs ``fallback`` — ``(backend name,
+    runner)``, the same plan in this process — after emitting one structured
+    :class:`~repro.db.supervisor.DegradationEvent` instead of raising.  The
+    engine's sticky ``process_degraded`` flag routes every later plan of the
+    run to its fallback immediately rather than rebuilding (and re-losing) a
+    pool each epoch.
     """
     from .supervisor import DegradationEvent
 
@@ -362,21 +361,16 @@ def _retry_then_degrade(
             if not error.recoverable:
                 engine.mark_process_degraded()
                 reason = str(error)
-    for rung, (to_backend, runner) in enumerate(ladder):
-        engine.record_recovery_event(
-            DegradationEvent(
-                plan_kind=plan.kind,
-                from_backend=from_backend,
-                to_backend=to_backend,
-                reason=reason,
-            )
+    to_backend, runner = fallback
+    engine.record_recovery_event(
+        DegradationEvent(
+            plan_kind=plan.kind,
+            from_backend=from_backend,
+            to_backend=to_backend,
+            reason=reason,
         )
-        try:
-            return runner()
-        except ExecutionError as error:
-            if rung == len(ladder) - 1:
-                raise
-            from_backend, reason = to_backend, str(error)
+    )
+    return runner()
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +424,16 @@ class SerialBackend(ExecutionBackend):
 
 
 class SharedMemoryBackend(ExecutionBackend):
-    """The cooperative in-process shared-memory epoch (deterministic traces)."""
+    """The simulated shared-memory epoch: serial IGD over the window interleave.
+
+    Workers that take turns, each stepping a private copy of the model over
+    its next ``effective_staleness()`` rows and publishing it before the
+    next worker reads, visit the rows in
+    :func:`~repro.db.chunk_plan.interleave_round_robin` order and never see
+    a stale model.  So the epoch is :class:`SerialBackend`'s run of the same
+    plan over that order; the three schemes differ only in their default
+    window.
+    """
 
     name = "shared_memory"
 
@@ -438,28 +441,15 @@ class SharedMemoryBackend(ExecutionBackend):
         self.engine = engine
 
     def run(self, plan: PassPlan) -> Any:
-        from .shared_memory import run_shared_memory_epoch
-
-        plan.revalidate()
         if plan.kind != "train":
             raise ExecutionError(
                 "the shared-memory epoch backend only executes train plans; "
                 "evaluation passes compile to the serial or process backends"
             )
-        context = plan.train
-        return run_shared_memory_epoch(
-            plan.table,
-            context.task,
-            context.model,
-            context.schedule,
-            spec=context.spec,
-            epoch=context.epoch,
-            step_offset=context.step_offset,
-            proximal=context.proximal,
-            arena=self.engine.shared_memory,
-            cache=self.engine.executor.example_cache,
-            row_order=plan.row_order,
-        )
+        spec = plan.train.spec
+        order = np.arange(len(plan.table)) if plan.row_order is None else plan.row_order
+        visit = interleave_round_robin(order, spec.workers, spec.effective_staleness())
+        return SerialBackend(self.engine).run(replace(plan, row_order=visit))
 
 
 class SegmentedBackend(ExecutionBackend):
@@ -480,7 +470,7 @@ class SegmentedBackend(ExecutionBackend):
 
         Pure-UDA segment passes are deterministic (shared-nothing partitions,
         left-to-right merge), so a retried pass re-runs bit-for-bit, and the
-        one degradation rung is the in-process segmented engine — the same
+        one fallback is the in-process segmented engine — the same
         partitions on one core.
         """
         if not self.process:
@@ -490,7 +480,7 @@ class SegmentedBackend(ExecutionBackend):
             plan,
             lambda: self._run(plan, "process"),
             from_backend="segmented_process",
-            ladder=[("segmented", lambda: self._run(plan, "in_process"))],
+            fallback=("segmented", lambda: self._run(plan, "in_process")),
         )
 
     def _run(self, plan: PassPlan, backend: str) -> Any:
@@ -523,9 +513,9 @@ class ProcessBackend(ExecutionBackend):
     bit-for-bit (nothing was mutated — the aborted partials were discarded),
     while racy shared-memory train epochs restore the model from a snapshot
     taken at epoch start, so a retried epoch never trains on the half-written
-    model the failed attempt raced on.  Train plans degrade to the
-    cooperative shared-memory backend, then serial; evaluation plans fall
-    straight to serial.
+    model the failed attempt raced on.  Every plan degrades to
+    :class:`SerialBackend` of the same plan: bit-for-bit for evaluation, and
+    for a train plan the serial epoch over the plan's own visit order.
     """
 
     name = "process"
@@ -536,10 +526,8 @@ class ProcessBackend(ExecutionBackend):
     def run(self, plan: PassPlan) -> Any:
         plan.revalidate()
         engine = self.engine
-        ladder = [("serial", lambda: SerialBackend(engine).run(plan))]
         snapshot = None
         if plan.kind == "train":
-            ladder.insert(0, ("shared_memory", lambda: SharedMemoryBackend(engine).run(plan)))
             # Racy shared-memory epochs mutate the mmap'd model in place; a
             # retried epoch must start from the epoch-start model, not from
             # whatever the aborted attempt half-wrote.
@@ -558,7 +546,7 @@ class ProcessBackend(ExecutionBackend):
             plan,
             lambda: self._execute(plan),
             from_backend="process",
-            ladder=ladder,
+            fallback=("serial", lambda: SerialBackend(engine).run(plan)),
             reset=reset,
         )
 

@@ -5,7 +5,7 @@ to *measured*: OS worker processes race on a single mmap-shared model
 (:mod:`repro.db.shared_memory` arena segments) or train shared-nothing
 partitions that are merged by the pure-UDA ``merge`` function — the two
 parallelisation mechanisms of Section 3.3, executed by real processes rather
-than a cooperative in-process simulation.
+than simulated by a visit order in process.
 
 Architecture:
 
@@ -1047,7 +1047,7 @@ def run_process_shared_memory_epoch(
     the whole read-compute-write cycle.  Each worker gathers its share of
     the table's resident chunk list (the loss pass's payload); a logical
     ``row_order`` re-partitions the permuted ordinal sequence with the same
-    round-robin contract as the cooperative runner.
+    round-robin contract as every other partitioned pass.
 
     Results are **not** deterministic — real races are the entire point — so
     callers pin convergence with objective-band assertions, never equality.
@@ -1063,7 +1063,7 @@ def run_process_shared_memory_epoch(
     # The logical sequence is the order list itself (which may visit only a
     # subset of rows — partial_fit's delta epochs do); without one it is the
     # whole table.  Round-robin partitioning runs over logical positions,
-    # matching the cooperative in-process runner.
+    # as :func:`~repro.db.chunk_plan.split_round_robin` deals them.
     order = range(len(table)) if row_order is None else np.asarray(row_order, dtype=np.intp)
     total_positions = len(order)
     if total_positions == 0:

@@ -1,24 +1,27 @@
-"""Shared-memory execution for UDAs: the arena facility plus the epoch runner.
+"""Shared memory for UDAs: the ``/dev/shm`` arena, chunk pages and the spec.
 
 Section 3.3 of the paper relies on the fact that all three RDBMSes expose a
 way for user code to allocate and manage shared memory, so the model being
 learned can live outside the per-aggregate state and be updated concurrently
-by several workers.  This module is the single home for everything
-shared-memory (the epoch runner used to live in :mod:`repro.core.parallel`,
-which still re-exports it for back-compat):
+by several workers.  This module holds the memory side of that:
 
 * a named arena of **real** shared-memory numpy arrays
   (:class:`SharedMemoryArena`) — every segment is backed by a
   ``multiprocessing.shared_memory`` (``/dev/shm`` mmap) block, so worker
   *processes* attach to the same physical pages the parent allocated;
-* per-segment process-safe locks (:meth:`SharedSegment.lock`) for the "Lock"
-  and "AIG" schemes;
-* raw unsynchronised access for the "NoLock" (Hogwild) scheme — on the
-  process backend this is a genuinely racy read-modify-write on the mmap'd
-  pages; and
-* the cooperative epoch simulation itself (:func:`run_shared_memory_epoch`)
-  with its :class:`SharedMemoryParallelism` spec.  The *real* multi-process
-  epoch lives in :mod:`repro.db.process_backend` and reuses the same arena.
+* one-shot published payload pages (:class:`ChunkPageSet`), the process
+  pool's zero-copy transport; and
+* the :class:`SharedMemoryParallelism` spec.
+
+The spec runs two ways.  ``backend="process"`` races real OS workers on an
+arena segment (:mod:`repro.db.process_backend`; ``nolock`` is an
+unsynchronised read-modify-write of the mmap'd pages, Hogwild! as Niu et
+al. describe it).  The default ``"simulated"`` backend never leaves this
+process and needs no shared memory: workers taking turns that each step a
+private copy over one window and publish it before the next reads make
+serial IGD over the round-robin window interleave
+(:func:`~repro.db.chunk_plan.interleave_round_robin`), which is what
+:class:`~repro.db.pass_plan.SharedMemoryBackend` runs.
 
 Lifecycle: interrupted runs must not leak ``/dev/shm`` blocks, so the arena
 is a context manager, every arena registers itself for a process-exit sweep
@@ -30,29 +33,19 @@ from __future__ import annotations
 
 import atexit
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _mp_shared_memory
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .chunk_plan import partition_round_robin
 from .errors import SharedMemoryError
-from .table import Table
-from .types import Row
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.model import Model
-    from ..core.proximal import ProximalOperator
-    from ..core.stepsize import StepSizeSchedule
-    from ..tasks.base import ExampleCache, Task
-
-#: Fork context (lazy): segment locks are OS semaphores that forked worker
-#: processes inherit, and fork is how the process backend spawns its workers.
-#: Resolved on first use so merely importing this module works on platforms
-#: without fork (the process backend itself requires it, serial use doesn't).
+#: Fork context (lazy): the process pool forks its workers, which inherit its
+#: publication lock.  Resolved on first use so merely importing this module
+#: works on platforms without fork (the process backend itself requires it,
+#: serial use doesn't).
 _MP_CONTEXT = None
 
 
@@ -231,17 +224,14 @@ class SharedSegment:
     The array is a view over a ``multiprocessing.shared_memory`` block, so a
     worker process that attaches to :attr:`os_name` (via
     :func:`attach_shared_array`) reads and writes the *same* physical memory.
-    The lock is a process-shared OS semaphore: it synchronises forked workers
-    that inherited it, as well as in-process cooperative workers.
     """
 
-    __slots__ = ("name", "array", "_shm", "_lock", "_freed")
+    __slots__ = ("name", "array", "_shm", "_freed")
 
-    def __init__(self, name: str, array: np.ndarray, shm: Any = None, lock: Any = None):
+    def __init__(self, name: str, array: np.ndarray, shm: Any = None):
         self.name = name
         self.array = array
         self._shm = shm
-        self._lock = lock if lock is not None else fork_context().Lock()
         self._freed = False
 
     @property
@@ -252,16 +242,6 @@ class SharedSegment:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.array.shape)
-
-    @contextmanager
-    def lock(self) -> Iterator[np.ndarray]:
-        """Acquire the segment lock and yield the array (Lock and AIG publishes)."""
-        with self._lock:
-            yield self.array
-
-    def snapshot(self) -> np.ndarray:
-        """Copy of the current contents (a worker's possibly-stale read)."""
-        return self.array.copy()
 
     def release(self) -> None:
         """Unlink the OS block and drop the view.  Idempotent.
@@ -347,9 +327,6 @@ class SharedMemoryArena:
         except KeyError:
             raise SharedMemoryError(f"no shared segment named {name!r}") from None
 
-    def exists(self, name: str) -> bool:
-        return name in self._segments
-
     def free(self, name: str) -> None:
         """Free a segment; freeing a missing or already-freed name is a no-op.
 
@@ -390,7 +367,7 @@ class SharedMemoryArena:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory epoch simulation (Section 3.3)
+# The shared-memory parallelism spec (Section 3.3)
 # ---------------------------------------------------------------------------
 SHARED_MEMORY_SCHEMES = ("lock", "aig", "nolock")
 SHARED_MEMORY_BACKENDS = ("simulated", "process")
@@ -402,16 +379,18 @@ class SharedMemoryParallelism:
 
     scheme: str = "nolock"
     workers: int = 8
-    #: How many examples a worker processes against one stale snapshot before
-    #: publishing its delta.  None picks the scheme default (1 for lock/aig,
-    #: ``workers`` for nolock, approximating Hogwild staleness).  The window
-    #: applies to the simulated backend and to process ``lock``/``aig``; process
-    #: ``nolock`` steps the live pages, where the real race is the staleness.
+    #: Rows a worker steps per turn.  None picks the scheme default (1 for
+    #: lock/aig, ``workers`` for nolock, approximating Hogwild staleness).
+    #: Simulated, it is the window of the round-robin interleave the epoch
+    #: visits; process ``lock``/``aig`` step that many rows per locked
+    #: publish; process ``nolock`` steps the live pages, where the real race
+    #: is the staleness.
     staleness: int | None = None
-    #: ``"simulated"`` (default) interleaves the workers cooperatively in one
-    #: process — deterministic, used by the convergence experiments.
-    #: ``"process"`` runs real OS worker processes racing on an mmap-shared
-    #: model (:mod:`repro.db.process_backend`) — the measured Figure 9B path.
+    #: ``"simulated"`` (default) runs serial IGD in this process over the
+    #: workers' round-robin window interleave — deterministic, used by the
+    #: convergence experiments.  ``"process"`` runs real OS worker processes
+    #: racing on an mmap-shared model (:mod:`repro.db.process_backend`) — the
+    #: measured Figure 9B path.
     backend: str = "simulated"
     name: str = "shared_memory"
 
@@ -437,120 +416,3 @@ class SharedMemoryParallelism:
         if self.scheme == "nolock":
             return max(1, self.workers)
         return 1
-
-
-def run_shared_memory_epoch(
-    examples: "Sequence[Any] | Table",
-    task: "Task",
-    model: "Model",
-    step_size: "StepSizeSchedule | float | dict",
-    *,
-    spec: SharedMemoryParallelism,
-    epoch: int = 0,
-    step_offset: int = 0,
-    proximal: "ProximalOperator | None" = None,
-    arena: SharedMemoryArena | None = None,
-    segment_name: str = "bismarck_model",
-    cache: "ExampleCache | None" = None,
-    row_order: "Sequence[int] | None" = None,
-) -> "tuple[Model, int]":
-    """Run one epoch of shared-memory parallel IGD (cooperative simulation).
-
-    ``examples`` is either a Table, served from ``cache`` (the engine
-    executor's :class:`~repro.tasks.base.ExampleCache`, which decodes it once
-    per table version through the task — any task, batchable or not — so
-    every worker slices the *same* cached example list zero-copy), or a
-    sequence of examples (rows are converted through the task), the
-    reference form tests compare against.  Returns the updated model and
-    the number of gradient steps taken.
-
-    ``row_order`` optionally imposes a logical visit order (a permutation of
-    example ordinals): workers then partition the *permuted* ordinal sequence.
-    This is a zero-copy gather of the cached decoded example list, so logical
-    shuffle-once / shuffle-always re-orders epochs without invalidating the
-    cache or re-decoding a single tuple.
-
-    This runner interleaves the workers cooperatively in one process, which
-    is what makes the lock/AIG/NoLock convergence traces deterministic
-    (Figure 9A).  The *measured* wall-clock path — real worker processes
-    attached to the same mmap'd model — is
-    :func:`repro.db.process_backend.run_process_shared_memory_epoch`.
-    """
-    from ..core.proximal import IdentityProximal
-    from ..core.stepsize import make_schedule
-
-    schedule = make_schedule(step_size)
-    proximal = proximal if proximal is not None else task.proximal or IdentityProximal()
-    if isinstance(examples, Table):
-        materialized = cache.examples_for(examples, task)
-        # One logical scan of the table's data per epoch.
-        examples.scan_count += 1
-    else:
-        materialized = [
-            task.example_from_row(item) if isinstance(item, Row) else item
-            for item in examples
-        ]
-    if row_order is not None:
-        # Zero-copy gather: the permuted list shares the decoded examples, so
-        # a cached epoch under a fresh logical shuffle re-decodes nothing.
-        materialized = [materialized[int(i)] for i in row_order]
-    num_examples = len(materialized)
-    if num_examples == 0:
-        return model, 0
-
-    workers = min(spec.workers, num_examples)
-    staleness = spec.effective_staleness()
-    partitions = partition_round_robin(num_examples, workers)
-
-    # The shared model lives in the arena as a flat vector, as it would in a
-    # real shared-memory segment.
-    arena = arena or SharedMemoryArena()
-    if arena.exists(segment_name):
-        arena.free(segment_name)
-    segment = arena.allocate_from(segment_name, model.as_flat_vector())
-
-    cursors = [0] * workers
-    steps_taken = 0
-    total_steps_planned = num_examples
-    # Scratch model reused for snapshot-based local computation.
-    scratch = model.copy()
-
-    while steps_taken < total_steps_planned:
-        progressed = False
-        for worker in range(workers):
-            partition = partitions[worker]
-            cursor = cursors[worker]
-            if cursor >= len(partition):
-                continue
-            batch = partition[cursor:cursor + staleness]
-            cursors[worker] = cursor + len(batch)
-            progressed = True
-
-            snapshot = segment.snapshot()
-            scratch.load_flat_vector(snapshot)
-            for offset, example_index in enumerate(batch):
-                step_index = step_offset + steps_taken + offset
-                alpha = schedule.step_size(step_index, epoch)
-                task.gradient_step(scratch, materialized[example_index], alpha)
-                proximal.apply(scratch, alpha)
-            delta = scratch.as_flat_vector() - snapshot
-            steps_taken += len(batch)
-
-            if spec.scheme == "lock":
-                with segment.lock() as shared:
-                    shared += delta
-            else:
-                # AIG publishes per-component adds under the lock; NoLock
-                # (Hogwild) adds unsynchronised.  Same float adds either way.
-                nonzero = np.nonzero(delta)[0]
-                if spec.scheme == "aig":
-                    with segment.lock() as shared:
-                        shared[nonzero] += delta[nonzero]
-                else:
-                    segment.array[nonzero] += delta[nonzero]
-        if not progressed:
-            break
-
-    model.load_flat_vector(segment.array)
-    arena.free(segment_name)
-    return model, steps_taken

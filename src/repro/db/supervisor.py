@@ -27,7 +27,7 @@ op of a lost worker was ``shmem_epoch``, recovery therefore rebuilds the
 The respawn budget (``max_respawns``) counts recovery *rounds* — incidents —
 not individual worker forks, precisely because one shmem incident can respawn
 the whole fleet.  When the budget is exhausted the pool closes itself and
-raises ``recoverable=False``; the degradation ladder takes over from there.
+raises ``recoverable=False``; the plan's in-process fallback takes over.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class RecoveryEvent:
 
 @dataclass(frozen=True)
 class DegradationEvent:
-    """A pass was re-routed down the backend ladder instead of failing.
+    """A pass fell back to an in-process backend instead of failing.
 
     Emitted by the plan backends when the process backend is
     unavailable (respawn budget exhausted): ``from_backend`` → ``to_backend``

@@ -4,8 +4,9 @@ Figure 9(A): objective vs. epochs for the pure-UDA (model-averaging) scheme
 against the shared-memory schemes (Lock, AIG, NoLock) on the CRF workload with
 8 workers/segments.  The expected shape: model averaging converges worse per
 epoch; Lock, AIG and NoLock are nearly identical.  This experiment keeps the
-deterministic cooperative simulation — it is about *convergence*, and the
-simulated interleaving makes the traces reproducible.
+deterministic simulation — serial IGD over the workers' round-robin window
+interleave — because it is about *convergence*, and a fixed visit order makes
+the traces reproducible.
 
 Figure 9(B): speed-up of the per-epoch gradient computation against the
 number of workers, on the scalability classification dataset.  This is

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.driver import IGDConfig, train
 from repro.core.model import Model
 from repro.core.parallel import PureUDAParallelism, SharedMemoryParallelism
+from repro.core.stepsize import make_schedule
 from repro.core.uda import AccuracyAggregate, IGDAggregate, LossAggregate
 from repro.data import (
     load_classification_table,
@@ -39,11 +40,17 @@ from repro.data import (
     make_sequences,
     make_sparse_classification,
 )
+from repro.db.chunk_plan import interleave_round_robin
 from repro.db.engine import Database
 from repro.db.errors import ExecutionError
 from repro.db.expressions import BinaryOp, ColumnRef, Literal
 from repro.db.parallel import SegmentedDatabase
-from repro.db.shared_memory import run_shared_memory_epoch
+from repro.db.pass_plan import (
+    SerialBackend,
+    SharedMemoryBackend,
+    TrainEpochContext,
+    compile_pass,
+)
 from repro.tasks import (
     ConditionalRandomFieldTask,
     KalmanSmoothingTask,
@@ -552,30 +559,60 @@ class TestStructuredTaskParity:
 @pytest.mark.backends
 class TestBackendChunkParity:
     @pytest.mark.parametrize("scheme", ["lock", "aig", "nolock"])
-    def test_shared_memory_cached_epoch_matches_example_list(self, scheme):
-        """The engine's epoch reads the example cache; the runner fed the
-        decoded example list is its reference, and the twin's run (whose
-        loss pass folds rows) trains the same model."""
+    def test_shared_memory_rows_twin_matches_chunked(self, scheme):
+        """The twin folds the interleave row by row (its loss pass too), the
+        task on the chunk plane: the same model and trace."""
         spec = SharedMemoryParallelism(scheme=scheme, workers=4)
         data = make_dense_classification(80, 6, seed=3)
         results = []
         for task_cls in (PerTupleOnlyTask, LogisticRegressionTask):
             database = Database("postgres", seed=0)
-            table = load_classification_table(database, "points", data.examples, sparse=False)
+            load_classification_table(database, "points", data.examples, sparse=False)
             results.append(train(
                 task_cls(data.dimension), database, "points",
                 config=IGDConfig(step_size=0.1, max_epochs=3, ordering="shuffle_once",
                                  seed=4, parallelism=spec),
             ))
         assert_same_run(*results, "w")
-        task = LogisticRegressionTask(data.dimension)
-        examples = [task.example_from_row(row) for row in table.scan()]
-        listed, _ = run_shared_memory_epoch(examples, task, task.initial_model(), 0.1, spec=spec)
-        cached, _ = run_shared_memory_epoch(
-            table, task, task.initial_model(), 0.1, spec=spec,
-            cache=database.executor.example_cache,
-        )
-        assert np.array_equal(listed["w"], cached["w"])
+
+    @pytest.mark.parametrize("scheme", ["lock", "nolock"])
+    @pytest.mark.parametrize("case", ["lr_dense", "lr_sparse", "lr_rows", "crf"])
+    def test_shared_memory_epoch_is_serial_igd_over_the_interleave(self, case, scheme):
+        """One simulated epoch is bit-for-bit the serial backend's epoch over
+        the workers' window interleave of the plan's visit order."""
+        database = Database("postgres", seed=0)
+        if case == "crf":
+            corpus = make_sequences(30, num_labels=3, seed=0)
+            table = load_sequences_table(database, "t", corpus.examples)
+            task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
+        else:
+            sparse = case == "lr_sparse"
+            data = (make_sparse_classification(90, 40, nonzeros_per_example=5, seed=1)
+                    if sparse else make_dense_classification(90, 6, seed=3))
+            table = load_classification_table(database, "t", data.examples, sparse=sparse)
+            task_cls = PerTupleOnlyTask if case == "lr_rows" else LogisticRegressionTask
+            task = task_cls(data.dimension)
+        spec = SharedMemoryParallelism(scheme=scheme, workers=4)
+        order = np.random.default_rng(2).permutation(len(table))
+        schedule = make_schedule({"kind": "epoch_decay", "alpha0": 0.1, "decay": 0.9})
+        model = task.initial_model()
+
+        def plan(row_order):
+            factory = lambda: IGDAggregate(  # noqa: E731
+                task, schedule, initial_model=model, epoch=1, step_offset=90
+            )
+            context = TrainEpochContext(
+                task=task, model=model, schedule=schedule, proximal=task.proximal,
+                epoch=1, step_offset=90, spec=spec,
+            )
+            return compile_pass("train", table, factory, row_order=row_order, train=context)
+
+        simulated, steps = SharedMemoryBackend(database).run(plan(order))
+        visit = interleave_round_robin(order, spec.workers, spec.effective_staleness())
+        serial, serial_steps = SerialBackend(database).run(plan(visit))
+        assert steps == serial_steps == len(table)
+        for name in model.component_names():
+            assert np.array_equal(simulated[name], serial[name])
 
     def test_shared_memory_crf_matches_per_tuple(self):
         spec = SharedMemoryParallelism(scheme="nolock", workers=4)
@@ -1016,8 +1053,8 @@ class TestLogicalOrderingCachePlane:
             )
             results.append(result)
         assert np.array_equal(results[0].model["w"], results[1].model["w"])
-        # cached run: one example-list decode + one batch decode (loss pass)
-        assert database.executor.example_cache.misses == 2
+        # cached run: one batch decode, shared by the gradient and loss passes
+        assert database.executor.example_cache.misses == 1
 
     def test_logical_shuffle_always_segmented_parity_and_cache(self):
         results = []

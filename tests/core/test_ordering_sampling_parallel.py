@@ -6,9 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ClusteredOrder,
+    IGDConfig,
     MultiplexedReservoir,
     PureUDAParallelism,
     ReservoirSampler,
@@ -18,8 +21,6 @@ from repro.core import (
     Subsample,
     make_ordering,
     make_schedule,
-    partition_round_robin,
-    run_shared_memory_epoch,
     train,
 )
 from repro.data import (
@@ -27,7 +28,7 @@ from repro.data import (
     make_dense_classification,
     make_sparse_classification,
 )
-from repro.db import ColumnType, Database, Schema, Table
+from repro.db import ColumnType, Database, Schema, Table, interleave_round_robin
 from repro.tasks import LogisticRegressionTask
 
 
@@ -416,51 +417,48 @@ class TestSharedMemoryEpoch:
     @pytest.fixture
     def workload(self):
         dataset = make_dense_classification(100, 5, seed=2)
-        return dataset.examples, LogisticRegressionTask(5)
+        database = Database("postgres", seed=0)
+        load_classification_table(database, "points", dataset.examples, sparse=False)
+        return database, dataset.examples, LogisticRegressionTask(5)
+
+    @staticmethod
+    def one_epoch(database, task, scheme, **config):
+        return train(
+            task, database, "points",
+            config=IGDConfig(
+                step_size=0.1, max_epochs=1, ordering="clustered", seed=0,
+                parallelism=SharedMemoryParallelism(scheme=scheme, workers=4), **config,
+            ),
+        )
 
     @pytest.mark.parametrize("scheme", ["lock", "aig", "nolock"])
     def test_all_schemes_make_progress(self, workload, scheme):
-        examples, task = workload
-        model = task.initial_model()
-        before = task.total_loss(model, examples)
-        updated, steps = run_shared_memory_epoch(
-            examples, task, model, 0.1,
-            spec=SharedMemoryParallelism(scheme=scheme, workers=4),
-        )
-        after = task.total_loss(updated, examples)
-        assert steps == len(examples)
-        assert after < before
+        database, examples, task = workload
+        before = task.total_loss(task.initial_model(), examples)
+        result = self.one_epoch(database, task, scheme)
+        assert result.history[0].gradient_steps == len(examples)
+        assert task.total_loss(result.model, examples) < before
 
     def test_lock_scheme_matches_round_robin_serial(self, workload):
-        examples, task = workload
-        model = task.initial_model()
-        updated, _ = run_shared_memory_epoch(
-            examples, task, model, 0.1,
-            spec=SharedMemoryParallelism(scheme="lock", workers=4),
-        )
+        database, examples, task = workload
+        updated = self.one_epoch(database, task, "lock").model
         # Serial reference following the same round-robin worker interleaving.
         reference = task.initial_model()
-        partitions = partition_round_robin(len(examples), 4)
-        cursors = [0] * 4
-        remaining = len(examples)
-        step = 0
-        while remaining:
-            for worker in range(4):
-                if cursors[worker] < len(partitions[worker]):
-                    index = partitions[worker][cursors[worker]]
-                    task.gradient_step(reference, examples[index], 0.1)
-                    cursors[worker] += 1
-                    remaining -= 1
-                    step += 1
+        partitions = [list(range(worker, len(examples), 4)) for worker in range(4)]
+        for turn in range(len(partitions[0])):
+            for partition in partitions:
+                if turn < len(partition):
+                    task.gradient_step(reference, examples[partition[turn]], 0.1)
         assert updated.allclose(reference, atol=1e-9)
 
-    def test_empty_input(self, workload):
-        _, task = workload
-        model = task.initial_model()
-        updated, steps = run_shared_memory_epoch(
-            [], task, model, 0.1, spec=SharedMemoryParallelism(scheme="nolock", workers=4)
+    def test_empty_table(self, workload):
+        database, _, task = workload
+        database.create_table("empty", [("vec", "float[]"), ("label", "float")])
+        result = train(
+            task, database, "empty",
+            config=IGDConfig(max_epochs=1, parallelism=SharedMemoryParallelism(workers=4)),
         )
-        assert steps == 0
+        assert result.history[0].gradient_steps == 0
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -474,12 +472,47 @@ class TestSharedMemoryEpoch:
         assert SharedMemoryParallelism(scheme="nolock", workers=8, staleness=3).effective_staleness() == 3
 
 
+def cooperative_visits(order, workers, window):
+    """The visit sequence of the per-example loop the interleave replaced.
+
+    Workers own positions ``j % workers`` of ``order``; each turn a worker
+    steps its next ``window`` rows, and turns go round until all are drained.
+    """
+    workers = min(workers, len(order))
+    partitions = [[] for _ in range(workers)]
+    for index in range(len(order)):
+        partitions[index % workers].append(index)
+    cursors = [0] * workers
+    visits = []
+    while len(visits) < len(order):
+        for worker in range(workers):
+            batch = partitions[worker][cursors[worker]:cursors[worker] + window]
+            cursors[worker] += len(batch)
+            visits.extend(int(order[index]) for index in batch)
+    return visits
+
+
 @pytest.mark.backends
 class TestPartitioningContract:
-    def test_partition_round_robin(self):
-        partitions = partition_round_robin(10, 3)
-        assert [len(p) for p in partitions] == [4, 3, 3]
-        assert sorted(i for p in partitions for i in p) == list(range(10))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(0, 60),
+        workers=st.integers(1, 10),
+        window=st.integers(1, 12),
+        shuffled=st.booleans(),
+    )
+    def test_interleave_round_robin(self, data, n, workers, window, shuffled):
+        order = np.arange(n) if not shuffled else np.array(
+            data.draw(st.permutations(range(n))), dtype=np.intp
+        )
+        visits = interleave_round_robin(order, workers, window)
+        assert sorted(visits.tolist()) == sorted(order.tolist())
+        position = {int(item): at for at, item in enumerate(visits)}
+        for worker in range(workers):
+            seen = [position[int(item)] for item in order[worker::workers]]
+            assert seen == sorted(seen)
+        assert visits.tolist() == cooperative_visits(order, workers, window)
 
     def test_pure_uda_spec_dataclass(self):
         spec = PureUDAParallelism()

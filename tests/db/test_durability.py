@@ -744,7 +744,7 @@ class TestDurabilityFaultInterplay:
         recovered.close()
 
     def test_degradation_fallback_with_live_wal(self, tmp_path):
-        """The PR-6 degradation ladder falls back while a WAL is live."""
+        """A segmented pass falls back in process while a WAL is live."""
         from repro.core.parallel import PureUDAParallelism
 
         dataset = _sparse_dataset()

@@ -139,7 +139,7 @@ class TestPureUDAProcessParity:
     def test_merge_count_is_segments_minus_one(self, lr_workload, backend):
         """Both backends merge through merge_partial_states: n - 1 merges."""
         dataset, task = lr_workload
-        # Fault-free: the direct call sits below SegmentedBackend's retry ladder.
+        # Fault-free: the direct call sits below SegmentedBackend's retry and fallback.
         with SegmentedDatabase(3, "dbms_b", seed=0, faults=()) as database:
             load_classification_table(database, "pts", dataset.examples, sparse=True)
             outcome = database.run_parallel_aggregate(

@@ -4,7 +4,7 @@ The ISSUE-7 acceptance bars:
 
 * **bit-for-bit parity** — an incrementally-extended example cache produces
   models identical to a cold decode at the same final version, on every
-  backend whose execution is deterministic (serial, cooperative shared
+  backend whose execution is deterministic (serial, simulated shared
   memory, segmented in-process, segmented process, single-worker process
   shared memory);
 * **delta-only decode** — the decode-row counter charges appends for the

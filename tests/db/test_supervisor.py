@@ -8,9 +8,9 @@ The contract under test (the ISSUE-6 acceptance bar):
   within the objective band for racy shared-memory schemes;
 * dead/hung workers are detected (deadline-bounded pipe reads), terminated,
   respawned, and replayed their pickled-once payloads by key;
-* when the respawn budget is exhausted, passes walk the degradation ladder
-  (process → shared_memory → serial for train; process → serial for
-  evaluation) emitting structured DegradationEvents instead of raising;
+* when the respawn budget is exhausted, every pass falls back to the serial
+  backend of the same plan (process → serial, train and evaluation alike),
+  emitting one structured DegradationEvent instead of raising;
 * zero leaked ``/dev/shm`` segments and zero stray
   ``multiprocessing.active_children()`` after every recovery.
 """
@@ -36,6 +36,7 @@ from repro.db import (
     ProcessWorkerPool,
     SegmentedDatabase,
     SerialBackend,
+    SharedMemoryBackend,
     WorkerDiedError,
     compile_pass,
 )
@@ -445,11 +446,17 @@ class TestWholeLoopAcceptance:
         assert multiprocessing.active_children() == []
         assert _shm_entries() <= before
 
-    def test_budget_exhausted_train_degrades_down_the_ladder(self, workload):
-        """process → shared_memory for train, → serial for loss; run completes."""
+    def test_budget_exhausted_train_degrades_down_the_ladder(self, workload, monkeypatch):
+        """process → serial for train and loss alike; the simulated
+        shared-memory backend is no rung, and the run completes."""
         dataset, task = workload
         faults = (FaultPlan("kill", worker=1, epoch=0, op="shmem_epoch"),)
         policy = RecoveryPolicy(timeout=30.0, max_respawns=0, backoff=0.0)
+
+        def refuse(_backend, _plan):
+            raise AssertionError("a degraded process plan ran SharedMemoryBackend")
+
+        monkeypatch.setattr(SharedMemoryBackend, "run", refuse)
         with make_database(dataset, faults=faults, policy=policy) as database:
             result = train(
                 task, database, "pts",
@@ -461,13 +468,16 @@ class TestWholeLoopAcceptance:
                 ),
             )
             assert result.epochs_run == 2 and result.degraded
-            ladder = [
-                (e.from_backend, e.to_backend)
+            degradations = [
+                (e.plan_kind, e.from_backend, e.to_backend)
                 for e in result.recovery_events
                 if isinstance(e, DegradationEvent)
             ]
-            assert ("process", "shared_memory") in ladder  # train fallback
-            assert ("process", "serial") in ladder         # loss fallback
+            # One event per train plan, each naming the one fallback.
+            assert [d for d in degradations if d[0] == "train"] == [
+                ("train", "process", "serial")
+            ] * result.epochs_run
+            assert {d[1:] for d in degradations} == {("process", "serial")}
             assert np.isfinite(result.final_objective)
         assert multiprocessing.active_children() == []
 

@@ -12,7 +12,7 @@ The shuffle policies support two modes:
 * ``mode="logical"`` (the default) — the policy produces a *permutation* over
   a stable table version instead of rewriting the heap.  The driver feeds the
   permutation to the execution backends as an explicit row order, which the
-  chunk plane serves by gathering from its cached decoded examples.  Because
+  chunk plane walks over its cached decoded examples.  Because
   the table is never mutated, the example cache survives re-shuffles:
   shuffle-always stops re-decoding every epoch.
 * ``mode="physical"`` — the original behaviour: the policy physically
@@ -193,8 +193,8 @@ class ShuffleOnce(OrderingPolicy):
 
     In logical mode (the default) one permutation per row count is generated
     lazily on first use and then reused by every epoch, so the cached chunk
-    plane decodes the table exactly once per training run and serves every
-    epoch with the same gathered order.
+    plane decodes the table once per run, walks the permutation in epoch 0
+    and gathers it once in epoch 1 (a copy that lives as long as it).
     """
 
     name = "shuffle_once"

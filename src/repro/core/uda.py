@@ -81,6 +81,10 @@ class IGDAggregate(UserDefinedAggregate):
     def chunk_decoder(self) -> Task:
         return self.task
 
+    @property
+    def accepts_visits(self) -> bool:
+        return self.batch_size == 1
+
     # ---------------------------------------------------------- UDA contract
     def initialize(self) -> IGDState:
         if self.initial_model is not None:
@@ -111,11 +115,11 @@ class IGDAggregate(UserDefinedAggregate):
         """One chunk of gradient steps over cached, pre-decoded examples.
 
         With ``batch_size == 1`` this runs the task's sequential exact-IGD
-        kernel with a precomputed per-step ``alpha`` array — bit-for-bit the
-        models the per-tuple path produces.  With ``batch_size == B > 1`` it
-        takes one averaged-gradient step per B consecutive examples
-        (mini-batches never straddle chunk boundaries; a chunk's tail batch
-        may be short).
+        kernel with a precomputed per-step ``alpha`` array over a batch or a
+        walked ``Visits`` window — bit-for-bit the models the per-tuple path
+        produces.  With ``batch_size == B > 1`` it takes one averaged-gradient
+        step per B consecutive examples (mini-batches never straddle chunk
+        boundaries; a chunk's tail batch may be short).
         """
         n = len(batch)
         if n == 0:

@@ -51,6 +51,9 @@ class UserDefinedAggregate:
     #: once per batch, which is exactly why batch-at-a-time execution is fast.
     supports_chunks: bool = False
     chunk_decoder: Any = None
+    #: True when ``transition_chunk`` also takes a
+    #: :class:`~repro.db.chunk_plan.Visits` window (exact IGD).
+    accepts_visits: bool = False
 
     #: Merge-contract refinement for the parallel pass backends.  A pass over
     #: a mergeable aggregate may always be split into row partitions whose

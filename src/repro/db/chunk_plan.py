@@ -17,10 +17,10 @@ A :class:`ChunkPlan` bundles the decisions every backend makes:
   selection vector, :meth:`~repro.tasks.base.ExampleCache.selection_for`)
   with an explicit ``row_order`` (logical shuffle-once / shuffle-always, the
   MRS machinery, the parts of a partitioned pass) into visit ordinals;
-* **gather** — :func:`gather_batches` serves those ordinals by a vectorized
-  gather over the cached decoded plane, re-chunked into ``chunk_size`` blocks,
-  instead of per-tuple ``row_at`` loops; the gathers of pass-invariant
-  orders are kept in one bounded cache slot;
+* **walk or gather** — an order seen for the first time is *walked* over
+  the cached chunks (:class:`Visits` windows); the same order object asked
+  for again is gathered once by :func:`gather_batches`, and that copy lives
+  exactly as long as the order — the paper's shuffle-once copy;
 * **append** — :func:`extend_chunk_list` joins decoded delta rows onto the
   tail chunk, in the cache and in pool workers alike; and
 * **round-robin assignment** — :func:`split_round_robin` deals a visit
@@ -32,7 +32,8 @@ A :class:`ChunkPlan` bundles the decisions every backend makes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,11 +75,15 @@ def interleave_round_robin(order: np.ndarray, workers: int, window: int) -> np.n
 def _visit_ordinals(
     num_rows: int, row_order: Sequence[int] | None, mask: "np.ndarray | None"
 ) -> np.ndarray:
-    """The visit order walked first, rows outside the selection mask dropped."""
+    """The visit order walked first, rows outside the selection mask dropped;
+    the one place ordinals are normalised (a negative one counts from the end
+    once, as in ``Table.row_at``) and bounds-checked (``IndexError``)."""
     if row_order is None:
         return np.flatnonzero(mask)
     order = np.asarray(row_order, dtype=np.intp)
     order = np.where(order < 0, order + num_rows, order)
+    if order.size and (int(order.min()) < 0 or int(order.max()) >= num_rows):
+        raise IndexError(f"row ordinal out of range for {num_rows} rows")
     return order if mask is None else order[mask[order]]
 
 
@@ -124,15 +129,8 @@ def gather_batches(
     if not batches:
         return [] if ordinals.size == 0 else None
     first = batches[0]
-    if not hasattr(first, "take") or not hasattr(type(first), "concat"):
+    if not _gathers(first):
         return None
-    total = sum(len(batch) for batch in batches)
-    ordinals = np.where(ordinals < 0, ordinals + total, ordinals)
-    if ordinals.size and (int(ordinals.min()) < 0 or int(ordinals.max()) >= total):
-        raise IndexError(
-            f"row ordinal out of range for {total} rows "
-            f"(min {int(ordinals.min())}, max {int(ordinals.max())})"
-        )
     gathered = []
     for start in range(0, ordinals.shape[0], chunk_size):
         block = ordinals[start:start + chunk_size]
@@ -187,16 +185,62 @@ def extend_chunk_list(batches: list, base_rows: int, new_batches: list, chunk_si
     return extended
 
 
+class Visits:
+    """A walk window: up to ``chunk_size`` visit ordinals over one cached
+    chunk list, row ``g`` at offset ``g % chunk_size`` of ``batches[g //
+    chunk_size]`` (the alignment :func:`extend_chunk_list` keeps)."""
+
+    __slots__ = ("batches", "ordinals", "chunk_size")
+
+    def __init__(self, batches: list, ordinals: np.ndarray, chunk_size: int):
+        self.batches = batches
+        self.ordinals = ordinals
+        self.chunk_size = chunk_size
+
+    def __len__(self) -> int:
+        return len(self.ordinals)
+
+
+def visit_rows(batch: Any) -> Iterable[tuple[Any, int]]:
+    """``(source batch, row)`` per step of an ``igd_chunk`` over a batch or
+    a :class:`Visits` window, in visit order."""
+    if type(batch) is Visits:
+        chunk_ids, offsets = np.divmod(batch.ordinals, batch.chunk_size)
+        return zip(map(batch.batches.__getitem__, chunk_ids.tolist()), offsets.tolist())
+    return zip(repeat(batch), range(len(batch)))
+
+
+def visit_windows(batches: list, ordinals: np.ndarray, chunk_size: int, walks: bool) -> Iterator:
+    """``ordinals`` in ``chunk_size`` windows: :class:`Visits` when ``walks``,
+    else each window gathered into one batch that is dropped after use."""
+    for start in range(0, len(ordinals), chunk_size):
+        window = ordinals[start:start + chunk_size]
+        yield (
+            Visits(batches, window, chunk_size) if walks
+            else gather_batches(batches, window, chunk_size)[0]
+        )
+
+
+def _gathers(batch: Any) -> bool:
+    return hasattr(batch, "take") and hasattr(type(batch), "concat")
+
+
 class ChunkPlan:
-    """A resolved plan for one aggregate pass over cached columnar chunks."""
+    """A resolved plan for one aggregate pass over cached columnar chunks:
+    ``batches`` as they are, or (``ordinals`` set) a walk over them."""
 
-    __slots__ = ("table", "decoder", "batches", "chunk_size")
+    __slots__ = ("table", "decoder", "batches", "chunk_size", "ordinals", "walks")
 
-    def __init__(self, table: "Table", decoder: "Task", batches: list, chunk_size: int):
+    def __init__(
+        self, table: "Table", decoder: "Task", batches: list, chunk_size: int,
+        ordinals: "np.ndarray | None" = None, walks: bool = False,
+    ):
         self.table = table
         self.decoder = decoder
         self.batches = batches
         self.chunk_size = chunk_size
+        self.ordinals = ordinals
+        self.walks = walks
 
     @classmethod
     def resolve(
@@ -209,18 +253,21 @@ class ChunkPlan:
         where: "Expression | None" = None,
         row_order: Sequence[int] | None = None,
         functions: Mapping[str, Callable] | None = None,
+        walks: bool = False,
     ) -> "ChunkPlan | None":
         """Resolve a plan through the cache; None when the pass cannot chunk.
 
         ``where`` restricts the pass to rows matching the predicate via a
         selection vector cached once per (table, version, predicate);
-        ``row_order`` imposes an explicit visit order (a permutation of row
-        ordinals) served by gathering from the cached batches.  Both compose:
-        the order is walked first and non-matching rows are dropped, exactly
-        like the per-tuple loop.  ``None`` means the aggregate exposed no
-        decoder, the decoding task does not support batches, the table's
-        columns cannot be batched, or the batch type has no gather kernels —
-        the caller must fall back to per-tuple execution.
+        ``row_order`` imposes an explicit visit order.  Both compose: the
+        order is walked first and non-matching rows are dropped, exactly
+        like the per-tuple loop.  An order (the ``row_order`` object, else
+        the selection vector; treated as immutable) is walked on first sight
+        — in :class:`Visits` windows when ``walks`` — and gathered once when
+        asked for again, the copy kept while the order lives.  ``None`` means
+        the aggregate exposed no decoder, the decoding task does not support
+        batches, the table's columns cannot be batched, or the batch type has
+        no gather kernels — the caller must fall back to per-tuple execution.
         """
         if decoder is None:
             return None
@@ -229,37 +276,30 @@ class ChunkPlan:
             return None
         if where is None and row_order is None:
             return cls(table, decoder, batches, chunk_size)
-        # Gathered chunk lists share one bounded cache slot per (decoder,
-        # chunk size); the order/selection identity rides along and is
-        # checked on hit.  Pass-invariant inputs — a logical shuffle-once
-        # permutation, a constant WHERE mask, the parts of a partitioned
-        # pass — therefore gather once per table version instead of once per
-        # epoch, while fresh per-epoch orders (shuffle-always) push the
-        # previous epoch's gathers out.  Orders are treated as immutable:
-        # mutating a row_order sequence in place between passes is not
-        # supported.
-        mask = cache.selection_for(table, where, functions) if where is not None else None
-        identity = (
-            None if row_order is None else id(row_order),
-            None if mask is None else id(mask),
-        )
-        gathered = cache.gathered_for(
-            table, ("gathered", id(decoder), chunk_size), identity, (decoder, row_order, mask),
-            lambda: [_visit_ordinals(len(table), row_order, mask)],
-            lambda visited: gather_batches(batches, visited[0], chunk_size),
-        )
-        if gathered is None:
+        if batches and not _gathers(batches[0]):
             return None
-        return cls(table, decoder, gathered, chunk_size)
+        mask = cache.selection_for(table, where, functions) if where is not None else None
+        kept = cache.kept_for(
+            table, tuple(anchor for anchor in (row_order, mask) if anchor is not None),
+            ("gathered", id(decoder), chunk_size), decoder,
+        )
+        if kept:
+            if "batches" not in kept:
+                kept["batches"] = gather_batches(
+                    batches, _visit_ordinals(len(table), row_order, mask), chunk_size
+                )
+            return cls(table, decoder, kept["batches"], chunk_size)
+        if kept is not None:
+            kept["seen"] = True
+        ordinals = _visit_ordinals(len(table), row_order, mask)
+        return cls(table, decoder, batches, chunk_size, ordinals, walks)
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.batches)
-
-    def __len__(self) -> int:
-        return len(self.batches)
+        if self.ordinals is None:
+            return iter(self.batches)
+        return visit_windows(self.batches, self.ordinals, self.chunk_size, self.walks)
 
     def __repr__(self) -> str:
-        return (
-            f"ChunkPlan(table={self.table.name!r}, chunks={len(self.batches)}, "
-            f"examples={self.num_examples})"
-        )
+        walked = self.ordinals is not None
+        rows = len(self.ordinals) if walked else sum(map(len, self.batches))
+        return f"ChunkPlan(table={self.table.name!r}, examples={rows}, walked={walked})"

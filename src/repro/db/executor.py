@@ -227,8 +227,8 @@ class Executor:
         the table; anything else — built-in SQL aggregates, per-example-only
         tasks, columns no batch kernel takes — folds rows per tuple.
         ``where`` is served by a selection vector cached once per (table,
-        version, predicate); ``row_order`` by a vectorized gather over the
-        cached batches.
+        version, predicate); ``row_order`` by a walk over the cached batches
+        or, for a reused order, its kept gathered copy.
         """
         if not instance.supports_chunks:
             return None
@@ -240,6 +240,7 @@ class Executor:
             where=where,
             row_order=row_order,
             functions=self.functions,
+            walks=instance.accepts_visits,
         )
 
     def run_state(

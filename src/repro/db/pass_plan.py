@@ -229,7 +229,7 @@ def partition_pass(
       chunks as they are;
     * every other pass deals the positions of its visit sequence (the row
       order, else heap order) — **visit ordinals** a task-backed aggregate
-      gathers from the chunk list, **raw-row ordinals** for an aggregate
+      walks over the chunk list, **raw-row ordinals** for an aggregate
       without a decoding task.  In heap order part ``i`` is rows
       ``i::width``: segment ``i`` of a shared-nothing layout;
     * ``part_orders`` then permutes each part by a part-local order (the
@@ -245,8 +245,9 @@ def partition_pass(
     if whole_chunks or decoder is None:
         chunks = executor.chunk_plan(table, instance)
         if chunks is not None:
-            width = max(1, min(workers, len(chunks)))
-            ids = [np.arange(part, len(chunks), width, dtype=np.intp) for part in range(width)]
+            count = len(chunks.batches)
+            width = max(1, min(workers, count))
+            ids = [np.arange(part, count, width, dtype=np.intp) for part in range(width)]
             return PassPartition("chunks", ids, chunks)
     cache, functions = executor.example_cache, executor.functions
     mask = cache.selection_for(table, where, functions) if where is not None else None
@@ -268,12 +269,15 @@ def partition_pass(
             parts = [np.asarray(part)[mask[part]] for part in parts]
         return parts
 
-    # The same inputs name the same parts: kept (like any gather) so that an
-    # in-process fold of a pass-invariant part finds its gathered chunks.
-    identity = (workers, id(row_order), id(mask), tuple(map(id, orders or ())))
-    parts = cache.gathered_for(
-        table, ("parts",), identity, (row_order, mask, orders), deal, lambda parts: parts
+    # Parts live as long as the orders they come from: a pass-invariant part
+    # is the same order object every epoch, which its fold then gathers once.
+    anchors = tuple(
+        anchor for anchor in (row_order, mask, *(orders or ())) if anchor is not None
     )
+    kept = cache.kept_for(table, anchors, ("parts", workers), None)
+    parts = deal() if kept is None else kept.get("parts")
+    if parts is None:
+        parts = kept["parts"] = deal()
     return PassPartition("rows" if decoder is None else "examples", parts)
 
 

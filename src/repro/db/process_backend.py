@@ -21,11 +21,11 @@ Architecture:
   list, not tables of their own; epochs send only ordinals (a ``range`` for
   heap order), so a logical shuffle never re-ships a row, and appends ship
   the appended rows only.
-* **Worker-side gather, one kernel** — a worker gathers its ordinals from
-  the resident batches (:func:`~repro.db.chunk_plan.gather_batches`; skipped
-  for the identity range, kept while the same ordinals keep arriving) and
-  folds ``transition_chunk`` / ``igd_chunk`` over the result.  Which ordinals
-  a worker gets is decided in one place
+* **Worker-side walk, one rule** — a worker walks new ordinals over the
+  resident batches and gathers them once only when the same ordinals come
+  again (:func:`_worker_visits`, the chunk plane's rule by value), folding
+  ``transition_chunk`` / ``igd_chunk`` over either.  Which ordinals a
+  worker gets is decided in one place
   (:func:`~repro.db.pass_plan.partition_pass`), and :func:`fold_on_pool` is
   only the pool half of :func:`~repro.db.pass_plan.run_partitioned` — which
   makes a pooled pass *bit-for-bit identical* to the same pass folded in
@@ -33,10 +33,11 @@ Architecture:
 * **Shared-memory epochs** — each worker attaches to the model segment's OS
   name.  ``nolock`` binds the model onto the mmap'd pages and runs
   ``igd_chunk`` straight on them (true Hogwild: unsynchronised
-  read-modify-write); ``lock`` runs each window's read-compute-write cycle
-  on the pages under the lock (which is why it measures ~1x in Figure 9B);
-  ``aig`` steps a private snapshot and publishes the window's delta in a
-  brief critical section (modelling batched per-component atomics).
+  read-modify-write); ``lock`` runs each ``staleness``-row ``Visits``
+  sub-window's read-compute-write cycle on the pages under the lock (which
+  is why it measures ~1x in Figure 9B); ``aig`` steps a private snapshot
+  and publishes the sub-window's delta in a brief critical section
+  (modelling batched per-component atomics).
 
 Determinism contract: pure-UDA runs are deterministic and bit-for-bit equal
 to the in-process backends for a fixed seed and worker count; the
@@ -58,7 +59,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chunk_plan import extend_chunk_list, gather_batches
+from .chunk_plan import Visits, extend_chunk_list, gather_batches, resolve_ordinals, visit_windows
 from .errors import ExecutionError, WorkerDiedError
 from .fault import FaultInjector, FaultPlan
 from .shared_memory import (
@@ -213,22 +214,25 @@ def _gather_slot(key: tuple) -> tuple:
     return ("gathered", key)
 
 
-def _gathered_batches(payloads: dict, key: tuple, ordinals: Any) -> list:
-    """The resident chunk list of ``key`` resolved to ``ordinals``, re-chunked.
+def _worker_visits(payloads: dict, key: tuple, ordinals: Any) -> "tuple[list, Any]":
+    """``(chunk list, ordinals to walk or None)``: the chunk plane's rule by value.
 
-    The identity range is the resident list itself.  Any other order is
-    gathered once and kept beside the payload (``shuffle_once`` and
-    partial-fit full passes send equal ordinals every epoch); a new order
-    replaces the kept pair, and ``load``/``extend``/``drop`` discard it.
+    The identity range reads the resident list.  New ordinals are walked and
+    remembered; equal ones again (``shuffle_once``, partial-fit full passes)
+    are gathered once and kept beside the payload until other ordinals
+    arrive or ``load``/``extend``/``drop`` discard them.
     """
     batches = payloads[key]
     if isinstance(ordinals, range) and ordinals == range(sum(len(b) for b in batches)):
-        return batches
-    kept = payloads.get(_gather_slot(key))
+        return batches, None
+    slot = _gather_slot(key)
+    kept = payloads.get(slot)
     if kept is None or not np.array_equal(kept[0], ordinals):
-        gathered = gather_batches(batches, ordinals, chunk_size_of(key))
-        kept = payloads[_gather_slot(key)] = (ordinals, gathered)
-    return kept[1]
+        payloads[slot] = (ordinals, None)
+        return batches, np.asarray(ordinals, dtype=np.intp)
+    if kept[1] is None:
+        kept = payloads[slot] = (ordinals, gather_batches(batches, ordinals, chunk_size_of(key)))
+    return kept[1], None
 
 
 def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
@@ -238,7 +242,10 @@ def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
     proximal = params["proximal"]
     scheme = params["scheme"]
     staleness = params["staleness"]
-    gathered = _gathered_batches(payloads, params["key"], params["example_ordinals"])
+    chunk_size = chunk_size_of(params["key"])
+    batches, ordinals = _worker_visits(payloads, params["key"], params["example_ordinals"])
+    if ordinals is None:
+        ordinals = np.arange(sum(len(batch) for batch in batches))
     # Logical positions worker, worker + w, ...: that stride of the schedule.
     positions = params["global_ordinals"]
     alphas = schedule.step_sizes(
@@ -252,16 +259,15 @@ def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
         scratch = _model_over(params["model_shapes"], flat)
     steps = 0
     try:
-        for batch in gathered:
-            rows = len(batch)
+        for chunk in visit_windows(batches, ordinals, chunk_size, True):
             if scheme == "nolock":
                 # Hogwild: unsynchronised kernel on the shared pages; the race
                 # itself is the staleness.
-                task.igd_chunk(live, batch, alphas[steps:steps + rows], proximal)
-                steps += rows
+                task.igd_chunk(live, chunk, alphas[steps:steps + len(chunk)], proximal)
+                steps += len(chunk)
                 continue
-            for start in range(0, rows, staleness):
-                window = batch.take(np.arange(start, min(start + staleness, rows)))
+            for start in range(0, len(chunk), staleness):
+                window = Visits(batches, chunk.ordinals[start:start + staleness], chunk_size)
                 window_alphas = alphas[steps:steps + len(window)]
                 if scheme == "lock":
                     # Read-compute-write under the lock: no overlap, hence ~1x.
@@ -289,9 +295,11 @@ def _run_shmem_epoch(payloads: dict, lock, params: Mapping[str, Any]) -> int:
 def _run_uda_state(payloads: dict, msg: tuple) -> Any:
     """initialize + transition_chunk over this worker's assigned ordinals."""
     _, key, instance, ordinals = msg
-    gathered = _gathered_batches(payloads, key, ordinals)
+    batches, ordinals = _worker_visits(payloads, key, ordinals)
+    if ordinals is not None:
+        batches = visit_windows(batches, ordinals, chunk_size_of(key), instance.accepts_visits)
     state = instance.initialize()
-    for batch in gathered:
+    for batch in batches:
         state = instance.transition_chunk(state, batch)
     return state
 
@@ -986,7 +994,7 @@ def fold_on_pool(
     already partitioned and counted the pass and merges what this
     returns.  Every part reads the table's one resident payload — the cached
     chunk list for ``"chunks"`` (whole chunk ids) and ``"examples"`` (visit
-    ordinals the worker gathers), the raw row block for ``"rows"`` — so the
+    ordinals the worker walks), the raw row block for ``"rows"`` — so the
     message carries ordinals only, plus for raw rows the argument expression
     and the scalar UDFs it references (picklable: module-level functions,
     not lambdas).  Workers run the same kernels over the same chunk blocks as
@@ -1044,7 +1052,7 @@ def run_process_shared_memory_epoch(
     runs the task's ``igd_chunk`` kernel straight on the shared pages
     (Hogwild), ``aig`` publishes each window's delta under a brief critical
     section (batched per-component atomics), ``lock`` holds the lock across
-    the whole read-compute-write cycle.  Each worker gathers its share of
+    the whole read-compute-write cycle.  Each worker walks its share of
     the table's resident chunk list (the loss pass's payload); a logical
     ``row_order`` re-partitions the permuted ordinal sequence with the same
     round-robin contract as every other partitioned pass.
@@ -1064,7 +1072,7 @@ def run_process_shared_memory_epoch(
     # subset of rows — partial_fit's delta epochs do); without one it is the
     # whole table.  Round-robin partitioning runs over logical positions,
     # as :func:`~repro.db.chunk_plan.split_round_robin` deals them.
-    order = range(len(table)) if row_order is None else np.asarray(row_order, dtype=np.intp)
+    order = resolve_ordinals(table, executor.example_cache, executor.functions, None, row_order)
     total_positions = len(order)
     if total_positions == 0:
         return model, 0

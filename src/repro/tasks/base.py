@@ -21,9 +21,11 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
+from ..db.chunk_plan import visit_rows
 from ..db.types import Row, SparseVector
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (db.table imports types only)
+    from ..db.chunk_plan import Visits
     from ..db.table import Table, TableChunk
 
 # ---------------------------------------------------------------------------
@@ -78,9 +80,9 @@ class ExampleBatch:
 
     Dense feature vectors materialise as one ``(n, d)`` matrix ``X``; sparse
     mappings as CSR-style ``indptr`` / ``indices`` / ``data`` arrays.  Labels
-    are a single ``(n,)`` vector ``y``.  The exact-IGD kernels walk rows
-    through :meth:`row_dot` / :meth:`add_scaled_row` (bit-for-bit the same
-    float operations as the per-tuple path, minus the Row/decoding overhead),
+    are a single ``(n,)`` vector ``y``.  The exact-IGD kernels fetch one row
+    at a time (``X[i]``, or row ``i``'s CSR slices) and run bit-for-bit the
+    float operations of the per-tuple ``dot_product`` / ``scale_and_add``,
     while the loss/accuracy/mini-batch kernels use the fully vectorized
     :meth:`decision_values` / :meth:`add_scaled_rows`.
     """
@@ -145,25 +147,6 @@ class ExampleBatch:
             counts = np.diff(self.indptr[start:stop + 1])
             per_entry = np.repeat(coefficients, counts)
             np.add.at(w, self.indices[lo:hi], per_entry * self.data[lo:hi])
-
-    # ------------------------------------------------------ exact row kernels
-    def row_dot(self, w: np.ndarray, i: int) -> float:
-        """``w . x_i`` with the same float ops as the per-tuple path."""
-        if self.kind == "dense":
-            return float(np.dot(w, self.X[i]))
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        if hi == lo:
-            return 0.0
-        return float(np.dot(w[self.indices[lo:hi]], self.data[lo:hi]))
-
-    def add_scaled_row(self, w: np.ndarray, i: int, scalar: float) -> None:
-        """``w += scalar * x_i`` with the same float ops as the per-tuple path."""
-        if self.kind == "dense":
-            w += scalar * self.X[i]
-            return
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        if hi > lo:
-            w[self.indices[lo:hi]] += scalar * self.data[lo:hi]
 
     # ------------------------------------------------------- gather kernels
     def take(self, indices: np.ndarray) -> "ExampleBatch":
@@ -297,6 +280,13 @@ class _CacheEntry:
         return self.table_ref() is table and self.version == version
 
 
+def _forget_order(cache_ref: "weakref.ref[ExampleCache]", key: tuple) -> None:
+    """Finalizer of a :meth:`ExampleCache.kept_for` anchor: drop what it kept."""
+    cache = cache_ref()
+    if cache is not None:
+        cache._orders.pop(key, None)
+
+
 class ExampleCache:
     """Per-(table-name, version, task) cache of decoded example batches.
 
@@ -318,6 +308,7 @@ class ExampleCache:
     version.  Rewrites (shuffle, cluster, truncate) keep full invalidation.
     ``decoded_rows`` counts every row actually decoded, so streaming
     workloads can assert the incremental path only pays for the delta.
+    What one visit order needs beyond that lives in :meth:`kept_for`.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -340,6 +331,8 @@ class ExampleCache:
         #: streaming bench asserts this only grows by the delta under
         #: append-only traffic.
         self.decoded_rows = 0
+        #: What :meth:`kept_for` keeps per visit order, dropped with the order.
+        self._orders: dict[tuple, _CacheEntry] = {}
 
     def _append_delta(self, entry: "_CacheEntry | None", table: "Table"):
         """The entry's append-only delta to the current version, or ``None``.
@@ -470,11 +463,11 @@ class ExampleCache:
     def derived_for(self, table: "Table", key: tuple, pin: Any, build) -> Any:
         """Cache an arbitrary per-version artefact derived from ``table``.
 
-        ``key`` identifies the artefact (selection vectors, gathered chunk
-        lists); entries share the table/version invalidation of the decoded
-        batches but keep their own hit/miss counters, so decode statistics
-        stay meaningful.  ``pin`` keeps any identity-keyed objects alive for
-        the entry's lifetime so their ``id()`` cannot be recycled.
+        ``key`` identifies the artefact (selection vectors); entries share
+        the table/version invalidation of the decoded batches but keep their
+        own hit/miss counters, so decode statistics stay meaningful.  ``pin``
+        keeps any identity-keyed objects alive for the entry's lifetime so
+        their ``id()`` cannot be recycled.
         """
         full_key = (table.name, "derived") + tuple(key)
         version = table.version
@@ -488,45 +481,33 @@ class ExampleCache:
         self._store(full_key, entry, table, version, payload, pin)
         return payload
 
-    def gathered_for(
-        self, table: "Table", slot_key: tuple, identity: tuple, pin: Any, visit, build
-    ) -> Any:
-        """Bounded-slot variant of :meth:`derived_for` for per-order artefacts.
+    def kept_for(self, table: "Table", anchors: tuple, key: tuple, pin: Any) -> "dict | None":
+        """Scratch space kept for one visit order; empty on its first sight.
 
-        The cache key is the *slot* (table, decoder, chunk size) only; each
-        kept artefact — a gathered chunk list, the parts of a partitioned
-        pass — rides with the order/selection ``identity`` it was built for
-        (and its ``pin``), checked on hit.  A slot keeps as many artefacts as
-        fit in one table's worth of rows, oldest dropped first: the S parts
-        of one partitioned pass live side by side, while fresh per-epoch
-        orders (logical shuffle-always) push the previous epoch's out instead
-        of filling the cache with dead dataset-sized copies.  On a miss
-        ``visit()`` lists the ordinal sequences the new artefact covers and
-        ``build(visited)`` makes it from them; their lengths are its row
-        count, so the artefacts it displaces are dropped *before* ``build``
-        runs and the slot never holds both at once.
+        ``anchors`` name the order by identity (a row order, a selection
+        vector, segment orders).  Nothing pins them: a ``weakref.finalize`` on
+        each, holding only a weak reference to this cache, drops the dict with
+        any of them.  ``pin`` holds the object whose id ``key`` carries.  None
+        when there is no anchor or one cannot be weakly referenced (a list).
         """
-        full_key = (table.name, "derived") + tuple(slot_key)
-        version = table.version
-        entry = self._entries.get(full_key)
-        kept = list(entry.payload) if entry is not None and entry.valid_for(table, version) else []
-        hits = [payload for known, _, _, payload in kept if known == identity]
-        if hits:
+        if not anchors:
+            return None
+        try:
+            for anchor in anchors:
+                weakref.ref(anchor)
+        except TypeError:
+            return None
+        full_key = (table.name, *map(id, anchors), *key)
+        entry = self._orders.get(full_key)
+        if entry is not None and entry.valid_for(table, table.version):
             self.derived_hits += 1
-            self._touch(full_key)
-            return hits[0]
+            return entry.payload
         self.derived_misses += 1
-        visited = visit()
-        rows = sum(map(len, visited))
-        while kept and sum(held for _, _, held, _ in kept) + rows > len(table):
-            kept.pop(0)
-        # The survivors become the entry's list before ``build`` runs, so
-        # nothing still holds the artefacts they displace when it allocates.
-        self._store(full_key, entry, table, version, kept, None)
-        del entry
-        payload = build(visited)
-        kept.append((identity, pin, rows, payload))
-        return payload
+        if entry is None:
+            for anchor in anchors:
+                weakref.finalize(anchor, _forget_order, weakref.ref(self), full_key)
+        entry = self._orders[full_key] = _CacheEntry(table, table.version, {}, pin)
+        return entry.payload
 
     def selection_for(
         self, table: "Table", predicate: Any, functions: Mapping[str, Any] | None = None
@@ -570,8 +551,7 @@ class ExampleCache:
         """Move an entry to the back of the eviction order (LRU on hit).
 
         Keeps hot entries — notably the decoded base batches that every
-        epoch's gathers are built from — alive while per-epoch derived
-        artefacts (e.g. shuffle-always gathered plans) age out first.
+        epoch walks — alive while older derived artefacts age out first.
         """
         self._entries[key] = self._entries.pop(key)
 
@@ -652,14 +632,17 @@ class Task:
     def igd_chunk(
         self,
         model: Model,
-        batch: ExampleBatch,
+        batch: "ExampleBatch | Visits",
         alphas: np.ndarray,
         proximal: ProximalOperator,
     ) -> None:
-        """Sequential IGD over a batch: bit-for-bit the per-tuple updates.
+        """Sequential IGD over a batch or a ``Visits`` window: bit-for-bit the per-tuple updates.
 
-        ``alphas[i]`` is the step size of the i-th example in the batch
-        (precomputed by the aggregate from the step-size schedule).
+        ``alphas[i]`` is the step size of the i-th visit (precomputed by the
+        aggregate from the step-size schedule).  Kernels loop once over
+        :func:`~repro.db.chunk_plan.visit_rows` and fetch each row once from
+        its source batch, so a walked order runs the same float operations
+        as its gathered copy.
         """
         raise NotImplementedError(f"{type(self).__name__} does not implement igd_chunk()")
 
@@ -747,15 +730,15 @@ class PerExampleChunkTask(Task):
     def igd_chunk(
         self,
         model: Model,
-        batch: DecodedExampleBatch,
+        batch: "DecodedExampleBatch | Visits",
         alphas: np.ndarray,
         proximal: ProximalOperator,
     ) -> None:
         apply_proximal = not isinstance(proximal, IdentityProximal)
-        for i, example in enumerate(batch.examples):
-            self.gradient_step(model, example, alphas[i])
+        for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+            self.gradient_step(model, source.examples[i], alpha)
             if apply_proximal:
-                proximal.apply(model, alphas[i])
+                proximal.apply(model, alpha)
 
     def batch_loss(self, model: Model, batch: DecodedExampleBatch) -> float:
         total = 0.0

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
+from ..db.chunk_plan import visit_rows
 from ..db.types import Row
 from .base import DecodedExampleBatch, PerExampleChunkTask
 
@@ -356,19 +357,16 @@ class ConditionalRandomFieldTask(PerExampleChunkTask):
         per-tuple operations, so the models are bit-for-bit identical.
         """
         apply_proximal = not isinstance(proximal, IdentityProximal)
-        flat_features = batch.flat_features
-        token_offsets = batch.token_offsets
-        for i, example in enumerate(batch.examples):
-            scores = self._token_scores_cached(
-                model["emission"], flat_features[i], token_offsets[i], len(example)
-            )
+        for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+            example = source.examples[i]
+            flat, offsets = source.flat_features[i], source.token_offsets[i]
+            scores = self._token_scores_cached(model["emission"], flat, offsets, len(example))
             forward_backward = self._forward_backward(model, example, scores=scores)
             self._apply_gradient(
-                model, example, alphas[i], forward_backward,
-                flat=flat_features[i], offsets=token_offsets[i],
+                model, example, alpha, forward_backward, flat=flat, offsets=offsets
             )
             if apply_proximal:
-                proximal.apply(model, alphas[i])
+                proximal.apply(model, alpha)
 
     def batch_loss(self, model: Model, batch: SequenceBatch) -> float:
         emission = model["emission"]

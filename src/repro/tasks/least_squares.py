@@ -17,6 +17,7 @@ import numpy as np
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
 from ..db.types import Row
+from ..db.chunk_plan import visit_rows
 from .base import ExampleBatch, LinearModelTask, SupervisedExample, dot_product, scale_and_add
 
 
@@ -33,13 +34,19 @@ def _squared_error_igd_chunk(
     proximal: ProximalOperator,
 ) -> None:
     w = model["w"]
-    y = batch.y
     apply_proximal = not isinstance(proximal, IdentityProximal)
-    for i in range(batch.length):
-        residual = batch.row_dot(w, i) - y[i]
-        batch.add_scaled_row(w, i, -(alphas[i] * residual))
+    for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+        if source.kind == "dense":
+            x = source.X[i]
+            w += -(alpha * (float(np.dot(w, x)) - source.y[i])) * x
+        else:
+            lo, hi = source.indptr[i], source.indptr[i + 1]
+            if hi > lo:  # an empty sparse row changes nothing
+                indices, values = source.indices[lo:hi], source.data[lo:hi]
+                wx = float(np.dot(w[indices], values))
+                w[indices] += -(alpha * (wx - source.y[i])) * values
         if apply_proximal:
-            proximal.apply(model, alphas[i])
+            proximal.apply(model, alpha)
 
 
 def _squared_error_minibatch_step(

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, L1Proximal, ProximalOperator
+from ..db.chunk_plan import visit_rows
 from .base import ExampleBatch, LinearModelTask, SupervisedExample, dot_product, scale_and_add
 
 
@@ -117,15 +118,20 @@ class LogisticRegressionTask(LinearModelTask):
         self, model: Model, batch: ExampleBatch, alphas: np.ndarray, proximal: ProximalOperator
     ) -> None:
         w = model["w"]
-        y = batch.y
         apply_proximal = not isinstance(proximal, IdentityProximal)
-        for i in range(batch.length):
-            wx = batch.row_dot(w, i)
-            label = y[i]
-            c = alphas[i] * label * sigmoid(-wx * label)
-            batch.add_scaled_row(w, i, c)
+        for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+            label = source.y[i]
+            if source.kind == "dense":
+                x = source.X[i]
+                w += alpha * label * sigmoid(-float(np.dot(w, x)) * label) * x
+            else:
+                lo, hi = source.indptr[i], source.indptr[i + 1]
+                if hi > lo:  # an empty sparse row changes nothing
+                    indices, values = source.indices[lo:hi], source.data[lo:hi]
+                    wx = float(np.dot(w[indices], values))
+                    w[indices] += alpha * label * sigmoid(-wx * label) * values
             if apply_proximal:
-                proximal.apply(model, alphas[i])
+                proximal.apply(model, alpha)
 
     def minibatch_step(
         self, model: Model, batch: ExampleBatch, start: int, stop: int, alpha: float

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, ProximalOperator
+from ..db.chunk_plan import visit_rows
 from ..db.types import Row
 from .base import Task
 
@@ -156,15 +157,13 @@ class LowRankMatrixFactorizationTask(Task):
         left = model["L"]
         right = model["R"]
         mu = self.mu
-        rows, cols, values = batch.rows, batch.cols, batch.values
         apply_proximal = not isinstance(proximal, IdentityProximal)
-        for i in range(batch.length):
-            r = rows[i]
-            c = cols[i]
+        for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+            r = source.rows[i]
+            c = source.cols[i]
             li = left[r]
             rj = right[c]
-            residual = float(np.dot(li, rj)) - values[i]
-            alpha = alphas[i]
+            residual = float(np.dot(li, rj)) - source.values[i]
             # Simultaneous update using the current (pre-update) factors.
             li_new = li - alpha * (residual * rj + mu * li)
             rj_new = rj - alpha * (residual * li + mu * rj)

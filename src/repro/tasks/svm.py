@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core.model import Model
 from ..core.proximal import IdentityProximal, L1Proximal, ProximalOperator
+from ..db.chunk_plan import visit_rows
 from .base import ExampleBatch, LinearModelTask, SupervisedExample, dot_product, scale_and_add
 
 
@@ -70,15 +71,20 @@ class SVMTask(LinearModelTask):
         self, model: Model, batch: ExampleBatch, alphas: np.ndarray, proximal: ProximalOperator
     ) -> None:
         w = model["w"]
-        y = batch.y
         apply_proximal = not isinstance(proximal, IdentityProximal)
-        for i in range(batch.length):
-            wx = batch.row_dot(w, i)
-            label = y[i]
-            if 1.0 - wx * label > 0.0:
-                batch.add_scaled_row(w, i, alphas[i] * label)
+        for alpha, (source, i) in zip(alphas, visit_rows(batch)):
+            label = source.y[i]
+            if source.kind == "dense":
+                x = source.X[i]
+                if 1.0 - float(np.dot(w, x)) * label > 0.0:
+                    w += alpha * label * x
+            else:
+                lo, hi = source.indptr[i], source.indptr[i + 1]
+                indices, values = source.indices[lo:hi], source.data[lo:hi]
+                if hi > lo and 1.0 - float(np.dot(w[indices], values)) * label > 0.0:
+                    w[indices] += alpha * label * values
             if apply_proximal:
-                proximal.apply(model, alphas[i])
+                proximal.apply(model, alpha)
 
     def minibatch_step(
         self, model: Model, batch: ExampleBatch, start: int, stop: int, alpha: float

@@ -17,6 +17,9 @@ protocol itself, ``run_aggregate(..., per_tuple=True)``.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -898,41 +901,91 @@ class TestSelectionPermutationParity:
         assert not np.array_equal(first["w"], chunked["w"])
         assert np.array_equal(per_tuple["w"], chunked["w"])
 
-    def test_stable_row_order_gathers_once_per_run(self):
-        """A pass-invariant order (logical shuffle_once) gathers once per
-        table version, not once per epoch."""
-        database, data = self._serial_db()
-        task = LogisticRegressionTask(data.dimension)
-        cache = database.executor.example_cache
-        order = np.random.default_rng(11).permutation(len(data.examples))
-        for _ in range(3):
-            self._igd_model(database, task, row_order=order)
-        assert cache.derived_misses == 1
-        assert cache.derived_hits == 2
-
-    def test_a_fresh_order_drops_the_gathers_it_displaces_before_building(self, monkeypatch):
-        """Shuffle-always: the slot never holds last epoch's gather beside this one's."""
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        """Rows of every ``gather_batches`` call, and weak references to what it built."""
         from repro.db import chunk_plan
 
+        calls, copies = [], []
+        real = chunk_plan.gather_batches
+
+        def recording(batches, ordinals, chunk_size):
+            calls.append(len(ordinals))
+            gathered = real(batches, ordinals, chunk_size)
+            copies.extend(weakref.ref(batch.y) for batch in gathered)
+            return gathered
+
+        monkeypatch.setattr(chunk_plan, "gather_batches", recording)
+        return calls, copies
+
+    @pytest.mark.parametrize("ordered, filtered", [(True, False), (False, True), (True, True)],
+                             ids=["row_order", "where", "both"])
+    def test_an_order_is_walked_then_gathered_once_when_reused(self, gathers, ordered, filtered):
+        """First sight walks the cached chunks; the same order again gathers
+        once and the copy serves every later pass — all bit-for-bit."""
+        calls, _ = gathers
         database, data = self._serial_db()
         task = LogisticRegressionTask(data.dimension)
         cache = database.executor.example_cache
-        gather = chunk_plan.gather_batches
-        kept_when_built = []
+        order = np.random.default_rng(11).permutation(len(data.examples)) if ordered else None
+        where = _label_predicate() if filtered else None
+        first = self._igd_model(database, task, row_order=order, where=where)
+        assert calls == []
+        models = [self._igd_model(database, task, row_order=order, where=where) for _ in range(2)]
+        visited = first.metadata["gradient_steps"]
+        assert calls == [visited]
+        assert all(np.array_equal(first["w"], model["w"]) for model in models)
+        # The selection vector (when filtered) and the order: one sighting
+        # each, then found on every later pass.
+        assert cache.derived_misses == 1 + filtered
+        assert cache.derived_hits == 2 * (1 + filtered)
 
-        def recording(batches, ordinals, chunk_size):
-            slots = [entry for key, entry in cache._entries.items() if "gathered" in key]
-            kept_when_built.append(sum(rows for slot in slots for _, _, rows, _ in slot.payload))
-            return gather(batches, ordinals, chunk_size)
-
-        monkeypatch.setattr(chunk_plan, "gather_batches", recording)
-        rng = np.random.default_rng(3)
-        half = len(data.examples) // 2
-        orders = [rng.permutation(2 * half)[:half] for _ in range(2)]  # two halves fit ...
-        orders += [rng.permutation(2 * half) for _ in range(3)]         # ... a whole order not
-        for order in orders:
+    def test_a_gathered_copy_lives_exactly_as_long_as_its_order(self, gathers):
+        calls, copies = gathers
+        database, data = self._serial_db()
+        task = LogisticRegressionTask(data.dimension)
+        cache = database.executor.example_cache
+        order = np.random.default_rng(3).permutation(len(data.examples))
+        for _ in range(2):
             self._igd_model(database, task, row_order=order)
-        assert kept_when_built == [0, half, 0, 0, 0]
+        assert calls == [len(order)] and all(ref() is not None for ref in copies)
+        del order  # nothing else holds it: its copy and its cache entry go now
+        assert all(ref() is None for ref in copies) and not cache._orders
+        # Fresh per-pass orders (shuffle-always) are walked and never kept.
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            self._igd_model(database, task, row_order=rng.permutation(len(data.examples)))
+        assert calls == [len(data.examples)] and not cache._orders
+
+    def test_the_order_finalizer_keeps_no_database_alive(self):
+        database, data = self._serial_db()
+        task = LogisticRegressionTask(data.dimension)
+        order = np.random.default_rng(5).permutation(len(data.examples))
+        for _ in range(2):
+            self._igd_model(database, task, row_order=order)
+        cache = weakref.ref(database.executor.example_cache)
+        engine = weakref.ref(database)
+        del database
+        gc.collect()
+        assert engine() is None and cache() is None
+        del order  # the finalizer runs against a dead cache: a no-op
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["plain", "where"])
+    @pytest.mark.parametrize("per_tuple", [True, False], ids=["per_tuple", "chunked"])
+    def test_out_of_range_ordinals_raise_on_both_planes(self, per_tuple, filtered):
+        """``-(n+1)`` is normalised once, like ``Table.row_at``: still out of range."""
+        database, data = self._serial_db()
+        task = LogisticRegressionTask(data.dimension)
+        where = _label_predicate() if filtered else None
+        n = len(data.examples)
+        for order in ([-(n + 1)], [0, n]):
+            with pytest.raises(IndexError):
+                self._igd_model(database, task, row_order=order, where=where,
+                                per_tuple=per_tuple)
+        last = self._igd_model(database, task, row_order=[-1], where=where, per_tuple=per_tuple)
+        assert np.array_equal(
+            last["w"], self._igd_model(database, task, row_order=[n - 1], where=where)["w"]
+        )
 
 
 @pytest.mark.backends
@@ -1017,9 +1070,9 @@ class TestLogicalOrderingCachePlane:
         assert result.epochs_run == 4
         assert cache.misses == 1  # one decode, shared by IGD and loss passes
         assert cache.hits == 2 * 4 - 1  # training + loss per epoch, rest hits
-        # Per-epoch gathered plans replace one slot, never accumulate: the
-        # cache holds the base batches entry plus a single gathered slot.
-        assert len(cache) == 2
+        # Per-epoch orders are walked, never gathered: the cache holds the
+        # base batches entry alone, and nothing for the run's dead orders.
+        assert len(cache) == 1 and not cache._orders
 
     def test_physical_shuffle_always_redecodes_each_epoch(self):
         """The contrast case: physical rewrites bump the version every epoch."""

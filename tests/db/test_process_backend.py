@@ -400,7 +400,7 @@ class TestWorkerGatherCache:
         monkeypatch.setattr(process_backend, "gather_batches", counting)
         return calls
 
-    def test_equal_order_gathers_once_a_new_order_again(self, lr_workload, gathers):
+    def test_a_new_order_walks_an_equal_repeat_gathers_once(self, lr_workload, gathers):
         dataset, _ = lr_workload
         database, task, key, payloads = self._resident(dataset, 90)
         order = np.random.default_rng(1).permutation(90)
@@ -408,16 +408,19 @@ class TestWorkerGatherCache:
             payloads, ("uda_state", key, IGDAggregate(task, 0.1), ordinals)
         ).model.as_flat_vector()
         first = run(order)
-        second = run(order.copy())  # equal, not identical: what the pipe delivers
+        assert gathers == []  # first sight: walked over the resident chunks
+        # Equal, not identical: what the pipe delivers.  The repeat gathers
+        # once and keeps the copy; the next repeat reads it.
+        second, third = run(order.copy()), run(order.copy())
         assert gathers == [90]
-        assert np.array_equal(first, second)
+        assert np.array_equal(first, second) and np.array_equal(first, third)
         serial = database.run_aggregate(
             "pts", IGDAggregate(task, 0.1), row_order=order
         )
         assert np.array_equal(first, serial.as_flat_vector())
         run(np.random.default_rng(2).permutation(90))
-        assert gathers == [90, 90]
-        assert len([k for k in payloads if k == _gather_slot(key)]) == 1
+        assert gathers == [90]  # a different order is walked, and replaces the copy
+        assert payloads[_gather_slot(key)][1] is None
 
     def test_identity_range_is_the_resident_list(self, lr_workload, gathers):
         dataset, _ = lr_workload
@@ -433,8 +436,9 @@ class TestWorkerGatherCache:
         dataset, _ = lr_workload
         database, task, key, payloads = self._resident(dataset, 70)
         order = np.random.default_rng(3).permutation(70)
-        _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), order))
-        assert _gather_slot(key) in payloads
+        for _ in range(2):  # walked, then gathered and kept
+            _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), order))
+        assert payloads[_gather_slot(key)][1] is not None
         # Append 20 rows; ship them the way _ship_batches does.
         database.insert(
             "pts", [(70 + i, ex.features, ex.label) for i, ex in enumerate(dataset.examples[70:])]
@@ -450,12 +454,13 @@ class TestWorkerGatherCache:
         _apply_extend(payloads, key, "batches_tail", (70, appended))
         assert [len(b) for b in payloads[key]] == [len(b) for b in extended]
         wider = np.random.default_rng(4).permutation(90)
-        state = _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), wider))
-        assert gathers == [90]  # the new rows were gathered, not served stale
         serial = database.run_aggregate(
             "pts", IGDAggregate(task, 0.1), row_order=wider
-        )
-        assert np.array_equal(state.model.as_flat_vector(), serial.as_flat_vector())
+        ).as_flat_vector()
+        for gathered in ([], [90]):  # walked, then gathered: the new rows, not stale ones
+            state = _run_uda_state(payloads, ("uda_state", key, IGDAggregate(task, 0.1), wider))
+            assert gathers == gathered
+            assert np.array_equal(state.model.as_flat_vector(), serial)
 
     def test_load_and_drop_leave_no_gathered_copy_reachable(self, lr_workload, monkeypatch):
         """Drive the real worker loop over a scripted pipe, in this process."""
@@ -491,15 +496,16 @@ class TestWorkerGatherCache:
                 self.alive_at.append(sum(ref() is not None for ref in gathered_refs))
 
         pipe = Pipe([
-            ("load", key, payload), compute, ("load", key, payload),
-            compute, ("drop", key), ("stop",),
+            ("load", key, payload), compute, compute, ("load", key, payload),
+            compute, compute, ("drop", key), ("stop",),
         ])
         _worker_main(pipe, lock=None)
-        assert pipe.replies == ["ok"] * 6
-        after_first_load, after_gather, after_reload, after_regather, after_drop, _ = pipe.alive_at
-        assert after_first_load == 0 and after_gather > 0
+        assert pipe.replies == ["ok"] * 8
+        (after_first_load, after_walk, after_gather, after_reload,
+         after_rewalk, after_regather, after_drop, _) = pipe.alive_at
+        assert after_first_load == 0 and after_walk == 0 and after_gather > 0
         assert after_reload == 0  # a re-load discards the kept gather
-        assert after_regather > 0 and after_drop == 0
+        assert after_rewalk == 0 and after_regather > 0 and after_drop == 0
 
     def test_partial_fit_over_a_real_pool_matches_in_process(self, lr_workload):
         """insert + partial_fit: process pure-UDA == in-process; nolock in band."""
@@ -943,28 +949,36 @@ class TestPartitionedPassCounts:
         assert len(record.deltas) == 1  # the appended rows, shipped once
         assert pool.transport_stats["page_payloads"] == 2
 
-    def test_in_process_parts_gather_once_per_table_version(self, segmented, monkeypatch):
+    def test_in_process_parts_walk_then_gather_once_and_free_with_the_order(
+        self, segmented, monkeypatch
+    ):
         database, task, dataset = segmented
-        gathers = []
+        gathers, copies = [], []
         real = chunk_plan.gather_batches
-        monkeypatch.setattr(
-            chunk_plan, "gather_batches",
-            lambda batches, ordinals, size: gathers.append(len(ordinals)) or real(batches, ordinals, size),
-        )
+
+        def recording(batches, ordinals, size):
+            gathers.append(len(ordinals))
+            gathered = real(batches, ordinals, size)
+            copies.extend(weakref.ref(batch.y) for batch in gathered)
+            return gathered
+
+        monkeypatch.setattr(chunk_plan, "gather_batches", recording)
         config = lambda ordering: IGDConfig(  # noqa: E731
             max_epochs=3, seed=0, ordering=ordering, parallelism=PureUDAParallelism()
         )
         train(task, database, "pts", config=config("shuffle_once"))
-        # Three epochs, three parts, one gather each: the parts of one table
-        # share the gathered slot instead of evicting each other every epoch.
+        # Epoch 0 walks every part; epoch 1 asks for the same parts again
+        # and gathers each once; epoch 2 reads the kept copies.
         assert sorted(gathers) == [23, 23, 24]
+        # The run's ordering policy died with train(), and the copies with it.
+        assert copies and all(ref() is None for ref in copies)
         gathers.clear()
         database.insert("pts", [(70, dataset.examples[70].features, dataset.examples[70].label)])
         train(task, database, "pts", config=config("shuffle_once"))
-        assert sorted(gathers) == [23, 24, 24]  # a new version gathers again, once
+        assert sorted(gathers) == [23, 24, 24]  # a new version walks, then gathers once
         gathers.clear()
         train(task, database, "pts", config=config("shuffle_always"))
-        assert len(gathers) == 9  # fresh per-epoch orders gather every epoch
+        assert gathers == []  # fresh per-epoch orders are only ever walked
 
 
 class TestUnbatchablePairs:

@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's own design choices.
 
 These go beyond the paper's tables/figures and probe the knobs of the
 reproduction itself:
@@ -8,18 +8,14 @@ reproduction itself:
 * merge-strategy ablation — step-weighted model averaging vs naive unweighted
   averaging for the pure-UDA merge;
 * interleave-window ablation — how sensitive the NoLock scheme is to the
-  number of rows each worker steps per turn of the round-robin interleave;
-* batch-growth ablation — epoch-adaptive mini-batch growth (a BatchSchedule)
-  against constant batches and the full-batch GD baseline.
+  number of rows each worker steps per turn of the round-robin interleave.
 """
 
 from __future__ import annotations
 
 from conftest import report
 
-from repro.baselines import train_batch_gradient_descent
 from repro.core import (
-    BatchSchedule,
     IGDConfig,
     Model,
     SharedMemoryParallelism,
@@ -140,59 +136,3 @@ def test_ablation_nolock_staleness(benchmark, scale):
     # ...and even an extreme window still converges (no divergence).
     initial = task.total_loss(task.initial_model(), examples)
     assert losses[64] < initial
-
-
-def test_ablation_batch_growth(benchmark, scale):
-    """Epoch-adaptive batch growth vs constant batches vs full-batch GD.
-
-    The growth schedule starts at the exact-IGD regime (one step per tuple,
-    fast early progress) and grows the mini-batch geometrically, ending in
-    the variance-reduced batch-GD regime — it should keep (almost all of)
-    IGD's head start while a large constant batch gives it up, and it should
-    beat full-batch GD at an equal number of passes over the data.
-    """
-    dataset = _sparse_workload(scale)
-    task = LogisticRegressionTask(dataset.dimension)
-    epochs = max(8, scale.max_epochs)
-    step_size = {"kind": "epoch_decay", "alpha0": 0.05, "decay": 0.9}
-    schedules = {
-        "exact_igd": 1,
-        "constant_32": 32,
-        "growth_1to32": BatchSchedule(initial=1, growth=2.0, cap=32),
-    }
-    finals = {}
-    rows = []
-
-    def run_all():
-        for name, batch_size in schedules.items():
-            database = Database("postgres", seed=0)
-            load_classification_table(database, "docs", dataset.examples, sparse=True)
-            result = train(
-                task, database, "docs",
-                config=IGDConfig(step_size=step_size, max_epochs=epochs,
-                                 ordering="shuffle_once", seed=0, batch_size=batch_size),
-            )
-            finals[name] = result.final_objective
-            rows.append((name, f"{result.final_objective:.3f}",
-                         f"{result.total_seconds:.3f}s"))
-        # The batch-GD baseline gets one full-gradient step per epoch —
-        # the same number of passes over the data as the IGD runs.
-        baseline = train_batch_gradient_descent(
-            task, dataset.examples, step_size=0.05, iterations=epochs,
-        )
-        finals["batch_gd"] = baseline.final_objective
-        rows.append(("batch_gd", f"{baseline.final_objective:.3f}",
-                     f"{baseline.total_seconds:.3f}s"))
-        return finals
-
-    benchmark.pedantic(run_all, iterations=1, rounds=1)
-    report("Ablation — epoch-adaptive batch growth vs batch GD",
-           render_table(["Schedule", "Final objective", "Wall time"], rows))
-
-    # Growth interpolates: worse than exact IGD (it trades steps for
-    # variance reduction) but clearly ahead of jumping straight to the large
-    # constant batch...
-    assert finals["exact_igd"] <= finals["growth_1to32"]
-    assert finals["growth_1to32"] <= finals["constant_32"] * 0.75
-    # ...and far ahead of full-batch GD at an equal number of passes.
-    assert finals["growth_1to32"] < finals["batch_gd"]

@@ -27,7 +27,6 @@ from ..db.pass_plan import (
 from ..db.shared_memory import SharedMemoryParallelism
 from ..db.table import Table
 from ..tasks.base import Task
-from .batching import BatchSchedule, make_batch_schedule
 from .convergence import EpochRecord, StoppingRule, make_stopping_rule
 from .model import Model
 from .ordering import OrderingPolicy, make_ordering
@@ -59,13 +58,6 @@ class IGDConfig:
     #: Whether to evaluate the objective after every epoch (needed by most
     #: stopping rules; can be disabled for pure-throughput measurements).
     compute_objective: bool = True
-    #: Mini-batch size.  1 (default) is the paper's exact IGD: one gradient
-    #: step per tuple.  B > 1 is opt-in mini-batch SGD — one averaged-gradient
-    #: step per B examples — and needs a task that batches the table (an
-    #: unbatchable pair fails at its first row, before any step).  A
-    #: :class:`~repro.core.batching.BatchSchedule` (or its dict spec) makes
-    #: the size epoch-adaptive: constant or geometric growth.
-    batch_size: int | BatchSchedule | dict = 1
     #: Whether a process-backed parallel run also executes its loss/objective
     #: pass on the worker pool (the whole-loop parallelisation).  False keeps
     #: the gradient-only parallelisation: evaluation stays on the serial
@@ -85,20 +77,12 @@ class IGDConfig:
     def __post_init__(self) -> None:
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        schedule = make_batch_schedule(self.batch_size)
-        if schedule.max_batch_size(self.max_epochs) > 1 and isinstance(
-            self.parallelism, SharedMemoryParallelism
-        ):
-            raise ValueError("mini-batch IGD runs serial or pure-UDA, not shared-memory")
 
     def resolved_stopping(self) -> StoppingRule:
         return make_stopping_rule(self.stopping, max_epochs=self.max_epochs)
 
     def resolved_ordering(self) -> OrderingPolicy:
         return make_ordering(self.ordering)
-
-    def resolved_batch_schedule(self) -> BatchSchedule:
-        return make_batch_schedule(self.batch_size)
 
 
 @dataclass
@@ -505,7 +489,6 @@ class BismarckRunner:
         one plan that any backend can run.
         """
         spec = self.config.parallelism
-        batch_size = self.config.resolved_batch_schedule().batch_size(epoch)
         factory = lambda: IGDAggregate(  # noqa: E731 - tiny closure
             self.task,
             schedule,
@@ -513,7 +496,6 @@ class BismarckRunner:
             proximal=proximal,
             epoch=epoch,
             step_offset=step_offset,
-            batch_size=batch_size,
         )
         row_order, segment_orders = orders
         backend = epoch_backend(self.database, spec)
@@ -531,7 +513,6 @@ class BismarckRunner:
                 epoch=epoch,
                 step_offset=step_offset,
                 spec=spec,
-                batch_size=batch_size,
                 segment_row_orders=segment_orders,
             ),
         )

@@ -10,9 +10,16 @@ within an epoch, multiplied by a decay factor between epochs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    # NaN and +inf fail the chained comparison too, not just values <= 0.
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class StepSizeSchedule:
@@ -39,8 +46,7 @@ class ConstantStepSize(StepSizeSchedule):
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("step size must be positive")
+        _require_positive_finite("step size", self.alpha)
 
     def step_size(self, step_index: int, epoch: int) -> float:
         return self.alpha
@@ -62,8 +68,7 @@ class DiminishingStepSize(StepSizeSchedule):
     power: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        _require_positive_finite("alpha0", self.alpha0)
         if not 0 < self.power <= 1:
             raise ValueError("power must be in (0, 1] for the divergent-series rule")
 
@@ -79,8 +84,7 @@ class GeometricStepSize(StepSizeSchedule):
     rho: float
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        _require_positive_finite("alpha0", self.alpha0)
         if not 0 < self.rho < 1:
             raise ValueError("rho must be in (0, 1)")
 
@@ -100,8 +104,7 @@ class EpochDecayStepSize(StepSizeSchedule):
     decay: float = 0.95
 
     def __post_init__(self) -> None:
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
+        _require_positive_finite("alpha0", self.alpha0)
         if not 0 < self.decay <= 1:
             raise ValueError("decay must be in (0, 1]")
 
@@ -122,6 +125,8 @@ def make_schedule(spec: StepSizeSchedule | float | dict) -> StepSizeSchedule:
     """
     if isinstance(spec, StepSizeSchedule):
         return spec
+    if isinstance(spec, bool):
+        raise TypeError("a step size cannot be a bool")
     if isinstance(spec, (int, float)):
         return ConstantStepSize(float(spec))
     if isinstance(spec, dict):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..db.aggregates import UserDefinedAggregate
-from ..db.errors import ExecutionError
 from ..db.types import Row
 from ..tasks.base import ExampleBatch, Task
 from .model import Model
@@ -47,6 +46,7 @@ class IGDAggregate(UserDefinedAggregate):
 
     wants_row = True
     supports_merge = True
+    accepts_visits = True
 
     def __init__(
         self,
@@ -57,21 +57,13 @@ class IGDAggregate(UserDefinedAggregate):
         proximal: ProximalOperator | None = None,
         epoch: int = 0,
         step_offset: int = 0,
-        batch_size: int = 1,
     ):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.task = task
         self.schedule = make_schedule(step_size)
         self.initial_model = initial_model
         self.proximal = proximal if proximal is not None else task.proximal
         self.epoch = epoch
         self.step_offset = step_offset
-        #: Mini-batch size for the chunked path.  1 (the default) runs exact
-        #: IGD — one gradient step per tuple, bit-for-bit the per-tuple path.
-        #: B > 1 takes one averaged-gradient step per B examples (mini-batch
-        #: SGD), which only the chunked path implements.
-        self.batch_size = batch_size
 
     @property
     def supports_chunks(self) -> bool:
@@ -80,10 +72,6 @@ class IGDAggregate(UserDefinedAggregate):
     @property
     def chunk_decoder(self) -> Task:
         return self.task
-
-    @property
-    def accepts_visits(self) -> bool:
-        return self.batch_size == 1
 
     # ---------------------------------------------------------- UDA contract
     def initialize(self) -> IGDState:
@@ -96,13 +84,6 @@ class IGDAggregate(UserDefinedAggregate):
         )
 
     def transition(self, state: IGDState, row: Row | Any) -> IGDState:
-        if self.batch_size > 1:
-            raise ExecutionError(
-                "mini-batch IGD (batch_size > 1) steps over cached chunks, but "
-                "this pass folds rows per tuple (task "
-                f"{getattr(self.task, 'name', None)!r} cannot batch the table, "
-                "or per_tuple=True); use batch_size=1 or a pair that batches"
-            )
         example = self._to_example(row)
         step_index = state.step_offset + state.gradient_steps
         alpha = self.schedule.step_size(step_index, state.epoch)
@@ -114,29 +95,17 @@ class IGDAggregate(UserDefinedAggregate):
     def transition_chunk(self, state: IGDState, batch: ExampleBatch) -> IGDState:
         """One chunk of gradient steps over cached, pre-decoded examples.
 
-        With ``batch_size == 1`` this runs the task's sequential exact-IGD
-        kernel with a precomputed per-step ``alpha`` array over a batch or a
-        walked ``Visits`` window — bit-for-bit the models the per-tuple path
-        produces.  With ``batch_size == B > 1`` it takes one averaged-gradient
-        step per B consecutive examples (mini-batches never straddle chunk
-        boundaries; a chunk's tail batch may be short).
+        Runs the task's sequential exact-IGD kernel with a precomputed
+        per-step ``alpha`` array over a batch or a walked ``Visits`` window —
+        bit-for-bit the models the per-tuple path produces.
         """
         n = len(batch)
         if n == 0:
             return state
-        if self.batch_size == 1:
-            start_index = state.step_offset + state.gradient_steps
-            alphas = self.schedule.step_sizes(start_index, n, state.epoch)
-            self.task.igd_chunk(state.model, batch, alphas, self.proximal)
-            state.gradient_steps += n
-            return state
-        for start in range(0, n, self.batch_size):
-            stop = min(start + self.batch_size, n)
-            step_index = state.step_offset + state.gradient_steps
-            alpha = self.schedule.step_size(step_index, state.epoch)
-            self.task.minibatch_step(state.model, batch, start, stop, alpha)
-            self.proximal.apply(state.model, alpha)
-            state.gradient_steps += 1
+        start_index = state.step_offset + state.gradient_steps
+        alphas = self.schedule.step_sizes(start_index, n, state.epoch)
+        self.task.igd_chunk(state.model, batch, alphas, self.proximal)
+        state.gradient_steps += n
         return state
 
     def merge(self, state_a: IGDState, state_b: IGDState) -> IGDState:

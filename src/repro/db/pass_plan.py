@@ -79,7 +79,6 @@ class TrainEpochContext:
     epoch: int = 0
     step_offset: int = 0
     spec: Any = None
-    batch_size: int = 1
     #: Per-segment visit orders (positions within segment ``i``, the rows
     #: ``i::S``) for the segmented (pure-UDA) backend; the plan-level
     #: ``row_order`` covers the single-table backends.

@@ -83,8 +83,8 @@ class ExampleBatch:
     are a single ``(n,)`` vector ``y``.  The exact-IGD kernels fetch one row
     at a time (``X[i]``, or row ``i``'s CSR slices) and run bit-for-bit the
     float operations of the per-tuple ``dot_product`` / ``scale_and_add``,
-    while the loss/accuracy/mini-batch kernels use the fully vectorized
-    :meth:`decision_values` / :meth:`add_scaled_rows`.
+    while the loss/accuracy kernels use the fully vectorized
+    :meth:`decision_values`.
     """
 
     __slots__ = ("kind", "X", "y", "indptr", "indices", "data", "dimension", "length")
@@ -115,17 +115,16 @@ class ExampleBatch:
         return self.length
 
     # ----------------------------------------------------- vectorized kernels
-    def decision_values(self, w: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """``X[start:stop] @ w`` for dense or sparse rows."""
-        stop = self.length if stop is None else stop
+    def decision_values(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w`` for dense or sparse rows."""
         if self.kind == "dense":
-            return self.X[start:stop] @ w
-        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        result = np.zeros(stop - start)
+            return self.X @ w
+        lo, hi = int(self.indptr[0]), int(self.indptr[-1])
+        result = np.zeros(self.length)
         if hi > lo:
             products = w[self.indices[lo:hi]] * self.data[lo:hi]
-            starts = np.asarray(self.indptr[start:stop] - lo, dtype=np.intp)
-            counts = np.diff(self.indptr[start:stop + 1])
+            starts = np.asarray(self.indptr[:-1] - lo, dtype=np.intp)
+            counts = np.diff(self.indptr)
             # reduceat mis-handles zero-width segments (repeated or
             # out-of-range start indices), so reduce over the non-empty rows
             # only: their starts are strictly increasing and each segment runs
@@ -133,20 +132,6 @@ class ExampleBatch:
             nonempty = counts > 0
             result[nonempty] = np.add.reduceat(products, starts[nonempty])
         return result
-
-    def add_scaled_rows(
-        self, w: np.ndarray, coefficients: np.ndarray, start: int = 0, stop: int | None = None
-    ) -> None:
-        """``w += sum_i coefficients[i] * x_i`` over rows ``start..stop``."""
-        stop = self.length if stop is None else stop
-        if self.kind == "dense":
-            w += coefficients @ self.X[start:stop]
-            return
-        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
-        if hi > lo:
-            counts = np.diff(self.indptr[start:stop + 1])
-            per_entry = np.repeat(coefficients, counts)
-            np.add.at(w, self.indices[lo:hi], per_entry * self.data[lo:hi])
 
     # ------------------------------------------------------- gather kernels
     def take(self, indices: np.ndarray) -> "ExampleBatch":
@@ -646,16 +631,6 @@ class Task:
         """
         raise NotImplementedError(f"{type(self).__name__} does not implement igd_chunk()")
 
-    def minibatch_step(
-        self, model: Model, batch: ExampleBatch, start: int, stop: int, alpha: float
-    ) -> None:
-        """One averaged-(sub)gradient step over batch rows ``start..stop``.
-
-        With a single row this equals one exact IGD step; with ``B`` rows it is
-        the mini-batch SGD update ``w += alpha * mean_i g_i(w)``.
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not implement minibatch_step()")
-
     def describe(self) -> str:
         return self.name
 
@@ -745,25 +720,6 @@ class PerExampleChunkTask(Task):
         for example in batch.examples:
             total += self.loss(model, example)
         return total
-
-    def minibatch_step(
-        self, model: Model, batch: DecodedExampleBatch, start: int, stop: int, alpha: float
-    ) -> None:
-        """Averaged-gradient step: ``w += (alpha/B) * sum_i g_i(w)``.
-
-        Every example's gradient is evaluated at the same pre-step model (a
-        frozen base copy), so this is true mini-batch SGD regardless of how
-        stateful the task's ``gradient_step`` is.
-        """
-        base = model.copy()
-        scratch = base.copy()
-        scale = alpha / (stop - start)
-        for i in range(start, stop):
-            for name, array in scratch.items():
-                np.copyto(array, base[name])
-            self.gradient_step(scratch, batch.examples[i], scale)
-            for name, array in model.items():
-                array += scratch[name] - base[name]
 
 
 class SupervisedExample:

@@ -49,19 +49,6 @@ def _squared_error_igd_chunk(
             proximal.apply(model, alpha)
 
 
-def _squared_error_minibatch_step(
-    task: LinearModelTask,
-    model: Model,
-    batch: ExampleBatch,
-    start: int,
-    stop: int,
-    alpha: float,
-) -> None:
-    w = model["w"]
-    residuals = batch.decision_values(w, start, stop) - batch.y[start:stop]
-    batch.add_scaled_rows(w, (-alpha / (stop - start)) * residuals, start, stop)
-
-
 class OneDimensionalLeastSquares(LinearModelTask):
     """``f_i(w) = 0.5 * (w * x_i - y_i)^2`` with scalar w (the CA-TX problem)."""
 
@@ -99,7 +86,6 @@ class OneDimensionalLeastSquares(LinearModelTask):
     # ------------------------------------------------- batched API (scalar x)
     batch_loss = _squared_error_batch_loss
     igd_chunk = _squared_error_igd_chunk
-    minibatch_step = _squared_error_minibatch_step
 
 
 class LinearRegressionTask(LinearModelTask):
@@ -122,7 +108,6 @@ class LinearRegressionTask(LinearModelTask):
     # ----------------------------------------------------------- batched API
     batch_loss = _squared_error_batch_loss
     igd_chunk = _squared_error_igd_chunk
-    minibatch_step = _squared_error_minibatch_step
 
 
 def catx_closed_form_iterates(

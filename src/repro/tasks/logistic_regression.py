@@ -53,7 +53,7 @@ def sigmoid_array(values: np.ndarray) -> np.ndarray:
 
 def log1p_exp_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`log1p_exp` with the same clamping thresholds."""
-    out = np.where(values > 35.0, values, 0.0)
+    out = np.where(values < -35.0, 0.0, values)
     middle = (values <= 35.0) & (values >= -35.0)
     out[middle] = np.log1p(np.exp(values[middle]))
     return out
@@ -132,12 +132,3 @@ class LogisticRegressionTask(LinearModelTask):
                     w[indices] += alpha * label * sigmoid(-wx * label) * values
             if apply_proximal:
                 proximal.apply(model, alpha)
-
-    def minibatch_step(
-        self, model: Model, batch: ExampleBatch, start: int, stop: int, alpha: float
-    ) -> None:
-        w = model["w"]
-        y = batch.y[start:stop]
-        decisions = batch.decision_values(w, start, stop)
-        gradients = y * sigmoid_array(-decisions * y)
-        batch.add_scaled_rows(w, (alpha / (stop - start)) * gradients, start, stop)

@@ -85,12 +85,3 @@ class SVMTask(LinearModelTask):
                     w[indices] += alpha * label * values
             if apply_proximal:
                 proximal.apply(model, alpha)
-
-    def minibatch_step(
-        self, model: Model, batch: ExampleBatch, start: int, stop: int, alpha: float
-    ) -> None:
-        w = model["w"]
-        y = batch.y[start:stop]
-        decisions = batch.decision_values(w, start, stop)
-        subgradients = np.where(1.0 - decisions * y > 0.0, y, 0.0)
-        batch.add_scaled_rows(w, (alpha / (stop - start)) * subgradients, start, stop)

@@ -5,9 +5,8 @@ claims *bit-for-bit* identical models for exact IGD and identical-to-1e-9
 objective traces.  These tests pin that claim for LR, SVM, lasso and least
 squares across all three data orderings, for dense and sparse features, plus
 the LMF task, the structured tasks (CRF, Kalman, portfolio), the
-loss/accuracy aggregates, mini-batch semantics, the version-keyed example
-cache, and all three execution backends (serial, shared-memory, segmented
-pure-UDA).
+loss/accuracy aggregates, the version-keyed example cache, and all three
+execution backends (serial, shared-memory, segmented pure-UDA).
 
 A training run's per-tuple reference is the same task's non-batching twin
 (:func:`rows_twin`): the engine's one chunk-or-rows rule folds it row by row,
@@ -63,7 +62,7 @@ from repro.tasks import (
     PortfolioOptimizationTask,
     SVMTask,
 )
-from repro.tasks.base import ExampleCache, SupervisedExample
+from repro.tasks.base import ExampleCache
 from repro.tasks.least_squares import LinearRegressionTask
 
 TASKS = {
@@ -185,90 +184,6 @@ class TestLossAndAccuracyAggregates:
         per_tuple = database.run_aggregate("edge", AccuracyAggregate(task, model), per_tuple=True)
         chunked = database.run_aggregate("edge", AccuracyAggregate(task, model))
         assert chunked == per_tuple == 1.0
-
-
-class TestMiniBatchMode:
-    def test_batch_size_one_recovers_exact_igd(self):
-        data = make_dense_classification(110, 9, seed=7)
-        exact = _train(PerTupleOnlyTask, data, sparse=False, ordering="shuffle_once")
-        minibatch = _train(LogisticRegressionTask, data, sparse=False,
-                           ordering="shuffle_once", batch_size=1)
-        assert np.array_equal(exact.model["w"], minibatch.model["w"])
-
-    @pytest.mark.parametrize("task_name", sorted(TASKS))
-    def test_single_row_minibatch_step_equals_gradient_step(self, task_name):
-        """The averaged-gradient kernel with B=1 is one plain IGD step."""
-        data = make_dense_classification(16, 5, seed=8)
-        task = TASKS[task_name](data.dimension)
-        rng = np.random.default_rng(1)
-        reference = Model({"w": rng.normal(size=data.dimension)})
-        batched = reference.copy()
-
-        database = Database("postgres")
-        table = load_classification_table(database, "pts", data.examples, sparse=False)
-        chunk = next(table.iter_chunks(len(data.examples)))
-        batch = task.batch_from_chunk(chunk)
-        for i, example in enumerate(data.examples):
-            task.gradient_step(reference, SupervisedExample(example.features, example.label), 0.03)
-            task.minibatch_step(batched, batch, i, i + 1, 0.03)
-        assert np.allclose(reference["w"], batched["w"], atol=1e-12, rtol=0)
-
-    def test_minibatch_training_converges(self):
-        data = make_dense_classification(200, 8, seed=9)
-        result = _train(LogisticRegressionTask, data, sparse=False,
-                        ordering="shuffle_once", batch_size=16)
-        trace = result.objective_trace()
-        assert trace[-1] < trace[0]
-        # ceil(200 / 16) = 13 averaged steps per epoch, not 200
-        assert result.history[0].gradient_steps == 13
-
-    def test_minibatch_refused_by_the_per_tuple_protocol(self):
-        data = make_dense_classification(30, 4, seed=10)
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "points", data.examples, sparse=False)
-        aggregate = IGDAggregate(LogisticRegressionTask(data.dimension), 0.05, batch_size=4)
-        with pytest.raises(ExecutionError, match="mini-batch"):
-            database.run_aggregate("points", aggregate, per_tuple=True)
-
-    def test_minibatch_unbatchable_pair_fails_before_its_first_step(self):
-        steps = []
-
-        class Counted(PerTupleOnlyTask):
-            def gradient_step(self, model, example, alpha):
-                steps.append(alpha)
-                super().gradient_step(model, example, alpha)
-
-        data = make_dense_classification(24, 4, seed=0)
-        database = Database("postgres", seed=0)
-        load_classification_table(database, "points", data.examples, sparse=False)
-        with pytest.raises(ExecutionError, match="mini-batch"):
-            train(Counted(data.dimension), database, "points",
-                  config=IGDConfig(batch_size=4, max_epochs=1))
-        assert steps == []
-
-    def test_lmf_refuses_minibatch_by_name(self):
-        ratings = make_ratings(10, 8, 60, rank=2, seed=1)
-        database = Database("postgres", seed=0)
-        load_ratings_table(database, "ratings", ratings.examples)
-        task = LowRankMatrixFactorizationTask(ratings.num_rows, ratings.num_cols, rank=2)
-        with pytest.raises(NotImplementedError, match="does not implement minibatch_step"):
-            train(task, database, "ratings", config=IGDConfig(batch_size=4, max_epochs=1))
-
-    def test_minibatch_structured_tasks_converge(self):
-        """Structured tasks now run opt-in mini-batch SGD through the generic
-        averaged-gradient kernel."""
-        corpus = make_sequences(20, num_labels=3, seed=0)
-        database = Database("postgres", seed=0)
-        load_sequences_table(database, "seqs", corpus.examples)
-        task = ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
-        result = train(
-            task, database, "seqs",
-            config=IGDConfig(step_size=0.2, max_epochs=3, ordering="shuffle_once",
-                             seed=1, batch_size=5),
-        )
-        trace = result.objective_trace()
-        assert trace[-1] < trace[0]
-        assert result.history[0].gradient_steps == 4  # ceil(20 / 5)
 
 
 class TestChunkOrRowsRule:
@@ -446,9 +361,6 @@ class TestSparseEdgeCases:
         batch = task.batch_from_chunk(next(table.iter_chunks(16)))
         w = np.array([10.0, 100.0])
         assert batch.decision_values(w).tolist() == [210.0, 0.0, 300.0, 0.0]
-        # slices hit the same code path
-        assert batch.decision_values(w, 0, 2).tolist() == [210.0, 0.0]
-        assert batch.decision_values(w, 3, 4).tolist() == [0.0]
 
     def test_chunked_parity_with_empty_sparse_rows(self):
         from repro.db import ColumnType, Schema, Table

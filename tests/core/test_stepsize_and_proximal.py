@@ -73,6 +73,22 @@ class TestStepSizes:
         assert isinstance(schedule, EpochDecayStepSize)
         assert make_schedule(schedule) is schedule
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("spec", [
+        {"kind": "constant"},
+        {"kind": "diminishing"},
+        {"kind": "geometric", "rho": 0.5},
+        {"kind": "epoch_decay"},
+    ], ids=lambda spec: spec["kind"])
+    def test_non_finite_step_sizes_are_rejected(self, spec, value):
+        key = "alpha" if spec["kind"] == "constant" else "alpha0"
+        with pytest.raises(ValueError, match="finite"):
+            make_schedule({**spec, key: value})
+
+    def test_make_schedule_rejects_a_bool(self):
+        with pytest.raises(TypeError, match="bool"):
+            make_schedule(True)
+
     def test_make_schedule_unknown_kind(self):
         with pytest.raises(ValueError):
             make_schedule({"kind": "warp_drive"})

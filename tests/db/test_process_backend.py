@@ -690,25 +690,6 @@ class TestWorkerChunkPathParityMatrix:
                 assert np.array_equal(serial.as_flat_vector(), process.as_flat_vector()), order
                 assert ProcessBackend(database).run(loss) == SerialBackend(database).run(loss)
 
-    def test_minibatch_igd_runs_on_the_pool_and_equals_in_process(self, lr_workload):
-        """Per-example ``transition`` refused ``batch_size > 1``; chunks do not."""
-        dataset, task = lr_workload
-        vectors = []
-        for backend in DISPATCH:
-            with SegmentedDatabase(3, "dbms_b", seed=0) as database:
-                load_classification_table(database, "pts", dataset.examples, sparse=True)
-                run = train(
-                    task, database, "pts",
-                    config=IGDConfig(
-                        max_epochs=3, ordering="shuffle_once", batch_size=8, seed=0,
-                        parallelism=PureUDAParallelism(backend=backend),
-                    ),
-                )
-                vectors.append(run.model.as_flat_vector())
-                # ceil(30 / 8) = 4 mini-batch steps per 30-row segment and epoch.
-                assert run.history[-1].gradient_steps == 3 * 3 * 4
-        assert np.array_equal(vectors[0], vectors[1])
-
 
 # ---------------------------------------------------------------------------
 # Physical-reference differential matrix: a segment is a slice of ordinals

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Model, train_in_memory
-from repro.data import make_catx, make_dense_classification, make_sparse_classification
+from repro.core import IGDConfig, Model, train, train_in_memory
+from repro.data import (
+    load_classification_table,
+    make_catx,
+    make_dense_classification,
+    make_sparse_classification,
+)
+from repro.db import Database
 from repro.tasks import (
     LassoTask,
     LinearRegressionTask,
@@ -156,6 +162,29 @@ class TestLogisticRegression:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             LogisticRegressionTask(0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_diverged_run_reports_nan_and_never_converges(self, sparse):
+        """A NaN model's loss is NaN on the chunk plane as on the per-tuple
+        plane (the non-batching twin), so a threshold rule never reads it as
+        having reached its target."""
+        if sparse:
+            data = make_sparse_classification(50, 10, nonzeros_per_example=3, seed=0)
+        else:
+            data = make_dense_classification(50, 4, seed=0)
+        rows_twin = type("Rows", (LogisticRegressionTask,), {"supports_batches": False})
+        for task_cls in (LogisticRegressionTask, rows_twin):
+            database = Database("postgres", seed=0)
+            load_classification_table(database, "pts", data.examples, sparse=sparse)
+            result = train(
+                task_cls(data.dimension), database, "pts",
+                config=IGDConfig(step_size=1e308, max_epochs=3,
+                                 stopping={"kind": "threshold", "target": 20.0}),
+            )
+            assert np.isnan(result.model["w"]).all()
+            assert np.isnan(result.objective_trace()).all()
+            assert result.epochs_run == 3 and not result.converged
 
 
 class TestSVM:

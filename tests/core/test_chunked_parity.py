@@ -135,6 +135,13 @@ class TestChunkedPathParity:
             r.gradient_steps for r in chunked.history
         ]
 
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_one_gradient_step_per_tuple_per_epoch(self, ordering):
+        data = make_dense_classification(90, 6, seed=2)
+        for task_cls in (PerTupleOnlyTask, LogisticRegressionTask):
+            run = _train(task_cls, data, sparse=False, ordering=ordering)
+            assert [r.gradient_steps for r in run.history] == [90, 180, 270]
+
     def test_lmf_models_bit_identical(self):
         ratings = make_ratings(40, 30, 500, rank=4, seed=3)
         results = []

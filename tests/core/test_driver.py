@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     FixedEpochs,
+    IGDAggregate,
     IGDConfig,
     PureUDAParallelism,
     SharedMemoryParallelism,
@@ -122,6 +123,16 @@ class TestSerialTraining:
         config = IGDConfig(step_size=0.1, max_epochs=10)
         result = train(task, serial_db, "papers", config=config, max_epochs=2)
         assert result.epochs_run == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: IGDConfig(batch_size=4),
+        lambda: IGDAggregate(LogisticRegressionTask(6), 0.1, batch_size=4),
+    ], ids=["IGDConfig", "IGDAggregate"])
+    def test_batch_size_is_not_an_option(self, build):
+        """IGD takes one gradient step per tuple; no option trades that for
+        averaged mini-batch steps, and none is silently ignored."""
+        with pytest.raises(TypeError, match="batch_size"):
+            build()
 
 
 class TestParallelTraining:

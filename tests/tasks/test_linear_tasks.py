@@ -26,7 +26,7 @@ from repro.tasks import (
     scale_and_add,
     sigmoid,
 )
-from repro.tasks.logistic_regression import log1p_exp
+from repro.tasks.logistic_regression import log1p_exp, log1p_exp_array
 
 
 class TestFeatureHelpers:
@@ -51,6 +51,13 @@ class TestFeatureHelpers:
         assert log1p_exp(100.0) == pytest.approx(100.0)
         assert log1p_exp(-100.0) == pytest.approx(0.0)
         assert log1p_exp(0.0) == pytest.approx(np.log(2.0))
+
+    @pytest.mark.parametrize("value", [-np.inf, -36.0, -35.0, 0.0, 35.0, 36.0, np.inf, np.nan])
+    def test_log1p_exp_array_agrees_with_the_scalar_loss(self, value):
+        """The chunk plane's loss kernel clamps as the per-tuple one does on
+        both sides of +-35 and at infinity, and passes a NaN through."""
+        vectorized = log1p_exp_array(np.array([value]))[0]
+        np.testing.assert_allclose(vectorized, log1p_exp(value), rtol=1e-15)
 
 
 class TestOneDimensionalLeastSquares:

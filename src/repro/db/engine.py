@@ -391,8 +391,9 @@ class Database:
         """Release every OS resource the engine owns.  Idempotent.
 
         Reaps the process-backend worker pools, frees all shared-memory
-        arena segments, and — for durable engines — flushes and closes the
-        write-ahead log.  Double-close is a no-op, including on an engine
+        arena segments, drops the decoded-example cache (its counters stay)
+        and — for durable engines — flushes and closes the write-ahead log.
+        Double-close is a no-op, including on an engine
         that was itself produced by a recovery :meth:`open`: the WAL handle
         closes exactly once and later closes return without touching it.
         The ``atexit`` sweeps remain as a crash net, but deterministic
@@ -402,6 +403,7 @@ class Database:
         """
         self.close_process_pools()
         self.shared_memory.free_all()
+        self.executor.example_cache.clear()
         if self.wal is not None:
             self.wal.close()
 

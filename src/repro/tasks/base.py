@@ -196,6 +196,33 @@ class ExampleBatch:
         return f"ExampleBatch(kind={self.kind!r}, rows={self.length}, dim={self.dimension})"
 
 
+def _shared_rows(rows: list[np.ndarray]) -> np.ndarray | None:
+    """``np.stack(rows)`` as a read-only view of the buffer the rows share, or ``None``.
+
+    Rows 0, 1 and n-1 give the candidate (one base, a positive constant
+    step).  Reading every row's address costs more than the copy it saves, so
+    the candidate must equal the rows' transient concatenation bit for bit.
+    """
+    first, n = rows[0], len(rows)
+    base = first.base
+    if base is None or first.dtype != np.float64 or any(row.base is not base for row in rows):
+        return None
+    # Row n-1 bounds the view in the buffer only if it is laid out as row 0.
+    if len(set(map(len, rows))) > 1 or rows[-1].strides != first.strides:
+        return None
+    start = first.__array_interface__["data"][0]
+    step = rows[1].__array_interface__["data"][0] - start if n > 1 else 0
+    if n > 1 and (step <= 0 or rows[-1].__array_interface__["data"][0] != start + (n - 1) * step):
+        return None
+    view = np.lib.stride_tricks.as_strided(
+        first, (n, len(first)), (step, *first.strides), writeable=False
+    )
+    stacked = np.concatenate(rows).reshape(view.shape)
+    if stacked.dtype != np.float64:
+        return None
+    return view if np.array_equal(view.view(np.int64), stacked.view(np.int64)) else None
+
+
 def make_example_batch(
     features: np.ndarray, labels: np.ndarray, dimension: int
 ) -> ExampleBatch | None:
@@ -203,7 +230,9 @@ def make_example_batch(
 
     ``features`` is the raw column array: a numeric array for scalar features
     (the 1-D CA-TX layout, treated as ``(n, 1)`` dense), or an object array of
-    per-row ndarrays (dense) or index->value mappings (sparse).  Returns
+    per-row ndarrays (dense) or index->value mappings (sparse).  Dense rows
+    become a read-only ``X``: a view of the buffer they are rows of when
+    :func:`_shared_rows` finds one, else their ``np.stack`` copy.  Returns
     ``None`` when the column cannot be batched (mixed or exotic feature
     types), signalling the caller to fall back to per-tuple execution.
     """
@@ -219,10 +248,13 @@ def make_example_batch(
         rows = list(features)
         if not all(isinstance(row, np.ndarray) and row.ndim == 1 for row in rows):
             return None
-        try:
-            X = np.stack(rows).astype(np.float64, copy=False)
-        except ValueError:
-            return None
+        X = _shared_rows(rows)
+        if X is None:
+            try:
+                X = np.stack(rows).astype(np.float64, copy=False)
+            except ValueError:
+                return None
+            X.flags.writeable = False
         return ExampleBatch("dense", X=X, y=labels, dimension=dimension)
     if isinstance(first, Mapping):
         # Stored values skip the ABC check, most of its cost per row.
@@ -552,6 +584,11 @@ class ExampleCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
         self._entries[key] = _CacheEntry(table, version, payload, task)
+
+    def clear(self) -> None:
+        """Drop every entry and kept order; the counters stay."""
+        self._entries.clear()
+        self._orders.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

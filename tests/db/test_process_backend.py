@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import shutil
 import weakref
 
 import numpy as np
@@ -66,6 +67,7 @@ from repro.db.process_backend import (
     batches_payload_key,
 )
 from repro.db.supervisor import RecoveryPolicy
+from repro.tasks.base import SupervisedExample
 from repro.tasks.crf import ConditionalRandomFieldTask
 from repro.tasks.logistic_regression import LogisticRegressionTask
 from repro.tasks.matrix_factorization import LowRankMatrixFactorizationTask
@@ -84,6 +86,14 @@ def lr_workload():
 def crf_workload():
     corpus = make_sequences(12, num_labels=3, seed=5)
     return corpus, lambda: ConditionalRandomFieldTask(corpus.num_features, corpus.num_labels)
+
+
+@pytest.fixture(scope="module")
+def one_matrix_examples():
+    """Dense examples whose features are the rows of one matrix."""
+    dataset = make_dense_classification(120, 6, seed=13)
+    X = np.stack([example.features for example in dataset.examples])
+    return [SupervisedExample(x, example.label) for x, example in zip(X, dataset.examples)]
 
 
 def _shm_entries() -> set[str]:
@@ -134,6 +144,43 @@ class TestPureUDAProcessParity:
             database.close_process_pools()
             vectors.append(run.model.as_flat_vector())
         assert np.array_equal(vectors[0], vectors[1])
+
+    @pytest.mark.parametrize("source", ["one_matrix", "reopened"])
+    def test_view_batches_cross_the_pool_bit_for_bit(self, one_matrix_examples, source, tmp_path):
+        """Rows of one buffer decode to a view of it, and the pool's pages of
+        that view train the in-process model: rows of one matrix, and a
+        durable table's record block after reopen."""
+        if source == "reopened":
+            with SegmentedDatabase.open(tmp_path / "written", 2, seed=0) as database:
+                load_classification_table(database, "pts", one_matrix_examples)
+        runs = {}
+        for backend in ("in_process", "process"):
+            if source == "reopened":
+                shutil.copytree(tmp_path / "written", tmp_path / backend)
+                database = SegmentedDatabase.open(tmp_path / backend, 2, seed=0)
+            else:
+                database = SegmentedDatabase(2, "dbms_b", seed=0)
+                load_classification_table(database, "pts", one_matrix_examples)
+            with database:
+                task = LogisticRegressionTask(6)
+                runs[backend] = train(
+                    task, database, "pts",
+                    config=IGDConfig(
+                        max_epochs=3, ordering="clustered", seed=0,
+                        parallelism=PureUDAParallelism(backend=backend),
+                    ),
+                )
+                master = database.master
+                (batch,) = master.executor.example_cache.batches_for(
+                    master.table("pts"), task, master.executor.chunk_size
+                )
+                assert not batch.X.flags.owndata
+                if backend == "process":
+                    assert master.process_pool(2).transport_stats["page_payloads"] >= 1
+        a, b = runs["in_process"], runs["process"]
+        assert b.parallelism_name == "pure_uda+process" and not b.degraded
+        assert np.array_equal(a.model.as_flat_vector(), b.model.as_flat_vector())
+        assert a.objective_trace() == b.objective_trace()
 
     @pytest.mark.parametrize("backend", ["in_process", "process"])
     def test_merge_count_is_segments_minus_one(self, lr_workload, backend):
